@@ -1,7 +1,8 @@
 """Compare hard and soft sampling across positive/negative ratios.
 
-Trains one single-head model per (sampling mode, ratio, seed) cell and prints a
-median-AP table mirroring the hard-versus-soft comparison.
+Trains one single-head model per (sampling mode, ratio, seed) cell through
+`detlab.harness.sweep` and writes a median-AP table, sampling_ablation.csv,
+mirroring the hard-versus-soft comparison.
 
 Usage:
     python scripts/sampling_ablation.py --config configs/desk.cfg \
@@ -10,62 +11,39 @@ Usage:
 
 import argparse
 import csv
-import re
-import statistics
 import sys
 from pathlib import Path
 
-from detlab.config import ConfigError, load_config, with_updates
-from detlab.harness import run_experiment
-
-RATIO_RE = re.compile(r"^(\d+):(\d+)$")
-
-
-def parse_ratio(text):
-    match = RATIO_RE.match(text)
-    if not match:
-        raise argparse.ArgumentTypeError(f"bad ratio {text!r}, expected P:N")
-    return int(match.group(1)), int(match.group(2))
+from detlab.config import ConfigError, parse_ratio, load_config
+from detlab.harness import sweep
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--ratios", type=parse_ratio, nargs="+",
-                        default=[(1, 1), (1, 3)])
+    parser.add_argument("--ratios", type=parse_ratio, nargs="+", default=[(1, 1), (1, 3)])
     parser.add_argument("--seeds", type=int, nargs="+", default=[11, 23, 37])
     args = parser.parse_args(argv)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         base = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    rows = []
-    for ratio in args.ratios:
-        row = {"ratio": f"{ratio[0]}:{ratio[1]}"}
-        for sampling in ("hard", "soft"):
-            aps = []
-            for seed in args.seeds:
-                cfg = with_updates(
-                    base, seed=seed, ratios=(ratio,), sampling_mode=sampling,
-                    out=str(out_dir / f"{sampling}_{ratio[0]}-{ratio[1]}"
-                            / f"seed{seed}"),
-                )
-                aps.append(run_experiment(cfg).summary["ap_mean"])
-            row[sampling] = statistics.median(aps)
-        rows.append(row)
-        print(f"ratio {row['ratio']:>4s}: hard {row['hard']:.4f} "
-              f"soft {row['soft']:.4f}")
-
-    with open(out_dir / "sampling_ablation.csv", "w", newline="") as fh:
+    names = {f"{p}:{n}": (p, n) for p, n in args.ratios}
+    cells = {f"{mode}_{name}": dict(ratios=(ratio,), sampling_mode=mode)
+             for name, ratio in names.items() for mode in ("hard", "soft")}
+    medians = {row["value"]: row["ap_mean"]
+               for row in sweep(base, cells, args.seeds, args.out)}
+    rows = [{"ratio": name, "hard": medians[f"hard_{name}"],
+             "soft": medians[f"soft_{name}"]} for name in names]
+    with open(Path(args.out) / "sampling_ablation.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["ratio", "hard", "soft"])
         writer.writeheader()
         writer.writerows(rows)
+    for row in rows:
+        print(f"ratio {row['ratio']:>4s}: hard {row['hard']} soft {row['soft']}")
     return 0
 
 

@@ -7,12 +7,15 @@ import json
 import sys
 from pathlib import Path
 
-from .config import MODES, SAMPLING_MODES, ConfigError, load_config
+from .config import MODES, SAMPLING_MODES, ConfigError, load_config, parse_ratio
 from .harness import (
+    SWEEP_AXES,
+    axis_cells,
     evaluate_model,
     run_experiment,
     sweep,
     write_eval_report,
+    write_eval_summary,
     _dataset,
 )
 from .prm import PrmModel
@@ -63,6 +66,7 @@ def cmd_eval(args) -> int:
     scenes = _dataset(cfg, out_dir, "eval", cfg.eval_scenes)
     result = evaluate_model(model, scenes, cfg)
     write_eval_report(result, out_dir / "eval_report.txt")
+    write_eval_summary(result, cfg, out_dir / "eval_summary.json")
     print((out_dir / "eval_report.txt").read_text(), end="")
     return 0
 
@@ -72,14 +76,7 @@ def _parse_sweep_values(axis: str, raw: str):
     if axis == "lambda0":
         return [float(p) for p in parts]
     if axis == "ratio-pair":
-        values = []
-        for part in parts:
-            pair = []
-            for ratio in part.split("+"):
-                p, n = ratio.split(":")
-                pair.append((int(p), int(n)))
-            values.append(tuple(pair))
-        return values
+        return [tuple(parse_ratio(r) for r in part.split("+")) for part in parts]
     return parts
 
 
@@ -91,7 +88,7 @@ def cmd_sweep(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not seeds:
         raise ConfigError("sweep needs a non-empty --seeds list")
-    rows = sweep(cfg, args.axis, values, seeds, args.out or cfg.out)
+    rows = sweep(cfg, axis_cells(args.axis, values), seeds, args.out or cfg.out)
     for row in rows:
         print(row)
     return 0
@@ -126,9 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid sweep over one axis, median over seeds")
     _add_common(p)
-    p.add_argument("--axis", required=True, choices=("lambda0", "ratio-pair", "sampling-mode"))
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True,
-                   help="comma-separated; ratio pairs like 1:1+1:9")
+                   help="comma-separated; modes like baseline,rga+prm; ratio pairs like 1:1+1:9")
     p.add_argument("--seeds", required=True, help="comma-separated integers")
     p.set_defaults(func=cmd_sweep)
 

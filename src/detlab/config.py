@@ -1,11 +1,11 @@
 """Experiment configuration: a flat sectioned key = value text format with
-strict validation, mode-driven defaults, and a content hash for manifests."""
+strict validation, mode presets as defaults, and a content hash for manifests."""
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -13,16 +13,17 @@ from .net import TrainConfig
 from .sampler import SamplingPolicy
 from .synthdata import FeatureModel, RpnQualityModel, SceneConfig
 
-MODES = ("baseline", "rga", "prm", "rga+prm")
 SAMPLING_MODES = ("soft", "hard")
 RATIO_RE = re.compile(r"^(\d+):(\d+)$")
 
-# sampling ratios implied by each mode when none are given explicitly
-MODE_RATIOS = {
-    "baseline": [(1, 3)],
-    "rga": [(1, 3)],
-    "prm": [(1, 1), (1, 9)],
-    "rga+prm": [(1, 1), (1, 9)],
+# The four variants under study differ in two choices only: whether head
+# gradients are annealed, and one head or parallel heads at 1:1 and 1:9. A
+# config's `mode` is read back from these two choices, never stored.
+MODES = {
+    "baseline": dict(rga_enabled=False, ratios=((1, 3),)),
+    "rga": dict(rga_enabled=True, ratios=((1, 3),)),
+    "prm": dict(rga_enabled=False, ratios=((1, 1), (1, 9))),
+    "rga+prm": dict(rga_enabled=True, ratios=((1, 1), (1, 9))),
 }
 
 
@@ -35,7 +36,6 @@ class ExperimentConfig:
     scene: SceneConfig
     rpn: RpnQualityModel
     feat: FeatureModel
-    mode: str
     sampling_mode: str
     ratios: tuple[tuple[int, int], ...]
     batch_size: int
@@ -58,6 +58,13 @@ class ExperimentConfig:
     out: str
 
     @property
+    def mode(self) -> str:
+        """The preset with this config's annealing switch and head count."""
+        return next(name for name, preset in MODES.items()
+                    if preset["rga_enabled"] == self.rga_enabled
+                    and (len(preset["ratios"]) > 1) == (len(self.ratios) > 1))
+
+    @property
     def policies(self) -> list[SamplingPolicy]:
         return [
             SamplingPolicy(mode=self.sampling_mode, ratio=r, batch_size=self.batch_size)
@@ -71,7 +78,6 @@ class ExperimentConfig:
             total_steps=self.total_steps,
             decay_points=self.decay_points,
             decay_factor=self.decay_factor,
-            seed=self.seed,
             cls_weight=self.cls_weight,
             reg_weight=self.reg_weight,
         )
@@ -150,7 +156,7 @@ def _bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-def _ratio(value: str) -> tuple[int, int]:
+def parse_ratio(value: str) -> tuple[int, int]:
     m = RATIO_RE.match(value.strip())
     if not m:
         raise ValueError(f"ratio must match 'P:N', got {value!r}")
@@ -158,7 +164,7 @@ def _ratio(value: str) -> tuple[int, int]:
 
 
 def _ratio_list(value: str) -> tuple[tuple[int, int], ...]:
-    return tuple(_ratio(part) for part in value.split(","))
+    return tuple(parse_ratio(part) for part in value.split(","))
 
 
 def _weights(value: str) -> dict[int, float]:
@@ -208,16 +214,11 @@ def parse_config(
 
     run_mode = mode or _get(sections, "run", "mode", "baseline", str)
     if run_mode not in MODES:
-        raise ConfigError(f"unknown mode {run_mode!r}; expected one of {MODES}")
+        raise ConfigError(f"unknown mode {run_mode!r}; expected one of {tuple(MODES)}")
+    preset = MODES[run_mode]
     sampling_mode = sampling or _get(sections, "sampling", "mode", "soft", str)
     if sampling_mode not in SAMPLING_MODES:
         raise ConfigError(f"unknown sampling mode {sampling_mode!r}")
-    ratios = _get(sections, "sampling", "ratios", None, _ratio_list)
-    if ratios is None:
-        ratios = tuple(MODE_RATIOS[run_mode])
-    rga_enabled = _get(sections, "rga", "enabled", None, _bool)
-    if rga_enabled is None:
-        rga_enabled = run_mode in ("rga", "rga+prm")
 
     seed_value = seed if seed is not None else _get(sections, "run", "seed", None, int)
     if seed_value is None:
@@ -228,11 +229,10 @@ def parse_config(
             scene=scene,
             rpn=rpn,
             feat=feat,
-            mode=run_mode,
             sampling_mode=sampling_mode,
-            ratios=ratios,
+            ratios=_get(sections, "sampling", "ratios", preset["ratios"], _ratio_list),
             batch_size=_get(sections, "sampling", "batch_size", 512, int),
-            rga_enabled=rga_enabled,
+            rga_enabled=_get(sections, "rga", "enabled", preset["rga_enabled"], _bool),
             lambda0=_get(sections, "rga", "lambda0", 7.0, float),
             anneal=_get(sections, "rga", "anneal", True, _bool),
             learning_rate=_get(sections, "train", "learning_rate", 0.02, float),
@@ -263,7 +263,3 @@ def parse_config(
 def load_config(path, **overrides) -> ExperimentConfig:
     with open(path) as fh:
         return parse_config(fh.read(), **overrides)
-
-
-def with_updates(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
-    return replace(cfg, **changes)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,22 +61,6 @@ class GroundTruthInstance:
     def __post_init__(self):
         if self.class_id < 1:
             raise ValueError("ground-truth class_id must be >= 1")
-
-
-@dataclass(frozen=True)
-class ProposalLabel:
-    """Assignment of a proposal to background or its best-overlapping instance."""
-
-    class_id: int
-    max_iou: float
-    matched_gt: Optional[int] = None
-    regression_target: Optional[tuple[float, float, float, float]] = None
-
-    def __post_init__(self):
-        if self.class_id > 0 and (self.matched_gt is None or self.regression_target is None):
-            raise ValueError("positive label requires matched_gt and regression_target")
-        if self.class_id == 0 and self.regression_target is not None:
-            raise ValueError("background label carries no regression target")
 
 
 def iou(a: Box, b: Box) -> float:
@@ -140,26 +123,15 @@ def decode_deltas_array(proposals: np.ndarray, deltas: np.ndarray) -> np.ndarray
     return np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=1)
 
 
-def encode_deltas(proposal: Box, gt: Box) -> np.ndarray:
-    """Regression target (tx, ty, tw, th) mapping `proposal` onto `gt`."""
-    return encode_deltas_array(proposal.as_array(), gt.as_array())[0]
-
-
-def decode_box(proposal: Box, deltas) -> Box:
-    """Apply regression deltas to a proposal box."""
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if not np.all(np.isfinite(deltas)):
-        raise ValueError("deltas must be finite")
-    return Box.from_array(decode_deltas_array(proposal.as_array(), deltas)[0])
-
-
 def label_arrays(
+    ious: np.ndarray,
     proposal_boxes: np.ndarray,
     gt_boxes: np.ndarray,
     gt_classes: np.ndarray,
     pos_threshold: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized labeling.
+    """Assign each proposal its max-IoU ground truth, or background below
+    `pos_threshold`, given the (N, M) proposal-by-ground-truth `ious`.
 
     Returns (classes, max_ious, matched, reg_targets) where `matched` is -1 for
     background and `reg_targets` rows are zero for background.
@@ -175,7 +147,6 @@ def label_arrays(
             np.full(n, -1, dtype=np.int64),
             np.zeros((n, 4), dtype=np.float64),
         )
-    ious = iou_matrix(proposal_boxes, gt_boxes)
     # np.argmax breaks ties toward the lowest ground-truth index
     matched = np.argmax(ious, axis=1)
     max_ious = ious[np.arange(n), matched]
@@ -188,29 +159,3 @@ def label_arrays(
             proposal_boxes[positive], np.asarray(gt_boxes, dtype=np.float64)[matched[positive]]
         )
     return classes, max_ious, matched, reg
-
-
-def label_proposals(
-    proposals: Sequence[Box],
-    gts: Sequence[GroundTruthInstance],
-    pos_threshold: float,
-) -> list[ProposalLabel]:
-    """Assign each proposal its max-IoU ground truth, or background below threshold."""
-    boxes = np.array([p.as_array() for p in proposals]).reshape(-1, 4)
-    gt_boxes = np.array([g.box.as_array() for g in gts]).reshape(-1, 4)
-    gt_classes = np.array([g.class_id for g in gts], dtype=np.int64)
-    classes, max_ious, matched, reg = label_arrays(boxes, gt_boxes, gt_classes, pos_threshold)
-    labels = []
-    for i in range(len(proposals)):
-        if classes[i] > 0:
-            labels.append(
-                ProposalLabel(
-                    class_id=int(classes[i]),
-                    max_iou=float(max_ious[i]),
-                    matched_gt=int(matched[i]),
-                    regression_target=tuple(float(v) for v in reg[i]),
-                )
-            )
-        else:
-            labels.append(ProposalLabel(class_id=0, max_iou=float(max_ious[i])))
-    return labels

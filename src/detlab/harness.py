@@ -7,13 +7,13 @@ import csv
 import json
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, with_updates
+from .config import MODES, ConfigError, ExperimentConfig
 from .geometry import Box
 from .metrics import (
     APResult,
@@ -26,7 +26,7 @@ from .metrics import (
     score_gap_stats,
 )
 from .net import softmax
-from .prm import GradNormRecord, PrmModel, Prediction, init_model, prm_predict, prm_train_step
+from .prm import GradNormRecord, PrmModel, init_model, prm_predict, prm_train_step
 from .rga import AnnealSchedule
 from .seeding import derive_seed
 from .synthdata import (
@@ -150,18 +150,40 @@ def write_gradnorm_csv(records: Sequence[GradNormRecord], path) -> None:
                                "" if r.cosine is None else repr(r.cosine)])
 
 
+def write_eval_summary(result: EvalResult, cfg: ExperimentConfig, path) -> dict:
+    """Writes the AP summary that `report` prints; returns it."""
+    summary = _ap_dict(result.ensemble)
+    summary["mode"] = cfg.mode
+    summary["sampling"] = cfg.sampling_mode
+    summary["heads"] = [_ap_dict(h) for h in result.heads]
+    if result.score_stats is not None:
+        summary["score_stats"] = {
+            "mean_fg": list(result.score_stats.mean_fg),
+            "median_gap": result.score_stats.median_gap,
+            "frac_large_gap": result.score_stats.frac_large_gap,
+        }
+    Path(path).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    return summary
+
+
 def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> list[Scene]:
     """Generate or reuse the cached scene file for this config."""
     key = derive_seed(cfg.scene.__repr__(), cfg.seed, tag, n) % 10**10
     path = out_dir / f"dataset_{tag}_{key}.txt"
-    if path.exists():
-        return [scene for scene, _ in load_dataset(path)]
-    scenes = generate_dataset(cfg.scene, n, cfg.seed, tag=tag)
-    save_dataset(scenes, path)
+    if not path.exists():
+        scenes = generate_dataset(cfg.scene, n, cfg.seed, tag=tag)
+        save_dataset(scenes, path)
+        return scenes
+    try:
+        scenes = load_dataset(path)
+    except ValueError as exc:
+        raise ValueError(f"corrupt scene cache {path}: {exc}") from exc
+    if len(scenes) != n:
+        raise ValueError(f"scene cache {path} holds {len(scenes)} scenes, expected {n}")
     return scenes
 
 
-def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> RunResult:
+def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Train per the config, evaluate, and write all artifacts to cfg.out."""
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -205,20 +227,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> RunResult:
     save_params(out_dir / "checkpoint.npz", model.backbone, model.heads)
     result = evaluate_model(model, eval_scenes, cfg)
     write_eval_report(result, out_dir / "eval_report.txt")
-
-    summary = _ap_dict(result.ensemble)
-    summary["mode"] = cfg.mode
-    summary["sampling"] = cfg.sampling_mode
-    summary["heads"] = [_ap_dict(h) for h in result.heads]
-    if result.score_stats is not None:
-        summary["score_stats"] = {
-            "mean_fg": list(result.score_stats.mean_fg),
-            "median_gap": result.score_stats.median_gap,
-            "frac_large_gap": result.score_stats.frac_large_gap,
-        }
-    (out_dir / "eval_summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    )
+    summary = write_eval_summary(result, cfg, out_dir / "eval_summary.json")
     manifest = {
         "config_hash": cfg.config_hash(),
         "seed": cfg.seed,
@@ -234,65 +243,63 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = True) -> RunResult:
 
 # --- sweeps -----------------------------------------------------------------
 
-SWEEP_AXES = ("lambda0", "ratio-pair", "sampling-mode")
+SWEEP_AXES = ("mode", "lambda0", "ratio-pair", "sampling-mode")
+AP_KEYS = ("ap_mean", "ap50", "ap75", "ap_bucket_1_3", "ap_bucket_8_inf")
 
 
-def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
+def axis_cells(axis: str, values: Sequence) -> dict[str, dict]:
+    """Named sweep cells along one axis: label -> config overrides."""
+    if axis == "mode":
+        unknown = [v for v in values if v not in MODES]
+        if unknown:
+            raise ConfigError(f"unknown modes {unknown}; expected some of {tuple(MODES)}")
+        return {v: MODES[v] for v in values}
     if axis == "lambda0":
-        return with_updates(cfg, rga_enabled=True, anneal=True,
-                            lambda0=float(value), mode="rga")
+        return {str(v): dict(rga_enabled=True, anneal=True, lambda0=float(v))
+                for v in values}
     if axis == "ratio-pair":
-        ratios = tuple(value)
-        mode = "prm" if not cfg.rga_enabled else "rga+prm"
-        return with_updates(cfg, ratios=ratios, mode=mode)
+        return {"+".join(f"{p}:{n}" for p, n in v): dict(ratios=tuple(v))
+                for v in values}
     if axis == "sampling-mode":
-        return with_updates(cfg, sampling_mode=str(value))
+        return {str(v): dict(sampling_mode=str(v)) for v in values}
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
 
 
-def _axis_label(axis: str, value) -> str:
-    if axis == "ratio-pair":
-        return "+".join(f"{p}:{n}" for p, n in value)
-    return str(value)
-
-
-def sweep(cfg: ExperimentConfig, axis: str, values: Sequence, seeds: Sequence[int],
+def sweep(cfg: ExperimentConfig, cells: dict[str, dict], seeds: Sequence[int],
           out_dir) -> list[dict]:
-    """Cross product of values x seeds; per-value medians of AP metrics.
+    """Runs every (cell, seed) pair, a cell being a label and its config
+    overrides; per cell, medians of the AP metrics over the seeds that ran.
 
-    A failing cell is recorded and skipped; the remaining cells still run.
+    A failing run is recorded with its error and skipped; the rest still run.
     """
-    if not values:
-        raise ValueError("sweep needs at least one value")
+    if not cells:
+        raise ValueError("sweep needs at least one cell")
     if not seeds:
         raise ValueError("sweep needs at least one seed")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for value in values:
-        label = _axis_label(axis, value)
-        summaries = []
-        failures = 0
+    for label, overrides in cells.items():
+        summaries, errors = [], []
         for seed in seeds:
-            cell_dir = out_dir / f"{axis.replace('-', '_')}_{label.replace(':', '-')}" / f"seed{seed}"
-            cell_cfg = with_updates(_apply_axis(cfg, axis, value), seed=seed,
-                                    out=str(cell_dir))
+            cell_dir = out_dir / label.replace(":", "-") / f"seed{seed}"
             try:
+                cell_cfg = replace(cfg, **overrides, seed=seed, out=str(cell_dir))
                 summaries.append(run_experiment(cell_cfg).summary)
-            except Exception:
-                failures += 1
-        row = {"value": label, "n_seeds": len(seeds), "n_failed": failures}
-        for key in ("ap_mean", "ap50", "ap75"):
-            row[key] = (statistics.median(s[key] for s in summaries)
-                        if summaries else "")
+            except Exception as exc:
+                errors.append(f"seed {seed}: {type(exc).__name__}: {exc}")
+        row = {"value": label, "n_seeds": len(seeds), "n_failed": len(errors),
+               "errors": "; ".join(errors)}
+        for key in AP_KEYS:
+            row[key] = statistics.median(s[key] for s in summaries) if summaries else ""
         n_heads = max((len(s["heads"]) for s in summaries), default=0)
         for i in range(n_heads):
             row[f"ap_head_{i + 1}"] = statistics.median(
                 s["heads"][i]["ap_mean"] for s in summaries if len(s["heads"]) > i
             )
         rows.append(row)
-    fieldnames = sorted({k for row in rows for k in row},
-                        key=lambda k: (k != "value", k))
+    heads = sorted({k for row in rows for k in row if k.startswith("ap_head_")})
+    fieldnames = ["value", "n_seeds", "n_failed", "errors", *AP_KEYS, *heads]
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np

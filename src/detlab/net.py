@@ -8,8 +8,7 @@ tanh (not ReLU) keeps every loss smooth so finite-difference checks are clean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +53,6 @@ class TrainConfig:
     total_steps: int = 3000
     decay_points: tuple[float, ...] = (8 / 12, 11 / 12)  # fractions of total_steps
     decay_factor: float = 0.1
-    seed: int = 0
     cls_weight: float = 1.0
     reg_weight: float = 1.0
 
@@ -98,7 +96,6 @@ def zeros_like_head(p: HeadParams) -> HeadParams:
 
 @dataclass
 class ForwardCache:
-    backbone: BackboneParams
     head: HeadParams
     x: np.ndarray
     hidden: np.ndarray
@@ -118,7 +115,7 @@ def forward(backbone: BackboneParams, head: HeadParams, features: np.ndarray):
     s = np.tanh(h @ head.w_shared + head.b_shared)
     logits = s @ head.w_cls + head.b_cls
     deltas = s @ head.w_reg + head.b_reg
-    cache = ForwardCache(backbone, head, x, h, s, logits, deltas)
+    cache = ForwardCache(head, x, h, s, logits, deltas)
     return logits, deltas, cache
 
 

@@ -19,7 +19,7 @@ from .geometry import decode_deltas_array
 from .metrics import proposal_accuracy
 from .net import BackboneParams, Gradients, HeadParams, TrainConfig
 from .rga import AnnealSchedule, anneal_factor, apply_rga
-from .sampler import SampledBatch, SamplingPolicy, sample
+from .sampler import SamplingPolicy, sample
 from .seeding import derive_seed
 from .synthdata import ProposalSet
 
@@ -107,7 +107,7 @@ def prm_train_step(
     for i, (head, policy, weight) in enumerate(
         zip(model.heads, model.policies, head_weights)
     ):
-        batch = sample(pool, policy, batch_seed(base_seed, t, i))
+        batch = sample(pool.classes, policy, batch_seed(base_seed, t, i))
         x = pool.features[batch.indices]
         targets = pool.classes[batch.indices]
         reg_targets = pool.reg_targets[batch.indices]

@@ -7,12 +7,9 @@ A constant-factor variant supports ablations against the annealed schedule.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
-import numpy as np
-
-from .net import BackboneParams, Gradients, HeadParams
+from .net import Gradients, HeadParams
 
 
 @dataclass(frozen=True)
@@ -26,11 +23,6 @@ class AnnealSchedule:
             raise ValueError("initial magnification must be >= 1")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
-
-
-def constant_factor_mode(lambda0: float, total_steps: int) -> AnnealSchedule:
-    """Schedule variant that holds the magnification fixed for the whole run."""
-    return AnnealSchedule(lambda0=lambda0, total_steps=total_steps, constant=True)
 
 
 def anneal_factor(t: int, sched: AnnealSchedule) -> float:

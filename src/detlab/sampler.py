@@ -54,23 +54,12 @@ class SampledBatch:
     neg_count: int
 
 
-def _class_array(labeled) -> np.ndarray:
-    if isinstance(labeled, np.ndarray):
-        return labeled.astype(np.int64)
-    if hasattr(labeled, "classes"):  # ProposalSet
-        return np.asarray(labeled.classes, dtype=np.int64)
-    return np.array([lab.class_id for lab in labeled], dtype=np.int64)
-
-
-def _split_pool(labeled, policy: SamplingPolicy):
-    classes = _class_array(labeled)
+def _split_pool(classes: np.ndarray, policy: SamplingPolicy):
     if len(classes) < policy.batch_size:
         raise SamplerError(
             f"pool of {len(classes)} proposals cannot fill a batch of {policy.batch_size}"
         )
-    pos = np.flatnonzero(classes > 0)
-    neg = np.flatnonzero(classes == 0)
-    return pos, neg
+    return np.flatnonzero(classes > 0), np.flatnonzero(classes == 0)
 
 
 def _pick(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
@@ -79,28 +68,16 @@ def _pick(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
     return rng.choice(pool, size=k, replace=False)
 
 
-def _fill_negatives(rng, pos, neg, n_pos_take, policy):
-    """Take positives then negatives; if the negative pool is short, top up with
-    extra positives so the batch is always exactly full."""
+def _soft(rng, pos, neg, policy: SamplingPolicy) -> SampledBatch:
+    """Take positives up to the target, then negatives; if the negative pool is
+    short, top up with extra positives so the batch is always exactly full."""
     b = policy.batch_size
-    take_pos = _pick(rng, pos, n_pos_take)
-    n_neg = min(b - len(take_pos), len(neg))
-    take_neg = _pick(rng, neg, n_neg)
+    take_pos = _pick(rng, pos, min(len(pos), policy.pos_target))
+    take_neg = _pick(rng, neg, min(b - len(take_pos), len(neg)))
     shortfall = b - len(take_pos) - len(take_neg)
     if shortfall > 0:
         remaining = np.setdiff1d(pos, take_pos, assume_unique=True)
         take_pos = np.concatenate([take_pos, _pick(rng, remaining, shortfall)])
-    return take_pos, take_neg
-
-
-def sample_soft(labeled, policy: SamplingPolicy, rng_seed: int) -> SampledBatch:
-    """All multiplicities 1; positives capped at the target, never padded."""
-    if policy.mode != "soft":
-        raise SamplerError("sample_soft requires a soft policy")
-    pos, neg = _split_pool(labeled, policy)
-    rng = np.random.default_rng(rng_seed)
-    n_pos_take = min(len(pos), policy.pos_target)
-    take_pos, take_neg = _fill_negatives(rng, pos, neg, n_pos_take, policy)
     indices = np.concatenate([take_pos, take_neg]).astype(np.int64)
     return SampledBatch(
         indices=indices,
@@ -111,29 +88,28 @@ def sample_soft(labeled, policy: SamplingPolicy, rng_seed: int) -> SampledBatch:
     )
 
 
-def sample_hard(labeled, policy: SamplingPolicy, rng_seed: int) -> SampledBatch:
+def sample_soft(classes: np.ndarray, policy: SamplingPolicy, rng_seed: int) -> SampledBatch:
+    """All multiplicities 1; positives capped at the target, never padded."""
+    if policy.mode != "soft":
+        raise SamplerError("sample_soft requires a soft policy")
+    pos, neg = _split_pool(classes, policy)
+    return _soft(np.random.default_rng(rng_seed), pos, neg, policy)
+
+
+def sample_hard(classes: np.ndarray, policy: SamplingPolicy, rng_seed: int) -> SampledBatch:
     """Repeats scarce positives so their effective count hits the target exactly.
 
     Copies are spread as evenly as possible (multiplicities differ by at most 1,
-    extras go to the lowest pool indices). With zero positives the batch falls
-    back to all negatives.
+    extras go to the lowest pool indices). With zero positives, or at least the
+    target, the batch is drawn as in soft mode.
     """
     if policy.mode != "hard":
         raise SamplerError("sample_hard requires a hard policy")
-    pos, neg = _split_pool(labeled, policy)
+    pos, neg = _split_pool(classes, policy)
     rng = np.random.default_rng(rng_seed)
     target = policy.pos_target
     if len(pos) == 0 or len(pos) >= target:
-        n_pos_take = min(len(pos), target)
-        take_pos, take_neg = _fill_negatives(rng, pos, neg, n_pos_take, policy)
-        indices = np.concatenate([take_pos, take_neg]).astype(np.int64)
-        return SampledBatch(
-            indices=indices,
-            multiplicities=np.ones(len(indices), dtype=np.int64),
-            pos_count_unique=len(take_pos),
-            pos_count_effective=len(take_pos),
-            neg_count=len(take_neg),
-        )
+        return _soft(rng, pos, neg, policy)
     take_pos = np.sort(pos)
     base, extra = divmod(target, len(take_pos))
     mults = np.full(len(take_pos), base, dtype=np.int64)
@@ -158,11 +134,8 @@ def sample_hard(labeled, policy: SamplingPolicy, rng_seed: int) -> SampledBatch:
     )
 
 
-def sample(labeled, policy: SamplingPolicy, rng_seed: int) -> SampledBatch:
+def sample(classes: np.ndarray, policy: SamplingPolicy, rng_seed: int) -> SampledBatch:
+    """Draws a batch from a pool given by its class array (0 = background)."""
     if policy.mode == "soft":
-        return sample_soft(labeled, policy, rng_seed)
-    return sample_hard(labeled, policy, rng_seed)
-
-
-def count_positives(batch: SampledBatch) -> tuple[int, int]:
-    return batch.pos_count_unique, batch.pos_count_effective
+        return sample_soft(classes, policy, rng_seed)
+    return sample_hard(classes, policy, rng_seed)

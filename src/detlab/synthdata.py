@@ -11,11 +11,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .geometry import Box, GroundTruthInstance, ProposalLabel, iou_matrix, label_arrays
+from .geometry import Box, GroundTruthInstance, iou_matrix, label_arrays
 from .seeding import rng_for
 
 POS_IOU_THRESHOLD = 0.5
@@ -98,13 +98,6 @@ class Scene:
         return np.array([g.class_id for g in self.instances], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class Proposal:
-    box: Box
-    feature: np.ndarray
-    label: ProposalLabel
-
-
 class ProposalSet:
     """Struct-of-arrays view of a scene's labeled, featurized proposals."""
 
@@ -122,21 +115,6 @@ class ProposalSet:
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    def __getitem__(self, i: int) -> Proposal:
-        if self.classes[i] > 0:
-            label = ProposalLabel(
-                class_id=int(self.classes[i]),
-                max_iou=float(self.max_ious[i]),
-                matched_gt=int(self.matched[i]),
-                regression_target=tuple(float(v) for v in self.reg_targets[i]),
-            )
-        else:
-            label = ProposalLabel(class_id=0, max_iou=float(self.max_ious[i]))
-        return Proposal(box=Box.from_array(self.boxes[i]), feature=self.features[i], label=label)
-
-    def to_proposals(self) -> list[Proposal]:
-        return [self[i] for i in range(len(self))]
 
 
 def generate_scene(config: SceneConfig, rng_seed: int) -> Scene:
@@ -234,13 +212,14 @@ def generate_proposals(
     by = rng.uniform(0.0, 1.0, size=model.bg_per_scene) * (h_ext - bh)
     bg = np.stack([bx, by, bx + bw, by + bh], axis=1)
     boxes = np.concatenate([fg, bg], axis=0)
+    ious = iou_matrix(boxes, gt_boxes)
     classes, max_ious, matched, reg = label_arrays(
-        boxes, gt_boxes, scene.gt_classes, pos_threshold
+        ious, boxes, gt_boxes, scene.gt_classes, pos_threshold
     )
     if num_classes is None:
         num_classes = int(scene.gt_classes.max()) if len(gt_boxes) else 1
     if len(gt_boxes):
-        nearest = np.argmax(iou_matrix(boxes, gt_boxes), axis=1)
+        nearest = np.argmax(ious, axis=1)
         signal_classes = np.where(max_ious > 0.0, scene.gt_classes[nearest], 0)
     else:
         signal_classes = np.zeros(len(boxes), dtype=np.int64)
@@ -260,75 +239,48 @@ def generate_dataset(config: SceneConfig, n_scenes: int, base_seed: int,
 
 # --- line-delimited dataset serialization ----------------------------------
 
-Record = Union[Scene, tuple[Scene, Optional[ProposalSet]]]
-
-
-def save_dataset(records: Iterable[Record], path) -> None:
-    """One scene per record: a header line, then instance and proposal lines.
+def save_dataset(scenes: Iterable[Scene], path) -> None:
+    """One record per scene: a header line, then one line per instance.
 
     Floats are written with `repr` so the round trip is lossless.
     """
     lines = []
-    for rec in records:
-        scene, props = rec if isinstance(rec, tuple) else (rec, None)
-        n_prop = len(props) if props is not None else 0
-        lines.append(
-            f"scene {scene.id} {scene.extent[0]!r} {scene.extent[1]!r} "
-            f"{len(scene.instances)} {n_prop}"
-        )
+    for scene in scenes:
+        lines.append(f"scene {scene.id} {scene.extent[0]!r} {scene.extent[1]!r} "
+                     f"{len(scene.instances)}")
         for g in scene.instances:
             b = g.box
             lines.append(f"inst {g.class_id} {b.x1!r} {b.y1!r} {b.x2!r} {b.y2!r}")
-        if props is not None:
-            for i in range(len(props)):
-                fields = [
-                    "prop",
-                    str(int(props.classes[i])),
-                    repr(float(props.max_ious[i])),
-                    str(int(props.matched[i])),
-                ]
-                fields += [repr(float(v)) for v in props.boxes[i]]
-                fields += [repr(float(v)) for v in props.reg_targets[i]]
-                fields += [repr(float(v)) for v in props.features[i]]
-                lines.append(" ".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("".join(line + "\n" for line in lines))
 
 
-def load_dataset(path) -> list[tuple[Scene, Optional[ProposalSet]]]:
+def _fields(lines: list[str], i: int, kind: str, n: int) -> list[str]:
+    if i >= len(lines):
+        raise ValueError("file ends inside a scene record")
+    parts = lines[i].split()
+    if len(parts) != n or parts[0] != kind:
+        raise ValueError(f"expected a {kind!r} line of {n} fields, got {lines[i]!r}")
+    return parts
+
+
+def load_dataset(path) -> list[Scene]:
+    """Inverse of :func:`save_dataset`; a short or malformed record raises
+    ValueError naming its line."""
     lines = Path(path).read_text().splitlines()
-    records: list[tuple[Scene, Optional[ProposalSet]]] = []
+    scenes = []
     i = 0
-    while i < len(lines):
-        parts = lines[i].split()
-        if parts[0] != "scene":
-            raise ValueError(f"expected scene header at line {i + 1}")
-        sid, w, h, n_inst, n_prop = (
-            int(parts[1]), float(parts[2]), float(parts[3]), int(parts[4]), int(parts[5])
-        )
-        i += 1
-        instances = []
-        for _ in range(n_inst):
-            p = lines[i].split()
-            instances.append(
-                GroundTruthInstance(
-                    Box(float(p[2]), float(p[3]), float(p[4]), float(p[5])), int(p[1])
-                )
-            )
-            i += 1
-        scene = Scene(id=sid, extent=(w, h), instances=tuple(instances))
-        props = None
-        if n_prop:
-            classes, max_ious, matched = [], [], []
-            boxes, regs, feats = [], [], []
-            for _ in range(n_prop):
-                p = lines[i].split()
-                classes.append(int(p[1]))
-                max_ious.append(float(p[2]))
-                matched.append(int(p[3]))
-                boxes.append([float(v) for v in p[4:8]])
-                regs.append([float(v) for v in p[8:12]])
-                feats.append([float(v) for v in p[12:]])
+    try:
+        while i < len(lines):
+            head = _fields(lines, i, "scene", 5)
+            instances = []
+            for _ in range(int(head[4])):
                 i += 1
-            props = ProposalSet(boxes, classes, max_ious, matched, regs, feats)
-        records.append((scene, props))
-    return records
+                p = _fields(lines, i, "inst", 6)
+                box = Box(float(p[2]), float(p[3]), float(p[4]), float(p[5]))
+                instances.append(GroundTruthInstance(box, int(p[1])))
+            scenes.append(Scene(id=int(head[1]), extent=(float(head[2]), float(head[3])),
+                                instances=tuple(instances)))
+            i += 1
+    except ValueError as exc:
+        raise ValueError(f"line {i + 1}: {exc}") from exc
+    return scenes

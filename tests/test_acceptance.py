@@ -6,6 +6,7 @@ and compare seed medians, so this module takes several minutes end to end.
 Each check prints a single PASS/FAIL line.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from detlab import net
-from detlab.config import load_config, parse_config, with_updates
+from detlab.config import MODES, load_config, parse_config
 from detlab.harness import run_experiment
 from detlab.metrics import Detection, compute_ap, nms
 from detlab.net import Gradients, load_params
@@ -28,13 +29,13 @@ CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
 SEEDS = (11, 23, 37, 53, 71)
 
 VARIANTS = {
-    "baseline": dict(mode="baseline"),
-    "rga": dict(mode="rga", rga_enabled=True),
-    "prm": dict(mode="prm", ratios=((1, 1), (1, 9))),
-    "rga_prm": dict(mode="rga+prm", ratios=((1, 1), (1, 9)), rga_enabled=True),
-    "soft11": dict(mode="baseline", ratios=((1, 1),)),
-    "soft19": dict(mode="baseline", ratios=((1, 9),)),
-    "hard11": dict(mode="baseline", ratios=((1, 1),), sampling_mode="hard"),
+    "baseline": MODES["baseline"],
+    "rga": MODES["rga"],
+    "prm": MODES["prm"],
+    "rga_prm": MODES["rga+prm"],
+    "soft11": dict(MODES["baseline"], ratios=((1, 1),)),
+    "soft19": dict(MODES["baseline"], ratios=((1, 9),)),
+    "hard11": dict(MODES["baseline"], ratios=((1, 1),), sampling_mode="hard"),
 }
 
 
@@ -53,7 +54,7 @@ def desk_runs(tmp_path_factory):
     for seed in SEEDS:
         base = load_config(CONFIG_PATH, seed=seed, out=str(root))
         for name, overrides in VARIANTS.items():
-            cfg = with_updates(base, out=str(root / f"{name}_s{seed}"), **overrides)
+            cfg = replace(base, out=str(root / f"{name}_s{seed}"), **overrides)
             runs[(name, seed)] = run_experiment(cfg)
     return runs
 
@@ -87,7 +88,7 @@ seed = 5
 
 def tiny_run(tmp_path, name, **overrides):
     cfg = parse_config(TINY_CFG, out=str(tmp_path / name))
-    return run_experiment(with_updates(cfg, **overrides))
+    return run_experiment(replace(cfg, **overrides))
 
 
 # --- exact contracts --------------------------------------------------------
@@ -123,7 +124,7 @@ class TestExactContracts:
 
     def test_02_lambda0_one_matches_baseline_run(self, tmp_path):
         plain = tiny_run(tmp_path, "plain")
-        unit = tiny_run(tmp_path, "unit", mode="rga", rga_enabled=True, lambda0=1.0)
+        unit = tiny_run(tmp_path, "unit", **MODES["rga"], lambda0=1.0)
         same_csv = (
             (plain.out_dir / "metrics.csv").read_bytes()
             == (unit.out_dir / "metrics.csv").read_bytes()
@@ -228,9 +229,7 @@ class TestExactContracts:
         report("06 logit-mean ensemble and regression head selection", ok)
 
     def test_07_triangle_inequality_all_steps(self, tmp_path):
-        run = tiny_run(
-            tmp_path, "tri", mode="prm", ratios=((1, 1), (1, 9))
-        )
+        run = tiny_run(tmp_path, "tri", **MODES["prm"])
         ok = all(
             r.norm_sum <= sum(r.head_norms) + 1e-9 for r in run.gradnorm
         ) and len(run.gradnorm) == 40

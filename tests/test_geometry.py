@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from detlab.geometry import (
     Box,
-    GroundTruthInstance,
-    decode_box,
-    encode_deltas,
+    decode_deltas_array,
+    encode_deltas_array,
     iou,
     iou_matrix,
-    label_proposals,
+    label_arrays,
 )
 
 
@@ -67,25 +66,33 @@ class TestIou:
                 assert m[i, j] == pytest.approx(iou(a, b), abs=1e-12)
 
 
+def encode(p: Box, g: Box) -> np.ndarray:
+    return encode_deltas_array(p.as_array(), g.as_array())[0]
+
+
+def decode(p: Box, deltas) -> Box:
+    return Box.from_array(decode_deltas_array(p.as_array(), deltas)[0])
+
+
 class TestDeltas:
     def test_identity(self):
         b = Box(2, 3, 8, 9)
-        np.testing.assert_allclose(encode_deltas(b, b), np.zeros(4), atol=0)
+        np.testing.assert_allclose(encode(b, b), np.zeros(4), atol=0)
 
     def test_hand_case(self):
-        d = encode_deltas(Box(0, 0, 10, 10), Box(5, 0, 15, 10))
+        d = encode(Box(0, 0, 10, 10), Box(5, 0, 15, 10))
         np.testing.assert_allclose(d, [0.5, 0, 0, 0], atol=1e-12)
 
     def test_decode_inverse_hand_case(self):
-        out = decode_box(Box(0, 0, 10, 10), [0.5, 0, 0, 0])
+        out = decode(Box(0, 0, 10, 10), [0.5, 0, 0, 0])
         np.testing.assert_allclose(out.as_array(), [5, 0, 15, 10], atol=1e-9)
 
     def test_decode_zero(self):
         b = Box(1, 1, 5, 7)
-        assert decode_box(b, np.zeros(4)) == b
+        assert decode(b, np.zeros(4)) == b
 
     def test_clamp(self):
-        out = decode_box(Box(0, 0, 10, 10), [0, 0, 10.0, 0])
+        out = decode(Box(0, 0, 10, 10), [0, 0, 10.0, 0])
         assert out.width == pytest.approx(10 * math.exp(4.0))
 
     @given(boxes(), boxes())
@@ -94,50 +101,49 @@ class TestDeltas:
         # decode is the exact inverse only below the log-space size clamp
         assume(abs(math.log(g.width / p.width)) < 4.0)
         assume(abs(math.log(g.height / p.height)) < 4.0)
-        out = decode_box(p, encode_deltas(p, g))
+        out = decode(p, encode(p, g))
         np.testing.assert_allclose(out.as_array(), g.as_array(), atol=1e-9)
+
+
+def label(proposals, gts, thr):
+    """label_arrays on Box proposals and (Box, class) ground truths."""
+    props = np.array([p.as_array() for p in proposals]).reshape(-1, 4)
+    gt_boxes = np.array([b.as_array() for b, _ in gts]).reshape(-1, 4)
+    gt_classes = np.array([c for _, c in gts], dtype=np.int64)
+    return label_arrays(iou_matrix(props, gt_boxes), props, gt_boxes, gt_classes, thr)
 
 
 class TestLabeling:
     def gts(self):
-        return [
-            GroundTruthInstance(Box(0, 0, 10, 10), 3),
-            GroundTruthInstance(Box(20, 20, 30, 30), 1),
-        ]
+        return [(Box(0, 0, 10, 10), 3), (Box(20, 20, 30, 30), 1)]
 
     def test_exact_match(self):
-        labels = label_proposals([Box(0, 0, 10, 10)], self.gts(), 0.5)
-        assert labels[0].class_id == 3
-        assert labels[0].max_iou == 1.0
-        assert labels[0].matched_gt == 0
-        np.testing.assert_allclose(labels[0].regression_target, np.zeros(4))
+        classes, max_ious, matched, reg = label([Box(0, 0, 10, 10)], self.gts(), 0.5)
+        assert classes[0] == 3
+        assert max_ious[0] == 1.0
+        assert matched[0] == 0
+        np.testing.assert_allclose(reg[0], np.zeros(4))
 
     def test_below_threshold_is_background(self):
         # IoU 3/17 < 0.5
-        labels = label_proposals([Box(7, 7, 12, 12)], self.gts(), 0.5)
-        assert labels[0].class_id == 0
-        assert labels[0].regression_target is None
+        classes, _, matched, reg = label([Box(7, 7, 12, 12)], self.gts(), 0.5)
+        assert classes[0] == 0 and matched[0] == -1
+        np.testing.assert_array_equal(reg[0], np.zeros(4))
 
     def test_empty_gts(self):
-        labels = label_proposals([Box(0, 0, 5, 5), Box(1, 1, 2, 2)], [], 0.5)
-        assert all(lab.class_id == 0 and lab.max_iou == 0.0 for lab in labels)
+        classes, max_ious, _, _ = label([Box(0, 0, 5, 5), Box(1, 1, 2, 2)], [], 0.5)
+        assert (classes == 0).all() and (max_ious == 0.0).all()
 
     def test_tie_breaks_to_lowest_gt_index(self):
-        gts = [
-            GroundTruthInstance(Box(0, 0, 10, 10), 2),
-            GroundTruthInstance(Box(0, 0, 10, 10), 3),
-        ]
-        labels = label_proposals([Box(0, 0, 10, 10)], gts, 0.5)
-        assert labels[0].matched_gt == 0 and labels[0].class_id == 2
+        gts = [(Box(0, 0, 10, 10), 2), (Box(0, 0, 10, 10), 3)]
+        classes, _, matched, _ = label([Box(0, 0, 10, 10)], gts, 0.5)
+        assert matched[0] == 0 and classes[0] == 2
 
     @given(st.lists(boxes(), min_size=1, max_size=8),
            st.floats(0.2, 0.6), st.floats(0.05, 0.39))
     @settings(max_examples=50)
     def test_raising_threshold_never_adds_positives(self, props, thr, bump):
-        gts = [GroundTruthInstance(Box(0, 0, 15, 15), 1),
-               GroundTruthInstance(Box(-20, -20, -5, -5), 2)]
-        low = label_proposals(props, gts, thr)
-        high = label_proposals(props, gts, min(thr + bump, 0.99))
-        for lo, hi in zip(low, high):
-            if lo.class_id == 0:
-                assert hi.class_id == 0
+        gts = [(Box(0, 0, 15, 15), 1), (Box(-20, -20, -5, -5), 2)]
+        low = label(props, gts, thr)[0]
+        high = label(props, gts, min(thr + bump, 0.99))[0]
+        assert not (high[low == 0] > 0).any()

@@ -192,7 +192,7 @@ class TestBackward:
 
 class TestSgd:
     def cfg(self, total=1200):
-        return TrainConfig(learning_rate=0.02, total_steps=total, seed=0)
+        return TrainConfig(learning_rate=0.02, total_steps=total)
 
     def test_zero_grad_no_change(self):
         backbone, head = tiny_model()

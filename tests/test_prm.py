@@ -30,7 +30,7 @@ def policy(ratio=(1, 3), mode="soft", batch=32):
 
 
 def train_cfg(total=100):
-    return TrainConfig(learning_rate=0.02, total_steps=total, seed=0)
+    return TrainConfig(learning_rate=0.02, total_steps=total)
 
 
 class TestEnsembleScores:

@@ -7,7 +7,6 @@ from detlab.sampler import (
     SampledBatch,
     SamplerError,
     SamplingPolicy,
-    count_positives,
     sample,
     sample_hard,
     sample_soft,
@@ -98,16 +97,16 @@ class TestHard:
 class TestCounts:
     def test_soft_counts(self):
         batch = sample_soft(pool(40, 600), SOFT_512, 0)
-        assert count_positives(batch) == (40, 40)
+        assert (batch.pos_count_unique, batch.pos_count_effective) == (40, 40)
 
     def test_hard_counts(self):
         policy = SamplingPolicy("hard", (1, 1), 8)
         batch = sample_hard(pool(1, 20), policy, 0)
-        assert count_positives(batch) == (1, 4)
+        assert (batch.pos_count_unique, batch.pos_count_effective) == (1, 4)
 
     def test_all_negative(self):
         batch = sample_soft(pool(0, 600), SOFT_512, 0)
-        assert count_positives(batch) == (0, 0)
+        assert (batch.pos_count_unique, batch.pos_count_effective) == (0, 0)
 
 
 class TestProperties:

@@ -154,29 +154,28 @@ class TestFeatures:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        cfg = SceneConfig()
-        scenes = generate_dataset(cfg, 5, 123)
-        model = RpnQualityModel()
-        records = [
-            (s, generate_proposals(s, 0.7, model, derive_seed("ser", s.id),
-                                   num_classes=3))
-            for s in scenes[:3]
-        ] + scenes[3:]
+        scenes = generate_dataset(SceneConfig(), 5, 123)
+        scenes.append(Scene(id=5, extent=(100.0, 100.0), instances=()))
         path = tmp_path / "data.txt"
-        save_dataset(records, path)
-        loaded = load_dataset(path)
-        assert len(loaded) == 5
-        for rec, (scene, pool) in zip(records, loaded):
-            orig_scene, orig_pool = rec if isinstance(rec, tuple) else (rec, None)
-            assert scene == orig_scene
-            if orig_pool is None:
-                assert pool is None
-            else:
-                np.testing.assert_array_equal(pool.boxes, orig_pool.boxes)
-                np.testing.assert_array_equal(pool.classes, orig_pool.classes)
-                np.testing.assert_array_equal(pool.max_ious, orig_pool.max_ious)
-                np.testing.assert_array_equal(pool.reg_targets, orig_pool.reg_targets)
-                np.testing.assert_array_equal(pool.features, orig_pool.features)
+        save_dataset(scenes, path)
+        assert load_dataset(path) == scenes
+
+    def test_short_record_names_line(self, tmp_path):
+        path = tmp_path / "data.txt"
+        save_dataset(generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 2, 9), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:6]) + "\n")  # second scene loses an instance
+        with pytest.raises(ValueError, match="line 7: file ends"):
+            load_dataset(path)
+
+    def test_malformed_record_names_line(self, tmp_path):
+        path = tmp_path / "data.txt"
+        save_dataset(generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 2, 9), path)
+        lines = path.read_text().splitlines()
+        lines[2] = "inst 1 0.0 0.0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 3: expected"):
+            load_dataset(path)
 
     def test_dataset_scene_ids_are_indices(self):
         scenes = generate_dataset(SceneConfig(), 4, 55)
