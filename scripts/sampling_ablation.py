@@ -2,7 +2,9 @@
 
 Trains one single-head model per (sampling mode, ratio, seed) cell through
 `detlab.harness.sweep` and writes a median-AP table, sampling_ablation.csv,
-mirroring the hard-versus-soft comparison.
+mirroring the hard-versus-soft comparison. Like `detlab sweep`, it exits 2
+after writing both tables if any run failed, naming the failed cells and
+seeds on stderr.
 
 Usage:
     python scripts/sampling_ablation.py --config configs/desk.cfg \
@@ -15,7 +17,7 @@ import sys
 from pathlib import Path
 
 from detlab.config import ConfigError, parse_ratio, load_config
-from detlab.harness import sweep
+from detlab.harness import sweep, sweep_exit_code
 
 
 def main(argv=None):
@@ -34,8 +36,8 @@ def main(argv=None):
     names = {f"{p}:{n}": (p, n) for p, n in args.ratios}
     cells = {f"{mode}_{name}": dict(ratios=(ratio,), sampling_mode=mode)
              for name, ratio in names.items() for mode in ("hard", "soft")}
-    medians = {row["value"]: row["ap_mean"]
-               for row in sweep(base, cells, args.seeds, args.out)}
+    sweep_rows = sweep(base, cells, args.seeds, args.out)
+    medians = {row["value"]: row["ap_mean"] for row in sweep_rows}
     rows = [{"ratio": name, "hard": medians[f"hard_{name}"],
              "soft": medians[f"soft_{name}"]} for name in names]
     with open(Path(args.out) / "sampling_ablation.csv", "w", newline="") as fh:
@@ -44,7 +46,7 @@ def main(argv=None):
         writer.writerows(rows)
     for row in rows:
         print(f"ratio {row['ratio']:>4s}: hard {row['hard']} soft {row['soft']}")
-    return 0
+    return sweep_exit_code(sweep_rows)
 
 
 if __name__ == "__main__":

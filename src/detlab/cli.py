@@ -11,9 +11,11 @@ from .config import MODES, SAMPLING_MODES, ConfigError, load_config, parse_ratio
 from .harness import (
     SWEEP_AXES,
     axis_cells,
+    check_head_layout,
     evaluate_model,
     run_experiment,
     sweep,
+    sweep_exit_code,
     write_eval_report,
     write_eval_summary,
     _dataset,
@@ -57,8 +59,7 @@ def cmd_eval(args) -> int:
     cfg = _load(args)
     out_dir = Path(cfg.out)
     checkpoint = Path(args.checkpoint or out_dir / "checkpoint.npz")
-    if not checkpoint.exists():
-        raise FileNotFoundError(f"no checkpoint at {checkpoint}")
+    check_head_layout(checkpoint, cfg)  # a missing file raises FileNotFoundError naming it
     from .net import load_params
 
     backbone, heads = load_params(checkpoint)
@@ -91,7 +92,7 @@ def cmd_sweep(args) -> int:
     rows = sweep(cfg, axis_cells(args.axis, values), seeds, args.out or cfg.out)
     for row in rows:
         print(row)
-    return 0
+    return sweep_exit_code(rows)
 
 
 def cmd_report(args) -> int:

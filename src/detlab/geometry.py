@@ -46,10 +46,6 @@ class Box:
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
 
-    @staticmethod
-    def from_array(a) -> "Box":
-        return Box(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
 
 @dataclass(frozen=True)
 class GroundTruthInstance:
@@ -61,17 +57,6 @@ class GroundTruthInstance:
     def __post_init__(self):
         if self.class_id < 1:
             raise ValueError("ground-truth class_id must be >= 1")
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection over union of two boxes, in [0, 1]."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    union = a.area + b.area - inter
-    return inter / union
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:

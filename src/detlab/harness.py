@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
+import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -14,10 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import MODES, ConfigError, ExperimentConfig
-from .geometry import Box
 from .metrics import (
     APResult,
-    Detection,
+    Detections,
     MetricsLog,
     MetricsRow,
     ScoreGapStats,
@@ -26,7 +26,8 @@ from .metrics import (
     score_gap_stats,
 )
 from .net import softmax
-from .prm import GradNormRecord, PrmModel, init_model, prm_predict, prm_train_step
+from .prm import (GradNormRecord, PrmModel, init_model, prm_predict, prm_train_step,
+                  select_regression)
 from .rga import AnnealSchedule
 from .seeding import derive_seed
 from .synthdata import (
@@ -64,46 +65,44 @@ def _scene_proposals(cfg: ExperimentConfig, scene: Scene, q: float, seed_tag) ->
     )
 
 
-def _detections_for(cfg: ExperimentConfig, scene: Scene, scores: np.ndarray,
-                    boxes: np.ndarray) -> list[Detection]:
-    dets = []
-    for c in range(1, cfg.scene.num_classes + 1):
-        keep = scores[:, c] >= cfg.score_floor
-        for i in np.flatnonzero(keep):
-            dets.append(Detection(scene_id=scene.id, box=Box.from_array(boxes[i]),
-                                  class_id=c, score=float(scores[i, c])))
-    dets = nms(dets, cfg.nms_threshold)
-    if len(dets) > cfg.max_detections:
-        dets = sorted(dets, key=lambda d: -d.score)[: cfg.max_detections]
-    return dets
+def _detections_for(cfg: ExperimentConfig, scene_index: int, scores: np.ndarray,
+                    boxes: np.ndarray) -> Detections:
+    """One scene's candidates at or above the score floor, after NMS and the
+    `max_detections` cap on the highest scores."""
+    classes, rows = np.nonzero(scores[:, 1:].T >= cfg.score_floor)
+    classes += 1
+    cands = Detections(np.full(len(rows), scene_index), classes, scores[rows, classes],
+                       boxes[rows])
+    keep = nms(cands.boxes, cands.scores, cands.classes, cfg.nms_threshold)
+    if len(keep) > cfg.max_detections:
+        keep = keep[np.argsort(-cands.scores[keep], kind="stable")[: cfg.max_detections]]
+    return cands[keep]
 
 
 def evaluate_model(model: PrmModel, scenes: Sequence[Scene],
                    cfg: ExperimentConfig) -> EvalResult:
     """Proposals at final quality, ensemble + per-head detections, AP, and
     head score-disagreement statistics."""
-    ens_dets: list[Detection] = []
-    head_dets: list[list[Detection]] = [[] for _ in model.heads]
-    all_head_logits: list[list[np.ndarray]] = [[] for _ in model.heads]
+    multi = len(model.heads) > 1
+    # the ensemble's detections, then each head's on its own if there are several
+    found: list[list[Detections]] = [[] for _ in range(len(model.heads) + 1 if multi else 1)]
+    head_logits: list[list[np.ndarray]] = []  # per scene, per head
     from .geometry import decode_deltas_array
 
-    for scene in scenes:
+    for index, scene in enumerate(scenes):
         pool = _scene_proposals(cfg, scene, 1.0, ("evalprop", scene.id))
         pred = prm_predict(model, pool)
-        ens_dets.extend(_detections_for(cfg, scene, pred.scores, pred.boxes))
-        for i, (logits, deltas) in enumerate(zip(pred.head_logits, pred.head_deltas)):
-            all_head_logits[i].append(logits)
-            if len(model.heads) > 1:
-                scores_i = softmax(logits)
-                boxes_i = decode_deltas_array(pool.boxes, deltas)
-                head_dets[i].extend(_detections_for(cfg, scene, scores_i, boxes_i))
-    ensemble_ap = compute_ap(ens_dets, scenes)
-    heads_ap = (
-        [compute_ap(d, scenes) for d in head_dets] if len(model.heads) > 1 else []
-    )
-    stats = None
-    if len(model.heads) >= 2:
-        stats = score_gap_stats([np.concatenate(lgs) for lgs in all_head_logits])
+        head_logits.append(pred.head_logits)
+        outputs = [(pred.scores, pred.boxes)]
+        if multi:  # the selected head's boxes are decoded already
+            selected = select_regression(model.policies, pred.head_deltas)
+            outputs += [(softmax(logits), pred.boxes if deltas is selected
+                         else decode_deltas_array(pool.boxes, deltas))
+                        for logits, deltas in zip(pred.head_logits, pred.head_deltas)]
+        for dets, (scores, boxes) in zip(found, outputs):
+            dets.append(_detections_for(cfg, index, scores, boxes))
+    ensemble_ap, *heads_ap = [compute_ap(Detections.concat(d), scenes) for d in found]
+    stats = score_gap_stats([np.concatenate(h) for h in zip(*head_logits)]) if multi else None
     return EvalResult(ensemble=ensemble_ap, heads=heads_ap, score_stats=stats)
 
 
@@ -166,6 +165,21 @@ def write_eval_summary(result: EvalResult, cfg: ExperimentConfig, path) -> dict:
     return summary
 
 
+def _layout(ratios) -> str:
+    return "+".join(f"{p}:{n}" for p, n in ratios)
+
+
+def check_head_layout(checkpoint: Path, cfg: ExperimentConfig) -> None:
+    """Rejects a checkpoint whose heads were trained with other sampling
+    ratios, in count or order, than the config gives."""
+    with np.load(checkpoint) as data:
+        if "ratios" not in data:
+            raise ValueError(f"checkpoint {checkpoint} records no head ratios; retrain it")
+        stored, wanted = _layout(data["ratios"]), _layout(cfg.ratios)
+    if stored != wanted:
+        raise ConfigError(f"checkpoint {checkpoint} has heads {stored}, the config has {wanted}")
+
+
 def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> list[Scene]:
     """Generate or reuse the cached scene file for this config."""
     key = derive_seed(cfg.scene.__repr__(), cfg.seed, tag, n) % 10**10
@@ -224,7 +238,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     write_gradnorm_csv(gradnorm, out_dir / "gradnorm.csv")
     from .net import save_params
 
-    save_params(out_dir / "checkpoint.npz", model.backbone, model.heads)
+    save_params(out_dir / "checkpoint.npz", model.backbone, model.heads,
+                ratios=np.array(cfg.ratios))
     result = evaluate_model(model, eval_scenes, cfg)
     write_eval_report(result, out_dir / "eval_report.txt")
     summary = write_eval_summary(result, cfg, out_dir / "eval_summary.json")
@@ -258,8 +273,7 @@ def axis_cells(axis: str, values: Sequence) -> dict[str, dict]:
         return {str(v): dict(rga_enabled=True, anneal=True, lambda0=float(v))
                 for v in values}
     if axis == "ratio-pair":
-        return {"+".join(f"{p}:{n}" for p, n in v): dict(ratios=tuple(v))
-                for v in values}
+        return {_layout(v): dict(ratios=tuple(v)) for v in values}
     if axis == "sampling-mode":
         return {str(v): dict(sampling_mode=str(v)) for v in values}
     raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -305,3 +319,13 @@ def sweep(cfg: ExperimentConfig, cells: dict[str, dict], seeds: Sequence[int],
         writer.writeheader()
         writer.writerows(rows)
     return rows
+
+
+def sweep_exit_code(rows: Sequence[dict]) -> int:
+    """2 if any run of a sweep failed, naming each failed cell with its seeds
+    and errors on stderr; 0 otherwise."""
+    failed = [row for row in rows if row["n_failed"]]
+    for row in failed:
+        print(f"sweep cell {row['value']}: {row['n_failed']} of {row['n_seeds']} runs "
+              f"failed: {row['errors']}", file=sys.stderr)
+    return 2 if failed else 0

@@ -9,7 +9,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Box, iou_matrix
+from .geometry import iou_matrix
+from .net import softmax
 from .synthdata import Scene
 
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
@@ -17,16 +18,35 @@ DEFAULT_BUCKETS = (("1_3", 1, 3), ("8_inf", 8, None))
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 
 
-@dataclass(frozen=True)
-class Detection:
-    scene_id: int
-    box: Box
-    class_id: int
-    score: float
+class Detections:
+    """Struct-of-arrays foreground detections, one row each: the index of its
+    scene in the evaluated scene sequence, its class (>= 1), score and box."""
 
-    def __post_init__(self):
-        if self.class_id < 1:
+    def __init__(self, scenes, classes, scores, boxes):
+        self.scenes = np.asarray(scenes, dtype=np.int64)
+        self.classes = np.asarray(classes, dtype=np.int64)
+        self.scores = np.asarray(scores, dtype=np.float64)
+        self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        if not len(self.scenes) == len(self.classes) == len(self.scores) == len(self.boxes):
+            raise ValueError("mismatched detection array lengths")
+        if np.any(self.classes < 1):
             raise ValueError("detections are foreground only")
+        if not (np.all(np.isfinite(self.boxes))
+                and np.all(self.boxes[:, 2:] > self.boxes[:, :2])):
+            raise ValueError("detection boxes must be finite and non-degenerate")
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, rows) -> "Detections":
+        return Detections(self.scenes[rows], self.classes[rows], self.scores[rows],
+                          self.boxes[rows])
+
+    @staticmethod
+    def concat(parts: Sequence["Detections"]) -> "Detections":
+        """All rows of `parts` in order; no parts give an empty table."""
+        return Detections(*(np.concatenate([getattr(p, name) for p in parts] or [[]])
+                            for name in ("scenes", "classes", "scores", "boxes")))
 
 
 @dataclass(frozen=True)
@@ -61,123 +81,112 @@ def proposal_accuracy(logits: np.ndarray, targets: np.ndarray
     return pos_acc, neg_acc
 
 
-def nms(detections: Sequence[Detection], iou_threshold: float) -> list[Detection]:
-    """Greedy per-class suppression within each scene; ties in score keep
-    insertion order. Output preserves descending-score order per group."""
+def nms(boxes: np.ndarray, scores: np.ndarray, classes: np.ndarray,
+        iou_threshold: float) -> np.ndarray:
+    """Greedy same-class suppression over one scene's candidates. Returns the
+    kept row indices, classes ascending, then descending score; equal scores
+    keep row order."""
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError("NMS threshold must lie in (0, 1)")
-    groups: dict[tuple[int, int], list[Detection]] = {}
-    for det in detections:
-        groups.setdefault((det.scene_id, det.class_id), []).append(det)
-    kept: list[Detection] = []
-    for key in sorted(groups):
-        dets = sorted(groups[key], key=lambda d: -d.score)  # stable: ties keep order
-        boxes = np.stack([d.box.as_array() for d in dets])
-        ious = iou_matrix(boxes, boxes)
-        keep_idx: list[int] = []
-        for i in range(len(dets)):
-            if all(ious[i, j] < iou_threshold for j in keep_idx):
-                keep_idx.append(i)
-        kept.extend(dets[i] for i in keep_idx)
-    return kept
+    classes = np.asarray(classes)
+    order = np.lexsort((-np.asarray(scores, dtype=np.float64), classes))  # stable
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)[order]
+    same_class = classes[order, None] == classes[None, order]
+    suppresses = (iou_matrix(boxes, boxes) >= iou_threshold) & same_class
+    keep = np.ones(len(order), dtype=bool)
+    for i in range(len(order)):
+        if keep[i]:
+            keep[i + 1:] &= ~suppresses[i, i + 1:]
+    return order[keep]
 
 
-def _ap_from_matches(scored: list[tuple[float, int, bool]], n_gt: int) -> float:
-    """101-point interpolated AP from (score, order, is_tp) records."""
-    if n_gt == 0 or not scored:
+def _ap(is_tp: np.ndarray, n_gt: int) -> float:
+    """101-point interpolated AP from true-positive flags in ranking order."""
+    if n_gt == 0 or len(is_tp) == 0:
         return 0.0
-    scored = sorted(scored, key=lambda r: (-r[0], r[1]))
-    tp = np.cumsum([1 if s[2] else 0 for s in scored])
-    fp = np.cumsum([0 if s[2] else 1 for s in scored])
+    tp = np.cumsum(is_tp)
     recall = tp / n_gt
-    precision = tp / (tp + fp)
+    precision = tp / np.arange(1, len(tp) + 1)
     # precision envelope, then sample at the fixed recall grid
-    for i in range(len(precision) - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
+    precision = np.maximum.accumulate(precision[::-1])[::-1]
     idx = np.searchsorted(recall, RECALL_POINTS, side="left")
     sampled = np.where(idx < len(precision), precision[np.minimum(idx, len(precision) - 1)], 0.0)
     return float(sampled.mean())
 
 
-def _eval_class_threshold(per_scene, thr: float) -> list[tuple[float, int, bool]]:
-    """Greedy matching of detections (descending score) to unmatched ground
-    truths with the highest IoU at or above `thr`, per scene."""
-    scored = []
-    order = 0
-    for scores, ious, n_gt, max_ious in per_scene:
-        if n_gt == 0 or max_ious.max(initial=0.0) < thr:
-            for s in scores:
-                scored.append((s, order, False))
-                order += 1
-            continue
-        matched = np.zeros(n_gt, dtype=bool)
-        for i in range(len(scores)):
-            if max_ious[i] < thr:
-                scored.append((scores[i], order, False))
-            else:
-                cand = np.where(matched, -1.0, ious[i])
-                j = int(np.argmax(cand))
-                if cand[j] >= thr:
-                    matched[j] = True
-                    scored.append((scores[i], order, True))
-                else:
-                    scored.append((scores[i], order, False))
-            order += 1
-    return scored
-
-
-def _ap_over(detections: Sequence[Detection], scenes: Sequence[Scene],
-             iou_thresholds: Sequence[float]) -> dict[float, float]:
-    classes = sorted({g.class_id for s in scenes for g in s.instances})
-    dets_by_class: dict[int, dict[int, list[Detection]]] = {c: {} for c in classes}
-    for det in detections:
-        if det.class_id in dets_by_class:
-            dets_by_class[det.class_id].setdefault(det.scene_id, []).append(det)
-    per_threshold: dict[float, float] = {}
-    prepared = {}
-    n_gts = {}
-    for c in classes:
-        per_scene = []
-        n_gt = 0
-        for scene in scenes:
-            gt_boxes = [g.box.as_array() for g in scene.instances if g.class_id == c]
-            n_gt += len(gt_boxes)
-            dets = sorted(dets_by_class[c].get(scene.id, []), key=lambda d: -d.score)
-            if not dets:
-                continue
-            boxes = np.stack([d.box.as_array() for d in dets])
-            ious = (iou_matrix(boxes, np.stack(gt_boxes)) if gt_boxes
-                    else np.zeros((len(dets), 0)))
-            max_ious = ious.max(axis=1, initial=0.0)
-            per_scene.append(([d.score for d in dets], ious, len(gt_boxes), max_ious))
-        prepared[c] = per_scene
-        n_gts[c] = n_gt
-    for thr in iou_thresholds:
-        aps = [
-            _ap_from_matches(_eval_class_threshold(prepared[c], thr), n_gts[c])
-            for c in classes if n_gts[c] > 0
-        ]
-        per_threshold[thr] = float(np.mean(aps)) if aps else 0.0
-    return per_threshold
+def _match(dets: Detections, gt_boxes: list[np.ndarray], gt_classes: list[np.ndarray],
+           thresholds: np.ndarray) -> np.ndarray:
+    """(N, T) true-positive flags. Per (scene, class), detections in descending
+    score (ties in row order) each take the unmatched ground truth with the
+    highest IoU at or above the threshold; ties go to the lowest instance."""
+    keys = dets.scenes * (int(dets.classes.max(initial=0)) + 1) + dets.classes
+    ranked = np.lexsort((-dets.scores, keys))
+    keys = keys[ranked]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    lengths = np.diff(starts, append=len(keys))
+    # rows in ranked order, one column per ground truth of the row's (scene,
+    # class); -1 pads the rest and can never match
+    ious = np.full((len(keys), max([1] + [len(c) for c in gt_classes])), -1.0)
+    for start, n in zip(starts, lengths):
+        rows = ranked[start:start + n]
+        scene = dets.scenes[rows[0]]
+        gts = gt_boxes[scene][gt_classes[scene] == dets.classes[rows[0]]]
+        if len(gts):
+            ious[start:start + n, :len(gts)] = iou_matrix(dets.boxes[rows], gts)
+    # the k-th ranked detection of every (scene, class) at once, per threshold
+    n_thr = len(thresholds)
+    matched = np.zeros((len(starts), n_thr, ious.shape[1]), dtype=bool)
+    is_tp = np.zeros((len(keys), n_thr), dtype=bool)
+    for k in range(int(lengths.max(initial=0))):
+        groups = np.flatnonzero(lengths > k)
+        rows = starts[groups] + k
+        cand = np.where(matched[groups], -1.0, ious[rows, None, :])
+        best = cand.argmax(axis=2)
+        hit = np.take_along_axis(cand, best[:, :, None], axis=2)[:, :, 0] >= thresholds
+        is_tp[rows] = hit
+        matched[groups[:, None], np.arange(n_thr), best] |= hit
+    out = np.empty_like(is_tp)
+    out[ranked] = is_tp
+    return out
 
 
 def compute_ap(
-    detections: Sequence[Detection],
+    dets: Detections,
     scenes: Sequence[Scene],
     iou_thresholds: Sequence[float] = DEFAULT_IOU_THRESHOLDS,
     buckets: Sequence[tuple[str, int, Optional[int]]] = DEFAULT_BUCKETS,
 ) -> APResult:
     """COCO-style AP: averaged over classes then IoU thresholds, plus AP over
-    scene subsets bucketed by ground-truth count. Detections must be NMS'd."""
-    per_threshold = _ap_over(detections, scenes, iou_thresholds)
+    scene subsets bucketed by ground-truth count. Detections must be NMS'd.
+
+    Matching never crosses scenes, so each detection is matched once per
+    threshold and a bucket's AP reuses those matches for its scenes' rows."""
+    if len(dets) and not (dets.scenes.min() >= 0 and dets.scenes.max() < len(scenes)):
+        raise ValueError("detection scene index out of range")
+    gt_boxes = [s.gt_boxes for s in scenes]
+    gt_classes = [s.gt_classes for s in scenes]
+    is_tp = _match(dets, gt_boxes, gt_classes, np.asarray(iou_thresholds, dtype=np.float64))
+    # ranking for AP: descending score, ties by scene, then row order
+    ranked = np.lexsort((dets.scenes, -dets.scores))
+    is_tp, classes, det_scene = is_tp[ranked], dets.classes[ranked], dets.scenes[ranked]
+    n_inst = np.array([len(c) for c in gt_classes], dtype=np.int64)
+    # one entry per ground-truth instance: its scene and its class
+    inst_scene = np.repeat(np.arange(len(scenes)), n_inst)
+    inst_class = np.concatenate(gt_classes + [np.zeros(0, np.int64)])
+
+    def ap_over(scene_mask: np.ndarray) -> dict[float, float]:
+        gts = inst_class[scene_mask[inst_scene]]
+        in_scenes = scene_mask[det_scene]
+        per_class = [(is_tp[in_scenes & (classes == c)], int(np.count_nonzero(gts == c)))
+                     for c in np.unique(gts)]
+        return {thr: float(np.mean([_ap(tp[:, t], n) for tp, n in per_class]))
+                if per_class else 0.0 for t, thr in enumerate(iou_thresholds)}
+
+    per_threshold = ap_over(np.ones(len(scenes), dtype=bool))
     mean_ap = float(np.mean(list(per_threshold.values())))
     per_bucket: dict[str, float] = {}
     for name, lo, hi in buckets:
-        subset = [s for s in scenes
-                  if len(s.instances) >= lo and (hi is None or len(s.instances) <= hi)]
-        ids = {s.id for s in subset}
-        sub_dets = [d for d in detections if d.scene_id in ids]
-        sub = _ap_over(sub_dets, subset, iou_thresholds)
+        sub = ap_over((n_inst >= lo) & (n_inst <= (np.inf if hi is None else hi)))
         per_bucket[name] = float(np.mean(list(sub.values()))) if sub else 0.0
     return APResult(per_threshold=per_threshold, mean_ap=mean_ap, per_bucket=per_bucket)
 
@@ -192,11 +201,7 @@ class ScoreGapStats:
 
 def foreground_scores(logits: np.ndarray) -> np.ndarray:
     """Max softmax probability over non-background classes, per row."""
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
-    return p[:, 1:].max(axis=1)
+    return softmax(np.asarray(logits, dtype=np.float64))[:, 1:].max(axis=1)
 
 
 def score_gap_stats(head_logits: Sequence[np.ndarray],

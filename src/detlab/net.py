@@ -86,14 +86,6 @@ def init_head(hidden: int, num_classes: int, rng: np.random.Generator) -> HeadPa
     )
 
 
-def zeros_like_backbone(p: BackboneParams) -> BackboneParams:
-    return BackboneParams(w=np.zeros_like(p.w), b=np.zeros_like(p.b))
-
-
-def zeros_like_head(p: HeadParams) -> HeadParams:
-    return HeadParams(*[np.zeros_like(a) for a in p.arrays()])
-
-
 @dataclass
 class ForwardCache:
     head: HeadParams
@@ -225,9 +217,10 @@ def sgd_step(backbone: BackboneParams, heads: list[HeadParams], grads: Gradients
 
 # --- checkpoints ------------------------------------------------------------
 
-def save_params(path, backbone: BackboneParams, heads: list[HeadParams]) -> None:
+def save_params(path, backbone: BackboneParams, heads: list[HeadParams], **extra) -> None:
+    """Writes the parameters, plus any `extra` arrays under their own names."""
     arrays = {"backbone/w": backbone.w, "backbone/b": backbone.b,
-              "num_heads": np.array(len(heads))}
+              "num_heads": np.array(len(heads)), **extra}
     names = ("w_shared", "b_shared", "w_cls", "b_cls", "w_reg", "b_reg")
     for i, head in enumerate(heads):
         for name, arr in zip(names, head.arrays()):

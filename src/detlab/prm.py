@@ -164,17 +164,9 @@ def prm_train_step(
 
 
 def ensemble_scores(head_logits: Sequence[np.ndarray]) -> np.ndarray:
-    """Elementwise mean of the heads' pre-softmax scores."""
-    if not head_logits:
-        raise ValueError("no head outputs to ensemble")
-    first = np.asarray(head_logits[0], dtype=np.float64)
-    out = first.copy()
-    for logits in head_logits[1:]:
-        logits = np.asarray(logits, dtype=np.float64)
-        if logits.shape != first.shape:
-            raise ValueError(f"shape mismatch: {logits.shape} vs {first.shape}")
-        out += logits
-    return out / len(head_logits)
+    """Elementwise mean of the heads' pre-softmax scores; np.stack raises
+    ValueError on no heads or on mismatched shapes."""
+    return np.mean(np.stack([np.asarray(lg, dtype=np.float64) for lg in head_logits]), axis=0)
 
 
 def select_regression(policies: Sequence[SamplingPolicy],

@@ -89,9 +89,7 @@ class Scene:
 
     @property
     def gt_boxes(self) -> np.ndarray:
-        if not self.instances:
-            return np.zeros((0, 4), dtype=np.float64)
-        return np.stack([g.box.as_array() for g in self.instances])
+        return np.array([g.box.as_array() for g in self.instances]).reshape(-1, 4)
 
     @property
     def gt_classes(self) -> np.ndarray:

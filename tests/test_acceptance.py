@@ -16,7 +16,7 @@ from scipy import stats as scipy_stats
 from detlab import net
 from detlab.config import MODES, load_config, parse_config
 from detlab.harness import run_experiment
-from detlab.metrics import Detection, compute_ap, nms
+from detlab.metrics import Detections, compute_ap, nms
 from detlab.net import Gradients, load_params
 from detlab.prm import ensemble_scores, select_regression
 from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
@@ -245,29 +245,32 @@ class TestExactContracts:
                 GroundTruthInstance(Box(10, 30, 25, 55), 3),
             )),
         ]
-        dets = [Detection(s.id, g.box, g.class_id, 0.9)
-                for s in scenes for g in s.instances]
+        gts = [(i, g) for i, s in enumerate(scenes) for g in s.instances]
+        dets = Detections([i for i, _ in gts], [g.class_id for _, g in gts],
+                          [0.9] * len(gts), [g.box.as_array() for _, g in gts])
         perfect = compute_ap(dets, scenes, buckets=())
         ok = perfect.mean_ap == 1.0
         rng = np.random.default_rng(8)
-        noisy = []
-        for s in scenes:
-            for g in s.instances:
-                jx, jy = rng.uniform(-3, 3, size=2)
-                noisy.append(Detection(
-                    s.id,
-                    Box(g.box.x1 + jx, g.box.y1 + jy, g.box.x2 + jx, g.box.y2 + jy),
-                    g.class_id, float(rng.uniform(0.3, 1.0))))
+        noisy_boxes, noisy_scores = [], []
+        for _, g in gts:
+            jx, jy = rng.uniform(-3, 3, size=2)
+            noisy_boxes.append(g.box.as_array() + [jx, jy, jx, jy])
+            noisy_scores.append(float(rng.uniform(0.3, 1.0)))
+        noisy = Detections(dets.scenes, dets.classes, noisy_scores, noisy_boxes)
         noisy_ap = compute_ap(noisy, scenes, buckets=())
         ok = ok and noisy_ap.ap75 <= noisy_ap.ap50
-        once = nms(noisy, 0.5)
-        ok = ok and nms(once, 0.5) == once
+        for i in range(len(scenes)):  # NMS runs per scene
+            scene_dets = noisy[noisy.scenes == i]
+            once = scene_dets[nms(scene_dets.boxes, scene_dets.scores, scene_dets.classes, 0.5)]
+            again = nms(once.boxes, once.scores, once.classes, 0.5)
+            ok = ok and again.tolist() == list(range(len(once)))
         report("08 perfect AP, threshold monotonicity, NMS idempotence", ok)
 
 
 # --- behavioral reproduction ------------------------------------------------
 
 
+@pytest.mark.acceptance
 class TestBehavioral:
     def test_09_positive_scarcity_and_growth(self, desk_runs):
         early_fracs = []

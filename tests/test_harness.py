@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -260,6 +261,61 @@ class TestCli:
         assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(cache) in err and "line " in err
+
+    def test_sweep_exit_code_names_failed_runs(self, tmp_path, capsys):
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "sweep"
+        # the second cell asks for an impossible batch; the first still runs
+        code = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                         "--axis", "ratio-pair", "--values", "1:1+1:9,1:39+1:9",
+                         "--seeds", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sweep cell 1:39+1:9: 1 of 1 runs failed: seed 3: ValueError" in err
+        assert "1:1+1:9" not in err
+        with open(out / "sweep.csv", newline="") as fh:
+            assert [r["n_failed"] for r in csv.DictReader(fh)] == ["0", "1"]
+
+    def test_sampling_ablation_exit_code(self, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "sampling_ablation", Path(__file__).resolve().parent.parent / "scripts"
+            / "sampling_ablation.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        out = tmp_path / "ablation"
+        assert script.main(["--config", str(self.write_cfg(tmp_path)), "--out", str(out),
+                            "--ratios", "1:39", "--seeds", "3"]) == 2
+        assert "sweep cell hard_1:39: 1 of 1 runs failed" in capsys.readouterr().err
+        assert (out / "sampling_ablation.csv").exists()
+
+    def test_eval_rejects_other_head_layout(self, tmp_path, capsys):
+        cfg_path = self.write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        assert cli_main(["train", "--config", str(cfg_path), "--out", out,
+                         "--mode", "prm"]) == 0
+        swapped = tmp_path / "swapped.cfg"
+        swapped.write_text(TINY.replace("batch_size = 32", "batch_size = 32\nratios = 1:9,1:1"))
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", str(swapped), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "heads 1:1+1:9, the config has 1:9+1:1" in err
+        assert cli_main(["eval", "--config", str(cfg_path), "--out", out]) == 1
+        assert "heads 1:1+1:9, the config has 1:3" in capsys.readouterr().err
+        assert cli_main(["eval", "--config", str(cfg_path), "--out", out,
+                         "--mode", "prm"]) == 0
+
+    def test_eval_rejects_checkpoint_without_layout(self, tmp_path, capsys):
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        checkpoint = out / "checkpoint.npz"
+        with np.load(checkpoint) as data:
+            arrays = {k: data[k] for k in data.files if k != "ratios"}
+        np.savez(checkpoint, **arrays)
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(checkpoint) in err and "records no head ratios" in err
 
 
 def test_perfbench_tracer_installs(monkeypatch):

@@ -1,10 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from detlab.geometry import Box, GroundTruthInstance, iou
+from detlab.config import parse_config
+from detlab.geometry import Box, GroundTruthInstance
+from detlab.harness import _detections_for
 from detlab.metrics import (
+    DEFAULT_BUCKETS,
+    DEFAULT_IOU_THRESHOLDS,
     APResult,
-    Detection,
+    Detections,
     MetricsLog,
     MetricsRow,
     compute_ap,
@@ -15,10 +21,19 @@ from detlab.metrics import (
 )
 from detlab.synthdata import Scene
 
+import ap_oracle
+from test_geometry import iou
+
 
 def scene(sid, boxes_classes):
     return Scene(id=sid, extent=(100.0, 100.0), instances=tuple(
         GroundTruthInstance(b, c) for b, c in boxes_classes))
+
+
+def dets(*rows):
+    """Detections from (scene index, Box, class, score) rows."""
+    return Detections([r[0] for r in rows], [r[2] for r in rows], [r[3] for r in rows],
+                      [r[1].as_array() for r in rows])
 
 
 class TestProposalAccuracy:
@@ -48,61 +63,57 @@ class TestProposalAccuracy:
                 assert v is None or 0.0 <= v <= 1.0
 
 
-def brute_force_nms(dets, thr):
+def brute_force_nms(boxes, scores, classes, thr):
     """Independent greedy implementation over explicit candidate lists."""
     out = []
-    by_group = {}
-    for d in dets:
-        by_group.setdefault((d.scene_id, d.class_id), []).append(d)
-    for key in sorted(by_group):
-        remaining = sorted(by_group[key], key=lambda d: -d.score)
+    for c in sorted(set(classes)):
+        remaining = sorted((i for i in range(len(scores)) if classes[i] == c),
+                           key=lambda i: -scores[i])
         while remaining:
             best = remaining.pop(0)
             out.append(best)
-            remaining = [d for d in remaining if iou(d.box, best.box) < thr]
+            remaining = [i for i in remaining
+                         if iou(Box(*boxes[i]), Box(*boxes[best])) < thr]
     return out
 
 
 class TestNms:
     def test_single_detection(self):
-        d = Detection(0, Box(0, 0, 5, 5), 1, 0.9)
-        assert nms([d], 0.5) == [d]
+        assert nms([[0, 0, 5, 5]], [0.9], [1], 0.5).tolist() == [0]
 
     def test_duplicate_keeps_higher_score(self):
-        a = Detection(0, Box(0, 0, 5, 5), 1, 0.9)
-        b = Detection(0, Box(0, 0, 5, 5), 1, 0.8)
-        assert nms([a, b], 0.5) == [a]
+        assert nms([[0, 0, 5, 5], [0, 0, 5, 5]], [0.9, 0.8], [1, 1], 0.5).tolist() == [0]
 
     def test_different_classes_not_suppressed(self):
-        a = Detection(0, Box(0, 0, 5, 5), 1, 0.9)
-        b = Detection(0, Box(0, 0, 5, 5), 2, 0.8)
-        assert set(nms([a, b], 0.5)) == {a, b}
+        kept = nms([[0, 0, 5, 5], [0, 0, 5, 5]], [0.9, 0.8], [1, 2], 0.5)
+        assert set(kept.tolist()) == {0, 1}
 
     def test_chain_matches_brute_force(self):
         rng = np.random.default_rng(1)
         for trial in range(30):
-            dets = []
-            for i in range(12):
-                x = rng.uniform(0, 20)
-                y = rng.uniform(0, 20)
-                w = rng.uniform(3, 10)
-                dets.append(Detection(int(rng.integers(0, 2)),
-                                      Box(x, y, x + w, y + w),
-                                      int(rng.integers(1, 3)),
-                                      float(rng.uniform(0.1, 1.0))))
-            assert set(nms(dets, 0.4)) == set(brute_force_nms(dets, 0.4))
+            x, y = rng.uniform(0, 20, size=(2, 12))
+            w = rng.uniform(3, 10, size=12)
+            boxes = np.stack([x, y, x + w, y + w], axis=1)
+            scene_ids = rng.integers(0, 2, size=12)
+            classes = rng.integers(1, 3, size=12)
+            scores = rng.uniform(0.1, 1.0, size=12)
+            for sid in (0, 1):  # NMS runs per scene
+                rows = np.flatnonzero(scene_ids == sid)
+                kept = nms(boxes[rows], scores[rows], classes[rows], 0.4)
+                expected = brute_force_nms(boxes[rows].tolist(), scores[rows].tolist(),
+                                           classes[rows].tolist(), 0.4)
+                assert set(kept.tolist()) == set(expected)
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
-        dets = []
-        for i in range(20):
-            x = rng.uniform(0, 30)
-            y = rng.uniform(0, 30)
-            w = rng.uniform(3, 12)
-            dets.append(Detection(0, Box(x, y, x + w, y + w), 1,
-                                  float(rng.uniform(0, 1))))
-        once = nms(dets, 0.5)
-        assert nms(once, 0.5) == once
+        x, y = rng.uniform(0, 30, size=(2, 20))
+        w = rng.uniform(3, 12, size=20)
+        boxes = np.stack([x, y, x + w, y + w], axis=1)
+        scores = rng.uniform(0, 1, size=20)
+        classes = np.ones(20, dtype=np.int64)
+        once = nms(boxes, scores, classes, 0.5)
+        again = nms(boxes[once], scores[once], classes[once], 0.5)
+        assert once[again].tolist() == once.tolist()
 
 
 class TestComputeAp:
@@ -111,46 +122,61 @@ class TestComputeAp:
             scene(0, [(Box(0, 0, 10, 10), 1), (Box(30, 30, 40, 45), 2)]),
             scene(1, [(Box(5, 5, 20, 20), 3)]),
         ]
-        dets = [Detection(s.id, g.box, g.class_id, 1.0)
-                for s in scenes for g in s.instances]
-        return dets, scenes
+        return dets(*[(s.id, g.box, g.class_id, 1.0)
+                      for s in scenes for g in s.instances]), scenes
 
     def test_perfect_detections(self):
-        dets, scenes = self.perfect_case()
-        result = compute_ap(dets, scenes, buckets=())
+        detections, scenes = self.perfect_case()
+        result = compute_ap(detections, scenes, buckets=())
         assert result.mean_ap == 1.0
         assert all(v == 1.0 for v in result.per_threshold.values())
 
     def test_no_detections(self):
         _, scenes = self.perfect_case()
-        assert compute_ap([], scenes, buckets=()).mean_ap == 0.0
+        assert compute_ap(dets(), scenes, buckets=()).mean_ap == 0.0
 
     def test_fp_above_tp_hand_case(self):
         scenes = [scene(0, [(Box(0, 0, 10, 10), 1)])]
-        dets = [
-            Detection(0, Box(0, 0, 10, 10), 1, 0.9),  # TP
-            Detection(0, Box(50, 50, 60, 60), 1, 0.95),  # FP, higher score
-        ]
-        result = compute_ap(dets, scenes, iou_thresholds=[0.5], buckets=())
+        detections = dets(
+            (0, Box(0, 0, 10, 10), 1, 0.9),  # TP
+            (0, Box(50, 50, 60, 60), 1, 0.95),  # FP, higher score
+        )
+        result = compute_ap(detections, scenes, iou_thresholds=[0.5], buckets=())
         # precision envelope is 0.5 across the whole recall axis
         assert result.per_threshold[0.5] == pytest.approx(0.5)
 
+    def test_iou_at_threshold_is_a_match(self):
+        scenes = [scene(0, [(Box(0, 0, 10, 10), 1)])]
+        half = dets((0, Box(0, 0, 10, 5), 1, 0.9))  # IoU exactly 0.5
+        result = compute_ap(half, scenes, iou_thresholds=[0.5, 0.55], buckets=())
+        assert result.per_threshold == {0.5: 1.0, 0.55: 0.0}
+
+    def test_iou_tie_goes_to_lowest_instance(self):
+        scenes = [scene(0, [(Box(0, 0, 10, 10), 1), (Box(5, 0, 15, 10), 1)])]
+        detections = dets(
+            (0, Box(2.5, 0, 12.5, 10), 1, 0.9),  # IoU 0.6 with both: takes the first
+            (0, Box(0, 0, 10, 10), 1, 0.8),  # so this one is left with IoU 1/3
+        )
+        result = compute_ap(detections, scenes, iou_thresholds=[0.5], buckets=())
+        assert result.per_threshold[0.5] == pytest.approx(51 / 101)
+        assert result == ap_oracle.compute_ap(oracle_rows(detections), scenes,
+                                              iou_thresholds=[0.5], buckets=())
+
     def test_adding_top_scoring_tp_never_decreases_ap(self):
-        rng = np.random.default_rng(3)
         scenes = [scene(0, [(Box(0, 0, 10, 10), 1), (Box(40, 40, 55, 55), 1)])]
-        dets = [
-            Detection(0, Box(1, 0, 10, 10), 1, 0.7),
-            Detection(0, Box(70, 70, 80, 80), 1, 0.6),
+        rows = [
+            (0, Box(1, 0, 10, 10), 1, 0.7),
+            (0, Box(70, 70, 80, 80), 1, 0.6),
         ]
-        base = compute_ap(dets, scenes, buckets=()).mean_ap
-        dets.append(Detection(0, Box(40, 40, 55, 55), 1, 0.99))
-        improved = compute_ap(dets, scenes, buckets=()).mean_ap
+        base = compute_ap(dets(*rows), scenes, buckets=()).mean_ap
+        rows.append((0, Box(40, 40, 55, 55), 1, 0.99))
+        improved = compute_ap(dets(*rows), scenes, buckets=()).mean_ap
         assert improved >= base
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(4)
         scenes = []
-        dets = []
+        rows = []
         for sid in range(10):
             boxes = []
             for _ in range(3):
@@ -160,9 +186,9 @@ class TestComputeAp:
             scenes.append(scene(sid, boxes))
             for b, c in boxes:
                 jx = rng.uniform(-2, 2)
-                dets.append(Detection(sid, Box(b.x1 + jx, b.y1, b.x2 + jx, b.y2),
-                                      c, float(rng.uniform(0.2, 1.0))))
-        result = compute_ap(dets, scenes, buckets=())
+                rows.append((sid, Box(b.x1 + jx, b.y1, b.x2 + jx, b.y2),
+                             c, float(rng.uniform(0.2, 1.0))))
+        result = compute_ap(dets(*rows), scenes, buckets=())
         assert result.per_threshold[0.75] <= result.per_threshold[0.5]
 
     def test_buckets_partition_scenes(self):
@@ -170,10 +196,120 @@ class TestComputeAp:
             scene(0, [(Box(0, 0, 10, 10), 1)]),
             scene(1, [(Box(10 * i, 0, 10 * i + 8, 8), 1) for i in range(9)]),
         ]
-        dets = [Detection(0, Box(0, 0, 10, 10), 1, 0.9)]
-        result = compute_ap(dets, scenes)
+        result = compute_ap(dets((0, Box(0, 0, 10, 10), 1, 0.9)), scenes)
         assert result.per_bucket["1_3"] == 1.0
         assert result.per_bucket["8_inf"] == 0.0
+
+    def test_bucket_equals_ap_of_its_scenes_alone(self):
+        for seed in range(20):
+            scenes, detections = random_case(np.random.default_rng(seed))
+            result = compute_ap(detections, scenes)
+            for name, lo, hi in DEFAULT_BUCKETS:
+                idx = [i for i, s in enumerate(scenes)
+                       if len(s.instances) >= lo and (hi is None or len(s.instances) <= hi)]
+                remap = np.full(len(scenes), -1)
+                remap[idx] = np.arange(len(idx))
+                sub = detections[np.isin(detections.scenes, idx)]
+                sub = Detections(remap[sub.scenes], sub.classes, sub.scores, sub.boxes)
+                alone = compute_ap(sub, [scenes[i] for i in idx], buckets=())
+                assert result.per_bucket[name] == alone.mean_ap
+
+    def test_rejects_unknown_scene_index(self):
+        _, scenes = self.perfect_case()
+        with pytest.raises(ValueError, match="scene index"):
+            compute_ap(dets((2, Box(0, 0, 10, 10), 1, 0.9)), scenes)
+
+
+# --- exact equality with the per-object reference (tests/ap_oracle.py) -------
+
+def random_case(rng, n_scenes=None):
+    """Scenes (ids 0..n-1, 0-12 instances, some duplicated boxes) and
+    detections near them in shuffled rows: tied scores, empty scenes, and
+    class 4, which no ground truth has. Coordinates lie on a quarter grid, so
+    IoUs tie and hit the thresholds exactly."""
+    def grid(a):
+        return np.round(np.asarray(a) * 4) / 4
+
+    scenes, rows = [], []
+    for sid in range(rng.integers(0, 8) if n_scenes is None else n_scenes):
+        n_inst = int(rng.choice([0, 1, 2, 3, 5, 8, 9, 12]))
+        insts = []
+        for _ in range(n_inst):
+            if insts and rng.random() < 0.15:
+                insts.append(insts[-1])  # exact duplicate: argmax ties
+                continue
+            x, y = grid(rng.uniform(0, 40, size=2))
+            w, h = grid(rng.uniform(4, 15, size=2))
+            insts.append((Box(x, y, x + w, y + h), int(rng.integers(1, 4))))
+        scenes.append(scene(sid, insts))
+        for _ in range(rng.integers(0, 15)):
+            if insts and rng.random() < 0.7:
+                b, c = insts[rng.integers(len(insts))]
+                jx, jy = grid(rng.uniform(-3, 3, size=2))
+                box = Box(b.x1 + jx, b.y1 + jy, b.x2 + jx, b.y2 + jy)
+                if rng.random() < 0.2:
+                    box = Box(b.x1, b.y1, b.x2, (b.y1 + b.y2) / 2)  # IoU exactly 0.5
+                if rng.random() < 0.2:
+                    c = int(rng.integers(1, 5))
+            else:
+                x, y = grid(rng.uniform(0, 40, size=2))
+                box, c = Box(x, y, x + 10, y + 10), int(rng.integers(1, 5))
+            score = (float(rng.choice([0.3, 0.5, 0.9])) if rng.random() < 0.5
+                     else float(rng.uniform(0.05, 1.0)))
+            rows.append((sid, box, c, score))
+    return scenes, dets(*rows)[rng.permutation(len(rows))]  # rows not in scene order
+
+
+def oracle_rows(detections):
+    return [ap_oracle.Detection(int(s), Box(*map(float, b)), int(c), float(p))
+            for s, c, p, b in zip(detections.scenes, detections.classes,
+                                  detections.scores, detections.boxes)]
+
+
+def as_tuples(detections):
+    if isinstance(detections, Detections):
+        return [(int(s), int(c), float(p), tuple(map(float, b)))
+                for s, c, p, b in zip(detections.scenes, detections.classes,
+                                      detections.scores, detections.boxes)]
+    return [(d.scene_id, d.class_id, d.score, (d.box.x1, d.box.y1, d.box.x2, d.box.y2))
+            for d in detections]
+
+
+class TestMatchesOracle:
+    def test_nms_keeps_the_same_rows_in_the_same_order(self):
+        for seed in range(100):
+            scenes, detections = random_case(np.random.default_rng(seed), n_scenes=1)
+            kept = nms(detections.boxes, detections.scores, detections.classes, 0.5)
+            expected = ap_oracle.nms(oracle_rows(detections), 0.5)
+            assert as_tuples(detections[kept]) == as_tuples(expected)
+
+    def test_compute_ap_is_equal_in_every_field(self):
+        for seed in range(200):
+            scenes, detections = random_case(np.random.default_rng(seed))
+            thresholds = (0.3, 0.5, 0.75, 0.9) if seed % 2 else DEFAULT_IOU_THRESHOLDS
+            result = compute_ap(detections, scenes, iou_thresholds=thresholds)
+            expected = ap_oracle.compute_ap(oracle_rows(detections), scenes,
+                                            iou_thresholds=thresholds)
+            assert result == expected, seed
+
+    def test_detection_extraction_and_ap_match(self):
+        cfg = replace(parse_config("", seed=1), max_detections=6)
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            scenes, _ = random_case(rng, n_scenes=5)
+            ours, theirs = [], []
+            for index, s in enumerate(scenes):
+                n = int(rng.integers(0, 40))  # often more than max_detections
+                x, y = rng.uniform(0, 40, size=(2, n))
+                w, h = rng.uniform(4, 15, size=(2, n))
+                boxes = np.stack([x, y, x + w, y + h], axis=1)
+                scores = rng.dirichlet(np.ones(4), size=n)
+                scores[rng.random(n) < 0.3] = [0.1, 0.3, 0.3, 0.3]  # tied rows
+                ours.append(_detections_for(cfg, index, scores, boxes))
+                theirs.extend(ap_oracle.detections_for(cfg, s, scores, boxes))
+            ours = Detections.concat(ours)
+            assert as_tuples(ours) == as_tuples(theirs)
+            assert compute_ap(ours, scenes) == ap_oracle.compute_ap(theirs, scenes)
 
 
 class TestScoreGap:

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from detlab import net
 from detlab.net import (
     BackboneParams,
     Gradients,
@@ -20,6 +19,14 @@ from detlab.net import (
     sgd_step,
     total_loss,
 )
+
+
+def zeros_like_backbone(p):
+    return BackboneParams(w=np.zeros_like(p.w), b=np.zeros_like(p.b))
+
+
+def zeros_like_head(p):
+    return HeadParams(*[np.zeros_like(a) for a in p.arrays()])
 
 
 def tiny_model(d=4, h=3, c=2, seed=0):
@@ -197,8 +204,8 @@ class TestSgd:
     def test_zero_grad_no_change(self):
         backbone, head = tiny_model()
         before = [a.copy() for a in backbone.arrays() + head.arrays()]
-        grads = Gradients(backbone=net.zeros_like_backbone(backbone),
-                          heads=[net.zeros_like_head(head)])
+        grads = Gradients(backbone=zeros_like_backbone(backbone),
+                          heads=[zeros_like_head(head)])
         sgd_step(backbone, [head], grads, 0, self.cfg())
         for a, b in zip(backbone.arrays() + head.arrays(), before):
             np.testing.assert_array_equal(a, b)
@@ -209,7 +216,7 @@ class TestSgd:
                           np.zeros(1), np.ones((1, 4)), np.zeros(4))
         g = Gradients(
             backbone=BackboneParams(w=np.array([[0.5]]), b=np.array([0.0])),
-            heads=[net.zeros_like_head(head)],
+            heads=[zeros_like_head(head)],
         )
         sgd_step(backbone, [head], g, 0, self.cfg())
         assert backbone.w[0, 0] == pytest.approx(0.99, abs=1e-15)
@@ -225,8 +232,8 @@ class TestSgd:
 
     def test_step_beyond_schedule(self):
         backbone, head = tiny_model()
-        grads = Gradients(backbone=net.zeros_like_backbone(backbone),
-                          heads=[net.zeros_like_head(head)])
+        grads = Gradients(backbone=zeros_like_backbone(backbone),
+                          heads=[zeros_like_head(head)])
         with pytest.raises(ValueError):
             sgd_step(backbone, [head], grads, 1200, self.cfg(total=1200))
 
