@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import MODES, SAMPLING_MODES, ConfigError, load_config, parse_ratio
+from .config import MODES, ConfigError, load_config, parse_ratio
 from .harness import (
     SWEEP_AXES,
     axis_cells,
@@ -21,6 +21,7 @@ from .harness import (
     _dataset,
 )
 from .prm import PrmModel
+from .sampler import SAMPLING_MODES
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -5,15 +5,14 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .net import TrainConfig
+from .rga import AnnealSchedule
 from .sampler import SamplingPolicy
 from .synthdata import FeatureModel, RpnQualityModel, SceneConfig
 
-SAMPLING_MODES = ("soft", "hard")
 RATIO_RE = re.compile(r"^(\d+):(\d+)$")
 
 # The four variants under study differ in two choices only: whether head
@@ -31,31 +30,34 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    scene: SceneConfig
-    rpn: RpnQualityModel
-    feat: FeatureModel
-    sampling_mode: str
-    ratios: tuple[tuple[int, int], ...]
-    batch_size: int
-    rga_enabled: bool
-    lambda0: float
-    anneal: bool
-    learning_rate: float
-    total_steps: int
-    decay_points: tuple[float, ...]
-    decay_factor: float
-    cls_weight: float
-    reg_weight: float
-    hidden: int
-    train_scenes: int
-    eval_scenes: int
-    nms_threshold: float
-    score_floor: float
-    max_detections: int
+    """One experiment. Each default is declared once: here, or on the model
+    or `TrainConfig` field it comes from."""
+
+    scene: SceneConfig = field(default_factory=SceneConfig)
+    rpn: RpnQualityModel = field(default_factory=RpnQualityModel)
+    feat: FeatureModel = field(default_factory=FeatureModel)
+    sampling_mode: str = "soft"
+    ratios: tuple[tuple[int, int], ...] = MODES["baseline"]["ratios"]
+    batch_size: int = 512
+    rga_enabled: bool = MODES["baseline"]["rga_enabled"]
+    lambda0: float = 7.0
+    anneal: bool = True
+    learning_rate: float = TrainConfig.learning_rate
+    total_steps: int = TrainConfig.total_steps
+    decay_points: tuple[float, ...] = TrainConfig.decay_points
+    decay_factor: float = TrainConfig.decay_factor
+    cls_weight: float = TrainConfig.cls_weight
+    reg_weight: float = TrainConfig.reg_weight
+    hidden: int = 16
+    train_scenes: int = 2000
+    eval_scenes: int = 500
+    nms_threshold: float = 0.5
+    score_floor: float = 0.05
+    max_detections: int = 100
     seed: int
-    out: str
+    out: str = "runs/exp"
 
     @property
     def mode(self) -> str:
@@ -73,78 +75,21 @@ class ExperimentConfig:
 
     @property
     def train(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            total_steps=self.total_steps,
-            decay_points=self.decay_points,
-            decay_factor=self.decay_factor,
-            cls_weight=self.cls_weight,
-            reg_weight=self.reg_weight,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
+
+    @property
+    def schedule(self) -> Optional[AnnealSchedule]:
+        """The head-gradient annealing, or None when it is off."""
+        if not self.rga_enabled:
+            return None
+        return AnnealSchedule(self.lambda0, self.total_steps, constant=not self.anneal)
 
     def config_hash(self) -> str:
-        """Hash over every semantically meaningful field (output path excluded)."""
-        payload = repr((
-            self.scene, self.rpn, self.feat, self.mode, self.sampling_mode,
-            self.ratios, self.batch_size, self.rga_enabled, self.lambda0,
-            self.anneal, self.learning_rate, self.total_steps, self.decay_points,
-            self.decay_factor, self.cls_weight, self.reg_weight, self.hidden,
-            self.train_scenes, self.eval_scenes, self.nms_threshold,
-            self.score_floor, self.max_detections, self.seed,
-        ))
+        """Hash over every field but the output path, with the derived mode
+        after the three models."""
+        values = [getattr(self, f.name) for f in fields(self) if f.name != "out"]
+        payload = repr((*values[:3], self.mode, *values[3:]))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-_KNOWN_KEYS = {
-    "scene": {"extent_w", "extent_h", "num_classes", "box_min", "box_max",
-              "gt_count_weights"},
-    "rpn": {"jitter_start", "jitter_end", "fg_per_gt", "bg_per_scene"},
-    "features": {"noise_dims", "noise_sigma"},
-    "sampling": {"mode", "ratios", "batch_size"},
-    "rga": {"enabled", "lambda0", "anneal"},
-    "train": {"learning_rate", "steps", "hidden", "decay_points", "decay_factor",
-              "train_scenes", "cls_weight", "reg_weight"},
-    "eval": {"scenes", "nms_threshold", "score_floor", "max_detections"},
-    "run": {"seed", "out", "mode"},
-}
-
-
-def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current: Optional[str] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current not in _KNOWN_KEYS:
-                raise ConfigError(f"line {lineno}: unknown section [{current}]")
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        if current is None:
-            raise ConfigError(f"line {lineno}: key outside any section")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _KNOWN_KEYS[current]:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{current}]")
-        if key in sections[current]:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        sections[current][key] = (value, lineno)
-    return sections
-
-
-def _get(sections, section, key, default, convert):
-    if section in sections and key in sections[section]:
-        value, lineno = sections[section][key]
-        try:
-            return convert(value)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return default
 
 
 def _bool(value: str) -> bool:
@@ -163,10 +108,6 @@ def parse_ratio(value: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _ratio_list(value: str) -> tuple[tuple[int, int], ...]:
-    return tuple(parse_ratio(part) for part in value.split(","))
-
-
 def _weights(value: str) -> dict[int, float]:
     out = {}
     for part in value.split(","):
@@ -175,8 +116,66 @@ def _weights(value: str) -> dict[int, float]:
     return out
 
 
-def _float_list(value: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in value.split(","))
+def _tuple_of(parse):
+    return lambda value: tuple(parse(part) for part in value.split(","))
+
+
+# Every accepted key and its parser, by section. [scene], [rpn] and [features]
+# keys fill the field of that name on SceneConfig, RpnQualityModel and
+# FeatureModel (the scene's extent and box size range are set one end at a
+# time). The other keys fill the ExperimentConfig field of that name, or the
+# one RENAMED gives; [run] mode picks the MODES preset.
+SCHEMA = {
+    "scene": dict(extent_w=float, extent_h=float, num_classes=int, box_min=float,
+                  box_max=float, gt_count_weights=_weights),
+    "rpn": dict(jitter_start=float, jitter_end=float, fg_per_gt=int, bg_per_scene=int),
+    "features": dict(noise_dims=int, noise_sigma=float),
+    "sampling": dict(mode=str, ratios=_tuple_of(parse_ratio), batch_size=int),
+    "rga": dict(enabled=_bool, lambda0=float, anneal=_bool),
+    "train": dict(learning_rate=float, steps=int, hidden=int, decay_points=_tuple_of(float),
+                  decay_factor=float, train_scenes=int, cls_weight=float, reg_weight=float),
+    "eval": dict(scenes=int, nms_threshold=float, score_floor=float, max_detections=int),
+    "run": dict(seed=int, out=str, mode=str),
+}
+RENAMED = {("sampling", "mode"): "sampling_mode", ("rga", "enabled"): "rga_enabled",
+           ("train", "steps"): "total_steps", ("eval", "scenes"): "eval_scenes"}
+SCENE_PAIRS = {"extent": ("extent_w", "extent_h"), "box_size_range": ("box_min", "box_max")}
+
+
+def _parse_sections(text: str) -> dict[str, dict[str, object]]:
+    """Every section of SCHEMA with the parsed values the document sets."""
+    sections: dict[str, dict[str, object]] = {name: {} for name in SCHEMA}
+    current: Optional[str] = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current not in SCHEMA:
+                raise ConfigError(f"line {lineno}: unknown section [{current}]")
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+        if current is None:
+            raise ConfigError(f"line {lineno}: key outside any section")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in SCHEMA[current]:
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{current}]")
+        if key in sections[current]:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        try:
+            sections[current][key] = SCHEMA[current][key](value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+    return sections
+
+
+def _scene(keys: dict) -> SceneConfig:
+    for name, ends in SCENE_PAIRS.items():
+        default = getattr(SceneConfig, name)
+        keys[name] = tuple(keys.pop(end, d) for end, d in zip(ends, default))
+    return SceneConfig(**keys)
 
 
 def parse_config(
@@ -186,75 +185,30 @@ def parse_config(
     sampling: Optional[str] = None,
     out: Optional[str] = None,
 ) -> ExperimentConfig:
-    """Parse a config document; omitted keys fall back to the stock defaults.
+    """Parse a config document; omitted keys keep their declared defaults,
+    except the two that the mode's preset sets.
 
-    The keyword arguments mirror CLI flags and override the document.
+    The keyword arguments mirror CLI flags and override the document. Every
+    invalid value raises ConfigError here, before a run does any work.
     """
     sections = _parse_sections(text)
-
-    scene = SceneConfig(
-        extent=(_get(sections, "scene", "extent_w", 100.0, float),
-                _get(sections, "scene", "extent_h", 100.0, float)),
-        num_classes=_get(sections, "scene", "num_classes", 3, int),
-        gt_count_weights=_get(sections, "scene", "gt_count_weights", None, _weights)
-        or SceneConfig().gt_count_weights,
-        box_size_range=(_get(sections, "scene", "box_min", 8.0, float),
-                        _get(sections, "scene", "box_max", 30.0, float)),
-    )
-    rpn = RpnQualityModel(
-        jitter_start=_get(sections, "rpn", "jitter_start", 0.6, float),
-        jitter_end=_get(sections, "rpn", "jitter_end", 0.03, float),
-        fg_per_gt=_get(sections, "rpn", "fg_per_gt", 8, int),
-        bg_per_scene=_get(sections, "rpn", "bg_per_scene", 56, int),
-    )
-    feat = FeatureModel(
-        noise_dims=_get(sections, "features", "noise_dims", 8, int),
-        noise_sigma=_get(sections, "features", "noise_sigma", 0.25, float),
-    )
-
-    run_mode = mode or _get(sections, "run", "mode", "baseline", str)
-    if run_mode not in MODES:
+    doc_mode = sections["run"].pop("mode", None)
+    run_mode = mode or doc_mode
+    if run_mode is not None and run_mode not in MODES:
         raise ConfigError(f"unknown mode {run_mode!r}; expected one of {tuple(MODES)}")
-    preset = MODES[run_mode]
-    sampling_mode = sampling or _get(sections, "sampling", "mode", "soft", str)
-    if sampling_mode not in SAMPLING_MODES:
-        raise ConfigError(f"unknown sampling mode {sampling_mode!r}")
-
-    seed_value = seed if seed is not None else _get(sections, "run", "seed", None, int)
-    if seed_value is None:
+    values = dict(MODES.get(run_mode, {}))
+    for section in ("sampling", "rga", "train", "eval", "run"):
+        for key, value in sections[section].items():
+            values[RENAMED.get((section, key), key)] = value
+    flags = {"seed": seed, "sampling_mode": sampling, "out": out}
+    values.update((k, v) for k, v in flags.items() if v not in (None, ""))
+    if "seed" not in values:
         raise ConfigError("no seed given: set 'seed' in [run] or pass --seed")
-
     try:
-        cfg = ExperimentConfig(
-            scene=scene,
-            rpn=rpn,
-            feat=feat,
-            sampling_mode=sampling_mode,
-            ratios=_get(sections, "sampling", "ratios", preset["ratios"], _ratio_list),
-            batch_size=_get(sections, "sampling", "batch_size", 512, int),
-            rga_enabled=_get(sections, "rga", "enabled", preset["rga_enabled"], _bool),
-            lambda0=_get(sections, "rga", "lambda0", 7.0, float),
-            anneal=_get(sections, "rga", "anneal", True, _bool),
-            learning_rate=_get(sections, "train", "learning_rate", 0.02, float),
-            total_steps=_get(sections, "train", "steps", 3000, int),
-            decay_points=_get(sections, "train", "decay_points",
-                              (float(Fraction(8, 12)), float(Fraction(11, 12))),
-                              _float_list),
-            decay_factor=_get(sections, "train", "decay_factor", 0.1, float),
-            cls_weight=_get(sections, "train", "cls_weight", 1.0, float),
-            reg_weight=_get(sections, "train", "reg_weight", 1.0, float),
-            hidden=_get(sections, "train", "hidden", 16, int),
-            train_scenes=_get(sections, "train", "train_scenes", 2000, int),
-            eval_scenes=_get(sections, "eval", "scenes", 500, int),
-            nms_threshold=_get(sections, "eval", "nms_threshold", 0.5, float),
-            score_floor=_get(sections, "eval", "score_floor", 0.05, float),
-            max_detections=_get(sections, "eval", "max_detections", 100, int),
-            seed=seed_value,
-            out=out or _get(sections, "run", "out", "runs/exp", str),
-        )
-        cfg.policies  # validates batch size against every ratio
-    except ConfigError:
-        raise
+        cfg = ExperimentConfig(scene=_scene(sections["scene"]),
+                               rpn=RpnQualityModel(**sections["rpn"]),
+                               feat=FeatureModel(**sections["features"]), **values)
+        cfg.train, cfg.policies, cfg.schedule  # what a run builds, so each value is checked
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

@@ -28,7 +28,6 @@ from .metrics import (
 from .net import softmax
 from .prm import (GradNormRecord, PrmModel, init_model, prm_predict, prm_train_step,
                   select_regression)
-from .rga import AnnealSchedule
 from .seeding import derive_seed
 from .synthdata import (
     Scene,
@@ -208,10 +207,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         cfg.feat.dim(cfg.scene.num_classes), cfg.hidden, cfg.scene.num_classes,
         cfg.policies, cfg.seed,
     )
-    schedule = (
-        AnnealSchedule(cfg.lambda0, cfg.total_steps, constant=not cfg.anneal)
-        if cfg.rga_enabled else None
-    )
+    schedule = cfg.schedule
     train_cfg = cfg.train
     log = MetricsLog()
     gradnorm: list[GradNormRecord] = []

@@ -13,18 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
+SAMPLING_MODES = ("soft", "hard")
+
+
 class SamplerError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
 class SamplingPolicy:
-    mode: str  # "soft" | "hard"
+    mode: str  # one of SAMPLING_MODES
     ratio: tuple[int, int]  # (pos_parts, neg_parts)
     batch_size: int
 
     def __post_init__(self):
-        if self.mode not in ("soft", "hard"):
+        if self.mode not in SAMPLING_MODES:
             raise ValueError(f"unknown sampling mode {self.mode!r}")
         p, n = self.ratio
         if p < 1 or n < 1:

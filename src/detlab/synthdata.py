@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -187,8 +187,9 @@ def generate_proposals(
     model: RpnQualityModel,
     rng_seed: int,
     feat: FeatureModel = FeatureModel(),
-    num_classes: Optional[int] = None,
-    box_size_range: tuple[float, float] = (8.0, 30.0),
+    *,
+    num_classes: int,
+    box_size_range: tuple[float, float] = SceneConfig.box_size_range,
     pos_threshold: float = POS_IOU_THRESHOLD,
 ) -> ProposalSet:
     """Simulated proposals at quality `q`: jittered copies of each instance plus
@@ -214,8 +215,6 @@ def generate_proposals(
     classes, max_ious, matched, reg = label_arrays(
         ious, boxes, gt_boxes, scene.gt_classes, pos_threshold
     )
-    if num_classes is None:
-        num_classes = int(scene.gt_classes.max()) if len(gt_boxes) else 1
     if len(gt_boxes):
         nearest = np.argmax(ious, axis=1)
         signal_classes = np.where(max_ious > 0.0, scene.gt_classes[nearest], 0)

@@ -1,14 +1,14 @@
 import csv
 import importlib.util
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from detlab.cli import main as cli_main
-from detlab.config import MODES, ConfigError, ExperimentConfig, parse_config
+from detlab.config import MODES, SCHEMA, ConfigError, ExperimentConfig, load_config, parse_config
 from detlab.harness import axis_cells, run_experiment, sweep
 
 TINY = """
@@ -31,9 +31,71 @@ seed = 3
 """
 
 
+DESK_CFG = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
+
+# config_hash() of configs/desk.cfg at seed 7 per mode, with soft and with
+# hard sampling; manifest.json records this hash, so it must not drift.
+DESK_HASHES = {
+    "baseline": ("af4774899ef9230f", "33ff32057b1bc68c"),
+    "rga": ("77859134d4325398", "fad9230f03f21439"),
+    "prm": ("359fa79be1725b44", "8073c6bf2268a8e8"),
+    "rga+prm": ("727798cf3931345b", "ac2d9971191a6489"),
+}
+
+# A valid non-default value for every config key, the field it must set
+# (`model.field` for the scene, rpn and feature models) and that field's value.
+KEY_CASES = {
+    ("scene", "extent_w"): ("120", "scene.extent", (120.0, 100.0)),
+    ("scene", "extent_h"): ("90", "scene.extent", (100.0, 90.0)),
+    ("scene", "num_classes"): ("4", "scene.num_classes", 4),
+    ("scene", "box_min"): ("6", "scene.box_size_range", (6.0, 30.0)),
+    ("scene", "box_max"): ("25", "scene.box_size_range", (8.0, 25.0)),
+    ("scene", "gt_count_weights"): ("1:0.5, 2:0.5", "scene.gt_count_weights", {1: 0.5, 2: 0.5}),
+    ("rpn", "jitter_start"): ("0.7", "rpn.jitter_start", 0.7),
+    ("rpn", "jitter_end"): ("0.1", "rpn.jitter_end", 0.1),
+    ("rpn", "fg_per_gt"): ("6", "rpn.fg_per_gt", 6),
+    ("rpn", "bg_per_scene"): ("40", "rpn.bg_per_scene", 40),
+    ("features", "noise_dims"): ("4", "feat.noise_dims", 4),
+    ("features", "noise_sigma"): ("0.5", "feat.noise_sigma", 0.5),
+    ("sampling", "mode"): ("hard", "sampling_mode", "hard"),
+    ("sampling", "ratios"): ("1:9, 1:1", "ratios", ((1, 9), (1, 1))),
+    ("sampling", "batch_size"): ("256", "batch_size", 256),
+    ("rga", "enabled"): ("true", "rga_enabled", True),
+    ("rga", "lambda0"): ("5", "lambda0", 5.0),
+    ("rga", "anneal"): ("false", "anneal", False),
+    ("train", "learning_rate"): ("0.1", "learning_rate", 0.1),
+    ("train", "steps"): ("100", "total_steps", 100),
+    ("train", "hidden"): ("8", "hidden", 8),
+    ("train", "decay_points"): ("0.5, 0.75", "decay_points", (0.5, 0.75)),
+    ("train", "decay_factor"): ("0.5", "decay_factor", 0.5),
+    ("train", "train_scenes"): ("100", "train_scenes", 100),
+    ("train", "cls_weight"): ("2", "cls_weight", 2.0),
+    ("train", "reg_weight"): ("3", "reg_weight", 3.0),
+    ("eval", "scenes"): ("50", "eval_scenes", 50),
+    ("eval", "nms_threshold"): ("0.6", "nms_threshold", 0.6),
+    ("eval", "score_floor"): ("0.1", "score_floor", 0.1),
+    ("eval", "max_detections"): ("50", "max_detections", 50),
+    ("run", "seed"): ("2", "seed", 2),
+    ("run", "out"): ("elsewhere", "out", "elsewhere"),
+    ("run", "mode"): ("rga", "rga_enabled", True),
+}
+
+
 def tiny_cfg(tmp_path, **overrides):
     cfg = parse_config(TINY, out=str(tmp_path / "run"))
     return replace(cfg, **overrides)
+
+
+def flat_fields(cfg: ExperimentConfig) -> dict:
+    """The config's fields, with the scene, rpn and feature models' fields
+    spelled `model.field`."""
+    flat = {}
+    for name, value in asdict(cfg).items():
+        if name in ("scene", "rpn", "feat"):
+            flat.update({f"{name}.{key}": v for key, v in value.items()})
+        else:
+            flat[name] = value
+    return flat
 
 
 class TestParseConfig:
@@ -91,6 +153,21 @@ class TestParseConfig:
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
         assert a.config_hash() != d.config_hash()
+
+    @pytest.mark.parametrize("section,key", [(s, k) for s, keys in SCHEMA.items() for k in keys])
+    def test_every_key_reaches_its_field(self, section, key):
+        text, target, value = KEY_CASES[section, key]
+        base = parse_config("", seed=1)
+        cfg = parse_config(f"[{section}]\n{key} = {text}\n", seed=None if key == "seed" else 1)
+        a, b = flat_fields(base), flat_fields(cfg)
+        assert {name: b[name] for name in a if a[name] != b[name]} == {target: value}
+        assert (cfg.config_hash() == base.config_hash()) == (key == "out")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_desk_config_hashes_are_pinned(self, mode):
+        hashes = tuple(load_config(DESK_CFG, seed=7, mode=mode, sampling=s).config_hash()
+                       for s in ("soft", "hard"))
+        assert hashes == DESK_HASHES[mode]
 
 
 class TestRunExperiment:
@@ -212,6 +289,24 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[sampling]\nratios = 1-9\n")
         assert cli_main(["train", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize("doc,message", [
+        (TINY.replace("num_classes = 3", "num_classes = 0"),
+         "need at least one foreground class"),
+        (TINY + "[rpn]\njitter_start = 0.01\njitter_end = 0.5\n",
+         "jitter must be non-negative and non-increasing"),
+        (TINY + "[train]\nlearning_rate = -1\n", "learning rate must be positive"),
+        (TINY + "[train]\ndecay_factor = 1.5\n", "decay factor must lie in (0, 1)"),
+        (TINY + "[rga]\nenabled = true\nlambda0 = 0.5\n", "initial magnification must be >= 1"),
+    ], ids=["num_classes", "jitter", "learning_rate", "decay_factor", "lambda0"])
+    def test_invalid_value_exits_1_before_any_work(self, tmp_path, capsys, doc, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(doc)
+        out = tmp_path / "run"
+        for command in ("gen-data", "train"):
+            assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 1
+            assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_error_exit_code(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)

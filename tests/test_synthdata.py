@@ -86,6 +86,8 @@ class TestProposals:
         b = generate_proposals(_scene(), 0.3, model, 7, num_classes=3)
         np.testing.assert_array_equal(a.boxes, b.boxes)
         np.testing.assert_array_equal(a.features, b.features)
+        with pytest.raises(TypeError):  # feature width never follows the scene's classes
+            generate_proposals(_scene(), 0.3, model, 7)
 
     def test_low_quality_means_low_overlap(self):
         # default starting jitter leaves the mean per-instance best IoU below 0.5
