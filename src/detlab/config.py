@@ -32,8 +32,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """One experiment. Each default is declared once: here, or on the model
-    or `TrainConfig` field it comes from."""
+    """One experiment, checked whole on every construction. Each default is
+    declared once: here, or on the model or `TrainConfig` field it comes from."""
 
     scene: SceneConfig = field(default_factory=SceneConfig)
     rpn: RpnQualityModel = field(default_factory=RpnQualityModel)
@@ -58,6 +58,12 @@ class ExperimentConfig:
     max_detections: int = 100
     seed: int
     out: str = "runs/exp"
+
+    def __post_init__(self):
+        for name in ("train_scenes", "eval_scenes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        self.train, self.policies, self.schedule  # what a run builds, so each value is checked
 
     @property
     def mode(self) -> str:
@@ -205,13 +211,11 @@ def parse_config(
     if "seed" not in values:
         raise ConfigError("no seed given: set 'seed' in [run] or pass --seed")
     try:
-        cfg = ExperimentConfig(scene=_scene(sections["scene"]),
-                               rpn=RpnQualityModel(**sections["rpn"]),
-                               feat=FeatureModel(**sections["features"]), **values)
-        cfg.train, cfg.policies, cfg.schedule  # what a run builds, so each value is checked
+        return ExperimentConfig(scene=_scene(sections["scene"]),
+                                rpn=RpnQualityModel(**sections["rpn"]),
+                                feat=FeatureModel(**sections["features"]), **values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
 
 
 def load_config(path, **overrides) -> ExperimentConfig:

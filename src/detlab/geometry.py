@@ -2,61 +2,19 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 # log-space size deltas are clamped here before exponentiation
 LOG_SIZE_CLAMP = 4.0
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box in scene units, corners (x1, y1) < (x2, y2)."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        coords = (self.x1, self.y1, self.x2, self.y2)
-        if not all(math.isfinite(c) for c in coords):
-            raise ValueError(f"box coordinates must be finite, got {coords}")
-        if not (self.x2 > self.x1 and self.y2 > self.y1):
-            raise ValueError(f"degenerate box {coords}")
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class GroundTruthInstance:
-    """One annotated object; class ids start at 1 (0 is background)."""
-
-    box: Box
-    class_id: int
-
-    def __post_init__(self):
-        if self.class_id < 1:
-            raise ValueError("ground-truth class_id must be >= 1")
+def check_boxes(boxes, what: str) -> np.ndarray:
+    """`boxes` as a float (N, 4) corner array. Raises ValueError naming `what`
+    unless every box is finite with x1 < x2 and y1 < y2."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    if not (np.all(np.isfinite(boxes)) and np.all(boxes[:, 2:] > boxes[:, :2])):
+        raise ValueError(f"{what} must be finite and non-degenerate")
+    return boxes
 
 
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:

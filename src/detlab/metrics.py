@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import iou_matrix
+from .geometry import check_boxes, iou_matrix
 from .net import softmax
 from .synthdata import Scene
 
@@ -26,14 +26,11 @@ class Detections:
         self.scenes = np.asarray(scenes, dtype=np.int64)
         self.classes = np.asarray(classes, dtype=np.int64)
         self.scores = np.asarray(scores, dtype=np.float64)
-        self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        self.boxes = check_boxes(boxes, "detection boxes")
         if not len(self.scenes) == len(self.classes) == len(self.scores) == len(self.boxes):
             raise ValueError("mismatched detection array lengths")
         if np.any(self.classes < 1):
             raise ValueError("detections are foreground only")
-        if not (np.all(np.isfinite(self.boxes))
-                and np.all(self.boxes[:, 2:] > self.boxes[:, :2])):
-            raise ValueError("detection boxes must be finite and non-degenerate")
 
     def __len__(self) -> int:
         return len(self.scores)

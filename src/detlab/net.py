@@ -59,6 +59,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if self.total_steps < 1:
+            raise ValueError("total_steps must be >= 1")
         if not (0.0 < self.decay_factor < 1.0):
             raise ValueError("decay factor must lie in (0, 1)")
 

@@ -8,14 +8,13 @@ by a configurable mixture over ground-truth counts.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .geometry import Box, GroundTruthInstance, iou_matrix, label_arrays
+from .geometry import check_boxes, iou_matrix, label_arrays
 from .seeding import rng_for
 
 POS_IOU_THRESHOLD = 0.5
@@ -81,19 +80,19 @@ class FeatureModel:
         return num_classes + self.noise_dims
 
 
-@dataclass(frozen=True)
 class Scene:
-    id: int
-    extent: tuple[float, float]
-    instances: tuple[GroundTruthInstance, ...]
+    """Struct-of-arrays ground truth of one scene: (K, 4) corner boxes and
+    their (K,) class ids, which start at 1 (0 is background)."""
 
-    @property
-    def gt_boxes(self) -> np.ndarray:
-        return np.array([g.box.as_array() for g in self.instances]).reshape(-1, 4)
-
-    @property
-    def gt_classes(self) -> np.ndarray:
-        return np.array([g.class_id for g in self.instances], dtype=np.int64)
+    def __init__(self, id, extent, gt_boxes, gt_classes):
+        self.id = id
+        self.extent = extent
+        self.gt_boxes = check_boxes(gt_boxes, "ground-truth boxes")
+        self.gt_classes = np.asarray(gt_classes, dtype=np.int64)
+        if len(self.gt_classes) != len(self.gt_boxes):
+            raise ValueError("mismatched ground-truth array lengths")
+        if np.any(self.gt_classes < 1):
+            raise ValueError("ground-truth class ids must be >= 1")
 
 
 class ProposalSet:
@@ -123,15 +122,15 @@ def generate_scene(config: SceneConfig, rng_seed: int) -> Scene:
     count = int(rng.choice(counts, p=weights / weights.sum()))
     lo, hi = config.box_size_range
     w_ext, h_ext = config.extent
-    instances = []
+    boxes, classes = [], []
     for _ in range(count):
         bw = rng.uniform(lo, min(hi, w_ext))
         bh = rng.uniform(lo, min(hi, h_ext))
         x1 = rng.uniform(0.0, w_ext - bw)
         y1 = rng.uniform(0.0, h_ext - bh)
-        cls = int(rng.integers(1, config.num_classes + 1))
-        instances.append(GroundTruthInstance(Box(x1, y1, x1 + bw, y1 + bh), cls))
-    return Scene(id=rng_seed & 0x7FFFFFFF, extent=config.extent, instances=tuple(instances))
+        classes.append(int(rng.integers(1, config.num_classes + 1)))
+        boxes.append((x1, y1, x1 + bw, y1 + bh))
+    return Scene(rng_seed & 0x7FFFFFFF, config.extent, boxes, classes)
 
 
 def quality_at(t: int, total_steps: int) -> float:
@@ -230,7 +229,8 @@ def generate_dataset(config: SceneConfig, n_scenes: int, base_seed: int,
     scenes = []
     for i in range(n_scenes):
         seed = int(rng_for(base_seed, tag, i).integers(0, 2**63))
-        scenes.append(dataclasses.replace(generate_scene(config, seed), id=i))
+        scenes.append(generate_scene(config, seed))
+        scenes[-1].id = i
     return scenes
 
 
@@ -244,10 +244,10 @@ def save_dataset(scenes: Iterable[Scene], path) -> None:
     lines = []
     for scene in scenes:
         lines.append(f"scene {scene.id} {scene.extent[0]!r} {scene.extent[1]!r} "
-                     f"{len(scene.instances)}")
-        for g in scene.instances:
-            b = g.box
-            lines.append(f"inst {g.class_id} {b.x1!r} {b.y1!r} {b.x2!r} {b.y2!r}")
+                     f"{len(scene.gt_classes)}")
+        # .tolist() gives Python scalars, whose repr is the bare number
+        for cls, box in zip(scene.gt_classes.tolist(), scene.gt_boxes.tolist()):
+            lines.append(f"inst {cls} " + " ".join(map(repr, box)))
     Path(path).write_text("".join(line + "\n" for line in lines))
 
 
@@ -269,14 +269,14 @@ def load_dataset(path) -> list[Scene]:
     try:
         while i < len(lines):
             head = _fields(lines, i, "scene", 5)
-            instances = []
+            boxes, classes = [], []
             for _ in range(int(head[4])):
                 i += 1
                 p = _fields(lines, i, "inst", 6)
-                box = Box(float(p[2]), float(p[3]), float(p[4]), float(p[5]))
-                instances.append(GroundTruthInstance(box, int(p[1])))
-            scenes.append(Scene(id=int(head[1]), extent=(float(head[2]), float(head[3])),
-                                instances=tuple(instances)))
+                classes.append(int(p[1]))
+                boxes.append([float(v) for v in p[2:]])
+            scenes.append(Scene(int(head[1]), (float(head[2]), float(head[3])),
+                                boxes, classes))
             i += 1
     except ValueError as exc:
         raise ValueError(f"line {i + 1}: {exc}") from exc

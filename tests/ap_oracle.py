@@ -14,9 +14,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from detlab.geometry import Box, iou_matrix
+from detlab.geometry import iou_matrix
 from detlab.metrics import DEFAULT_BUCKETS, DEFAULT_IOU_THRESHOLDS, APResult
 from detlab.synthdata import Scene
+from test_geometry import Box
 
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 
@@ -100,7 +101,7 @@ def _eval_class_threshold(per_scene, thr: float) -> list[tuple[float, int, bool]
 
 def _ap_over(detections: Sequence[Detection], scenes: Sequence[Scene],
              iou_thresholds: Sequence[float]) -> dict[float, float]:
-    classes = sorted({g.class_id for s in scenes for g in s.instances})
+    classes = sorted({c for s in scenes for c in s.gt_classes.tolist()})
     dets_by_class: dict[int, dict[int, list[Detection]]] = {c: {} for c in classes}
     for det in detections:
         if det.class_id in dets_by_class:
@@ -112,7 +113,7 @@ def _ap_over(detections: Sequence[Detection], scenes: Sequence[Scene],
         per_scene = []
         n_gt = 0
         for scene in scenes:
-            gt_boxes = [g.box.as_array() for g in scene.instances if g.class_id == c]
+            gt_boxes = list(scene.gt_boxes[scene.gt_classes == c])
             n_gt += len(gt_boxes)
             dets = sorted(dets_by_class[c].get(scene.id, []), key=lambda d: -d.score)
             if not dets:
@@ -146,7 +147,7 @@ def compute_ap(
     per_bucket: dict[str, float] = {}
     for name, lo, hi in buckets:
         subset = [s for s in scenes
-                  if len(s.instances) >= lo and (hi is None or len(s.instances) <= hi)]
+                  if len(s.gt_classes) >= lo and (hi is None or len(s.gt_classes) <= hi)]
         ids = {s.id for s in subset}
         sub_dets = [d for d in detections if d.scene_id in ids]
         sub = _ap_over(sub_dets, subset, iou_thresholds)

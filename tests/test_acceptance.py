@@ -22,7 +22,6 @@ from detlab.prm import ensemble_scores, select_regression
 from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
 from detlab.sampler import SamplingPolicy, sample_hard, sample_soft
 from detlab.seeding import derive_seed
-from detlab.geometry import Box, GroundTruthInstance
 from detlab.synthdata import Scene, generate_proposals, generate_scene
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
@@ -237,24 +236,20 @@ class TestExactContracts:
 
     def test_08_evaluation_contracts(self):
         scenes = [
-            Scene(id=0, extent=(100.0, 100.0), instances=(
-                GroundTruthInstance(Box(5, 5, 20, 20), 1),
-                GroundTruthInstance(Box(40, 40, 70, 60), 2),
-            )),
-            Scene(id=1, extent=(100.0, 100.0), instances=(
-                GroundTruthInstance(Box(10, 30, 25, 55), 3),
-            )),
+            Scene(0, (100.0, 100.0), [(5, 5, 20, 20), (40, 40, 70, 60)], [1, 2]),
+            Scene(1, (100.0, 100.0), [(10, 30, 25, 55)], [3]),
         ]
-        gts = [(i, g) for i, s in enumerate(scenes) for g in s.instances]
-        dets = Detections([i for i, _ in gts], [g.class_id for _, g in gts],
-                          [0.9] * len(gts), [g.box.as_array() for _, g in gts])
+        gts = [(i, box, c) for i, s in enumerate(scenes)
+               for box, c in zip(s.gt_boxes, s.gt_classes)]
+        dets = Detections([i for i, _, _ in gts], [c for _, _, c in gts],
+                          [0.9] * len(gts), [box for _, box, _ in gts])
         perfect = compute_ap(dets, scenes, buckets=())
         ok = perfect.mean_ap == 1.0
         rng = np.random.default_rng(8)
         noisy_boxes, noisy_scores = [], []
-        for _, g in gts:
+        for _, box, _ in gts:
             jx, jy = rng.uniform(-3, 3, size=2)
-            noisy_boxes.append(g.box.as_array() + [jx, jy, jx, jy])
+            noisy_boxes.append(box + [jx, jy, jx, jy])
             noisy_scores.append(float(rng.uniform(0.3, 1.0)))
         noisy = Detections(dets.scenes, dets.classes, noisy_scores, noisy_boxes)
         noisy_ap = compute_ap(noisy, scenes, buckets=())
@@ -305,7 +300,7 @@ class TestBehavioral:
                     scene, 1.0, cfg.rpn, derive_seed(seed, "shapeprop", i),
                     feat=cfg.feat, num_classes=cfg.scene.num_classes,
                     box_size_range=cfg.scene.box_size_range)
-                gt_counts.append(len(scene.instances))
+                gt_counts.append(len(scene.gt_classes))
                 pos_counts.append(int(np.sum(pool.classes > 0)))
             rhos.append(scipy_stats.spearmanr(gt_counts, pos_counts).statistic)
         rho = float(np.median(rhos))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,12 +7,38 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detlab.geometry import (
-    Box,
+    check_boxes,
     decode_deltas_array,
     encode_deltas_array,
     iou_matrix,
     label_arrays,
 )
+from detlab.synthdata import Scene
+
+
+@dataclass(frozen=True)
+class Box:
+    """Scalar corner box: input to the scalar IoU reference and the hand cases."""
+
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+    @property
+    def width(self) -> float:
+        return self.x2 - self.x1
+
+    @property
+    def height(self) -> float:
+        return self.y2 - self.y1
+
+    @property
+    def area(self) -> float:
+        return self.width * self.height
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.x1, self.y1, self.x2, self.y2], dtype=np.float64)
 
 
 def boxes(min_size=0.5, max_size=50.0):
@@ -23,17 +50,21 @@ def boxes(min_size=0.5, max_size=50.0):
 
 
 class TestBox:
-    def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            Box(0, 0, 0, 1)
-        with pytest.raises(ValueError):
-            Box(0, 0, 1, float("nan"))
+    """Box validity is defined once, by check_boxes, for detections and scenes."""
 
-    def test_properties(self):
-        b = Box(1, 2, 4, 6)
-        assert b.width == 3 and b.height == 4
-        assert b.center == (2.5, 4.0)
-        assert b.area == 12
+    def test_rejects_degenerate(self):
+        np.testing.assert_array_equal(check_boxes([1, 2, 4, 6], "boxes"), [[1, 2, 4, 6]])
+        for bad in ([0, 0, 0, 1], [0, 0, 1, float("nan")], [0, 0, float("inf"), 1]):
+            with pytest.raises(ValueError, match="detection boxes must be finite"):
+                check_boxes([[0, 0, 1, 1], bad], "detection boxes")
+            with pytest.raises(ValueError, match="ground-truth boxes must be finite"):
+                Scene(0, (100.0, 100.0), [bad], [1])
+
+    def test_scene_rejects_background_class_and_length_mismatch(self):
+        with pytest.raises(ValueError, match="class ids must be >= 1"):
+            Scene(0, (100.0, 100.0), [[0, 0, 1, 1]], [0])
+        with pytest.raises(ValueError, match="mismatched"):
+            Scene(0, (100.0, 100.0), [[0, 0, 1, 1]], [1, 2])
 
 
 def iou(a: Box, b: Box) -> float:

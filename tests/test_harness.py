@@ -298,7 +298,11 @@ class TestCli:
         (TINY + "[train]\nlearning_rate = -1\n", "learning rate must be positive"),
         (TINY + "[train]\ndecay_factor = 1.5\n", "decay factor must lie in (0, 1)"),
         (TINY + "[rga]\nenabled = true\nlambda0 = 0.5\n", "initial magnification must be >= 1"),
-    ], ids=["num_classes", "jitter", "learning_rate", "decay_factor", "lambda0"])
+        (TINY.replace("steps = 40", "steps = 0"), "total_steps must be >= 1"),
+        (TINY.replace("train_scenes = 20", "train_scenes = 0"), "train_scenes must be >= 1"),
+        (TINY.replace("[eval]\nscenes = 20", "[eval]\nscenes = 0"), "eval_scenes must be >= 1"),
+    ], ids=["num_classes", "jitter", "learning_rate", "decay_factor", "lambda0",
+            "steps", "train_scenes", "eval_scenes"])
     def test_invalid_value_exits_1_before_any_work(self, tmp_path, capsys, doc, message):
         bad = tmp_path / "bad.cfg"
         bad.write_text(doc)
@@ -357,6 +361,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(cache) in err and "line " in err
 
+    def test_degenerate_cache_box_names_file_and_record(self, tmp_path, capsys):
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "data"
+        assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
+        (cache,) = out.glob("dataset_eval_*.txt")
+        lines = cache.read_text().splitlines()
+        head = next(i for i, line in enumerate(lines)
+                    if line.startswith("scene ") and int(line.split()[4]) >= 2)
+        p = lines[head + 1].split()  # the record's first instance gets x2 = x1
+        lines[head + 1] = " ".join(p[:4] + [p[2]] + p[5:])
+        cache.write_text("\n".join(lines) + "\n")
+        assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        last = head + int(lines[head].split()[4]) + 1  # the record's last line, 1-based
+        assert str(cache) in err
+        assert f"line {last}: ground-truth boxes must be finite and non-degenerate" in err
+
     def test_sweep_exit_code_names_failed_runs(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "sweep"
@@ -370,6 +391,17 @@ class TestCli:
         assert "1:1+1:9" not in err
         with open(out / "sweep.csv", newline="") as fh:
             assert [r["n_failed"] for r in csv.DictReader(fh)] == ["0", "1"]
+
+    def test_sweep_checks_each_cell_before_any_work(self, tmp_path, capsys):
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "sweep"
+        code = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
+                         "--axis", "lambda0", "--values", "0.5", "--seeds", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "sweep cell 0.5: 1 of 1 runs failed: seed 3: ValueError: " \
+               "initial magnification must be >= 1" in err
+        assert (out / "sweep.csv").exists() and not (out / "0.5").exists()
 
     def test_sampling_ablation_exit_code(self, tmp_path, capsys):
         spec = importlib.util.spec_from_file_location(

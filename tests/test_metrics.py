@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from detlab.config import parse_config
-from detlab.geometry import Box, GroundTruthInstance
 from detlab.harness import _detections_for
 from detlab.metrics import (
     DEFAULT_BUCKETS,
@@ -22,12 +21,13 @@ from detlab.metrics import (
 from detlab.synthdata import Scene
 
 import ap_oracle
-from test_geometry import iou
+from test_geometry import Box, iou
 
 
 def scene(sid, boxes_classes):
-    return Scene(id=sid, extent=(100.0, 100.0), instances=tuple(
-        GroundTruthInstance(b, c) for b, c in boxes_classes))
+    """A scene from (Box, class) pairs."""
+    return Scene(sid, (100.0, 100.0), [b.as_array() for b, _ in boxes_classes],
+                 [c for _, c in boxes_classes])
 
 
 def dets(*rows):
@@ -122,8 +122,8 @@ class TestComputeAp:
             scene(0, [(Box(0, 0, 10, 10), 1), (Box(30, 30, 40, 45), 2)]),
             scene(1, [(Box(5, 5, 20, 20), 3)]),
         ]
-        return dets(*[(s.id, g.box, g.class_id, 1.0)
-                      for s in scenes for g in s.instances]), scenes
+        return dets(*[(s.id, Box(*b), c, 1.0) for s in scenes
+                      for b, c in zip(s.gt_boxes.tolist(), s.gt_classes.tolist())]), scenes
 
     def test_perfect_detections(self):
         detections, scenes = self.perfect_case()
@@ -206,7 +206,7 @@ class TestComputeAp:
             result = compute_ap(detections, scenes)
             for name, lo, hi in DEFAULT_BUCKETS:
                 idx = [i for i, s in enumerate(scenes)
-                       if len(s.instances) >= lo and (hi is None or len(s.instances) <= hi)]
+                       if len(s.gt_classes) >= lo and (hi is None or len(s.gt_classes) <= hi)]
                 remap = np.full(len(scenes), -1)
                 remap[idx] = np.arange(len(idx))
                 sub = detections[np.isin(detections.scenes, idx)]

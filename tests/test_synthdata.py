@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from detlab.geometry import Box, GroundTruthInstance
+from detlab.config import load_config
 from detlab.seeding import derive_seed
 from detlab.synthdata import (
     FeatureModel,
@@ -17,22 +19,23 @@ from detlab.synthdata import (
     quality_at,
     save_dataset,
 )
+from test_harness import DESK_CFG
 
 
 class TestSceneGeneration:
     def test_fixed_count(self):
         cfg = SceneConfig(gt_count_weights={3: 1.0})
         scene = generate_scene(cfg, 42)
-        assert len(scene.instances) == 3
+        assert scene.gt_boxes.shape == (3, 4) and scene.gt_classes.shape == (3,)
         w, h = cfg.extent
-        for g in scene.instances:
-            assert 0 <= g.box.x1 < g.box.x2 <= w
-            assert 0 <= g.box.y1 < g.box.y2 <= h
-            assert 1 <= g.class_id <= cfg.num_classes
+        x1, y1, x2, y2 = scene.gt_boxes.T
+        assert np.all((0 <= x1) & (x1 < x2) & (x2 <= w))
+        assert np.all((0 <= y1) & (y1 < y2) & (y2 <= h))
+        assert np.all((1 <= scene.gt_classes) & (scene.gt_classes <= cfg.num_classes))
 
     def test_deterministic(self):
         cfg = SceneConfig()
-        assert generate_scene(cfg, 9) == generate_scene(cfg, 9)
+        assert_same_scenes([generate_scene(cfg, 9)], [generate_scene(cfg, 9)])
 
     def test_rejects_oversized_boxes(self):
         with pytest.raises(ValueError):
@@ -40,7 +43,7 @@ class TestSceneGeneration:
 
     def test_mixture_frequencies(self):
         cfg = SceneConfig(gt_count_weights={1: 0.5, 8: 0.5})
-        counts = [len(generate_scene(cfg, derive_seed("mix", i)).instances)
+        counts = [len(generate_scene(cfg, derive_seed("mix", i)).gt_classes)
                   for i in range(10000)]
         frac_one = np.mean([c == 1 for c in counts])
         assert abs(frac_one - 0.5) < 0.02
@@ -58,10 +61,18 @@ class TestQuality:
             quality_at(101, 100)
 
 
+def assert_same_scenes(a, b):
+    """Equal ids and extents, and exactly equal ground-truth arrays."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.id, x.extent) == (y.id, y.extent)
+        np.testing.assert_array_equal(x.gt_boxes, y.gt_boxes, strict=True)
+        np.testing.assert_array_equal(x.gt_classes, y.gt_classes, strict=True)
+
+
 def _scene(n=2, cls=2):
-    boxes = [Box(10 + 30 * i, 10, 30 + 30 * i, 30) for i in range(n)]
-    return Scene(id=1, extent=(100.0, 100.0),
-                 instances=tuple(GroundTruthInstance(b, cls) for b in boxes))
+    boxes = [(10 + 30 * i, 10, 30 + 30 * i, 30) for i in range(n)]
+    return Scene(1, (100.0, 100.0), boxes, [cls] * n)
 
 
 class TestProposals:
@@ -69,12 +80,12 @@ class TestProposals:
         model = RpnQualityModel(jitter_start=0.6, jitter_end=0.0)
         pool = generate_proposals(_scene(), 1.0, model, 5, num_classes=3)
         # every instance keeps at least one exact copy
-        for g in range(len(_scene().instances)):
+        for g in range(len(_scene().gt_classes)):
             exact = (pool.matched == g) & (pool.max_ious == 1.0)
             assert exact.any()
 
     def test_zero_gt_scene(self):
-        scene = Scene(id=2, extent=(100.0, 100.0), instances=())
+        scene = Scene(2, (100.0, 100.0), [], [])
         model = RpnQualityModel()
         pool = generate_proposals(scene, 0.5, model, 3, num_classes=3)
         assert len(pool) == model.bg_per_scene
@@ -126,7 +137,7 @@ class TestProposals:
             scene = generate_scene(cfg, derive_seed("corr", i))
             pool = generate_proposals(scene, 1.0, model, derive_seed("corr-p", i),
                                       num_classes=3)
-            gt_counts.append(len(scene.instances))
+            gt_counts.append(len(scene.gt_classes))
             pos_counts.append(int((pool.classes > 0).sum()))
         rho = stats.spearmanr(gt_counts, pos_counts).statistic
         assert rho > 0.5
@@ -157,10 +168,22 @@ class TestFeatures:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         scenes = generate_dataset(SceneConfig(), 5, 123)
-        scenes.append(Scene(id=5, extent=(100.0, 100.0), instances=()))
+        scenes.append(Scene(5, (100.0, 100.0), [], []))
         path = tmp_path / "data.txt"
         save_dataset(scenes, path)
-        assert load_dataset(path) == scenes
+        assert_same_scenes(load_dataset(path), scenes)
+
+    @pytest.mark.parametrize("tag, n, sha256", [
+        ("train", 2000, "eae26a11377897f9dbc364c72622ed69be0d6a222f9ec634ba17609806cb4801"),
+        ("eval", 500, "6dd0526d40052f6688a4418d0a998a0313edba5c43e674eaa0f26eca771be7d9"),
+    ])
+    def test_desk_cache_bytes_are_pinned(self, tmp_path, tag, n, sha256):
+        # the dataset_<tag>_*.txt file that `detlab train --config configs/desk.cfg
+        # --seed 7` writes
+        scene_cfg = load_config(DESK_CFG, seed=7).scene
+        path = tmp_path / "data.txt"
+        save_dataset(generate_dataset(scene_cfg, n, 7, tag=tag), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_short_record_names_line(self, tmp_path):
         path = tmp_path / "data.txt"
