@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from detlab.config import ConfigError, parse_ratio, load_config
+from detlab.files import atomic_write
 from detlab.harness import sweep, sweep_exit_code
 
 
@@ -40,7 +41,7 @@ def main(argv=None):
     medians = {row["value"]: row["ap_mean"] for row in sweep_rows}
     rows = [{"ratio": name, "hard": medians[f"hard_{name}"],
              "soft": medians[f"soft_{name}"]} for name in names]
-    with open(Path(args.out) / "sampling_ablation.csv", "w", newline="") as fh:
+    with atomic_write(Path(args.out) / "sampling_ablation.csv", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["ratio", "hard", "soft"])
         writer.writeheader()
         writer.writerows(rows)

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import MODES, ConfigError, ExperimentConfig
+from .files import atomic_write
 from .metrics import (
     APResult,
     Detections,
@@ -133,12 +134,13 @@ def write_eval_report(result: EvalResult, path) -> None:
         lines.append("  mean_fg = " + ", ".join(f"{v:.4f}" for v in s.mean_fg))
         lines.append(f"  median_gap = {s.median_gap:.4f}")
         lines.append(f"  frac_gap_gt_{s.gap_threshold} = {s.frac_large_gap:.4f}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_gradnorm_csv(records: Sequence[GradNormRecord], path) -> None:
     n_heads = len(records[0].head_norms) if records else 0
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step"] + [f"norm_h{i + 1}" for i in range(n_heads)]
                         + ["norm_sum", "cosine"])
@@ -160,7 +162,8 @@ def write_eval_summary(result: EvalResult, cfg: ExperimentConfig, path) -> dict:
             "median_gap": result.score_stats.median_gap,
             "frac_large_gap": result.score_stats.frac_large_gap,
         }
-    Path(path).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary
 
 
@@ -218,6 +221,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         record, stats, lam = prm_train_step(
             model, pool, t, train_cfg, schedule, cfg.seed
         )
+        fg_scores = tuple(s.mean_fg_score for s in stats)
+        if not np.isfinite((record.norm_sum, *fg_scores)).all():
+            raise FloatingPointError(
+                f"training went non-finite at step {t}: backbone gradient norm "
+                f"{record.norm_sum!r}, mean foreground scores {fg_scores!r}")
         head0 = stats[0]
         log.append(MetricsRow(
             step=t,
@@ -226,7 +234,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             pos_acc=head0.pos_acc,
             neg_acc=head0.neg_acc,
             lam=lam,
-            fg_scores=tuple(s.mean_fg_score for s in stats),
+            fg_scores=fg_scores,
         ))
         gradnorm.append(record)
 
@@ -245,9 +253,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         "mode": cfg.mode,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    with atomic_write(out_dir / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return RunResult(config=cfg, metrics=log, gradnorm=gradnorm, eval=result,
                      summary=summary, out_dir=out_dir)
 
@@ -310,7 +317,7 @@ def sweep(cfg: ExperimentConfig, cells: dict[str, dict], seeds: Sequence[int],
         rows.append(row)
     heads = sorted({k for row in rows for k in row if k.startswith("ap_head_")})
     fieldnames = ["value", "n_seeds", "n_failed", "errors", *AP_KEYS, *heads]
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
+    with atomic_write(out_dir / "sweep.csv", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)

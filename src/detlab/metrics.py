@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .files import atomic_write
 from .geometry import check_boxes, iou_matrix
 from .net import softmax
 from .synthdata import Scene
@@ -242,7 +243,7 @@ class MetricsLog:
         return len(self.rows[0].fg_scores) if self.rows else 0
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             header = ["step", "pos_count_unique", "pos_count_effective",
                       "pos_acc", "neg_acc", "lambda"]

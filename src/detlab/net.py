@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import atomic_write
+
 INIT_SCALE = 0.1
 SMOOTH_L1_BETA = 1.0
 
@@ -227,7 +229,8 @@ def save_params(path, backbone: BackboneParams, heads: list[HeadParams], **extra
     for i, head in enumerate(heads):
         for name, arr in zip(names, head.arrays()):
             arrays[f"head{i}/{name}"] = arr
-    np.savez(path, **arrays)
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_params(path) -> tuple[BackboneParams, list[HeadParams]]:

@@ -47,10 +47,8 @@ class GradNormRecord:
 class HeadBatchStats:
     pos_count_unique: int
     pos_count_effective: int
-    neg_count: int
     pos_acc: Optional[float]
     neg_acc: Optional[float]
-    loss: float
     mean_fg_score: float  # mean max foreground probability over the whole pool
 
 
@@ -108,14 +106,14 @@ def prm_train_step(
         zip(model.heads, model.policies, head_weights)
     ):
         batch = sample(pool.classes, policy, batch_seed(base_seed, t, i))
-        x = pool.features[batch.indices]
         targets = pool.classes[batch.indices]
         reg_targets = pool.reg_targets[batch.indices]
         pos_mask = targets > 0
-        logits, deltas, cache = net.forward(model.backbone, head, x)
-        loss = net.total_loss(logits, deltas, targets, reg_targets, pos_mask,
-                              batch.multiplicities, config.cls_weight,
-                              config.reg_weight)
+        # One forward over the pool serves both the pool statistics and the
+        # batch: each row's outputs do not depend on the other rows.
+        pool_logits, pool_deltas, pool_cache = net.forward(model.backbone, head, pool.features)
+        cache = net.ForwardCache(head, *(a[batch.indices] for a in (
+            pool_cache.x, pool_cache.hidden, pool_cache.shared, pool_logits, pool_deltas)))
         g_backbone, g_head = net.backward(
             cache, targets, reg_targets, pos_mask, batch.multiplicities,
             config.cls_weight, config.reg_weight,
@@ -126,16 +124,13 @@ def prm_train_step(
         backbone_contribs.append(g_backbone)
         head_grads.append(g_head)
 
-        pos_acc, neg_acc = proposal_accuracy(logits, targets)
-        pool_logits, _, _ = net.forward(model.backbone, head, pool.features)
+        pos_acc, neg_acc = proposal_accuracy(cache.logits, targets)
         fg = net.softmax(pool_logits)[:, 1:].max(axis=1)
         stats.append(HeadBatchStats(
             pos_count_unique=batch.pos_count_unique,
             pos_count_effective=batch.pos_count_effective,
-            neg_count=batch.neg_count,
             pos_acc=pos_acc,
             neg_acc=neg_acc,
-            loss=loss,
             mean_fg_score=float(fg.mean()),
         ))
 

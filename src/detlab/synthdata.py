@@ -14,6 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .files import atomic_write
 from .geometry import check_boxes, iou_matrix, label_arrays
 from .seeding import rng_for
 
@@ -248,7 +249,8 @@ def save_dataset(scenes: Iterable[Scene], path) -> None:
         # .tolist() gives Python scalars, whose repr is the bare number
         for cls, box in zip(scene.gt_classes.tolist(), scene.gt_boxes.tolist()):
             lines.append(f"inst {cls} " + " ".join(map(repr, box)))
-    Path(path).write_text("".join(line + "\n" for line in lines))
+    with atomic_write(path) as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def _fields(lines: list[str], i: int, kind: str, n: int) -> list[str]:

@@ -6,6 +6,7 @@ and compare seed medians, so this module takes several minutes end to end.
 Each check prints a single PASS/FAIL line.
 """
 
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -83,6 +84,45 @@ scenes = 8
 [run]
 seed = 5
 """
+
+
+# SHA-256 of the artifacts of a TINY_CFG run per (mode, sampling), taken before
+# each training step's batch was read from its pool forward. Like
+# perfbench/reference.json they assume the pinned numpy (2.4.6) and its
+# OpenBLAS: another BLAS may round a matmul differently and change every hash.
+PINNED_FILES = ("metrics.csv", "gradnorm.csv", "eval_report.txt", "checkpoint.npz")
+PINNED_SHA256 = {
+    ("baseline", "soft"): (
+        "fc306f520c6d6b4e16f25d5511d8af6b573fcf112fe36df544d7d5d3a02908c4",
+        "4233a63ce9b27fb99d19f8e588b98b8e5a52da8fb72fdba0ec2909ff8fae5645",
+        "11734ba0d9d8ecc447d8a83b5a508e66534d5eab707694e1bfd15b45d0192b82",
+        "670556efd0d5d68efb32cb9cdef1fe267813dbae1a574e03ee0987e25ecda9d5",
+    ),
+    ("rga", "soft"): (
+        "7630faa578ee0a10bca4e5b55e6eb5984c8349c8f0d91f778acb0f8348b3a454",
+        "40e5560e234fb01074c2cf7193d97e446429e127bfafb409c63db4cbda2a285f",
+        "8016fe78a29f49c88609160d8330f62bfe12e48dbc3a8a7c265a81f05bbf6b19",
+        "9bc164f24d1615cb17abb52dc145f5af047a8a27239ebc65c1627aade1bcd5c7",
+    ),
+    ("prm", "soft"): (
+        "4b5ac84161635d3d159910ae9ae48df1e10ba95c258e7558a0e4bc7567cd7d5d",
+        "1d7ba67851f465c019b359e7b2e98ed423d8c0dd37c51c7a896f94c839a8d817",
+        "e5fb270d7b13461db83635b898b6f02263c05c17461717d3caa7b6598c3b89c0",
+        "082317694d68a60f5030061cc4493e2fd252815f78a8c0c7a36b7ff6b23a1629",
+    ),
+    ("rga+prm", "soft"): (
+        "290bb7d2fd1901adb490bf1ad54d6f227731c468f11718d037c8d8532f11b6f8",
+        "7f26e353d1a9e983a4fb1552516bf06589914aaf84ca484f112e993b28530780",
+        "0ea652cb7c52e855db21ffdc6fddc8fb91cff90b7e89ec1cf32a4161cbf797a4",
+        "ef4742458fcb945e450cb4081762fcc9f76d20550aa45c92ed9d75e91edd9e24",
+    ),
+    ("baseline", "hard"): (
+        "92f7fdf8cf282e66fb862b6b3e5f0761d0e1b7408bdf8fc980f95e5be1fc4401",
+        "517ed8b81efc6aa64e3505288cf704b6a5380348199206a510aeafa41d43074d",
+        "f902e1d773b819effbb543a9cdf282fec14192947748008eeb47a7c269cc701f",
+        "60600b2bb9c237d22bcd8e0b9be73339a479d86581a347d116d67afb1aca9c23",
+    ),
+}
 
 
 def tiny_run(tmp_path, name, **overrides):
@@ -260,6 +300,16 @@ class TestExactContracts:
             again = nms(once.boxes, once.scores, once.classes, 0.5)
             ok = ok and again.tolist() == list(range(len(once)))
         report("08 perfect AP, threshold monotonicity, NMS idempotence", ok)
+
+    @pytest.mark.parametrize("mode, sampling", PINNED_SHA256)
+    def test_08b_artifact_bytes_are_pinned(self, tmp_path, mode, sampling):
+        run = tiny_run(tmp_path, "pinned", **MODES[mode], sampling_mode=sampling)
+        got = tuple(hashlib.sha256((run.out_dir / name).read_bytes()).hexdigest()
+                    for name in PINNED_FILES)
+        changed = [name for name, a, b in zip(PINNED_FILES, got, PINNED_SHA256[mode, sampling])
+                   if a != b]
+        report(f"08b {mode} {sampling} artifact bytes unchanged", not changed,
+               ", ".join(changed))
 
 
 # --- behavioral reproduction ------------------------------------------------

@@ -7,9 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from detlab import harness
 from detlab.cli import main as cli_main
 from detlab.config import MODES, SCHEMA, ConfigError, ExperimentConfig, load_config, parse_config
+from detlab.files import atomic_write
 from detlab.harness import axis_cells, run_experiment, sweep
+from detlab.metrics import MetricsLog, MetricsRow
+from detlab.net import init_backbone, save_params
 
 TINY = """
 [scene]
@@ -218,6 +222,51 @@ class TestRunExperiment:
             run_experiment(cfg)
 
 
+class Unprintable(float):
+    def __repr__(self):
+        raise RuntimeError("writer failed")
+
+
+def fail_metrics_csv(path):
+    log = MetricsLog()
+    for step, score in enumerate((0.5, Unprintable(0.5))):  # fails on the second row
+        log.append(MetricsRow(step=step, pos_count_unique=1, pos_count_effective=1,
+                              pos_acc=None, neg_acc=None, lam=1.0, fg_scores=(score,)))
+    log.to_csv(path)
+
+
+def fail_checkpoint(path):
+    backbone = init_backbone(3, 2, np.random.default_rng(0))
+    # an array that cannot be pickled, written after the parameters
+    save_params(path, backbone, [], late=np.array([lambda: 0], dtype=object))
+
+
+def fail_plain(path):
+    with atomic_write(path) as fh:
+        fh.write("partial")
+        raise RuntimeError("writer failed")
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", [fail_plain, fail_metrics_csv, fail_checkpoint],
+                             ids=["atomic_write", "metrics_csv", "checkpoint"])
+    def test_failed_writer_leaves_previous_file(self, tmp_path, writer):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"previous run\n")
+        with pytest.raises(Exception):
+            writer(path)
+        assert path.read_bytes() == b"previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+    def test_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "artifact"
+        path.write_text("previous run, longer than the new text\n")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
 class TestSweep:
     def test_lambda0_axis(self, tmp_path):
         cfg = tiny_cfg(tmp_path / "base")
@@ -316,6 +365,26 @@ class TestCli:
         cfg_path = self.write_cfg(tmp_path)
         assert cli_main(["report", "--config", str(cfg_path),
                          "--out", str(tmp_path / "nowhere")]) == 2
+
+    # the contract is the error naming the step; a numpy RuntimeWarning on the
+    # way there must not stand in for it
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_training_exits_2_naming_the_step(self, tmp_path, capsys,
+                                                          monkeypatch):
+        scene_proposals = harness._scene_proposals
+
+        def poisoned(cfg, scene, q, seed_tag):
+            pool = scene_proposals(cfg, scene, q, seed_tag)
+            if seed_tag == ("prop", 3):
+                pool.features[0, 0] = np.nan
+            return pool
+
+        monkeypatch.setattr(harness, "_scene_proposals", poisoned)
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "error: training went non-finite at step 3:" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
 
     def test_eval_from_checkpoint(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)

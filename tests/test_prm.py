@@ -3,7 +3,7 @@ import pytest
 
 import detlab.prm as prm_mod
 from detlab import net
-from detlab.net import HeadParams, TrainConfig, softmax
+from detlab.net import BackboneParams, HeadParams, TrainConfig, softmax
 from detlab.prm import (
     PrmModel,
     ensemble_scores,
@@ -12,9 +12,12 @@ from detlab.prm import (
     prm_train_step,
     select_regression,
 )
+from detlab.rga import AnnealSchedule
 from detlab.sampler import SamplingPolicy
 from detlab.seeding import derive_seed
 from detlab.synthdata import RpnQualityModel, SceneConfig, generate_proposals, generate_scene
+
+import train_step_oracle
 
 C = 3
 FEATURE_DIM = C + 8
@@ -188,3 +191,85 @@ class TestTrainStep:
             results.append(np.concatenate(
                 [a.ravel() for a in model.backbone.arrays() + model.heads[0].arrays()]))
         np.testing.assert_array_equal(results[0], results[1])
+
+
+def copy_model(model):
+    return PrmModel(
+        backbone=BackboneParams(*[a.copy() for a in model.backbone.arrays()]),
+        heads=[HeadParams(*[a.copy() for a in h.arrays()]) for h in model.heads],
+        policies=list(model.policies),
+    )
+
+
+ORACLE_STEPS = 20
+# (policies, head_weights, annealed); batches of 64 on pools of 64-112 rows, so
+# hard batches at low proposal quality repeat scarce positives (multiplicity
+# above 1) and hold fewer than 64 rows.
+ORACLE_CASES = {
+    "soft": ([policy((1, 3), batch=64)], None, False),
+    "hard-annealed": ([policy((1, 1), "hard", 64)], None, True),
+    "two-heads": ([policy((1, 1), batch=64), policy((1, 9), "hard", 64)], None, False),
+    "two-heads-annealed": ([policy((1, 1), "hard", 64), policy((1, 9), batch=64)], None, True),
+    "zero-weight": ([policy((1, 3), batch=64), policy((1, 9), "hard", 64)], (1.0, 0.0), False),
+    "three-heads-annealed": ([policy((1, 1), batch=64), policy((1, 3), "hard", 64),
+                              policy((1, 9), batch=64)], None, True),
+}
+
+
+def all_params(model):
+    return model.backbone.arrays() + [a for h in model.heads for a in h.arrays()]
+
+
+def oracle_pool(t):
+    return make_pool(seed=500 + t, q=t / ORACLE_STEPS, gt_count=1 + t % 5)
+
+
+class TestTrainStepOracle:
+    """The step takes each head's batch from its one pool forward; the oracle is
+    the step as it was, with a forward on the batch and another on the pool."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_equals_oracle_exactly(self, case):
+        policies, weights, annealed = ORACLE_CASES[case]
+        model = init_model(FEATURE_DIM, 5, C, policies, 17)
+        oracle = copy_model(model)
+        cfg = train_cfg(total=ORACLE_STEPS)
+        schedule = AnnealSchedule(lambda0=4.0, total_steps=ORACLE_STEPS) if annealed else None
+        repeated = [False] * len(policies)
+        for t in range(ORACLE_STEPS):
+            pool = oracle_pool(t)
+            record, stats, lam = prm_train_step(model, pool, t, cfg, schedule, 3, weights)
+            want_record, want_stats, want_lam = train_step_oracle.prm_train_step(
+                oracle, pool, t, cfg, schedule, 3, weights)
+            for got, want in zip(all_params(model), all_params(oracle), strict=True):
+                assert np.array_equal(got, want), f"step {t}"
+            assert record == want_record
+            assert lam == want_lam
+            for i, (got, want) in enumerate(zip(stats, want_stats, strict=True)):
+                assert (got.pos_count_unique, got.pos_count_effective, got.pos_acc,
+                        got.neg_acc, got.mean_fg_score) == (
+                    want.pos_count_unique, want.pos_count_effective, want.pos_acc,
+                    want.neg_acc, want.mean_fg_score), f"step {t} head {i}"
+                repeated[i] |= got.pos_count_effective > got.pos_count_unique
+        assert repeated == [p.mode == "hard" for p in policies]
+
+    def test_one_pool_forward_per_head_and_no_loss(self, monkeypatch):
+        rows = []
+        forward = net.forward
+
+        def counted(backbone, head, features):
+            rows.append(len(features))
+            return forward(backbone, head, features)
+
+        def no_loss(*args, **kwargs):
+            raise AssertionError("the step computes a loss that nothing reads")
+
+        monkeypatch.setattr(net, "forward", counted)
+        monkeypatch.setattr(net, "total_loss", no_loss)
+        policies, _, _ = ORACLE_CASES["three-heads-annealed"]
+        model = init_model(FEATURE_DIM, 5, C, policies, 17)
+        for t in range(5):
+            pool = oracle_pool(t)
+            rows.clear()
+            prm_train_step(model, pool, t, train_cfg(total=5), None, 3)
+            assert rows == [len(pool)] * 3
