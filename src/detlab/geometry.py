@@ -17,21 +17,21 @@ def check_boxes(boxes, what: str) -> np.ndarray:
     return boxes
 
 
+def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of corner-format boxes along the last axis, broadcasting the rest:
+    row-aligned (N,4) arrays give (N,) IoUs."""
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+    union = ((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+             + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
+    return np.where(inter > 0.0, inter / union, 0.0)
+
+
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between (N,4) and (M,4) corner-format box arrays."""
-    boxes_a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
-    boxes_b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    ix = np.minimum(boxes_a[:, None, 2], boxes_b[None, :, 2]) - np.maximum(
-        boxes_a[:, None, 0], boxes_b[None, :, 0]
-    )
-    iy = np.minimum(boxes_a[:, None, 3], boxes_b[None, :, 3]) - np.maximum(
-        boxes_a[:, None, 1], boxes_b[None, :, 1]
-    )
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
-    area_a = (boxes_a[:, 2] - boxes_a[:, 0]) * (boxes_a[:, 3] - boxes_a[:, 1])
-    area_b = (boxes_b[:, 2] - boxes_b[:, 0]) * (boxes_b[:, 3] - boxes_b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    return np.where(inter > 0.0, inter / union, 0.0)
+    return iou(np.asarray(boxes_a, dtype=np.float64).reshape(-1, 1, 4),
+               np.asarray(boxes_b, dtype=np.float64).reshape(1, -1, 4))
 
 
 def encode_deltas_array(proposals: np.ndarray, gts: np.ndarray) -> np.ndarray:

@@ -65,18 +65,23 @@ def _scene_proposals(cfg: ExperimentConfig, scene: Scene, q: float, seed_tag) ->
     )
 
 
-def _detections_for(cfg: ExperimentConfig, scene_index: int, scores: np.ndarray,
-                    boxes: np.ndarray) -> Detections:
-    """One scene's candidates at or above the score floor, after NMS and the
-    `max_detections` cap on the highest scores."""
-    classes, rows = np.nonzero(scores[:, 1:].T >= cfg.score_floor)
+def _scene_detections(cfg: ExperimentConfig, scene_index: int,
+                      outputs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[tuple]:
+    """Each output's (scene, class, score, box) detection columns in one scene,
+    from its (scores, boxes): the candidates at or above the score floor after
+    one NMS keyed by (output, class), capped at `max_detections` per output."""
+    scores, boxes = (np.stack(column) for column in zip(*outputs))
+    out, classes, rows = np.nonzero(scores[:, :, 1:].transpose(0, 2, 1) >= cfg.score_floor)
     classes += 1
-    cands = Detections(np.full(len(rows), scene_index), classes, scores[rows, classes],
-                       boxes[rows])
-    keep = nms(cands.boxes, cands.scores, cands.classes, cfg.nms_threshold)
-    if len(keep) > cfg.max_detections:
-        keep = keep[np.argsort(-cands.scores[keep], kind="stable")[: cfg.max_detections]]
-    return cands[keep]
+    groups = out * scores.shape[2] + classes  # (output, class)
+    scores, boxes = scores[out, rows, classes], boxes[out, rows]
+    keep = nms(boxes, scores, groups, cfg.nms_threshold)
+    found = []  # nms returns its groups ascending, so output by output
+    for kept in np.split(keep, np.searchsorted(out[keep], np.arange(1, len(outputs)))):
+        if len(kept) > cfg.max_detections:  # the highest scores, ties in NMS order
+            kept = kept[np.argsort(-scores[kept], kind="stable")[: cfg.max_detections]]
+        found.append((np.full(len(kept), scene_index), classes[kept], scores[kept], boxes[kept]))
+    return found
 
 
 def evaluate_model(model: PrmModel, scenes: Sequence[Scene],
@@ -84,8 +89,7 @@ def evaluate_model(model: PrmModel, scenes: Sequence[Scene],
     """Proposals at final quality, ensemble + per-head detections, AP, and
     head score-disagreement statistics."""
     multi = len(model.heads) > 1
-    # the ensemble's detections, then each head's on its own if there are several
-    found: list[list[Detections]] = [[] for _ in range(len(model.heads) + 1 if multi else 1)]
+    found: list[list[tuple]] = []  # per scene, per output
     head_logits: list[list[np.ndarray]] = []  # per scene, per head
     from .geometry import decode_deltas_array
 
@@ -93,15 +97,16 @@ def evaluate_model(model: PrmModel, scenes: Sequence[Scene],
         pool = _scene_proposals(cfg, scene, 1.0, ("evalprop", scene.id))
         pred = prm_predict(model, pool)
         head_logits.append(pred.head_logits)
+        # the ensemble, then each head on its own if there are several
         outputs = [(pred.scores, pred.boxes)]
         if multi:  # the selected head's boxes are decoded already
             selected = select_regression(model.policies, pred.head_deltas)
             outputs += [(softmax(logits), pred.boxes if deltas is selected
                          else decode_deltas_array(pool.boxes, deltas))
                         for logits, deltas in zip(pred.head_logits, pred.head_deltas)]
-        for dets, (scores, boxes) in zip(found, outputs):
-            dets.append(_detections_for(cfg, index, scores, boxes))
-    ensemble_ap, *heads_ap = [compute_ap(Detections.concat(d), scenes) for d in found]
+        found.append(_scene_detections(cfg, index, outputs))
+    ensemble_ap, *heads_ap = [compute_ap(Detections(*map(np.concatenate, zip(*d))), scenes)
+                              for d in zip(*found)]
     stats = score_gap_stats([np.concatenate(h) for h in zip(*head_logits)]) if multi else None
     return EvalResult(ensemble=ensemble_ap, heads=heads_ap, score_stats=stats)
 
@@ -162,9 +167,13 @@ def write_eval_summary(result: EvalResult, cfg: ExperimentConfig, path) -> dict:
             "median_gap": result.score_stats.median_gap,
             "frac_large_gap": result.score_stats.frac_large_gap,
         }
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write_json(path, summary)
     return summary
+
+
+def _write_json(path, data: dict) -> None:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def _layout(ratios) -> str:
@@ -247,14 +256,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     result = evaluate_model(model, eval_scenes, cfg)
     write_eval_report(result, out_dir / "eval_report.txt")
     summary = write_eval_summary(result, cfg, out_dir / "eval_summary.json")
-    manifest = {
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
-        "mode": cfg.mode,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-    with atomic_write(out_dir / "manifest.json") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    # manifest.json is byte-identical on reruns; what varies goes to timings.json
+    _write_json(out_dir / "manifest.json",
+                {"config_hash": cfg.config_hash(), "seed": cfg.seed, "mode": cfg.mode})
+    _write_json(out_dir / "timings.json", {"created": time.strftime("%Y-%m-%dT%H:%M:%S")})
     return RunResult(config=cfg, metrics=log, gradnorm=gradnorm, eval=result,
                      summary=summary, out_dir=out_dir)
 

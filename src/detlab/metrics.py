@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .files import atomic_write
-from .geometry import check_boxes, iou_matrix
+from .geometry import check_boxes, iou, iou_matrix  # iou_matrix: perfbench patches it here
 from .net import softmax
 from .synthdata import Scene
 
@@ -35,16 +35,6 @@ class Detections:
 
     def __len__(self) -> int:
         return len(self.scores)
-
-    def __getitem__(self, rows) -> "Detections":
-        return Detections(self.scenes[rows], self.classes[rows], self.scores[rows],
-                          self.boxes[rows])
-
-    @staticmethod
-    def concat(parts: Sequence["Detections"]) -> "Detections":
-        """All rows of `parts` in order; no parts give an empty table."""
-        return Detections(*(np.concatenate([getattr(p, name) for p in parts] or [[]])
-                            for name in ("scenes", "classes", "scores", "boxes")))
 
 
 @dataclass(frozen=True)
@@ -79,22 +69,27 @@ def proposal_accuracy(logits: np.ndarray, targets: np.ndarray
     return pos_acc, neg_acc
 
 
-def nms(boxes: np.ndarray, scores: np.ndarray, classes: np.ndarray,
+def nms(boxes: np.ndarray, scores: np.ndarray, groups: np.ndarray,
         iou_threshold: float) -> np.ndarray:
-    """Greedy same-class suppression over one scene's candidates. Returns the
-    kept row indices, classes ascending, then descending score; equal scores
-    keep row order."""
+    """Greedy suppression within each integer group (say, a class) of one
+    scene's candidates. Returns the kept row indices, groups ascending, then
+    descending score; equal scores keep row order."""
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError("NMS threshold must lie in (0, 1)")
-    classes = np.asarray(classes)
-    order = np.lexsort((-np.asarray(scores, dtype=np.float64), classes))  # stable
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)[order]
-    same_class = classes[order, None] == classes[None, order]
-    suppresses = (iou_matrix(boxes, boxes) >= iou_threshold) & same_class
-    keep = np.ones(len(order), dtype=bool)
-    for i in range(len(order)):
-        if keep[i]:
-            keep[i + 1:] &= ~suppresses[i, i + 1:]
+    order = np.lexsort((-np.asarray(scores, dtype=np.float64), groups))  # stable
+    boxes = check_boxes(boxes, "detection boxes")[order]
+    groups = np.asarray(groups)[order]
+    # every pair (i, j) of sorted rows i < j in one group, j-major
+    first = np.searchsorted(groups, groups)
+    n_before = np.arange(len(order)) - first
+    j = np.repeat(np.arange(len(order)), n_before)
+    i = np.repeat(first - np.cumsum(n_before) + n_before, n_before) + np.arange(len(j))
+    i, j = np.compress(iou(boxes[i], boxes[j]) >= iou_threshold, [i, j], axis=1)
+    # greedy NMS is the one fixed point of "j is kept iff no kept i < j suppresses it"
+    keep, kept = None, np.ones(len(order), dtype=bool)
+    while not np.array_equal(keep, kept):
+        keep, kept = kept, np.ones_like(kept)
+        kept[j[keep[i]]] = False
     return order[keep]
 
 
@@ -112,25 +107,28 @@ def _ap(is_tp: np.ndarray, n_gt: int) -> float:
     return float(sampled.mean())
 
 
-def _match(dets: Detections, gt_boxes: list[np.ndarray], gt_classes: list[np.ndarray],
-           thresholds: np.ndarray) -> np.ndarray:
+def _match(dets: Detections, inst_scene: np.ndarray, inst_class: np.ndarray,
+           inst_boxes: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """(N, T) true-positive flags. Per (scene, class), detections in descending
-    score (ties in row order) each take the unmatched ground truth with the
-    highest IoU at or above the threshold; ties go to the lowest instance."""
-    keys = dets.scenes * (int(dets.classes.max(initial=0)) + 1) + dets.classes
+    score (ties in row order) each take the unmatched ground-truth instance with
+    the highest IoU at or above the threshold; ties go to the lowest instance."""
+    n_keys = int(max(dets.classes.max(initial=0), inst_class.max(initial=0))) + 1
+    keys = dets.scenes * n_keys + dets.classes
     ranked = np.lexsort((-dets.scores, keys))
     keys = keys[ranked]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     lengths = np.diff(starts, append=len(keys))
-    # rows in ranked order, one column per ground truth of the row's (scene,
-    # class); -1 pads the rest and can never match
-    ious = np.full((len(keys), max([1] + [len(c) for c in gt_classes])), -1.0)
-    for start, n in zip(starts, lengths):
-        rows = ranked[start:start + n]
-        scene = dets.scenes[rows[0]]
-        gts = gt_boxes[scene][gt_classes[scene] == dets.classes[rows[0]]]
-        if len(gts):
-            ious[start:start + n, :len(gts)] = iou_matrix(dets.boxes[rows], gts)
+    # ground truths grouped by (scene, class), in instance order within each
+    gt_keys = inst_scene * n_keys + inst_class
+    gt_order = np.argsort(gt_keys, kind="stable")
+    first = np.searchsorted(gt_keys[gt_order], keys)
+    n_gts = np.searchsorted(gt_keys[gt_order], keys, side="right") - first
+    # rows in ranked order, column k the k-th ground truth of the row's
+    # (scene, class); -1 pads the rest and can never match
+    ious = np.full((len(keys), max(1, n_gts.max(initial=0))), -1.0)
+    for k in range(ious.shape[1]):
+        rows = np.flatnonzero(n_gts > k)
+        ious[rows, k] = iou(dets.boxes[ranked[rows]], inst_boxes[gt_order[first[rows] + k]])
     # the k-th ranked detection of every (scene, class) at once, per threshold
     n_thr = len(thresholds)
     matched = np.zeros((len(starts), n_thr, ious.shape[1]), dtype=bool)
@@ -161,16 +159,15 @@ def compute_ap(
     threshold and a bucket's AP reuses those matches for its scenes' rows."""
     if len(dets) and not (dets.scenes.min() >= 0 and dets.scenes.max() < len(scenes)):
         raise ValueError("detection scene index out of range")
-    gt_boxes = [s.gt_boxes for s in scenes]
-    gt_classes = [s.gt_classes for s in scenes]
-    is_tp = _match(dets, gt_boxes, gt_classes, np.asarray(iou_thresholds, dtype=np.float64))
+    # one entry per ground-truth instance: its scene, class and box
+    n_inst = np.array([len(s.gt_classes) for s in scenes], dtype=np.int64)
+    inst_scene = np.repeat(np.arange(len(scenes)), n_inst)
+    inst_class = np.concatenate([s.gt_classes for s in scenes] + [np.zeros(0, np.int64)])
+    inst_boxes = np.concatenate([s.gt_boxes for s in scenes] + [np.zeros((0, 4))])
+    is_tp = _match(dets, inst_scene, inst_class, inst_boxes, np.asarray(iou_thresholds))
     # ranking for AP: descending score, ties by scene, then row order
     ranked = np.lexsort((dets.scenes, -dets.scores))
     is_tp, classes, det_scene = is_tp[ranked], dets.classes[ranked], dets.scenes[ranked]
-    n_inst = np.array([len(c) for c in gt_classes], dtype=np.int64)
-    # one entry per ground-truth instance: its scene and its class
-    inst_scene = np.repeat(np.arange(len(scenes)), n_inst)
-    inst_class = np.concatenate(gt_classes + [np.zeros(0, np.int64)])
 
     def ap_over(scene_mask: np.ndarray) -> dict[float, float]:
         gts = inst_class[scene_mask[inst_scene]]
@@ -239,15 +236,13 @@ class MetricsLog:
             raise ValueError("steps must be strictly increasing")
         self.rows.append(row)
 
-    def num_heads(self) -> int:
-        return len(self.rows[0].fg_scores) if self.rows else 0
-
     def to_csv(self, path) -> None:
         with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             header = ["step", "pos_count_unique", "pos_count_effective",
                       "pos_acc", "neg_acc", "lambda"]
-            header += [f"fg_score_h{i + 1}" for i in range(self.num_heads())]
+            n_heads = len(self.rows[0].fg_scores) if self.rows else 0
+            header += [f"fg_score_h{i + 1}" for i in range(n_heads)]
             writer.writerow(header)
             for r in self.rows:
                 row = [r.step, r.pos_count_unique, r.pos_count_effective,
@@ -256,21 +251,3 @@ class MetricsLog:
                        repr(r.lam)]
                 row += [repr(v) for v in r.fg_scores]
                 writer.writerow(row)
-
-    @staticmethod
-    def from_csv(path) -> "MetricsLog":
-        log = MetricsLog()
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            heads = [k for k in reader.fieldnames if k.startswith("fg_score_h")]
-            for rec in reader:
-                log.append(MetricsRow(
-                    step=int(rec["step"]),
-                    pos_count_unique=int(rec["pos_count_unique"]),
-                    pos_count_effective=int(rec["pos_count_effective"]),
-                    pos_acc=float(rec["pos_acc"]) if rec["pos_acc"] else None,
-                    neg_acc=float(rec["neg_acc"]) if rec["neg_acc"] else None,
-                    lam=float(rec["lambda"]),
-                    fg_scores=tuple(float(rec[k]) for k in heads),
-                ))
-        return log

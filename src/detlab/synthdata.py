@@ -99,16 +99,13 @@ class Scene:
 class ProposalSet:
     """Struct-of-arrays view of a scene's labeled, featurized proposals."""
 
-    def __init__(self, boxes, classes, max_ious, matched, reg_targets, features):
+    def __init__(self, boxes, classes, reg_targets, features):
         self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
         self.classes = np.asarray(classes, dtype=np.int64)
-        self.max_ious = np.asarray(max_ious, dtype=np.float64)
-        self.matched = np.asarray(matched, dtype=np.int64)
         self.reg_targets = np.asarray(reg_targets, dtype=np.float64).reshape(-1, 4)
         self.features = np.asarray(features, dtype=np.float64)
         n = len(self.classes)
-        if not (len(self.boxes) == len(self.max_ious) == len(self.matched)
-                == len(self.reg_targets) == len(self.features) == n):
+        if not len(self.boxes) == len(self.reg_targets) == len(self.features) == n:
             raise ValueError("mismatched proposal array lengths")
 
     def __len__(self) -> int:
@@ -212,7 +209,7 @@ def generate_proposals(
     bg = np.stack([bx, by, bx + bw, by + bh], axis=1)
     boxes = np.concatenate([fg, bg], axis=0)
     ious = iou_matrix(boxes, gt_boxes)
-    classes, max_ious, matched, reg = label_arrays(
+    classes, max_ious, _, reg = label_arrays(
         ious, boxes, gt_boxes, scene.gt_classes, pos_threshold
     )
     if len(gt_boxes):
@@ -221,7 +218,7 @@ def generate_proposals(
     else:
         signal_classes = np.zeros(len(boxes), dtype=np.int64)
     features = proposal_features(signal_classes, max_ious, num_classes, feat, rng)
-    return ProposalSet(boxes, classes, max_ious, matched, reg, features)
+    return ProposalSet(boxes, classes, reg, features)
 
 
 def generate_dataset(config: SceneConfig, n_scenes: int, base_seed: int,

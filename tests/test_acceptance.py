@@ -295,9 +295,9 @@ class TestExactContracts:
         noisy_ap = compute_ap(noisy, scenes, buckets=())
         ok = ok and noisy_ap.ap75 <= noisy_ap.ap50
         for i in range(len(scenes)):  # NMS runs per scene
-            scene_dets = noisy[noisy.scenes == i]
-            once = scene_dets[nms(scene_dets.boxes, scene_dets.scores, scene_dets.classes, 0.5)]
-            again = nms(once.boxes, once.scores, once.classes, 0.5)
+            rows = np.flatnonzero(noisy.scenes == i)
+            once = rows[nms(noisy.boxes[rows], noisy.scores[rows], noisy.classes[rows], 0.5)]
+            again = nms(noisy.boxes[once], noisy.scores[once], noisy.classes[once], 0.5)
             ok = ok and again.tolist() == list(range(len(once)))
         report("08 perfect AP, threshold monotonicity, NMS idempotence", ok)
 

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -185,10 +186,19 @@ class TestRunExperiment:
         s2 = (r2.out_dir / "eval_summary.json").read_bytes()
         assert s1 == s2
 
+    def test_reruns_write_identical_manifests(self, tmp_path):
+        r1 = run_experiment(tiny_cfg(tmp_path / "a"))
+        time.sleep(1.01)  # the second rerun starts at another wall-clock second
+        r2 = run_experiment(tiny_cfg(tmp_path / "b"))
+        m1, m2 = ((r.out_dir / "manifest.json").read_bytes() for r in (r1, r2))
+        assert m1 == m2
+        for r in (r1, r2):  # the time of the run is kept beside it
+            assert "created" in json.loads((r.out_dir / "timings.json").read_text())
+
     def test_artifacts_exist(self, tmp_path):
         result = run_experiment(tiny_cfg(tmp_path))
         for name in ("metrics.csv", "gradnorm.csv", "checkpoint.npz",
-                     "eval_report.txt", "eval_summary.json", "manifest.json"):
+                     "eval_report.txt", "eval_summary.json", "manifest.json", "timings.json"):
             assert (result.out_dir / name).exists()
         manifest = json.loads((result.out_dir / "manifest.json").read_text())
         assert manifest["mode"] == "baseline"

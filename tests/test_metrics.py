@@ -1,10 +1,11 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from detlab.config import parse_config
-from detlab.harness import _detections_for
+from detlab.harness import _scene_detections
 from detlab.metrics import (
     DEFAULT_BUCKETS,
     DEFAULT_IOU_THRESHOLDS,
@@ -34,6 +35,12 @@ def dets(*rows):
     """Detections from (scene index, Box, class, score) rows."""
     return Detections([r[0] for r in rows], [r[2] for r in rows], [r[3] for r in rows],
                       [r[1].as_array() for r in rows])
+
+
+def take(detections, rows):
+    """The given rows of `detections`, in that order."""
+    return Detections(detections.scenes[rows], detections.classes[rows],
+                      detections.scores[rows], detections.boxes[rows])
 
 
 class TestProposalAccuracy:
@@ -103,6 +110,37 @@ class TestNms:
                 expected = brute_force_nms(boxes[rows].tolist(), scores[rows].tolist(),
                                            classes[rows].tolist(), 0.4)
                 assert set(kept.tolist()) == set(expected)
+
+    def test_iou_at_threshold_suppresses(self):
+        # IoU exactly 0.5 suppresses at 0.5 and not above
+        boxes, scores, groups = [[0, 0, 10, 10], [0, 0, 10, 5]], [0.9, 0.8], [1, 1]
+        assert nms(boxes, scores, groups, 0.5).tolist() == [0]
+        assert nms(boxes, scores, groups, 0.55).tolist() == [0, 1]
+
+    def test_concatenated_groups_equal_separate_calls(self):
+        # one call over many groups keeps, group by group, what a call on each
+        # group alone keeps, shifted by the group's first row
+        rng = np.random.default_rng(3)
+        for trial in range(300):
+            parts = []
+            for _ in range(int(rng.integers(1, 7))):
+                n = int(rng.choice([0, 1, 2, 5, 12, 30]))  # empty and one-row groups
+                xy = rng.integers(0, 16, size=(n, 2)) / 2
+                boxes = np.concatenate([xy, xy + rng.integers(2, 12, size=(n, 2)) / 2], axis=1)
+                halves = np.flatnonzero(rng.random(n) < 0.3)[1:]
+                boxes[halves] = boxes[halves - 1]
+                boxes[halves, 3] = (boxes[halves, 1] + boxes[halves, 3]) / 2  # IoU 0.5
+                scores = (rng.choice([0.3, 0.6, 0.9], size=n) if trial % 2  # ties
+                          else rng.uniform(0.0, 1.0, size=n))
+                parts.append((boxes, scores))
+            thr = (0.3, 0.5, 0.7)[trial % 3]
+            groups = np.repeat(3 * np.arange(len(parts)) + 1, [len(b) for b, _ in parts])
+            kept = nms(np.concatenate([b for b, _ in parts]),
+                       np.concatenate([p for _, p in parts]), groups, thr)
+            offsets = np.cumsum([0] + [len(b) for b, _ in parts])
+            expected = [offset + nms(b, p, np.zeros(len(b), np.int64), thr)
+                        for offset, (b, p) in zip(offsets, parts)]
+            assert kept.tolist() == np.concatenate(expected).tolist()
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
@@ -209,7 +247,7 @@ class TestComputeAp:
                        if len(s.gt_classes) >= lo and (hi is None or len(s.gt_classes) <= hi)]
                 remap = np.full(len(scenes), -1)
                 remap[idx] = np.arange(len(idx))
-                sub = detections[np.isin(detections.scenes, idx)]
+                sub = take(detections, np.isin(detections.scenes, idx))
                 sub = Detections(remap[sub.scenes], sub.classes, sub.scores, sub.boxes)
                 alone = compute_ap(sub, [scenes[i] for i in idx], buckets=())
                 assert result.per_bucket[name] == alone.mean_ap
@@ -223,16 +261,17 @@ class TestComputeAp:
 # --- exact equality with the per-object reference (tests/ap_oracle.py) -------
 
 def random_case(rng, n_scenes=None):
-    """Scenes (ids 0..n-1, 0-12 instances, some duplicated boxes) and
-    detections near them in shuffled rows: tied scores, empty scenes, and
-    class 4, which no ground truth has. Coordinates lie on a quarter grid, so
-    IoUs tie and hit the thresholds exactly."""
+    """Scenes (ids 0..n-1, 0-12 instances, some duplicated boxes, some all of
+    one class) and detections near them in shuffled rows: tied scores, empty
+    scenes, and class 4, which no ground truth has. Coordinates lie on a
+    quarter grid, so IoUs tie and hit the thresholds exactly."""
     def grid(a):
         return np.round(np.asarray(a) * 4) / 4
 
     scenes, rows = [], []
     for sid in range(rng.integers(0, 8) if n_scenes is None else n_scenes):
         n_inst = int(rng.choice([0, 1, 2, 3, 5, 8, 9, 12]))
+        one_class = rng.random() < 0.3  # up to 12 instances of class 1
         insts = []
         for _ in range(n_inst):
             if insts and rng.random() < 0.15:
@@ -240,7 +279,7 @@ def random_case(rng, n_scenes=None):
                 continue
             x, y = grid(rng.uniform(0, 40, size=2))
             w, h = grid(rng.uniform(4, 15, size=2))
-            insts.append((Box(x, y, x + w, y + h), int(rng.integers(1, 4))))
+            insts.append((Box(x, y, x + w, y + h), 1 if one_class else int(rng.integers(1, 4))))
         scenes.append(scene(sid, insts))
         for _ in range(rng.integers(0, 15)):
             if insts and rng.random() < 0.7:
@@ -257,7 +296,7 @@ def random_case(rng, n_scenes=None):
             score = (float(rng.choice([0.3, 0.5, 0.9])) if rng.random() < 0.5
                      else float(rng.uniform(0.05, 1.0)))
             rows.append((sid, box, c, score))
-    return scenes, dets(*rows)[rng.permutation(len(rows))]  # rows not in scene order
+    return scenes, take(dets(*rows), rng.permutation(len(rows)))  # rows not in scene order
 
 
 def oracle_rows(detections):
@@ -281,35 +320,45 @@ class TestMatchesOracle:
             scenes, detections = random_case(np.random.default_rng(seed), n_scenes=1)
             kept = nms(detections.boxes, detections.scores, detections.classes, 0.5)
             expected = ap_oracle.nms(oracle_rows(detections), 0.5)
-            assert as_tuples(detections[kept]) == as_tuples(expected)
+            assert as_tuples(take(detections, kept)) == as_tuples(expected)
 
     def test_compute_ap_is_equal_in_every_field(self):
+        most = 0  # ground truths of one (scene, class)
         for seed in range(200):
             scenes, detections = random_case(np.random.default_rng(seed))
+            most = max([most] + [np.bincount(s.gt_classes).max()
+                                 for s in scenes if len(s.gt_classes)])
             thresholds = (0.3, 0.5, 0.75, 0.9) if seed % 2 else DEFAULT_IOU_THRESHOLDS
             result = compute_ap(detections, scenes, iou_thresholds=thresholds)
             expected = ap_oracle.compute_ap(oracle_rows(detections), scenes,
                                             iou_thresholds=thresholds)
             assert result == expected, seed
+        assert most == 12  # so every ground-truth column of the matching is filled
 
     def test_detection_extraction_and_ap_match(self):
+        # an ensemble and two heads share one NMS call per scene; each output
+        # must equal the old extraction run on that output alone
         cfg = replace(parse_config("", seed=1), max_detections=6)
         for seed in range(30):
             rng = np.random.default_rng(seed)
             scenes, _ = random_case(rng, n_scenes=5)
-            ours, theirs = [], []
+            found, theirs = [], [[], [], []]
             for index, s in enumerate(scenes):
                 n = int(rng.integers(0, 40))  # often more than max_detections
-                x, y = rng.uniform(0, 40, size=(2, n))
-                w, h = rng.uniform(4, 15, size=(2, n))
-                boxes = np.stack([x, y, x + w, y + h], axis=1)
-                scores = rng.dirichlet(np.ones(4), size=n)
-                scores[rng.random(n) < 0.3] = [0.1, 0.3, 0.3, 0.3]  # tied rows
-                ours.append(_detections_for(cfg, index, scores, boxes))
-                theirs.extend(ap_oracle.detections_for(cfg, s, scores, boxes))
-            ours = Detections.concat(ours)
-            assert as_tuples(ours) == as_tuples(theirs)
-            assert compute_ap(ours, scenes) == ap_oracle.compute_ap(theirs, scenes)
+                outputs = []
+                for expected in theirs:
+                    x, y = rng.uniform(0, 40, size=(2, n))
+                    w, h = rng.uniform(4, 15, size=(2, n))
+                    boxes = np.stack([x, y, x + w, y + h], axis=1)
+                    scores = rng.dirichlet(np.ones(4), size=n)
+                    scores[rng.random(n) < 0.3] = [0.1, 0.3, 0.3, 0.3]  # tied rows
+                    outputs.append((scores, boxes))
+                    expected.extend(ap_oracle.detections_for(cfg, s, scores, boxes))
+                found.append(_scene_detections(cfg, index, outputs))
+            for ours, expected in zip(zip(*found), theirs):
+                ours = Detections(*map(np.concatenate, zip(*ours)))
+                assert as_tuples(ours) == as_tuples(expected)
+                assert compute_ap(ours, scenes) == ap_oracle.compute_ap(expected, scenes)
 
 
 class TestScoreGap:
@@ -361,5 +410,16 @@ class TestMetricsLog:
         log.append(self.row(1, pos_acc=None))
         path = tmp_path / "metrics.csv"
         log.to_csv(path)
-        loaded = MetricsLog.from_csv(path)
-        assert loaded.rows == log.rows
+        with open(path, newline="") as fh:  # the CSV alone gives back every row
+            reader = csv.DictReader(fh)
+            heads = [k for k in reader.fieldnames if k.startswith("fg_score_h")]
+            loaded = [MetricsRow(
+                step=int(rec["step"]),
+                pos_count_unique=int(rec["pos_count_unique"]),
+                pos_count_effective=int(rec["pos_count_effective"]),
+                pos_acc=float(rec["pos_acc"]) if rec["pos_acc"] else None,
+                neg_acc=float(rec["neg_acc"]) if rec["neg_acc"] else None,
+                lam=float(rec["lambda"]),
+                fg_scores=tuple(float(rec[k]) for k in heads),
+            ) for rec in reader]
+        assert loaded == log.rows

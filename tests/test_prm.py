@@ -100,8 +100,6 @@ class TestPredict:
         pool.boxes = pool.boxes[:5]
         pool.features = pool.features[:5]
         pool.classes = pool.classes[:5]
-        pool.max_ious = pool.max_ious[:5]
-        pool.matched = pool.matched[:5]
         pool.reg_targets = pool.reg_targets[:5]
         pred = prm_predict(model, pool)
 
