@@ -60,10 +60,11 @@ def cmd_eval(args) -> int:
     cfg = _load(args)
     out_dir = Path(cfg.out)
     checkpoint = Path(args.checkpoint or out_dir / "checkpoint.npz")
-    check_head_layout(checkpoint, cfg)  # a missing file raises FileNotFoundError naming it
     from .net import load_params
 
-    backbone, heads = load_params(checkpoint)
+    # a missing file raises FileNotFoundError naming it
+    backbone, heads, ratios = load_params(checkpoint)
+    check_head_layout(checkpoint, ratios, cfg)
     model = PrmModel(backbone=backbone, heads=heads, policies=cfg.policies)
     scenes = _dataset(cfg, out_dir, "eval", cfg.eval_scenes)
     result = evaluate_model(model, scenes, cfg)
@@ -73,21 +74,27 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_sweep_values(axis: str, raw: str):
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if axis == "lambda0":
-        return [float(p) for p in parts]
-    if axis == "ratio-pair":
-        return [tuple(parse_ratio(r) for r in part.split("+")) for part in parts]
-    return parts
+# how one --values item is read, per axis; other axes take it as text
+SWEEP_VALUE_PARSERS = {
+    "lambda0": float,
+    "ratio-pair": lambda part: tuple(parse_ratio(r) for r in part.split("+")),
+}
+
+
+def _parse_list(flag: str, raw: str, parse) -> list:
+    """The comma-separated items of a flag, each read by `parse`."""
+    try:
+        return [parse(p.strip()) for p in raw.split(",") if p.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad {flag} {raw!r}: {exc}") from None
 
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    values = _parse_sweep_values(args.axis, args.values)
+    values = _parse_list("--values", args.values, SWEEP_VALUE_PARSERS.get(args.axis, str))
     if not values:
         raise ConfigError("sweep needs a non-empty --values list")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = _parse_list("--seeds", args.seeds, int)
     if not seeds:
         raise ConfigError("sweep needs a non-empty --seeds list")
     rows = sweep(cfg, axis_cells(args.axis, values), seeds, args.out or cfg.out)

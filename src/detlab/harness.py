@@ -26,9 +26,7 @@ from .metrics import (
     nms,
     score_gap_stats,
 )
-from .net import softmax
-from .prm import (GradNormRecord, PrmModel, init_model, prm_predict, prm_train_step,
-                  select_regression)
+from .prm import GradNormRecord, PrmModel, init_model, prm_predict, prm_train_step
 from .seeding import derive_seed
 from .synthdata import (
     Scene,
@@ -91,19 +89,10 @@ def evaluate_model(model: PrmModel, scenes: Sequence[Scene],
     multi = len(model.heads) > 1
     found: list[list[tuple]] = []  # per scene, per output
     head_logits: list[list[np.ndarray]] = []  # per scene, per head
-    from .geometry import decode_deltas_array
-
     for index, scene in enumerate(scenes):
         pool = _scene_proposals(cfg, scene, 1.0, ("evalprop", scene.id))
-        pred = prm_predict(model, pool)
-        head_logits.append(pred.head_logits)
-        # the ensemble, then each head on its own if there are several
-        outputs = [(pred.scores, pred.boxes)]
-        if multi:  # the selected head's boxes are decoded already
-            selected = select_regression(model.policies, pred.head_deltas)
-            outputs += [(softmax(logits), pred.boxes if deltas is selected
-                         else decode_deltas_array(pool.boxes, deltas))
-                        for logits, deltas in zip(pred.head_logits, pred.head_deltas)]
+        outputs, logits = prm_predict(model, pool)  # the ensemble, then each head
+        head_logits.append(logits)
         found.append(_scene_detections(cfg, index, outputs))
     ensemble_ap, *heads_ap = [compute_ap(Detections(*map(np.concatenate, zip(*d))), scenes)
                               for d in zip(*found)]
@@ -180,13 +169,10 @@ def _layout(ratios) -> str:
     return "+".join(f"{p}:{n}" for p, n in ratios)
 
 
-def check_head_layout(checkpoint: Path, cfg: ExperimentConfig) -> None:
+def check_head_layout(checkpoint: Path, ratios, cfg: ExperimentConfig) -> None:
     """Rejects a checkpoint whose heads were trained with other sampling
     ratios, in count or order, than the config gives."""
-    with np.load(checkpoint) as data:
-        if "ratios" not in data:
-            raise ValueError(f"checkpoint {checkpoint} records no head ratios; retrain it")
-        stored, wanted = _layout(data["ratios"]), _layout(cfg.ratios)
+    stored, wanted = _layout(ratios), _layout(cfg.ratios)
     if stored != wanted:
         raise ConfigError(f"checkpoint {checkpoint} has heads {stored}, the config has {wanted}")
 
@@ -251,8 +237,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     write_gradnorm_csv(gradnorm, out_dir / "gradnorm.csv")
     from .net import save_params
 
-    save_params(out_dir / "checkpoint.npz", model.backbone, model.heads,
-                ratios=np.array(cfg.ratios))
+    save_params(out_dir / "checkpoint.npz", model.backbone, model.heads, cfg.ratios)
     result = evaluate_model(model, eval_scenes, cfg)
     write_eval_report(result, out_dir / "eval_report.txt")
     summary = write_eval_summary(result, cfg, out_dir / "eval_summary.json")

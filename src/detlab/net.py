@@ -221,25 +221,26 @@ def sgd_step(backbone: BackboneParams, heads: list[HeadParams], grads: Gradients
 
 # --- checkpoints ------------------------------------------------------------
 
-def save_params(path, backbone: BackboneParams, heads: list[HeadParams], **extra) -> None:
-    """Writes the parameters, plus any `extra` arrays under their own names."""
+HEAD_KEYS = ("w_shared", "b_shared", "w_cls", "b_cls", "w_reg", "b_reg")  # HeadParams order
+
+
+def save_params(path, backbone: BackboneParams, heads: list[HeadParams], ratios) -> None:
+    """Writes the parameters and each head's (pos, neg) sampling ratio."""
     arrays = {"backbone/w": backbone.w, "backbone/b": backbone.b,
-              "num_heads": np.array(len(heads)), **extra}
-    names = ("w_shared", "b_shared", "w_cls", "b_cls", "w_reg", "b_reg")
+              "num_heads": np.array(len(heads)), "ratios": np.asarray(ratios)}
     for i, head in enumerate(heads):
-        for name, arr in zip(names, head.arrays()):
+        for name, arr in zip(HEAD_KEYS, head.arrays()):
             arrays[f"head{i}/{name}"] = arr
     with atomic_write(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
-def load_params(path) -> tuple[BackboneParams, list[HeadParams]]:
+def load_params(path) -> tuple[BackboneParams, list[HeadParams], np.ndarray]:
+    """The backbone, the heads and their (pos, neg) sampling ratios."""
     with np.load(path) as data:
+        if "ratios" not in data:
+            raise ValueError(f"checkpoint {path} records no head ratios; retrain it")
         backbone = BackboneParams(w=data["backbone/w"], b=data["backbone/b"])
-        heads = []
-        for i in range(int(data["num_heads"])):
-            heads.append(HeadParams(*[
-                data[f"head{i}/{name}"]
-                for name in ("w_shared", "b_shared", "w_cls", "b_cls", "w_reg", "b_reg")
-            ]))
-    return backbone, heads
+        heads = [HeadParams(*[data[f"head{i}/{name}"] for name in HEAD_KEYS])
+                 for i in range(int(data["num_heads"]))]
+        return backbone, heads, data["ratios"]

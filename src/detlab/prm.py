@@ -16,7 +16,7 @@ import numpy as np
 
 from . import net
 from .geometry import decode_deltas_array
-from .metrics import proposal_accuracy
+from .metrics import foreground_scores, proposal_accuracy
 from .net import BackboneParams, Gradients, HeadParams, TrainConfig
 from .rga import AnnealSchedule, anneal_factor, apply_rga
 from .sampler import SamplingPolicy, sample
@@ -86,7 +86,6 @@ def prm_train_step(
     config: TrainConfig,
     schedule: Optional[AnnealSchedule],
     base_seed: int,
-    head_weights: Optional[Sequence[float]] = None,
 ) -> tuple[GradNormRecord, list[HeadBatchStats], float]:
     """One joint optimization step over all heads; updates the model in place.
 
@@ -95,16 +94,12 @@ def prm_train_step(
     after backward and before the optimizer step, so backbone gradients
     flowing from the heads stay unscaled.
     """
-    if head_weights is None:
-        head_weights = [1.0] * len(model.heads)
     lam = anneal_factor(t, schedule) if schedule is not None else 1.0
 
     backbone_contribs: list[BackboneParams] = []
     head_grads: list[HeadParams] = []
     stats: list[HeadBatchStats] = []
-    for i, (head, policy, weight) in enumerate(
-        zip(model.heads, model.policies, head_weights)
-    ):
+    for i, (head, policy) in enumerate(zip(model.heads, model.policies)):
         batch = sample(pool.classes, policy, batch_seed(base_seed, t, i))
         targets = pool.classes[batch.indices]
         reg_targets = pool.reg_targets[batch.indices]
@@ -118,20 +113,16 @@ def prm_train_step(
             cache, targets, reg_targets, pos_mask, batch.multiplicities,
             config.cls_weight, config.reg_weight,
         )
-        if weight != 1.0:
-            g_backbone = BackboneParams(*[weight * a for a in g_backbone.arrays()])
-            g_head = HeadParams(*[weight * a for a in g_head.arrays()])
         backbone_contribs.append(g_backbone)
         head_grads.append(g_head)
 
         pos_acc, neg_acc = proposal_accuracy(cache.logits, targets)
-        fg = net.softmax(pool_logits)[:, 1:].max(axis=1)
         stats.append(HeadBatchStats(
             pos_count_unique=batch.pos_count_unique,
             pos_count_effective=batch.pos_count_effective,
             pos_acc=pos_acc,
             neg_acc=neg_acc,
-            mean_fg_score=float(fg.mean()),
+            mean_fg_score=float(foreground_scores(pool_logits).mean()),
         ))
 
     summed = BackboneParams(
@@ -165,31 +156,29 @@ def ensemble_scores(head_logits: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def select_regression(policies: Sequence[SamplingPolicy],
-                      head_deltas: Sequence[np.ndarray]) -> np.ndarray:
-    """The deltas of the head with the largest positive sampling fraction,
-    returned unmodified; ties break toward the lowest head index."""
-    if len(policies) != len(head_deltas) or not policies:
-        raise ValueError("need one deltas array per policy")
+                      head_outputs: Sequence[np.ndarray]) -> np.ndarray:
+    """The regression output (deltas or decoded boxes) of the head with the
+    largest positive sampling fraction, returned unmodified; ties break toward
+    the lowest head index."""
+    if len(policies) != len(head_outputs) or not policies:
+        raise ValueError("need one regression output per policy")
     best = max(range(len(policies)), key=lambda i: (policies[i].pos_fraction, -i))
-    return head_deltas[best]
+    return head_outputs[best]
 
 
-@dataclass
-class Prediction:
-    scores: np.ndarray  # (N, C+1) softmax of the ensembled logits
-    boxes: np.ndarray  # (N, 4) decoded from the selected head's deltas
-    head_logits: list[np.ndarray]
-    head_deltas: list[np.ndarray]
-
-
-def prm_predict(model: PrmModel, pool: ProposalSet) -> Prediction:
-    head_logits, head_deltas = [], []
+def prm_predict(model: PrmModel, pool: ProposalSet
+                ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
+    """The scored outputs on a pool, each (scores (N, C+1), boxes (N, 4)): the
+    ensemble first (softmax of the mean logits, the selected head's boxes),
+    then each head on its own if there are several; and each head's logits."""
+    head_logits, head_boxes = [], []
     for head in model.heads:
         logits, deltas, _ = net.forward(model.backbone, head, pool.features)
         head_logits.append(logits)
-        head_deltas.append(deltas)
-    scores = net.softmax(ensemble_scores(head_logits))
-    deltas = select_regression(model.policies, head_deltas)
-    boxes = decode_deltas_array(pool.boxes, deltas)
-    return Prediction(scores=scores, boxes=boxes,
-                      head_logits=head_logits, head_deltas=head_deltas)
+        head_boxes.append(decode_deltas_array(pool.boxes, deltas))
+    outputs = [(net.softmax(ensemble_scores(head_logits)),
+                select_regression(model.policies, head_boxes))]
+    if len(model.heads) > 1:
+        outputs += [(net.softmax(logits), boxes)
+                    for logits, boxes in zip(head_logits, head_boxes)]
+    return outputs, head_logits

@@ -16,10 +16,6 @@ import numpy as np
 SAMPLING_MODES = ("soft", "hard")
 
 
-class SamplerError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SamplingPolicy:
     mode: str  # one of SAMPLING_MODES
@@ -57,14 +53,6 @@ class SampledBatch:
     neg_count: int
 
 
-def _split_pool(classes: np.ndarray, policy: SamplingPolicy):
-    if len(classes) < policy.batch_size:
-        raise SamplerError(
-            f"pool of {len(classes)} proposals cannot fill a batch of {policy.batch_size}"
-        )
-    return np.flatnonzero(classes > 0), np.flatnonzero(classes == 0)
-
-
 def _pick(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
     if k >= len(pool):
         return pool.copy()
@@ -91,27 +79,23 @@ def _soft(rng, pos, neg, policy: SamplingPolicy) -> SampledBatch:
     )
 
 
-def sample_soft(classes: np.ndarray, policy: SamplingPolicy, rng_seed: int) -> SampledBatch:
-    """All multiplicities 1; positives capped at the target, never padded."""
-    if policy.mode != "soft":
-        raise SamplerError("sample_soft requires a soft policy")
-    pos, neg = _split_pool(classes, policy)
-    return _soft(np.random.default_rng(rng_seed), pos, neg, policy)
+def sample(classes: np.ndarray, policy: SamplingPolicy, rng_seed: int) -> SampledBatch:
+    """Draws a batch from a pool given by its class array (0 = background).
 
-
-def sample_hard(classes: np.ndarray, policy: SamplingPolicy, rng_seed: int) -> SampledBatch:
-    """Repeats scarce positives so their effective count hits the target exactly.
-
-    Copies are spread as evenly as possible (multiplicities differ by at most 1,
-    extras go to the lowest pool indices). With zero positives, or at least the
-    target, the batch is drawn as in soft mode.
+    A hard policy repeats scarce positives so their effective count hits the
+    target exactly. Copies are spread as evenly as possible (multiplicities
+    differ by at most 1, extras go to the lowest pool indices). Otherwise, as
+    with zero positives or at least the target, the batch is drawn as in soft
+    mode: all multiplicities 1, positives capped at the target, never padded.
     """
-    if policy.mode != "hard":
-        raise SamplerError("sample_hard requires a hard policy")
-    pos, neg = _split_pool(classes, policy)
+    if len(classes) < policy.batch_size:
+        raise ValueError(
+            f"pool of {len(classes)} proposals cannot fill a batch of {policy.batch_size}"
+        )
+    pos, neg = np.flatnonzero(classes > 0), np.flatnonzero(classes == 0)
     rng = np.random.default_rng(rng_seed)
     target = policy.pos_target
-    if len(pos) == 0 or len(pos) >= target:
+    if policy.mode == "soft" or len(pos) == 0 or len(pos) >= target:
         return _soft(rng, pos, neg, policy)
     take_pos = np.sort(pos)
     base, extra = divmod(target, len(take_pos))
@@ -135,10 +119,3 @@ def sample_hard(classes: np.ndarray, policy: SamplingPolicy, rng_seed: int) -> S
         pos_count_effective=int(mults.sum()),
         neg_count=len(take_neg),
     )
-
-
-def sample(classes: np.ndarray, policy: SamplingPolicy, rng_seed: int) -> SampledBatch:
-    """Draws a batch from a pool given by its class array (0 = background)."""
-    if policy.mode == "soft":
-        return sample_soft(classes, policy, rng_seed)
-    return sample_hard(classes, policy, rng_seed)

@@ -21,7 +21,7 @@ from detlab.metrics import Detections, compute_ap, nms
 from detlab.net import Gradients, load_params
 from detlab.prm import ensemble_scores, select_regression
 from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
-from detlab.sampler import SamplingPolicy, sample_hard, sample_soft
+from detlab.sampler import SamplingPolicy, sample
 from detlab.seeding import derive_seed
 from detlab.synthdata import Scene, generate_proposals, generate_scene
 
@@ -168,8 +168,8 @@ class TestExactContracts:
             (plain.out_dir / "metrics.csv").read_bytes()
             == (unit.out_dir / "metrics.csv").read_bytes()
         )
-        bb_a, heads_a = load_params(plain.out_dir / "checkpoint.npz")
-        bb_b, heads_b = load_params(unit.out_dir / "checkpoint.npz")
+        bb_a, heads_a, _ = load_params(plain.out_dir / "checkpoint.npz")
+        bb_b, heads_b, _ = load_params(unit.out_dir / "checkpoint.npz")
         same_params = all(
             np.array_equal(x, y)
             for x, y in zip(
@@ -186,7 +186,7 @@ class TestExactContracts:
             classes = np.concatenate(
                 [np.ones(n_pos, dtype=np.int64), np.zeros(512, dtype=np.int64)]
             )
-            batch = sample_soft(classes, policy, rng_seed=n_pos)
+            batch = sample(classes, policy, rng_seed=n_pos)
             ok = ok and batch.pos_count_unique == min(n_pos, 128)
             ok = ok and len(batch.indices) == 512
             ok = ok and np.all(batch.multiplicities == 1)
@@ -202,7 +202,7 @@ class TestExactContracts:
             classes = np.concatenate(
                 [np.ones(n_pos, dtype=np.int64), np.zeros(512, dtype=np.int64)]
             )
-            batch = sample_hard(classes, policy, rng_seed=n_pos)
+            batch = sample(classes, policy, rng_seed=n_pos)
             ok = ok and batch.pos_count_effective == 128
             pos_mults = batch.multiplicities[: batch.pos_count_unique]
             ok = ok and pos_mults.max() - pos_mults.min() <= 1

@@ -248,7 +248,7 @@ def fail_metrics_csv(path):
 def fail_checkpoint(path):
     backbone = init_backbone(3, 2, np.random.default_rng(0))
     # an array that cannot be pickled, written after the parameters
-    save_params(path, backbone, [], late=np.array([lambda: 0], dtype=object))
+    save_params(path, backbone, [], np.array([lambda: 0], dtype=object))
 
 
 def fail_plain(path):
@@ -470,6 +470,22 @@ class TestCli:
         assert "1:1+1:9" not in err
         with open(out / "sweep.csv", newline="") as fh:
             assert [r["n_failed"] for r in csv.DictReader(fh)] == ["0", "1"]
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--axis", "lambda0", "--values", "abc", "--seeds", "3"],
+         "bad --values 'abc': could not convert string to float: 'abc'"),
+        (["--axis", "ratio-pair", "--values", "1:x", "--seeds", "3"],
+         "bad --values '1:x': ratio must match 'P:N', got '1:x'"),
+        (["--axis", "lambda0", "--values", "2", "--seeds", "x"],
+         "bad --seeds 'x': invalid literal for int() with base 10: 'x'"),
+        (["--axis", "mode", "--values", "foo", "--seeds", "3"], "unknown modes ['foo']"),
+    ], ids=["lambda0", "ratio-pair", "seeds", "mode"])
+    def test_sweep_flag_typo_exits_1_before_any_work(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "sweep"
+        assert cli_main(["sweep", "--config", str(self.write_cfg(tmp_path)),
+                         "--out", str(out), *flags]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_checks_each_cell_before_any_work(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)

@@ -244,11 +244,20 @@ class TestCheckpoint:
         backbone = init_backbone(5, 4, rng)
         heads = [init_head(4, 3, rng), init_head(4, 3, rng)]
         path = tmp_path / "ckpt.npz"
-        save_params(path, backbone, heads)
-        loaded_backbone, loaded_heads = load_params(path)
+        save_params(path, backbone, heads, ((1, 1), (1, 9)))
+        loaded_backbone, loaded_heads, ratios = load_params(path)
+        np.testing.assert_array_equal(ratios, [[1, 1], [1, 9]])
         np.testing.assert_array_equal(loaded_backbone.w, backbone.w)
         np.testing.assert_array_equal(loaded_backbone.b, backbone.b)
         assert len(loaded_heads) == 2
         for orig, got in zip(heads, loaded_heads):
             for a, b in zip(orig.arrays(), got.arrays()):
                 np.testing.assert_array_equal(a, b)
+
+    def test_missing_ratios_named(self, tmp_path):
+        backbone = init_backbone(5, 4, np.random.default_rng(12))
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, **{"backbone/w": backbone.w, "backbone/b": backbone.b,
+                          "num_heads": np.array(0)})
+        with pytest.raises(ValueError, match="records no head ratios"):
+            load_params(path)

@@ -3,6 +3,7 @@ import pytest
 
 import detlab.prm as prm_mod
 from detlab import net
+from detlab.geometry import decode_deltas_array
 from detlab.net import BackboneParams, HeadParams, TrainConfig, softmax
 from detlab.prm import (
     PrmModel,
@@ -101,16 +102,14 @@ class TestPredict:
         pool.features = pool.features[:5]
         pool.classes = pool.classes[:5]
         pool.reg_targets = pool.reg_targets[:5]
-        pred = prm_predict(model, pool)
+        (scores, boxes), *_ = prm_predict(model, pool)[0]
 
         logits = [net.forward(model.backbone, h, pool.features)[0] for h in model.heads]
         expected_scores = softmax((logits[0] + logits[1]) / 2)
-        np.testing.assert_allclose(pred.scores, expected_scores, rtol=1e-12)
-        from detlab.geometry import decode_deltas_array
-
+        np.testing.assert_allclose(scores, expected_scores, rtol=1e-12)
         deltas0 = net.forward(model.backbone, model.heads[0], pool.features)[1]
         np.testing.assert_allclose(
-            pred.boxes, decode_deltas_array(pool.boxes, deltas0), rtol=1e-12)
+            boxes, decode_deltas_array(pool.boxes, deltas0), rtol=1e-12)
 
     def test_identical_heads_match_single_head(self):
         single = self.model(n_heads=1)
@@ -120,27 +119,34 @@ class TestPredict:
             policies=[single.policies[0], single.policies[0]],
         )
         pool = make_pool(seed=3)
-        np.testing.assert_allclose(prm_predict(double, pool).scores,
-                                   prm_predict(single, pool).scores, rtol=1e-12)
+        np.testing.assert_allclose(prm_predict(double, pool)[0][0][0],
+                                   prm_predict(single, pool)[0][0][0], rtol=1e-12)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 3])
+    def test_decodes_each_head_once(self, monkeypatch, n_heads):
+        decoded = []
+
+        def counted(boxes, deltas):
+            decoded.append(decode_deltas_array(boxes, deltas))
+            return decoded[-1]
+
+        monkeypatch.setattr(prm_mod, "decode_deltas_array", counted)
+        policies = [policy((1, 3)), policy((1, 1)), policy((1, 9))][:n_heads]
+        model = init_model(FEATURE_DIM, 5, C, policies, 6)
+        pool = make_pool(seed=4)
+        outputs, head_logits = prm_predict(model, pool)
+        assert len(decoded) == n_heads
+        assert len(head_logits) == n_heads
+        assert len(outputs) == (1 if n_heads == 1 else 1 + n_heads)
+        # the ensemble adopts the array decoded for the head with the largest
+        # positive fraction, which is head 2 (1:1) when there are several
+        assert outputs[0][1] is decoded[0 if n_heads == 1 else 1]
+        for i, (scores, boxes) in enumerate(outputs[1:]):
+            assert boxes is decoded[i]
+            np.testing.assert_array_equal(scores, softmax(head_logits[i]))
 
 
 class TestTrainStep:
-    def test_zero_weight_second_head_matches_single_head(self):
-        seed = 42
-        single = init_model(FEATURE_DIM, 5, C, [policy((1, 3))], seed)
-        double = init_model(FEATURE_DIM, 5, C,
-                            [policy((1, 3)), policy((1, 9))], seed)
-        cfg = train_cfg()
-        for t in range(10):
-            pool = make_pool(seed=100 + t)
-            prm_train_step(single, pool, t, cfg, None, base_seed=7)
-            prm_train_step(double, pool, t, cfg, None, base_seed=7,
-                           head_weights=[1.0, 0.0])
-        for a, b in zip(single.backbone.arrays(), double.backbone.arrays()):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(single.heads[0].arrays(), double.heads[0].arrays()):
-            np.testing.assert_array_equal(a, b)
-
     def test_triangle_inequality_every_step(self):
         model = init_model(FEATURE_DIM, 5, C,
                            [policy((1, 1)), policy((1, 9))], 1)
@@ -200,17 +206,16 @@ def copy_model(model):
 
 
 ORACLE_STEPS = 20
-# (policies, head_weights, annealed); batches of 64 on pools of 64-112 rows, so
+# (policies, annealed); batches of 64 on pools of 64-112 rows, so
 # hard batches at low proposal quality repeat scarce positives (multiplicity
 # above 1) and hold fewer than 64 rows.
 ORACLE_CASES = {
-    "soft": ([policy((1, 3), batch=64)], None, False),
-    "hard-annealed": ([policy((1, 1), "hard", 64)], None, True),
-    "two-heads": ([policy((1, 1), batch=64), policy((1, 9), "hard", 64)], None, False),
-    "two-heads-annealed": ([policy((1, 1), "hard", 64), policy((1, 9), batch=64)], None, True),
-    "zero-weight": ([policy((1, 3), batch=64), policy((1, 9), "hard", 64)], (1.0, 0.0), False),
+    "soft": ([policy((1, 3), batch=64)], False),
+    "hard-annealed": ([policy((1, 1), "hard", 64)], True),
+    "two-heads": ([policy((1, 1), batch=64), policy((1, 9), "hard", 64)], False),
+    "two-heads-annealed": ([policy((1, 1), "hard", 64), policy((1, 9), batch=64)], True),
     "three-heads-annealed": ([policy((1, 1), batch=64), policy((1, 3), "hard", 64),
-                              policy((1, 9), batch=64)], None, True),
+                              policy((1, 9), batch=64)], True),
 }
 
 
@@ -228,7 +233,7 @@ class TestTrainStepOracle:
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_equals_oracle_exactly(self, case):
-        policies, weights, annealed = ORACLE_CASES[case]
+        policies, annealed = ORACLE_CASES[case]
         model = init_model(FEATURE_DIM, 5, C, policies, 17)
         oracle = copy_model(model)
         cfg = train_cfg(total=ORACLE_STEPS)
@@ -236,9 +241,9 @@ class TestTrainStepOracle:
         repeated = [False] * len(policies)
         for t in range(ORACLE_STEPS):
             pool = oracle_pool(t)
-            record, stats, lam = prm_train_step(model, pool, t, cfg, schedule, 3, weights)
+            record, stats, lam = prm_train_step(model, pool, t, cfg, schedule, 3)
             want_record, want_stats, want_lam = train_step_oracle.prm_train_step(
-                oracle, pool, t, cfg, schedule, 3, weights)
+                oracle, pool, t, cfg, schedule, 3)
             for got, want in zip(all_params(model), all_params(oracle), strict=True):
                 assert np.array_equal(got, want), f"step {t}"
             assert record == want_record
@@ -264,7 +269,7 @@ class TestTrainStepOracle:
 
         monkeypatch.setattr(net, "forward", counted)
         monkeypatch.setattr(net, "total_loss", no_loss)
-        policies, _, _ = ORACLE_CASES["three-heads-annealed"]
+        policies, _ = ORACLE_CASES["three-heads-annealed"]
         model = init_model(FEATURE_DIM, 5, C, policies, 17)
         for t in range(5):
             pool = oracle_pool(t)

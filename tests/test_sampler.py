@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detlab.sampler import (
-    SampledBatch,
-    SamplerError,
-    SamplingPolicy,
-    sample,
-    sample_hard,
-    sample_soft,
-)
+from detlab.sampler import SamplingPolicy, sample
 
 
 def pool(n_pos, n_neg):
@@ -37,57 +30,57 @@ class TestPolicy:
 
 class TestSoft:
     def test_plenty_of_positives(self):
-        batch = sample_soft(pool(200, 600), SOFT_512, 0)
+        batch = sample(pool(200, 600), SOFT_512, 0)
         assert batch.pos_count_effective == 128
         assert batch.neg_count == 384
         assert (batch.multiplicities == 1).all()
 
     def test_scarce_positives_all_used(self):
-        batch = sample_soft(pool(40, 600), SOFT_512, 0)
+        batch = sample(pool(40, 600), SOFT_512, 0)
         assert batch.pos_count_unique == 40
         assert batch.neg_count == 472
 
     def test_zero_positives(self):
-        batch = sample_soft(pool(0, 600), SOFT_512, 0)
+        batch = sample(pool(0, 600), SOFT_512, 0)
         assert batch.pos_count_effective == 0
         assert batch.neg_count == 512
 
     def test_pool_too_small(self):
-        with pytest.raises(SamplerError):
-            sample_soft(pool(10, 100), SOFT_512, 0)
+        with pytest.raises(ValueError, match="pool of 110 proposals cannot fill a batch of 512"):
+            sample(pool(10, 100), SOFT_512, 0)
 
     def test_no_duplicate_indices(self):
-        batch = sample_soft(pool(300, 700), SOFT_512, 3)
+        batch = sample(pool(300, 700), SOFT_512, 3)
         assert len(np.unique(batch.indices)) == len(batch.indices)
 
     def test_deterministic(self):
-        a = sample_soft(pool(60, 700), SOFT_512, 5)
-        b = sample_soft(pool(60, 700), SOFT_512, 5)
+        a = sample(pool(60, 700), SOFT_512, 5)
+        b = sample(pool(60, 700), SOFT_512, 5)
         np.testing.assert_array_equal(a.indices, b.indices)
 
 
 class TestHard:
     def test_single_positive_duplicated(self):
         policy = SamplingPolicy("hard", (1, 1), 8)
-        batch = sample_hard(pool(1, 20), policy, 0)
+        batch = sample(pool(1, 20), policy, 0)
         assert batch.pos_count_unique == 1
         assert batch.pos_count_effective == 4
         assert batch.neg_count == 4
         assert batch.multiplicities[0] == 4
 
     def test_enough_positives_no_duplication(self):
-        batch = sample_hard(pool(200, 600), HARD_512, 0)
+        batch = sample(pool(200, 600), HARD_512, 0)
         assert batch.pos_count_unique == 128
         assert (batch.multiplicities == 1).all()
 
     def test_zero_positive_fallback(self):
-        batch = sample_hard(pool(0, 600), HARD_512, 0)
+        batch = sample(pool(0, 600), HARD_512, 0)
         assert batch.pos_count_effective == 0
         assert batch.neg_count == 512
 
     def test_even_distribution_extras_to_lowest(self):
         policy = SamplingPolicy("hard", (1, 1), 16)  # target 8
-        batch = sample_hard(pool(3, 30), policy, 0)
+        batch = sample(pool(3, 30), policy, 0)
         mults = batch.multiplicities[:3]
         assert sorted(mults, reverse=True) == list(mults)
         assert mults.sum() == 8
@@ -96,16 +89,16 @@ class TestHard:
 
 class TestCounts:
     def test_soft_counts(self):
-        batch = sample_soft(pool(40, 600), SOFT_512, 0)
+        batch = sample(pool(40, 600), SOFT_512, 0)
         assert (batch.pos_count_unique, batch.pos_count_effective) == (40, 40)
 
     def test_hard_counts(self):
         policy = SamplingPolicy("hard", (1, 1), 8)
-        batch = sample_hard(pool(1, 20), policy, 0)
+        batch = sample(pool(1, 20), policy, 0)
         assert (batch.pos_count_unique, batch.pos_count_effective) == (1, 4)
 
     def test_all_negative(self):
-        batch = sample_soft(pool(0, 600), SOFT_512, 0)
+        batch = sample(pool(0, 600), SOFT_512, 0)
         assert (batch.pos_count_unique, batch.pos_count_effective) == (0, 0)
 
 
@@ -123,7 +116,7 @@ class TestProperties:
     @settings(max_examples=60)
     def test_soft_ceiling(self, n_pos, seed):
         policy = SamplingPolicy("soft", (1, 3), 64)
-        batch = sample_soft(pool(n_pos, 128), policy, seed)
+        batch = sample(pool(n_pos, 128), policy, seed)
         assert batch.pos_count_effective == min(n_pos, policy.pos_target)
         assert (batch.multiplicities == 1).all()
 
@@ -131,7 +124,7 @@ class TestProperties:
     @settings(max_examples=60)
     def test_hard_exactness(self, n_pos, seed):
         policy = SamplingPolicy("hard", (1, 3), 64)
-        batch = sample_hard(pool(n_pos, 128), policy, seed)
+        batch = sample(pool(n_pos, 128), policy, seed)
         assert batch.pos_count_effective == policy.pos_target
         assert batch.multiplicities.max() - batch.multiplicities[
             batch.multiplicities >= 1
