@@ -2,9 +2,10 @@
 
 Trains one single-head model per (sampling mode, ratio, seed) cell through
 `detlab.harness.sweep` and writes a median-AP table, sampling_ablation.csv,
-mirroring the hard-versus-soft comparison. Like `detlab sweep`, it exits 2
-after writing both tables if any run failed, naming the failed cells and
-seeds on stderr.
+mirroring the hard-versus-soft comparison. Like `detlab sweep`, it exits 1
+with `config error:` before any work on a bad config or an unreadable
+`--ratios` or `--seeds` item, and exits 2 after writing both tables if any run
+failed, naming the failed cells and seeds on stderr.
 
 Usage:
     python scripts/sampling_ablation.py --config configs/desk.cfg \
@@ -16,6 +17,7 @@ import csv
 import sys
 from pathlib import Path
 
+from detlab.cli import parse_list
 from detlab.config import ConfigError, parse_ratio, load_config
 from detlab.files import atomic_write
 from detlab.harness import sweep, sweep_exit_code
@@ -25,19 +27,23 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--ratios", type=parse_ratio, nargs="+", default=[(1, 1), (1, 3)])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[11, 23, 37])
+    parser.add_argument("--ratios", nargs="+", default=["1:1", "1:3"])
+    parser.add_argument("--seeds", nargs="+", default=["11", "23", "37"])
     args = parser.parse_args(argv)
     try:
         base = load_config(args.config)
+        ratios = [r for item in args.ratios for r in parse_list("--ratios", item, parse_ratio)]
+        seeds = [s for item in args.seeds for s in parse_list("--seeds", item, int)]
+        if not (ratios and seeds):
+            raise ConfigError("--ratios and --seeds need at least one item each")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    names = {f"{p}:{n}": (p, n) for p, n in args.ratios}
+    names = {f"{p}:{n}": (p, n) for p, n in ratios}
     cells = {f"{mode}_{name}": dict(ratios=(ratio,), sampling_mode=mode)
              for name, ratio in names.items() for mode in ("hard", "soft")}
-    sweep_rows = sweep(base, cells, args.seeds, args.out)
+    sweep_rows = sweep(base, cells, seeds, args.out)
     medians = {row["value"]: row["ap_mean"] for row in sweep_rows}
     rows = [{"ratio": name, "hard": medians[f"hard_{name}"],
              "soft": medians[f"soft_{name}"]} for name in names]

@@ -81,8 +81,9 @@ SWEEP_VALUE_PARSERS = {
 }
 
 
-def _parse_list(flag: str, raw: str, parse) -> list:
-    """The comma-separated items of a flag, each read by `parse`."""
+def parse_list(flag: str, raw: str, parse) -> list:
+    """The comma-separated items of a flag, each read by `parse`; an unreadable
+    item raises ConfigError naming the flag and its text."""
     try:
         return [parse(p.strip()) for p in raw.split(",") if p.strip()]
     except ValueError as exc:
@@ -91,10 +92,10 @@ def _parse_list(flag: str, raw: str, parse) -> list:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    values = _parse_list("--values", args.values, SWEEP_VALUE_PARSERS.get(args.axis, str))
+    values = parse_list("--values", args.values, SWEEP_VALUE_PARSERS.get(args.axis, str))
     if not values:
         raise ConfigError("sweep needs a non-empty --values list")
-    seeds = _parse_list("--seeds", args.seeds, int)
+    seeds = parse_list("--seeds", args.seeds, int)
     if not seeds:
         raise ConfigError("sweep needs a non-empty --seeds list")
     rows = sweep(cfg, axis_cells(args.axis, values), seeds, args.out or cfg.out)

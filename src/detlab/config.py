@@ -60,9 +60,13 @@ class ExperimentConfig:
     out: str = "runs/exp"
 
     def __post_init__(self):
-        for name in ("train_scenes", "eval_scenes"):
+        for name in ("train_scenes", "eval_scenes", "hidden", "max_detections"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not 0.0 < self.nms_threshold < 1.0:
+            raise ValueError("nms_threshold must lie in (0, 1)")
+        if not 0.0 <= self.score_floor < 1.0:
+            raise ValueError("score_floor must lie in [0, 1)")
         self.train, self.policies, self.schedule  # what a run builds, so each value is checked
 
     @property

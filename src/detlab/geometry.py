@@ -22,7 +22,7 @@ def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     row-aligned (N,4) arrays give (N,) IoUs."""
     ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.clip(ix, 0.0, None) * np.clip(iy, 0.0, None)
+    inter = np.maximum(ix, 0.0) * np.maximum(iy, 0.0)
     union = ((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
              + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]) - inter)
     return np.where(inter > 0.0, inter / union, 0.0)
@@ -72,33 +72,36 @@ def label_arrays(
     gt_boxes: np.ndarray,
     gt_classes: np.ndarray,
     pos_threshold: float,
+    first_gt=0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Assign each proposal its max-IoU ground truth, or background below
     `pos_threshold`, given the (N, M) proposal-by-ground-truth `ious`.
 
-    Returns (classes, max_ious, matched, reg_targets) where `matched` is -1 for
-    background and `reg_targets` rows are zero for background.
+    Column k of row r is ground truth `first_gt + k` (`first_gt` may be one
+    value per row), so a block of scenes is labeled at once: their ground
+    truths concatenated, each row's IoUs against its own scene's, and 0 in the
+    columns past that scene's last instance. The first column with the largest
+    IoU wins (np.argmax's tie rule), so such padding never wins.
+
+    Returns (classes, max_ious, nearest, reg_targets): `nearest` indexes the
+    max-IoU ground truth, -1 where a proposal overlaps none; `classes` and
+    `reg_targets` rows are zero for background.
     """
     if not (0.0 < pos_threshold < 1.0):
         raise ValueError("pos_threshold must lie in (0, 1)")
     proposal_boxes = np.asarray(proposal_boxes, dtype=np.float64).reshape(-1, 4)
     n = proposal_boxes.shape[0]
-    if len(gt_boxes) == 0:
-        return (
-            np.zeros(n, dtype=np.int64),
-            np.zeros(n, dtype=np.float64),
-            np.full(n, -1, dtype=np.int64),
-            np.zeros((n, 4), dtype=np.float64),
-        )
-    # np.argmax breaks ties toward the lowest ground-truth index
-    matched = np.argmax(ious, axis=1)
-    max_ious = ious[np.arange(n), matched]
-    positive = max_ious >= pos_threshold
-    classes = np.where(positive, np.asarray(gt_classes, dtype=np.int64)[matched], 0)
-    matched = np.where(positive, matched, -1)
+    max_ious = np.zeros(n)
+    nearest = np.full(n, -1, dtype=np.int64)
+    if ious.shape[1]:
+        column = np.argmax(ious, axis=1)
+        max_ious = ious[np.arange(n), column]
+        nearest = np.where(max_ious > 0.0, first_gt + column, -1)
+    positive = np.flatnonzero(max_ious >= pos_threshold)
+    matched = nearest[positive]
+    classes = np.zeros(n, dtype=np.int64)
+    classes[positive] = np.asarray(gt_classes, dtype=np.int64)[matched]
     reg = np.zeros((n, 4), dtype=np.float64)
-    if np.any(positive):
-        reg[positive] = encode_deltas_array(
-            proposal_boxes[positive], np.asarray(gt_boxes, dtype=np.float64)[matched[positive]]
-        )
-    return classes, max_ious, matched, reg
+    reg[positive] = encode_deltas_array(
+        proposal_boxes[positive], np.asarray(gt_boxes, dtype=np.float64)[matched])
+    return classes, max_ious, nearest, reg

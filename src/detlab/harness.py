@@ -3,6 +3,7 @@ sweeps, and figure-ready CSV emission."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import statistics
@@ -29,6 +30,7 @@ from .metrics import (
 from .prm import GradNormRecord, PrmModel, init_model, prm_predict, prm_train_step
 from .seeding import derive_seed
 from .synthdata import (
+    ProposalSet,
     Scene,
     generate_dataset,
     generate_proposals,
@@ -55,12 +57,30 @@ class RunResult:
     out_dir: Path
 
 
-def _scene_proposals(cfg: ExperimentConfig, scene: Scene, q: float, seed_tag) -> "ProposalSet":
+# Proposal pools are built this many at a time: each generate_proposals call
+# labels and featurizes a block of pools in one pass over their rows. Larger
+# blocks save little more time and hold more memory.
+POOL_BLOCK = 32
+
+
+def _proposal_block(cfg: ExperimentConfig, scenes: Sequence[Scene], qualities: Sequence[float],
+                    seed_tags: Sequence[tuple]) -> ProposalSet:
+    """One block of proposal pools: each scene's at its quality, seeded by its tag."""
     return generate_proposals(
-        scene, q, cfg.rpn, derive_seed(cfg.seed, *seed_tag),
+        scenes, qualities, cfg.rpn, [derive_seed(cfg.seed, *tag) for tag in seed_tags],
         feat=cfg.feat, num_classes=cfg.scene.num_classes,
         box_size_range=cfg.scene.box_size_range,
     )
+
+
+@contextlib.contextmanager
+def _timed(stages: dict[str, float], name: str):
+    """Adds the wall seconds the block takes to stages[name]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] = stages.get(name, 0.0) + time.perf_counter() - start
 
 
 def _scene_detections(cfg: ExperimentConfig, scene_index: int,
@@ -82,21 +102,30 @@ def _scene_detections(cfg: ExperimentConfig, scene_index: int,
     return found
 
 
-def evaluate_model(model: PrmModel, scenes: Sequence[Scene],
-                   cfg: ExperimentConfig) -> EvalResult:
+def evaluate_model(model: PrmModel, scenes: Sequence[Scene], cfg: ExperimentConfig,
+                   stages: Optional[dict[str, float]] = None) -> EvalResult:
     """Proposals at final quality, ensemble + per-head detections, AP, and
-    head score-disagreement statistics."""
+    head score-disagreement statistics. Adds the wall seconds spent building
+    proposals and evaluating to `stages`, if given."""
+    stages = {} if stages is None else stages
     multi = len(model.heads) > 1
     found: list[list[tuple]] = []  # per scene, per output
     head_logits: list[list[np.ndarray]] = []  # per scene, per head
-    for index, scene in enumerate(scenes):
-        pool = _scene_proposals(cfg, scene, 1.0, ("evalprop", scene.id))
-        outputs, logits = prm_predict(model, pool)  # the ensemble, then each head
-        head_logits.append(logits)
-        found.append(_scene_detections(cfg, index, outputs))
-    ensemble_ap, *heads_ap = [compute_ap(Detections(*map(np.concatenate, zip(*d))), scenes)
-                              for d in zip(*found)]
-    stats = score_gap_stats([np.concatenate(h) for h in zip(*head_logits)]) if multi else None
+    for start in range(0, len(scenes), POOL_BLOCK):
+        batch = scenes[start:start + POOL_BLOCK]
+        with _timed(stages, "proposals"):
+            block = _proposal_block(cfg, batch, [1.0] * len(batch),
+                                    [("evalprop", scene.id) for scene in batch])
+        with _timed(stages, "evaluation"):
+            for i in range(len(batch)):
+                outputs, logits = prm_predict(model, block.pool(i))  # the ensemble, then each head
+                head_logits.append(logits)
+                found.append(_scene_detections(cfg, start + i, outputs))
+        del block  # dropped before the next block is built
+    with _timed(stages, "evaluation"):
+        ensemble_ap, *heads_ap = [compute_ap(Detections(*map(np.concatenate, zip(*d))), scenes)
+                                  for d in zip(*found)]
+        stats = score_gap_stats([np.concatenate(h) for h in zip(*head_logits)]) if multi else None
     return EvalResult(ensemble=ensemble_ap, heads=heads_ap, score_stats=stats)
 
 
@@ -209,42 +238,51 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     train_cfg = cfg.train
     log = MetricsLog()
     gradnorm: list[GradNormRecord] = []
-    for t in range(cfg.total_steps):
-        scene = train_scenes[t % len(train_scenes)]
-        q = quality_at(t, cfg.total_steps)
-        pool = _scene_proposals(cfg, scene, q, ("prop", t))
-        record, stats, lam = prm_train_step(
-            model, pool, t, train_cfg, schedule, cfg.seed
-        )
-        fg_scores = tuple(s.mean_fg_score for s in stats)
-        if not np.isfinite((record.norm_sum, *fg_scores)).all():
-            raise FloatingPointError(
-                f"training went non-finite at step {t}: backbone gradient norm "
-                f"{record.norm_sum!r}, mean foreground scores {fg_scores!r}")
-        head0 = stats[0]
-        log.append(MetricsRow(
-            step=t,
-            pos_count_unique=head0.pos_count_unique,
-            pos_count_effective=head0.pos_count_effective,
-            pos_acc=head0.pos_acc,
-            neg_acc=head0.neg_acc,
-            lam=lam,
-            fg_scores=fg_scores,
-        ))
-        gradnorm.append(record)
+    stages: dict[str, float] = {}  # wall seconds per stage, for timings.json
+    for start in range(0, cfg.total_steps, POOL_BLOCK):
+        steps = range(start, min(start + POOL_BLOCK, cfg.total_steps))
+        with _timed(stages, "proposals"):
+            block = _proposal_block(cfg, [train_scenes[t % len(train_scenes)] for t in steps],
+                                    [quality_at(t, cfg.total_steps) for t in steps],
+                                    [("prop", t) for t in steps])
+        with _timed(stages, "train_steps"):
+            for i, t in enumerate(steps):
+                record, stats, lam = prm_train_step(
+                    model, block.pool(i), t, train_cfg, schedule, cfg.seed
+                )
+                fg_scores = tuple(s.mean_fg_score for s in stats)
+                if not np.isfinite((record.norm_sum, *fg_scores)).all():
+                    raise FloatingPointError(
+                        f"training went non-finite at step {t}: backbone gradient norm "
+                        f"{record.norm_sum!r}, mean foreground scores {fg_scores!r}")
+                head0 = stats[0]
+                log.append(MetricsRow(
+                    step=t,
+                    pos_count_unique=head0.pos_count_unique,
+                    pos_count_effective=head0.pos_count_effective,
+                    pos_acc=head0.pos_acc,
+                    neg_acc=head0.neg_acc,
+                    lam=lam,
+                    fg_scores=fg_scores,
+                ))
+                gradnorm.append(record)
+        del block  # dropped before the next block is built
 
     log.to_csv(out_dir / "metrics.csv")
     write_gradnorm_csv(gradnorm, out_dir / "gradnorm.csv")
     from .net import save_params
 
     save_params(out_dir / "checkpoint.npz", model.backbone, model.heads, cfg.ratios)
-    result = evaluate_model(model, eval_scenes, cfg)
+    result = evaluate_model(model, eval_scenes, cfg, stages)
     write_eval_report(result, out_dir / "eval_report.txt")
     summary = write_eval_summary(result, cfg, out_dir / "eval_summary.json")
     # manifest.json is byte-identical on reruns; what varies goes to timings.json
     _write_json(out_dir / "manifest.json",
                 {"config_hash": cfg.config_hash(), "seed": cfg.seed, "mode": cfg.mode})
-    _write_json(out_dir / "timings.json", {"created": time.strftime("%Y-%m-%dT%H:%M:%S")})
+    _write_json(out_dir / "timings.json", {
+        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "stages": {name: round(seconds, 6) for name, seconds in stages.items()},
+    })
     return RunResult(config=cfg, metrics=log, gradnorm=gradnorm, eval=result,
                      summary=summary, out_dir=out_dir)
 

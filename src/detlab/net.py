@@ -59,8 +59,8 @@ class TrainConfig:
     reg_weight: float = 1.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be positive and finite")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
         if not (0.0 < self.decay_factor < 1.0):

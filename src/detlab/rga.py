@@ -7,6 +7,7 @@ A constant-factor variant supports ablations against the annealed schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .net import Gradients, HeadParams
@@ -19,8 +20,8 @@ class AnnealSchedule:
     constant: bool = False
 
     def __post_init__(self):
-        if self.lambda0 < 1.0:
-            raise ValueError("initial magnification must be >= 1")
+        if not 1.0 <= self.lambda0 < math.inf:
+            raise ValueError("initial magnification must be >= 1 and finite")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
 

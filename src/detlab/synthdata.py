@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .files import atomic_write
-from .geometry import check_boxes, iou_matrix, label_arrays
+from .geometry import check_boxes, iou, iou_matrix, label_arrays  # iou_matrix: perfbench patches it here
 from .seeding import rng_for
 
 POS_IOU_THRESHOLD = 0.5
@@ -77,8 +77,17 @@ class FeatureModel:
     noise_dims: int = 8
     noise_sigma: float = 0.25
 
+    def __post_init__(self):
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
+
     def dim(self, num_classes: int) -> int:
         return num_classes + self.noise_dims
+
+    def noise(self, rng: np.random.Generator, rows: int, num_classes: int) -> np.ndarray:
+        """(rows, dim) gaussian feature noise; nothing is drawn when noise_sigma is 0."""
+        shape = (rows, self.dim(num_classes))
+        return rng.normal(0.0, self.noise_sigma, size=shape) if self.noise_sigma > 0 else np.zeros(shape)
 
 
 class Scene:
@@ -97,9 +106,10 @@ class Scene:
 
 
 class ProposalSet:
-    """Struct-of-arrays view of a scene's labeled, featurized proposals."""
+    """Struct-of-arrays labeled, featurized proposals of one or more pools, in
+    pool order: pool i holds rows `offsets[i]:offsets[i + 1]`."""
 
-    def __init__(self, boxes, classes, reg_targets, features):
+    def __init__(self, boxes, classes, reg_targets, features, offsets=None):
         self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
         self.classes = np.asarray(classes, dtype=np.int64)
         self.reg_targets = np.asarray(reg_targets, dtype=np.float64).reshape(-1, 4)
@@ -107,9 +117,20 @@ class ProposalSet:
         n = len(self.classes)
         if not len(self.boxes) == len(self.reg_targets) == len(self.features) == n:
             raise ValueError("mismatched proposal array lengths")
+        self.offsets = np.asarray((0, n) if offsets is None else offsets)
 
     def __len__(self) -> int:
         return len(self.classes)
+
+    @property
+    def num_pools(self) -> int:
+        return len(self.offsets) - 1
+
+    def pool(self, i: int) -> "ProposalSet":
+        """Pool i alone, as views of this set's arrays."""
+        rows = slice(self.offsets[i], self.offsets[i + 1])
+        return ProposalSet(self.boxes[rows], self.classes[rows], self.reg_targets[rows],
+                           self.features[rows])
 
 
 def generate_scene(config: SceneConfig, rng_seed: int) -> Scene:
@@ -138,36 +159,30 @@ def quality_at(t: int, total_steps: int) -> float:
     return t / total_steps
 
 
-def proposal_features(
-    classes: np.ndarray,
-    max_ious: np.ndarray,
-    num_classes: int,
-    feat: FeatureModel,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Features for labeled proposals.
+def proposal_features(classes: np.ndarray, max_ious: np.ndarray,
+                      noise: np.ndarray) -> np.ndarray:
+    """Features for labeled proposals: `noise` with, added in place, each
+    proposal's overlap in the dimension of the class given in `classes`.
 
-    The class dimension of the max-IoU ground truth carries the overlap value,
-    so near-miss proposals below the positive threshold still look partly like
-    their class. Proposals with zero overlap are pure noise.
+    Given the class of the max-IoU ground truth, near-miss proposals below the
+    positive threshold still look partly like their class. Proposals of class
+    0 (zero overlap) are pure noise.
     """
-    classes = np.asarray(classes, dtype=np.int64)
-    max_ious = np.asarray(max_ious, dtype=np.float64)
-    n = len(classes)
-    d = feat.dim(num_classes)
-    out = rng.normal(0.0, feat.noise_sigma, size=(n, d)) if feat.noise_sigma > 0 else np.zeros((n, d))
-    pos = classes > 0
-    out[pos, classes[pos] - 1] += max_ious[pos]
-    return out
+    rows = np.flatnonzero(classes > 0)
+    noise[rows, classes[rows] - 1] += max_ious[rows]
+    return noise
 
 
-def _jitter_boxes(gt_boxes: np.ndarray, copies: int, sigma: float,
-                  rng: np.random.Generator) -> np.ndarray:
+def _jitter_boxes(gt_boxes: np.ndarray, copies: int, sigma: np.ndarray,
+                  normal: np.ndarray) -> np.ndarray:
+    """`copies` copies of each box, moved by `normal` (one standard-normal row
+    per copy) times `sigma` (one per box) of the box's width and height."""
     boxes = np.repeat(gt_boxes, copies, axis=0)
+    sigma = np.repeat(sigma, copies)
     w = boxes[:, 2] - boxes[:, 0]
     h = boxes[:, 3] - boxes[:, 1]
     scale = np.stack([sigma * w, sigma * h, sigma * w, sigma * h], axis=1)
-    jittered = boxes + rng.normal(0.0, 1.0, size=boxes.shape) * scale
+    jittered = boxes + normal * scale
     # heavy jitter can cross the corners; repair to keep boxes valid
     x1 = np.minimum(jittered[:, 0], jittered[:, 2])
     x2 = np.maximum(jittered[:, 0], jittered[:, 2])
@@ -179,46 +194,76 @@ def _jitter_boxes(gt_boxes: np.ndarray, copies: int, sigma: float,
 
 
 def generate_proposals(
-    scene: Scene,
-    q: float,
+    scenes: Sequence[Scene],
+    qualities: Sequence[float],
     model: RpnQualityModel,
-    rng_seed: int,
+    rng_seeds: Sequence[int],
     feat: FeatureModel = FeatureModel(),
     *,
     num_classes: int,
     box_size_range: tuple[float, float] = SceneConfig.box_size_range,
     pos_threshold: float = POS_IOU_THRESHOLD,
 ) -> ProposalSet:
-    """Simulated proposals at quality `q`: jittered copies of each instance plus
-    uniform background boxes, labeled and featurized."""
-    if not (0.0 <= q <= 1.0):
-        raise ValueError("quality must lie in [0, 1]")
-    rng = np.random.default_rng(rng_seed)
-    gt_boxes = scene.gt_boxes
-    sigma = model.sigma(q)
-    if len(gt_boxes):
-        fg = _jitter_boxes(gt_boxes, model.fg_per_gt, sigma, rng)
-    else:
-        fg = np.zeros((0, 4))
+    """A block of simulated proposal pools, one per scene at its quality and
+    seed: jittered copies of each instance plus uniform background boxes,
+    labeled and featurized.
+
+    Each pool draws from its own `default_rng(seed)` exactly as a pool built
+    alone would: the jitter, four background uniforms, then the feature noise.
+    The geometry then runs once over the block's rows.
+    """
+    if not len(scenes) == len(qualities) == len(rng_seeds) > 0:
+        raise ValueError("need one quality and one seed per scene, for at least one scene")
     lo, hi = box_size_range
-    w_ext, h_ext = scene.extent
-    bw = rng.uniform(lo, min(hi, w_ext), size=model.bg_per_scene)
-    bh = rng.uniform(lo, min(hi, h_ext), size=model.bg_per_scene)
-    bx = rng.uniform(0.0, 1.0, size=model.bg_per_scene) * (w_ext - bw)
-    by = rng.uniform(0.0, 1.0, size=model.bg_per_scene) * (h_ext - bh)
+    n_bg = model.bg_per_scene
+    gt_counts = [len(scene.gt_classes) for scene in scenes]
+    fg_counts = [n * model.fg_per_gt for n in gt_counts]
+    sizes = [n + n_bg for n in fg_counts]
+    sigmas, normals, uniforms, noise = [], [], [], []
+    for scene, q, seed, n_fg in zip(scenes, qualities, rng_seeds, fg_counts):
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("quality must lie in [0, 1]")
+        rng = np.random.default_rng(seed)
+        w_ext, h_ext = scene.extent
+        sigmas.append(model.sigma(q))
+        normals.append(rng.normal(0.0, 1.0, size=(n_fg, 4)) if n_fg else np.zeros((0, 4)))
+        uniforms.append((rng.uniform(lo, min(hi, w_ext), size=n_bg),
+                         rng.uniform(lo, min(hi, h_ext), size=n_bg),
+                         rng.uniform(0.0, 1.0, size=n_bg),
+                         rng.uniform(0.0, 1.0, size=n_bg)))
+        noise.append(feat.noise(rng, n_fg + n_bg, num_classes))
+
+    gt_boxes = np.concatenate([scene.gt_boxes for scene in scenes])
+    gt_classes = np.concatenate([scene.gt_classes for scene in scenes])
+    fg = _jitter_boxes(gt_boxes, model.fg_per_gt, np.repeat(sigmas, gt_counts),
+                       np.concatenate(normals))
+    bw, bh, ux, uy = map(np.concatenate, zip(*uniforms))
+    extents = np.repeat(np.array([scene.extent for scene in scenes], dtype=np.float64),
+                        n_bg, axis=0)
+    bx = ux * (extents[:, 0] - bw)
+    by = uy * (extents[:, 1] - bh)
     bg = np.stack([bx, by, bx + bw, by + bh], axis=1)
-    boxes = np.concatenate([fg, bg], axis=0)
-    ious = iou_matrix(boxes, gt_boxes)
-    classes, max_ious, _, reg = label_arrays(
-        ious, boxes, gt_boxes, scene.gt_classes, pos_threshold
-    )
-    if len(gt_boxes):
-        nearest = np.argmax(ious, axis=1)
-        signal_classes = np.where(max_ious > 0.0, scene.gt_classes[nearest], 0)
-    else:
-        signal_classes = np.zeros(len(boxes), dtype=np.int64)
-    features = proposal_features(signal_classes, max_ious, num_classes, feat, rng)
-    return ProposalSet(boxes, classes, reg, features)
+    fg_starts = np.cumsum([0, *fg_counts]).tolist()
+    boxes = np.concatenate([part for i in range(len(scenes)) for part in (  # pool by pool,
+        fg[fg_starts[i]:fg_starts[i + 1]], bg[i * n_bg:(i + 1) * n_bg])])  # fg then bg
+
+    # One IoU pass per ground-truth column, each row against its own scene.
+    # A scene with fewer instances gets all-zero boxes in the later columns:
+    # a degenerate box at the origin has IoU exactly 0 with every valid box.
+    padded = np.zeros((len(scenes), max(gt_counts), 4))
+    for i, scene in enumerate(scenes):
+        padded[i, :gt_counts[i]] = scene.gt_boxes
+    first_gt = np.cumsum(gt_counts) - gt_counts
+    ious = np.empty((len(boxes), padded.shape[1]))
+    for k in range(padded.shape[1]):
+        ious[:, k] = iou(boxes, np.repeat(padded[:, k], sizes, axis=0))
+    classes, max_ious, nearest, reg = label_arrays(
+        ious, boxes, gt_boxes, gt_classes, pos_threshold, np.repeat(first_gt, sizes))
+    signal_classes = np.zeros(len(boxes), dtype=np.int64)
+    overlaps = np.flatnonzero(nearest >= 0)
+    signal_classes[overlaps] = gt_classes[nearest[overlaps]]
+    features = proposal_features(signal_classes, max_ious, np.concatenate(noise))
+    return ProposalSet(boxes, classes, reg, features, np.cumsum([0, *sizes]))
 
 
 def generate_dataset(config: SceneConfig, n_scenes: int, base_seed: int,

@@ -342,16 +342,15 @@ class TestBehavioral:
         for seed in SEEDS:
             run = desk_runs[("baseline", seed)]
             cfg = run.config
-            gt_counts = []
-            pos_counts = []
-            for i in range(500):
-                scene = generate_scene(cfg.scene, derive_seed(seed, "shape", i))
-                pool = generate_proposals(
-                    scene, 1.0, cfg.rpn, derive_seed(seed, "shapeprop", i),
-                    feat=cfg.feat, num_classes=cfg.scene.num_classes,
-                    box_size_range=cfg.scene.box_size_range)
-                gt_counts.append(len(scene.gt_classes))
-                pos_counts.append(int(np.sum(pool.classes > 0)))
+            scenes = [generate_scene(cfg.scene, derive_seed(seed, "shape", i))
+                      for i in range(500)]
+            pools = generate_proposals(
+                scenes, [1.0] * 500, cfg.rpn,
+                [derive_seed(seed, "shapeprop", i) for i in range(500)],
+                feat=cfg.feat, num_classes=cfg.scene.num_classes,
+                box_size_range=cfg.scene.box_size_range)
+            gt_counts = [len(scene.gt_classes) for scene in scenes]
+            pos_counts = [int(np.sum(pools.pool(i).classes > 0)) for i in range(500)]
             rhos.append(scipy_stats.spearmanr(gt_counts, pos_counts).statistic)
         rho = float(np.median(rhos))
         report("10 per-scene gt count vs positive proposals", rho > 0.5,

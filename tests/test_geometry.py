@@ -169,14 +169,40 @@ class TestLabeling:
         np.testing.assert_allclose(reg[0], np.zeros(4))
 
     def test_below_threshold_is_background(self):
-        # IoU 3/17 < 0.5
-        classes, _, matched, reg = label([Box(7, 7, 12, 12)], self.gts(), 0.5)
-        assert classes[0] == 0 and matched[0] == -1
-        np.testing.assert_array_equal(reg[0], np.zeros(4))
+        # IoU 3/17 < 0.5: background, though its nearest instance is still named
+        classes, _, nearest, reg = label([Box(7, 7, 12, 12), Box(50, 50, 60, 60)],
+                                         self.gts(), 0.5)
+        assert classes.tolist() == [0, 0] and nearest.tolist() == [0, -1]
+        np.testing.assert_array_equal(reg, np.zeros((2, 4)))
 
     def test_empty_gts(self):
         classes, max_ious, _, _ = label([Box(0, 0, 5, 5), Box(1, 1, 2, 2)], [], 0.5)
         assert (classes == 0).all() and (max_ious == 0.0).all()
+
+    def test_block_of_scenes_equals_each_alone(self):
+        # two scenes labeled in one call: the second's ground truths follow the
+        # first's, and its missing second column holds IoU 0
+        props = [Box(0, 0, 10, 10), Box(7, 7, 12, 12), Box(21, 21, 30, 30)]
+        other_props = [Box(0, 0, 10, 10), Box(50, 50, 60, 60)]
+        other_gts = [(Box(1, 1, 10, 10), 2)]
+        alone = [label(props, self.gts(), 0.5), label(other_props, other_gts, 0.5)]
+        boxes = np.array([b.as_array() for b in props + other_props])
+        gts = self.gts() + other_gts
+        ious = np.zeros((5, 2))
+        ious[:3] = iou_matrix(boxes[:3], np.array([b.as_array() for b, _ in gts[:2]]))
+        ious[3:, :1] = iou_matrix(boxes[3:], gts[2][0].as_array())
+        block = label_arrays(ious, boxes, np.array([b.as_array() for b, _ in gts]),
+                             np.array([c for _, c in gts]), 0.5, np.array([0, 0, 0, 2, 2]))
+        np.testing.assert_array_equal(block[1], np.concatenate([alone[0][1], alone[1][1]]))
+        np.testing.assert_array_equal(block[2], [0, 0, 1, 2, -1])
+        for got, a, b in zip((block[0], block[3]), (alone[0][0], alone[0][3]),
+                             (alone[1][0], alone[1][3])):
+            np.testing.assert_array_equal(got, np.concatenate([a, b]), strict=True)
+
+    def test_iou_at_threshold_is_positive(self):
+        # the lower half of the first instance: IoU exactly 50/100
+        classes, max_ious, _, _ = label([Box(0, 0, 10, 5)], self.gts(), 0.5)
+        assert max_ious[0] == 0.5 and classes[0] == 3
 
     def test_tie_breaks_to_lowest_gt_index(self):
         gts = [(Box(0, 0, 10, 10), 2), (Box(0, 0, 10, 10), 3)]

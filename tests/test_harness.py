@@ -15,6 +15,7 @@ from detlab.files import atomic_write
 from detlab.harness import axis_cells, run_experiment, sweep
 from detlab.metrics import MetricsLog, MetricsRow
 from detlab.net import init_backbone, save_params
+from detlab.seeding import derive_seed
 
 TINY = """
 [scene]
@@ -195,6 +196,12 @@ class TestRunExperiment:
         for r in (r1, r2):  # the time of the run is kept beside it
             assert "created" in json.loads((r.out_dir / "timings.json").read_text())
 
+    def test_timings_record_stage_seconds(self, tmp_path):
+        result = run_experiment(tiny_cfg(tmp_path))
+        stages = json.loads((result.out_dir / "timings.json").read_text())["stages"]
+        assert sorted(stages) == ["evaluation", "proposals", "train_steps"]
+        assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())
+
     def test_artifacts_exist(self, tmp_path):
         result = run_experiment(tiny_cfg(tmp_path))
         for name in ("metrics.csv", "gradnorm.csv", "checkpoint.npz",
@@ -360,8 +367,25 @@ class TestCli:
         (TINY.replace("steps = 40", "steps = 0"), "total_steps must be >= 1"),
         (TINY.replace("train_scenes = 20", "train_scenes = 0"), "train_scenes must be >= 1"),
         (TINY.replace("[eval]\nscenes = 20", "[eval]\nscenes = 0"), "eval_scenes must be >= 1"),
+        (TINY + "[rga]\nenabled = true\nlambda0 = nan\n",
+         "initial magnification must be >= 1 and finite"),
+        (TINY + "[rga]\nenabled = true\nlambda0 = inf\n",
+         "initial magnification must be >= 1 and finite"),
+        (TINY + "[train]\nlearning_rate = nan\n", "learning rate must be positive and finite"),
+        (TINY + "[train]\nlearning_rate = inf\n", "learning rate must be positive and finite"),
+        (TINY + "[eval]\nnms_threshold = 0\n", "nms_threshold must lie in (0, 1)"),
+        (TINY + "[eval]\nnms_threshold = 1.0\n", "nms_threshold must lie in (0, 1)"),
+        (TINY + "[features]\nnoise_sigma = -0.1\n", "noise_sigma must be finite and >= 0"),
+        (TINY.replace("hidden = 8", "hidden = 0"), "hidden must be >= 1"),
+        (TINY + "[eval]\nmax_detections = 0\n", "max_detections must be >= 1"),
+        (TINY + "[eval]\nscore_floor = nan\n", "score_floor must lie in [0, 1)"),
+        (TINY + "[eval]\nscore_floor = 1.0\n", "score_floor must lie in [0, 1)"),
+        (TINY + "[eval]\nscore_floor = -0.1\n", "score_floor must lie in [0, 1)"),
     ], ids=["num_classes", "jitter", "learning_rate", "decay_factor", "lambda0",
-            "steps", "train_scenes", "eval_scenes"])
+            "steps", "train_scenes", "eval_scenes", "lambda0-nan", "lambda0-inf",
+            "learning_rate-nan", "learning_rate-inf", "nms_threshold-0", "nms_threshold-1",
+            "noise_sigma", "hidden", "max_detections", "score_floor-nan", "score_floor-1",
+            "score_floor-negative"])
     def test_invalid_value_exits_1_before_any_work(self, tmp_path, capsys, doc, message):
         bad = tmp_path / "bad.cfg"
         bad.write_text(doc)
@@ -381,15 +405,16 @@ class TestCli:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_training_exits_2_naming_the_step(self, tmp_path, capsys,
                                                           monkeypatch):
-        scene_proposals = harness._scene_proposals
+        generate_proposals = harness.generate_proposals
+        step_3 = derive_seed(3, "prop", 3)  # the TINY config's seed is 3
 
-        def poisoned(cfg, scene, q, seed_tag):
-            pool = scene_proposals(cfg, scene, q, seed_tag)
-            if seed_tag == ("prop", 3):
-                pool.features[0, 0] = np.nan
-            return pool
+        def poisoned(scenes, qualities, model, rng_seeds, *args, **kwargs):
+            block = generate_proposals(scenes, qualities, model, rng_seeds, *args, **kwargs)
+            if step_3 in rng_seeds:
+                block.pool(rng_seeds.index(step_3)).features[0, 0] = np.nan
+            return block
 
-        monkeypatch.setattr(harness, "_scene_proposals", poisoned)
+        monkeypatch.setattr(harness, "generate_proposals", poisoned)
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
@@ -499,16 +524,24 @@ class TestCli:
         assert (out / "sweep.csv").exists() and not (out / "0.5").exists()
 
     def test_sampling_ablation_exit_code(self, tmp_path, capsys):
-        spec = importlib.util.spec_from_file_location(
-            "sampling_ablation", Path(__file__).resolve().parent.parent / "scripts"
-            / "sampling_ablation.py")
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+        script = load_sampling_ablation()
         out = tmp_path / "ablation"
         assert script.main(["--config", str(self.write_cfg(tmp_path)), "--out", str(out),
                             "--ratios", "1:39", "--seeds", "3"]) == 2
         assert "sweep cell hard_1:39: 1 of 1 runs failed" in capsys.readouterr().err
         assert (out / "sampling_ablation.csv").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--ratios", "1:1", "1:x"], "bad --ratios '1:x': ratio must match 'P:N', got '1:x'"),
+        (["--seeds", "3", "x"], "bad --seeds 'x': invalid literal for int() with base 10: 'x'"),
+    ], ids=["ratios", "seeds"])
+    def test_sampling_ablation_typo_exits_1_before_any_work(self, tmp_path, capsys, flags,
+                                                             message):
+        out = tmp_path / "ablation"
+        assert load_sampling_ablation().main(
+            ["--config", str(self.write_cfg(tmp_path)), "--out", str(out), *flags]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_rejects_other_head_layout(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)
@@ -538,6 +571,16 @@ class TestCli:
         assert cli_main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(checkpoint) in err and "records no head ratios" in err
+
+
+def load_sampling_ablation():
+    """scripts/sampling_ablation.py as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "sampling_ablation", Path(__file__).resolve().parent.parent / "scripts"
+        / "sampling_ablation.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_perfbench_tracer_installs(monkeypatch):

@@ -26,7 +26,7 @@ FEATURE_DIM = C + 8
 
 def make_pool(seed=0, q=0.8, gt_count=4):
     scene = generate_scene(SceneConfig(gt_count_weights={gt_count: 1.0}), seed)
-    return generate_proposals(scene, q, RpnQualityModel(), seed + 1, num_classes=C)
+    return generate_proposals([scene], [q], RpnQualityModel(), [seed + 1], num_classes=C)
 
 
 def policy(ratio=(1, 3), mode="soft", batch=32):

@@ -8,6 +8,7 @@ from detlab.config import load_config
 from detlab.geometry import iou_matrix, label_arrays
 from detlab.seeding import derive_seed
 from detlab.synthdata import (
+    DEFAULT_GT_COUNT_WEIGHTS,
     POS_IOU_THRESHOLD,
     FeatureModel,
     RpnQualityModel,
@@ -21,6 +22,7 @@ from detlab.synthdata import (
     quality_at,
     save_dataset,
 )
+import proposal_oracle
 from test_harness import DESK_CFG
 
 
@@ -75,9 +77,10 @@ def assert_same_scenes(a, b):
 def best_matches(scene, pool):
     """`label_arrays`' best IoU and matched instance (-1 for background) of
     each proposal in `pool`, as `generate_proposals` labeled it."""
-    _, max_ious, matched, _ = label_arrays(iou_matrix(pool.boxes, scene.gt_boxes), pool.boxes,
-                                           scene.gt_boxes, scene.gt_classes, POS_IOU_THRESHOLD)
-    return max_ious, matched
+    classes, max_ious, nearest, _ = label_arrays(
+        iou_matrix(pool.boxes, scene.gt_boxes), pool.boxes, scene.gt_boxes, scene.gt_classes,
+        POS_IOU_THRESHOLD)
+    return max_ious, np.where(classes > 0, nearest, -1)
 
 
 def _scene(n=2, cls=2):
@@ -88,7 +91,7 @@ def _scene(n=2, cls=2):
 class TestProposals:
     def test_perfect_quality_zero_jitter(self):
         model = RpnQualityModel(jitter_start=0.6, jitter_end=0.0)
-        pool = generate_proposals(_scene(), 1.0, model, 5, num_classes=3)
+        pool = generate_proposals([_scene()], [1.0], model, [5], num_classes=3)
         max_ious, matched = best_matches(_scene(), pool)
         # every instance keeps at least one exact copy
         for g in range(len(_scene().gt_classes)):
@@ -98,29 +101,30 @@ class TestProposals:
     def test_zero_gt_scene(self):
         scene = Scene(2, (100.0, 100.0), [], [])
         model = RpnQualityModel()
-        pool = generate_proposals(scene, 0.5, model, 3, num_classes=3)
+        pool = generate_proposals([scene], [0.5], model, [3], num_classes=3)
         assert len(pool) == model.bg_per_scene
         assert (pool.classes == 0).all()
 
     def test_deterministic(self):
         model = RpnQualityModel()
-        a = generate_proposals(_scene(), 0.3, model, 7, num_classes=3)
-        b = generate_proposals(_scene(), 0.3, model, 7, num_classes=3)
+        a = generate_proposals([_scene()], [0.3], model, [7], num_classes=3)
+        b = generate_proposals([_scene()], [0.3], model, [7], num_classes=3)
         np.testing.assert_array_equal(a.boxes, b.boxes)
         np.testing.assert_array_equal(a.features, b.features)
         with pytest.raises(TypeError):  # feature width never follows the scene's classes
-            generate_proposals(_scene(), 0.3, model, 7)
+            generate_proposals([_scene()], [0.3], model, [7])
 
     def test_low_quality_means_low_overlap(self):
         # default starting jitter leaves the mean per-instance best IoU below 0.5
         model = RpnQualityModel()
+        scenes = [generate_scene(SceneConfig(gt_count_weights={2: 1.0}), derive_seed("lowq", i))
+                  for i in range(1000)]
+        pools = generate_proposals(scenes, [0.0] * 1000, model,
+                                   [derive_seed("lowq-p", i) for i in range(1000)],
+                                   num_classes=3)
         best = []
-        for i in range(1000):
-            scene = generate_scene(SceneConfig(gt_count_weights={2: 1.0}),
-                                   derive_seed("lowq", i))
-            pool = generate_proposals(scene, 0.0, model, derive_seed("lowq-p", i),
-                                      num_classes=3)
-            max_ious, matched = best_matches(scene, pool)
+        for i, scene in enumerate(scenes):
+            max_ious, matched = best_matches(scene, pools.pool(i))
             for g in range(2):
                 mask = matched == g
                 best.append(max_ious[mask].max() if mask.any() else 0.0)
@@ -128,53 +132,109 @@ class TestProposals:
 
     def test_positive_count_increases_with_quality(self):
         model = RpnQualityModel()
-        cfg = SceneConfig()
+        scenes = [generate_scene(SceneConfig(), derive_seed("shortage", i)) for i in range(300)]
         means = []
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-            counts = []
-            for i in range(300):
-                scene = generate_scene(cfg, derive_seed("shortage", i))
-                pool = generate_proposals(scene, q, model,
-                                          derive_seed("shortage-p", q, i),
-                                          num_classes=3)
-                counts.append(int((pool.classes > 0).sum()))
-            means.append(np.mean(counts))
+            pools = generate_proposals(scenes, [q] * 300, model,
+                                       [derive_seed("shortage-p", q, i) for i in range(300)],
+                                       num_classes=3)
+            means.append(np.mean([int((pools.pool(i).classes > 0).sum()) for i in range(300)]))
         assert all(a < b for a, b in zip(means, means[1:]))
 
     def test_gt_count_correlates_with_positives_at_full_quality(self):
         model = RpnQualityModel()
-        cfg = SceneConfig()
-        gt_counts, pos_counts = [], []
-        for i in range(2000):
-            scene = generate_scene(cfg, derive_seed("corr", i))
-            pool = generate_proposals(scene, 1.0, model, derive_seed("corr-p", i),
-                                      num_classes=3)
-            gt_counts.append(len(scene.gt_classes))
-            pos_counts.append(int((pool.classes > 0).sum()))
+        scenes = [generate_scene(SceneConfig(), derive_seed("corr", i)) for i in range(2000)]
+        pools = generate_proposals(scenes, [1.0] * 2000, model,
+                                   [derive_seed("corr-p", i) for i in range(2000)],
+                                   num_classes=3)
+        gt_counts = [len(scene.gt_classes) for scene in scenes]
+        pos_counts = [int((pools.pool(i).classes > 0).sum()) for i in range(2000)]
         rho = stats.spearmanr(gt_counts, pos_counts).statistic
         assert rho > 0.5
+
+
+def oracle_scenes(n, kind):
+    """`n` scenes cycling through four kinds from `kind` on: a drawn scene, a
+    scene without ground truth, one with 12 instances, and one whose first
+    instance is repeated under another class (tied IoUs across columns)."""
+    scenes = []
+    for i in range(n):
+        seed = derive_seed("oracle", n, kind, i)
+        which = (kind + i) % 4
+        if which == 1:
+            scenes.append(Scene(i, (100.0, 100.0), [], []))
+            continue
+        scene = generate_scene(SceneConfig(gt_count_weights={12: 1.0} if which == 2
+                                           else DEFAULT_GT_COUNT_WEIGHTS), seed)
+        if which == 3:
+            scene = Scene(i, scene.extent, np.concatenate([scene.gt_boxes[:1], scene.gt_boxes]),
+                          np.concatenate([[scene.gt_classes[0] % 3 + 1], scene.gt_classes]))
+        scenes.append(scene)
+    return scenes
+
+
+class TestMatchesOracle:
+    """The block path equals the per-pool generation it replaced, exactly."""
+
+    @pytest.mark.parametrize("noise_sigma", [0.25, 0.0], ids=["noise", "noise-free"])
+    @pytest.mark.parametrize("kind", range(4))
+    @pytest.mark.parametrize("n", [1, 2, 32, 33])
+    def test_block_equals_pools_built_alone(self, n, kind, noise_sigma):
+        scenes = oracle_scenes(n, kind)
+        qualities = [(0.0, 0.5, 1.0)[(kind + i) % 3] for i in range(n)]
+        seeds = [derive_seed("oracle-p", n, kind, i) for i in range(n)]
+        model = RpnQualityModel(jitter_end=0.15)
+        feat = FeatureModel(noise_sigma=noise_sigma)
+        block = generate_proposals(scenes, qualities, model, seeds, feat, num_classes=3,
+                                   box_size_range=(8.0, 30.0))
+        alone = [proposal_oracle.generate_proposals(scene, q, model, seed, feat, num_classes=3,
+                                                    box_size_range=(8.0, 30.0))
+                 for scene, q, seed in zip(scenes, qualities, seeds)]
+        assert block.num_pools == n
+        assert len(block) == sum(len(pool) for pool in alone)
+        np.testing.assert_array_equal(np.diff(block.offsets), [len(pool) for pool in alone])
+        for i, expected in enumerate(alone):
+            got = block.pool(i)
+            for name in ("boxes", "classes", "reg_targets", "features"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(expected, name),
+                                              strict=True, err_msg=f"pool {i} {name}")
+
+    def test_ties_go_to_the_lowest_instance(self):
+        # an exact copy of a repeated instance takes the first one's class
+        scene = oracle_scenes(1, 3)[0]
+        pool = generate_proposals([scene], [1.0], RpnQualityModel(jitter_end=0.0), [1],
+                                  num_classes=3)
+        copies = np.all(pool.boxes == scene.gt_boxes[0], axis=1)
+        assert copies.any() and (pool.classes[copies] == scene.gt_classes[0]).all()
+        assert scene.gt_classes[1] != scene.gt_classes[0]
 
 
 class TestFeatures:
     def test_background_noise_free_is_zero(self):
         feat = FeatureModel(noise_dims=4, noise_sigma=0.0)
-        out = proposal_features(np.array([0]), np.array([0.3]), 3, feat,
-                                np.random.default_rng(0))
+        out = proposal_features(np.array([0]), np.array([0.3]),
+                                feat.noise(np.random.default_rng(0), 1, 3))
         np.testing.assert_array_equal(out, np.zeros((1, 7)))
 
     def test_exact_copy_signal(self):
         feat = FeatureModel(noise_dims=4, noise_sigma=0.0)
-        out = proposal_features(np.array([2]), np.array([1.0]), 3, feat,
-                                np.random.default_rng(0))
+        out = proposal_features(np.array([2]), np.array([1.0]),
+                                feat.noise(np.random.default_rng(0), 1, 3))
         assert out[0, 1] == 1.0
         assert out[0, 0] == 0.0 and out[0, 2] == 0.0
 
     def test_noise_stddev(self):
         feat = FeatureModel(noise_dims=1, noise_sigma=0.3)
         out = proposal_features(np.zeros(100000, dtype=int), np.zeros(100000),
-                                1, feat, np.random.default_rng(3))
+                                feat.noise(np.random.default_rng(3), 100000, 1))
         sd = out[:, 1].std()
         assert abs(sd - 0.3) / 0.3 < 0.02
+
+    def test_rejects_negative_or_non_finite_noise(self):
+        assert FeatureModel(noise_sigma=0.0).noise_sigma == 0.0  # noise-free stays valid
+        for sigma in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+                FeatureModel(noise_sigma=sigma)
 
 
 class TestSerialization:
