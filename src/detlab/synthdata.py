@@ -122,10 +122,6 @@ class ProposalSet:
     def __len__(self) -> int:
         return len(self.classes)
 
-    @property
-    def num_pools(self) -> int:
-        return len(self.offsets) - 1
-
     def pool(self, i: int) -> "ProposalSet":
         """Pool i alone, as views of this set's arrays."""
         rows = slice(self.offsets[i], self.offsets[i + 1])

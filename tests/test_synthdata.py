@@ -190,7 +190,7 @@ class TestMatchesOracle:
         alone = [proposal_oracle.generate_proposals(scene, q, model, seed, feat, num_classes=3,
                                                     box_size_range=(8.0, 30.0))
                  for scene, q, seed in zip(scenes, qualities, seeds)]
-        assert block.num_pools == n
+        assert len(block.offsets) == n + 1
         assert len(block) == sum(len(pool) for pool in alone)
         np.testing.assert_array_equal(np.diff(block.offsets), [len(pool) for pool in alone])
         for i, expected in enumerate(alone):
