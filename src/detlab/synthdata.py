@@ -78,6 +78,8 @@ class FeatureModel:
     noise_sigma: float = 0.25
 
     def __post_init__(self):
+        if self.noise_dims < 0:
+            raise ValueError("noise_dims must be >= 0")
         if not 0.0 <= self.noise_sigma < np.inf:
             raise ValueError("noise_sigma must be finite and >= 0")
 
@@ -87,7 +89,9 @@ class FeatureModel:
     def noise(self, rng: np.random.Generator, rows: int, num_classes: int) -> np.ndarray:
         """(rows, dim) gaussian feature noise; nothing is drawn when noise_sigma is 0."""
         shape = (rows, self.dim(num_classes))
-        return rng.normal(0.0, self.noise_sigma, size=shape) if self.noise_sigma > 0 else np.zeros(shape)
+        if self.noise_sigma == 0:
+            return np.zeros(shape)
+        return rng.normal(0.0, self.noise_sigma, size=shape)
 
 
 class Scene:
@@ -255,6 +259,7 @@ def generate_proposals(
         ious[:, k] = iou(boxes, np.repeat(padded[:, k], sizes, axis=0))
     classes, max_ious, nearest, reg = label_arrays(
         ious, boxes, gt_boxes, gt_classes, pos_threshold, np.repeat(first_gt, sizes))
+    # the feature signal follows the nearest instance, below the threshold too
     signal_classes = np.zeros(len(boxes), dtype=np.int64)
     overlaps = np.flatnonzero(nearest >= 0)
     signal_classes[overlaps] = gt_classes[nearest[overlaps]]

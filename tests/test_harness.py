@@ -376,6 +376,7 @@ class TestCli:
         (TINY + "[eval]\nnms_threshold = 0\n", "nms_threshold must lie in (0, 1)"),
         (TINY + "[eval]\nnms_threshold = 1.0\n", "nms_threshold must lie in (0, 1)"),
         (TINY + "[features]\nnoise_sigma = -0.1\n", "noise_sigma must be finite and >= 0"),
+        (TINY + "[features]\nnoise_dims = -1\n", "noise_dims must be >= 0"),
         (TINY.replace("hidden = 8", "hidden = 0"), "hidden must be >= 1"),
         (TINY + "[eval]\nmax_detections = 0\n", "max_detections must be >= 1"),
         (TINY + "[eval]\nscore_floor = nan\n", "score_floor must lie in [0, 1)"),
@@ -384,8 +385,8 @@ class TestCli:
     ], ids=["num_classes", "jitter", "learning_rate", "decay_factor", "lambda0",
             "steps", "train_scenes", "eval_scenes", "lambda0-nan", "lambda0-inf",
             "learning_rate-nan", "learning_rate-inf", "nms_threshold-0", "nms_threshold-1",
-            "noise_sigma", "hidden", "max_detections", "score_floor-nan", "score_floor-1",
-            "score_floor-negative"])
+            "noise_sigma", "noise_dims", "hidden", "max_detections", "score_floor-nan",
+            "score_floor-1", "score_floor-negative"])
     def test_invalid_value_exits_1_before_any_work(self, tmp_path, capsys, doc, message):
         bad = tmp_path / "bad.cfg"
         bad.write_text(doc)
