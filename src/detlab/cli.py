@@ -64,7 +64,7 @@ def cmd_eval(args) -> int:
 
     # a missing file raises FileNotFoundError naming it
     backbone, heads, ratios = load_params(checkpoint)
-    check_head_layout(checkpoint, ratios, cfg)
+    check_head_layout(checkpoint, backbone, heads, ratios, cfg)
     model = PrmModel(backbone=backbone, heads=heads, policies=cfg.policies)
     scenes = _dataset(cfg, out_dir, "eval", cfg.eval_scenes)
     result = evaluate_model(model, scenes, cfg)

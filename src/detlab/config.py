@@ -40,7 +40,7 @@ class ExperimentConfig:
     feat: FeatureModel = field(default_factory=FeatureModel)
     sampling_mode: str = "soft"
     ratios: tuple[tuple[int, int], ...] = MODES["baseline"]["ratios"]
-    batch_size: int = 512
+    batch_size: int = 64  # the largest that the default proposal pools fill
     rga_enabled: bool = MODES["baseline"]["rga_enabled"]
     lambda0: float = 7.0
     anneal: bool = True
@@ -68,6 +68,11 @@ class ExperimentConfig:
         if not 0.0 <= self.score_floor < 1.0:
             raise ValueError("score_floor must lie in [0, 1)")
         self.train, self.policies, self.schedule  # what a run builds, so each value is checked
+        fewest = min(n for n, w in self.scene.gt_count_weights.items() if w > 0)
+        smallest = self.rpn.bg_per_scene + self.rpn.fg_per_gt * fewest
+        if self.batch_size > smallest:
+            raise ValueError(f"batch_size {self.batch_size} exceeds the smallest proposal "
+                             f"pool, {smallest} proposals")
 
     @property
     def mode(self) -> str:

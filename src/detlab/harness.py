@@ -27,6 +27,7 @@ from .metrics import (
     nms,
     score_gap_stats,
 )
+from .net import BackboneParams, HeadParams
 from .prm import GradNormRecord, PrmModel, init_model, prm_predict, prm_train_step
 from .seeding import derive_seed
 from .synthdata import (
@@ -198,12 +199,25 @@ def _layout(ratios) -> str:
     return "+".join(f"{p}:{n}" for p, n in ratios)
 
 
-def check_head_layout(checkpoint: Path, ratios, cfg: ExperimentConfig) -> None:
+def _shapes(shapes) -> str:
+    return " ".join("x".join(map(str, shape)) for shape in shapes)
+
+
+def check_head_layout(checkpoint: Path, backbone: BackboneParams, heads: Sequence[HeadParams],
+                      ratios, cfg: ExperimentConfig) -> None:
     """Rejects a checkpoint whose heads were trained with other sampling
-    ratios, in count or order, than the config gives."""
+    ratios, in count or order, than the config gives, or whose parameter
+    shapes differ from the config's feature width, hidden size and classes."""
     stored, wanted = _layout(ratios), _layout(cfg.ratios)
     if stored != wanted:
         raise ConfigError(f"checkpoint {checkpoint} has heads {stored}, the config has {wanted}")
+    d, hidden, classes = cfg.feat.dim(cfg.scene.num_classes), cfg.hidden, cfg.scene.num_classes
+    head = [(hidden, hidden), (hidden,), (hidden, classes + 1), (classes + 1,), (hidden, 4), (4,)]
+    stored = _shapes(a.shape for a in [*backbone.arrays(), *(a for h in heads for a in h.arrays())])
+    wanted = _shapes([(d, hidden), (hidden,), *head * len(cfg.ratios)])
+    if stored != wanted:
+        raise ConfigError(f"checkpoint {checkpoint} has parameter shapes {stored}, the config "
+                          f"({d} features, hidden {hidden}, {classes} classes) has {wanted}")
 
 
 def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> list[Scene]:
@@ -227,8 +241,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Train per the config, evaluate, and write all artifacts to cfg.out."""
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_scenes = _dataset(cfg, out_dir, "train", cfg.train_scenes)
-    eval_scenes = _dataset(cfg, out_dir, "eval", cfg.eval_scenes)
+    stages: dict[str, float] = {}  # wall seconds per stage, for timings.json
+    with _timed(stages, "dataset"):
+        train_scenes = _dataset(cfg, out_dir, "train", cfg.train_scenes)
+        eval_scenes = _dataset(cfg, out_dir, "eval", cfg.eval_scenes)
 
     model = init_model(
         cfg.feat.dim(cfg.scene.num_classes), cfg.hidden, cfg.scene.num_classes,
@@ -238,7 +254,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     train_cfg = cfg.train
     log = MetricsLog()
     gradnorm: list[GradNormRecord] = []
-    stages: dict[str, float] = {}  # wall seconds per stage, for timings.json
     for start in range(0, cfg.total_steps, POOL_BLOCK):
         steps = range(start, min(start + POOL_BLOCK, cfg.total_steps))
         with _timed(stages, "proposals"):

@@ -43,7 +43,8 @@ class HeadParams:
 
 @dataclass
 class Gradients:
-    """Arrays mirroring the backbone and each head exactly."""
+    """Arrays mirroring the backbone and the heads exactly; each entry of
+    `heads` is one head or a stack of heads."""
 
     backbone: BackboneParams
     heads: list[HeadParams]
@@ -100,18 +101,24 @@ class ForwardCache:
     deltas: np.ndarray
 
 
-def forward(backbone: BackboneParams, head: HeadParams, features: np.ndarray):
-    """Returns (logits, deltas, cache); logits are pre-softmax scores."""
+def forward(backbone: BackboneParams, heads: HeadParams, features: np.ndarray):
+    """Returns (logits, deltas, cache); logits are pre-softmax scores.
+
+    `heads` is one head, or H heads stacked along a leading axis of each
+    array. The backbone runs once over the features and every head with one
+    broadcast matmul per layer, so stacked heads give (H, N, C+1) logits and
+    (H, N, 4) deltas, each head's slice equal to its own forward.
+    """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != backbone.w.shape[0]:
         raise ValueError(
             f"feature batch of shape {x.shape} incompatible with backbone {backbone.w.shape}"
         )
     h = np.tanh(x @ backbone.w + backbone.b)
-    s = np.tanh(h @ head.w_shared + head.b_shared)
-    logits = s @ head.w_cls + head.b_cls
-    deltas = s @ head.w_reg + head.b_reg
-    cache = ForwardCache(head, x, h, s, logits, deltas)
+    s = np.tanh(h @ heads.w_shared + heads.b_shared[..., None, :])
+    logits = s @ heads.w_cls + heads.b_cls[..., None, :]
+    deltas = s @ heads.w_reg + heads.b_reg[..., None, :]
+    cache = ForwardCache(heads, x, h, s, logits, deltas)
     return logits, deltas, cache
 
 
@@ -168,42 +175,53 @@ def total_loss(logits, deltas, targets, reg_targets, pos_mask, multiplicities,
 
 def backward(cache: ForwardCache, targets, reg_targets, pos_mask,
              multiplicities=None, cls_weight: float = 1.0,
-             reg_weight: float = 1.0) -> tuple[BackboneParams, HeadParams]:
+             reg_weight: float = 1.0, probs=None) -> tuple[BackboneParams, HeadParams]:
     """Analytic gradients of cls_weight*cls_loss + reg_weight*reg_loss.
 
     Returns (backbone gradients, head gradients) shaped like the parameters.
+    For H stacked heads the batches come as one (H, B) table (targets,
+    multiplicities, positive mask; the cache's arrays and `reg_targets` with
+    trailing feature axes), and the backbone gradients are each head's
+    contribution, (H, D, hidden) and (H, hidden). Rows of multiplicity 0 pad
+    shorter batches and add nothing. `probs` is the softmax of
+    `cache.logits`, if the caller has taken it.
     """
     targets = np.asarray(targets, dtype=np.int64)
     pos_mask = np.asarray(pos_mask, dtype=bool)
-    n = len(targets)
-    m = _mults(multiplicities, n)
+    m = _mults(multiplicities, targets.shape)
+    p = softmax(cache.logits) if probs is None else probs
 
-    p = softmax(cache.logits)
-    d_logits = p.copy()
-    d_logits[np.arange(n), targets] -= 1.0
-    d_logits *= (cls_weight / m.sum()) * m[:, None]
+    onehot = targets[..., None] == np.arange(p.shape[-1])
+    d_logits = (p - onehot) * ((cls_weight / m.sum(axis=-1, keepdims=True)) * m)[..., None]
 
-    d_deltas = np.zeros_like(cache.deltas)
-    if pos_mask.any():
-        mp = m[pos_mask]
-        diff = cache.deltas[pos_mask] - np.asarray(reg_targets, dtype=np.float64)[pos_mask]
-        d_deltas[pos_mask] = _smooth_l1_grad(diff) * (reg_weight / mp.sum()) * mp[:, None]
+    pos_m = m * pos_mask
+    pos_sum = pos_m.sum(axis=-1, keepdims=True)
+    # a batch without positives has no regression gradient (and no 0/0)
+    scale = reg_weight / np.where(pos_sum > 0, pos_sum, 1.0)
+    diff = cache.deltas - np.asarray(reg_targets, dtype=np.float64)
+    d_deltas = np.where((pos_m > 0)[..., None],
+                        _smooth_l1_grad(diff) * scale[..., None] * pos_m[..., None], 0.0)
 
     head = cache.head
     s, h, x = cache.shared, cache.hidden, cache.x
-    g_w_cls = s.T @ d_logits
-    g_b_cls = d_logits.sum(axis=0)
-    g_w_reg = s.T @ d_deltas
-    g_b_reg = d_deltas.sum(axis=0)
-    d_s = d_logits @ head.w_cls.T + d_deltas @ head.w_reg.T
+    g_w_cls = _t(s) @ d_logits
+    g_b_cls = d_logits.sum(axis=-2)
+    g_w_reg = _t(s) @ d_deltas
+    g_b_reg = d_deltas.sum(axis=-2)
+    d_s = d_logits @ _t(head.w_cls) + d_deltas @ _t(head.w_reg)
     d_a2 = d_s * (1.0 - s * s)
-    g_w_shared = h.T @ d_a2
-    g_b_shared = d_a2.sum(axis=0)
-    d_h = d_a2 @ head.w_shared.T
+    g_w_shared = _t(h) @ d_a2
+    g_b_shared = d_a2.sum(axis=-2)
+    d_h = d_a2 @ _t(head.w_shared)
     d_a1 = d_h * (1.0 - h * h)
-    g_backbone = BackboneParams(w=x.T @ d_a1, b=d_a1.sum(axis=0))
+    g_backbone = BackboneParams(w=_t(x) @ d_a1, b=d_a1.sum(axis=-2))
     g_head = HeadParams(g_w_shared, g_b_shared, g_w_cls, g_b_cls, g_w_reg, g_b_reg)
     return g_backbone, g_head
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix in a stack (of one matrix, `a.T`)."""
+    return a.swapaxes(-1, -2)
 
 
 def sgd_step(backbone: BackboneParams, heads: list[HeadParams], grads: Gradients,

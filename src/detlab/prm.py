@@ -4,19 +4,20 @@ During training each head samples its own minibatch from the same proposal
 pool under its own positive/negative policy; backbone gradient contributions
 are summed (gradient ensemble) and their norms logged. At test time the heads'
 pre-softmax scores are averaged (result ensemble) and the regression output of
-the head with the largest positive sampling fraction is adopted as-is.
+the head with the largest positive sampling fraction is adopted as-is. The
+heads are kept as one stack, so each network pass runs once for all of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import net
 from .geometry import decode_deltas_array
-from .metrics import foreground_scores, proposal_accuracy
+from .metrics import proposal_accuracy
 from .net import BackboneParams, Gradients, HeadParams, TrainConfig
 from .rga import AnnealSchedule, anneal_factor, apply_rga
 from .sampler import SamplingPolicy, sample
@@ -29,10 +30,16 @@ class PrmModel:
     backbone: BackboneParams
     heads: list[HeadParams]
     policies: list[SamplingPolicy]
+    stack: HeadParams = field(init=False, repr=False)  # every head, (H, ·, ·)
 
     def __post_init__(self):
         if len(self.heads) < 1 or len(self.heads) != len(self.policies):
             raise ValueError("need one policy per head and at least one head")
+        # The heads are copied into one stack and `heads[i]` become views of
+        # it, so an in-place update of either shows in both.
+        self.stack = HeadParams(*map(np.stack, zip(*(h.arrays() for h in self.heads))))
+        self.heads = [HeadParams(*(a[i] for a in self.stack.arrays()))
+                      for i in range(len(self.heads))]
 
 
 @dataclass(frozen=True)
@@ -96,39 +103,45 @@ def prm_train_step(
     """
     lam = anneal_factor(t, schedule) if schedule is not None else 1.0
 
-    backbone_contribs: list[BackboneParams] = []
-    head_grads: list[HeadParams] = []
-    stats: list[HeadBatchStats] = []
-    for i, (head, policy) in enumerate(zip(model.heads, model.policies)):
-        batch = sample(pool.classes, policy, batch_seed(base_seed, t, i))
-        targets = pool.classes[batch.indices]
-        reg_targets = pool.reg_targets[batch.indices]
-        pos_mask = targets > 0
-        # One forward over the pool serves both the pool statistics and the
-        # batch: each row's outputs do not depend on the other rows.
-        pool_logits, pool_deltas, pool_cache = net.forward(model.backbone, head, pool.features)
-        cache = net.ForwardCache(head, *(a[batch.indices] for a in (
-            pool_cache.x, pool_cache.hidden, pool_cache.shared, pool_logits, pool_deltas)))
-        g_backbone, g_head = net.backward(
-            cache, targets, reg_targets, pos_mask, batch.multiplicities,
-            config.cls_weight, config.reg_weight,
-        )
-        backbone_contribs.append(g_backbone)
-        head_grads.append(g_head)
+    batches = [sample(pool.classes, policy, batch_seed(base_seed, t, i))
+               for i, policy in enumerate(model.policies)]
+    # Every head's batch in one (H, B) table of pool rows; a batch shorter
+    # than the longest (hard sampling) is padded with multiplicity-0 rows.
+    rows = np.zeros((len(batches), max(len(b.indices) for b in batches)), dtype=np.int64)
+    mults = np.zeros(rows.shape)
+    for i, b in enumerate(batches):
+        rows[i, :len(b.indices)] = b.indices
+        mults[i, :len(b.indices)] = b.multiplicities
 
-        pos_acc, neg_acc = proposal_accuracy(cache.logits, targets)
+    # One forward over the pool serves every head, the pool statistics and
+    # the batches (each row's outputs do not depend on the other rows), and
+    # one softmax serves both the foreground scores and the gradient.
+    logits, deltas, cache = net.forward(model.backbone, model.stack, pool.features)
+    probs = net.softmax(logits)
+    at = (np.arange(len(batches))[:, None], rows)
+    targets = pool.classes[rows]
+    batch = net.ForwardCache(model.stack, cache.x[rows], cache.hidden[rows],
+                             cache.shared[at], logits[at], deltas[at])
+    g_backbone, g_heads = net.backward(
+        batch, targets, pool.reg_targets[rows], targets > 0, mults,
+        config.cls_weight, config.reg_weight, probs=probs[at],
+    )
+
+    fg_scores = probs[..., 1:].max(axis=-1)
+    stats: list[HeadBatchStats] = []
+    for i, b in enumerate(batches):
+        n = len(b.indices)
+        pos_acc, neg_acc = proposal_accuracy(batch.logits[i, :n], targets[i, :n])
         stats.append(HeadBatchStats(
-            pos_count_unique=batch.pos_count_unique,
-            pos_count_effective=batch.pos_count_effective,
+            pos_count_unique=b.pos_count_unique,
+            pos_count_effective=b.pos_count_effective,
             pos_acc=pos_acc,
             neg_acc=neg_acc,
-            mean_fg_score=float(foreground_scores(pool_logits).mean()),
+            mean_fg_score=float(fg_scores[i].mean()),
         ))
 
-    summed = BackboneParams(
-        w=np.sum([g.w for g in backbone_contribs], axis=0),
-        b=np.sum([g.b for g in backbone_contribs], axis=0),
-    )
+    backbone_contribs = [BackboneParams(w, b) for w, b in zip(g_backbone.w, g_backbone.b)]
+    summed = BackboneParams(w=g_backbone.w.sum(axis=0), b=g_backbone.b.sum(axis=0))
     cosine = None
     if len(backbone_contribs) >= 2:
         v1, v2 = _flat(backbone_contribs[0]), _flat(backbone_contribs[1])
@@ -142,10 +155,10 @@ def prm_train_step(
         cosine=cosine,
     )
 
-    grads = Gradients(backbone=summed, heads=head_grads)
+    grads = Gradients(backbone=summed, heads=[g_heads])
     if schedule is not None:
         grads = apply_rga(grads, lam)
-    net.sgd_step(model.backbone, model.heads, grads, t, config)
+    net.sgd_step(model.backbone, [model.stack], grads, t, config)
     return record, stats, lam
 
 
@@ -171,14 +184,11 @@ def prm_predict(model: PrmModel, pool: ProposalSet
     """The scored outputs on a pool, each (scores (N, C+1), boxes (N, 4)): the
     ensemble first (softmax of the mean logits, the selected head's boxes),
     then each head on its own if there are several; and each head's logits."""
-    head_logits, head_boxes = [], []
-    for head in model.heads:
-        logits, deltas, _ = net.forward(model.backbone, head, pool.features)
-        head_logits.append(logits)
-        head_boxes.append(decode_deltas_array(pool.boxes, deltas))
+    logits, deltas, _ = net.forward(model.backbone, model.stack, pool.features)
+    head_logits = list(logits)
+    head_boxes = [decode_deltas_array(pool.boxes, d) for d in deltas]
     outputs = [(net.softmax(ensemble_scores(head_logits)),
                 select_regression(model.policies, head_boxes))]
     if len(model.heads) > 1:
-        outputs += [(net.softmax(logits), boxes)
-                    for logits, boxes in zip(head_logits, head_boxes)]
+        outputs += zip(net.softmax(logits), head_boxes)
     return outputs, head_logits

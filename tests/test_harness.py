@@ -59,13 +59,13 @@ KEY_CASES = {
     ("scene", "gt_count_weights"): ("1:0.5, 2:0.5", "scene.gt_count_weights", {1: 0.5, 2: 0.5}),
     ("rpn", "jitter_start"): ("0.7", "rpn.jitter_start", 0.7),
     ("rpn", "jitter_end"): ("0.1", "rpn.jitter_end", 0.1),
-    ("rpn", "fg_per_gt"): ("6", "rpn.fg_per_gt", 6),
-    ("rpn", "bg_per_scene"): ("40", "rpn.bg_per_scene", 40),
+    ("rpn", "fg_per_gt"): ("10", "rpn.fg_per_gt", 10),
+    ("rpn", "bg_per_scene"): ("60", "rpn.bg_per_scene", 60),
     ("features", "noise_dims"): ("4", "feat.noise_dims", 4),
     ("features", "noise_sigma"): ("0.5", "feat.noise_sigma", 0.5),
     ("sampling", "mode"): ("hard", "sampling_mode", "hard"),
     ("sampling", "ratios"): ("1:9, 1:1", "ratios", ((1, 9), (1, 1))),
-    ("sampling", "batch_size"): ("256", "batch_size", 256),
+    ("sampling", "batch_size"): ("48", "batch_size", 48),
     ("rga", "enabled"): ("true", "rga_enabled", True),
     ("rga", "lambda0"): ("5", "lambda0", 5.0),
     ("rga", "anneal"): ("false", "anneal", False),
@@ -107,12 +107,12 @@ def flat_fields(cfg: ExperimentConfig) -> dict:
 class TestParseConfig:
     def test_empty_document_gives_stock_defaults(self):
         cfg = parse_config("", seed=1)
-        assert cfg.batch_size == 512
+        assert cfg.batch_size == 64  # the smallest default pool: 56 + 8 x 1 proposals
         assert cfg.ratios == ((1, 3),)
         assert cfg.lambda0 == 7.0
         assert cfg.total_steps == 3000
         assert cfg.mode == "baseline"
-        assert cfg.policies[0].pos_target == 128
+        assert cfg.policies[0].pos_target == 16
 
     def test_ratio_parsing(self):
         cfg = parse_config("[sampling]\nratios = 1:9\n", seed=1)
@@ -199,7 +199,7 @@ class TestRunExperiment:
     def test_timings_record_stage_seconds(self, tmp_path):
         result = run_experiment(tiny_cfg(tmp_path))
         stages = json.loads((result.out_dir / "timings.json").read_text())["stages"]
-        assert sorted(stages) == ["evaluation", "proposals", "train_steps"]
+        assert sorted(stages) == ["dataset", "evaluation", "proposals", "train_steps"]
         assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())
 
     def test_artifacts_exist(self, tmp_path):
@@ -234,9 +234,10 @@ class TestRunExperiment:
                           "pos_acc,neg_acc,lambda,fg_score_h1")
 
     def test_pool_smaller_than_batch_errors(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, batch_size=512)
-        with pytest.raises(Exception):
-            run_experiment(cfg)
+        with pytest.raises(ValueError, match="batch_size 512 exceeds the smallest proposal "
+                                             "pool, 64 proposals"):
+            run_experiment(tiny_cfg(tmp_path, batch_size=512))
+        assert not (tmp_path / "run").exists()
 
 
 class Unprintable(float):
@@ -382,11 +383,17 @@ class TestCli:
         (TINY + "[eval]\nscore_floor = nan\n", "score_floor must lie in [0, 1)"),
         (TINY + "[eval]\nscore_floor = 1.0\n", "score_floor must lie in [0, 1)"),
         (TINY + "[eval]\nscore_floor = -0.1\n", "score_floor must lie in [0, 1)"),
+        (TINY.replace("batch_size = 32", "batch_size = 65"),
+         "batch_size 65 exceeds the smallest proposal pool, 64 proposals"),
+        (TINY.replace("batch_size = 32", "batch_size = 25")  # no weight on 0 objects
+         + "[scene]\ngt_count_weights = 0:0, 2:0.5, 3:0.5\n[rpn]\nbg_per_scene = 16\n"
+         "fg_per_gt = 4\n",
+         "batch_size 25 exceeds the smallest proposal pool, 24 proposals"),
     ], ids=["num_classes", "jitter", "learning_rate", "decay_factor", "lambda0",
             "steps", "train_scenes", "eval_scenes", "lambda0-nan", "lambda0-inf",
             "learning_rate-nan", "learning_rate-inf", "nms_threshold-0", "nms_threshold-1",
             "noise_sigma", "noise_dims", "hidden", "max_detections", "score_floor-nan",
-            "score_floor-1", "score_floor-negative"])
+            "score_floor-1", "score_floor-negative", "batch_size", "batch_size-gt-counts"])
     def test_invalid_value_exits_1_before_any_work(self, tmp_path, capsys, doc, message):
         bad = tmp_path / "bad.cfg"
         bad.write_text(doc)
@@ -559,6 +566,25 @@ class TestCli:
         assert "heads 1:1+1:9, the config has 1:3" in capsys.readouterr().err
         assert cli_main(["eval", "--config", str(cfg_path), "--out", out,
                          "--mode", "prm"]) == 0
+
+    @pytest.mark.parametrize("change,config_layout", [
+        (("hidden = 8", "hidden = 16"), "(11 features, hidden 16, 3 classes) has 11x16 16 16x16"),
+        (("num_classes = 3", "num_classes = 4"), "(12 features, hidden 8, 4 classes) has 12x8 8"),
+    ], ids=["hidden", "num_classes"])
+    def test_eval_rejects_other_network_shapes(self, tmp_path, capsys, change,
+                                               config_layout):
+        cfg_path = self.write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        assert cli_main(["train", "--config", str(cfg_path), "--out", out,
+                         "--mode", "rga+prm"]) == 0
+        other = tmp_path / "other.cfg"
+        other.write_text(TINY.replace(*change))
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", str(other), "--out", out,
+                         "--mode", "rga+prm"]) == 1
+        err = capsys.readouterr().err
+        assert "has parameter shapes 11x8 8 8x8 8 8x4 4 8x4 4 8x8 8 8x4 4 8x4 4, " in err
+        assert config_layout in err
 
     def test_eval_rejects_checkpoint_without_layout(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)

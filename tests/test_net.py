@@ -5,6 +5,7 @@ import pytest
 
 from detlab.net import (
     BackboneParams,
+    ForwardCache,
     Gradients,
     HeadParams,
     TrainConfig,
@@ -195,6 +196,54 @@ class TestBackward:
         for a, b in zip(weighted[0].arrays() + weighted[1].arrays(),
                         expanded[0].arrays() + expanded[1].arrays()):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+
+class TestStackedHeads:
+    """Heads stacked along a leading axis give each head's own results."""
+
+    def make(self):
+        backbone, _ = tiny_model(d=4, h=3, c=2)
+        rng = np.random.default_rng(11)
+        heads = [init_head(3, 2, rng) for _ in range(3)]
+        stack = HeadParams(*map(np.stack, zip(*(h.arrays() for h in heads))))
+        x = rng.normal(size=(8, 4))
+        return backbone, heads, stack, x
+
+    def test_forward_equals_each_head(self):
+        backbone, heads, stack, x = self.make()
+        logits, deltas, _ = forward(backbone, stack, x)
+        for i, head in enumerate(heads):
+            one_logits, one_deltas, _ = forward(backbone, head, x)
+            assert np.array_equal(logits[i], one_logits)
+            assert np.array_equal(deltas[i], one_deltas)
+
+    def test_padded_batches_equal_each_heads_backward(self):
+        # head 2 has a shorter batch, head 3 a batch without positives; rows
+        # of multiplicity 0 pad them to the longest
+        backbone, heads, stack, x = self.make()
+        rng = np.random.default_rng(12)
+        classes = np.array([1, 0, 2, 0, 0, 1, 0, 0])
+        reg_targets = rng.normal(size=(8, 4))
+        batches = [(np.array([0, 1, 2, 3, 5, 6]), np.array([2, 1, 1, 1, 3, 1])),
+                   (np.array([2, 4, 7, 1]), np.array([1, 1, 1, 1])),
+                   (np.array([1, 3, 4, 6, 7, 1]), np.ones(6, dtype=int))]
+        rows = np.zeros((3, 6), dtype=int)
+        mults = np.zeros((3, 6))
+        for i, (idx, m) in enumerate(batches):
+            rows[i, :len(idx)], mults[i, :len(idx)] = idx, m
+        logits, deltas, cache = forward(backbone, stack, x)
+        at = (np.arange(3)[:, None], rows)
+        batch = ForwardCache(stack, x[rows], cache.hidden[rows], cache.shared[at],
+                             logits[at], deltas[at])
+        g_backbone, g_heads = backward(batch, classes[rows], reg_targets[rows],
+                                       classes[rows] > 0, mults)
+        for i, (head, (idx, m)) in enumerate(zip(heads, batches)):
+            _, _, one = forward(backbone, head, x[idx])
+            want_b, want_h = backward(one, classes[idx], reg_targets[idx], classes[idx] > 0, m)
+            got = [g_backbone.w[i], g_backbone.b[i], *(a[i] for a in g_heads.arrays())]
+            for a, b in zip(got, want_b.arrays() + want_h.arrays(), strict=True):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+        assert not g_heads.w_reg[2].any() and not g_heads.b_reg[2].any()
 
 
 class TestSgd:

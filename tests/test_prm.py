@@ -14,7 +14,7 @@ from detlab.prm import (
     select_regression,
 )
 from detlab.rga import AnnealSchedule
-from detlab.sampler import SamplingPolicy
+from detlab.sampler import SamplingPolicy, sample
 from detlab.seeding import derive_seed
 from detlab.synthdata import RpnQualityModel, SceneConfig, generate_proposals, generate_scene
 
@@ -104,10 +104,14 @@ class TestPredict:
         pool.reg_targets = pool.reg_targets[:5]
         (scores, boxes), *_ = prm_predict(model, pool)[0]
 
-        logits = [net.forward(model.backbone, h, pool.features)[0] for h in model.heads]
-        expected_scores = softmax((logits[0] + logits[1]) / 2)
+        def head_outputs(head):  # the network written out in numpy
+            h = np.tanh(pool.features @ model.backbone.w + model.backbone.b)
+            s = np.tanh(h @ head.w_shared + head.b_shared)
+            return s @ head.w_cls + head.b_cls, s @ head.w_reg + head.b_reg
+
+        (logits0, deltas0), (logits1, _) = map(head_outputs, model.heads)
+        expected_scores = softmax((logits0 + logits1) / 2)
         np.testing.assert_allclose(scores, expected_scores, rtol=1e-12)
-        deltas0 = net.forward(model.backbone, model.heads[0], pool.features)[1]
         np.testing.assert_allclose(
             boxes, decode_deltas_array(pool.boxes, deltas0), rtol=1e-12)
 
@@ -206,16 +210,30 @@ def copy_model(model):
 
 
 ORACLE_STEPS = 20
-# (policies, annealed); batches of 64 on pools of 64-112 rows, so
-# hard batches at low proposal quality repeat scarce positives (multiplicity
-# above 1) and hold fewer than 64 rows.
+
+
+def oracle_pool(t):
+    return make_pool(seed=500 + t, q=t / ORACLE_STEPS, gt_count=1 + t % 5)
+
+
+def scarce_pool(t):
+    """One object at the lowest proposal quality: some pools hold no positive."""
+    return make_pool(seed=700 + t, q=0.0, gt_count=1)
+
+
+# (policies, annealed, pool at step t); batches of 64 on pools of 64-112 rows,
+# so hard batches at low proposal quality repeat scarce positives
+# (multiplicity above 1) and hold fewer than 64 rows.
 ORACLE_CASES = {
-    "soft": ([policy((1, 3), batch=64)], False),
-    "hard-annealed": ([policy((1, 1), "hard", 64)], True),
-    "two-heads": ([policy((1, 1), batch=64), policy((1, 9), "hard", 64)], False),
-    "two-heads-annealed": ([policy((1, 1), "hard", 64), policy((1, 9), batch=64)], True),
+    "soft": ([policy((1, 3), batch=64)], False, oracle_pool),
+    "hard-annealed": ([policy((1, 1), "hard", 64)], True, oracle_pool),
+    "two-heads": ([policy((1, 1), batch=64), policy((1, 9), "hard", 64)], False, oracle_pool),
+    "two-heads-annealed": ([policy((1, 1), "hard", 64), policy((1, 9), batch=64)], True,
+                           oracle_pool),
     "three-heads-annealed": ([policy((1, 1), batch=64), policy((1, 3), "hard", 64),
-                              policy((1, 9), batch=64)], True),
+                              policy((1, 9), batch=64)], True, oracle_pool),
+    "two-hard-heads": ([policy((1, 1), "hard", 64), policy((1, 3), "hard", 64)], False,
+                       scarce_pool),
 }
 
 
@@ -223,24 +241,21 @@ def all_params(model):
     return model.backbone.arrays() + [a for h in model.heads for a in h.arrays()]
 
 
-def oracle_pool(t):
-    return make_pool(seed=500 + t, q=t / ORACLE_STEPS, gt_count=1 + t % 5)
-
-
 class TestTrainStepOracle:
-    """The step takes each head's batch from its one pool forward; the oracle is
-    the step as it was, with a forward on the batch and another on the pool."""
+    """The step takes every head's batch from one stacked pool forward; the
+    oracle is the step as it was, per head, with a forward on the batch and
+    another on the pool."""
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_equals_oracle_exactly(self, case):
-        policies, annealed = ORACLE_CASES[case]
+        policies, annealed, pool_at = ORACLE_CASES[case]
         model = init_model(FEATURE_DIM, 5, C, policies, 17)
         oracle = copy_model(model)
         cfg = train_cfg(total=ORACLE_STEPS)
         schedule = AnnealSchedule(lambda0=4.0, total_steps=ORACLE_STEPS) if annealed else None
         repeated = [False] * len(policies)
         for t in range(ORACLE_STEPS):
-            pool = oracle_pool(t)
+            pool = pool_at(t)
             record, stats, lam = prm_train_step(model, pool, t, cfg, schedule, 3)
             want_record, want_stats, want_lam = train_step_oracle.prm_train_step(
                 oracle, pool, t, cfg, schedule, 3)
@@ -256,23 +271,37 @@ class TestTrainStepOracle:
                 repeated[i] |= got.pos_count_effective > got.pos_count_unique
         assert repeated == [p.mode == "hard" for p in policies]
 
-    def test_one_pool_forward_per_head_and_no_loss(self, monkeypatch):
-        rows = []
+    def test_two_hard_heads_pad_and_miss_positives(self):
+        # the case exercises the padding of shorter batches and a head
+        # without positives, which has no regression gradient
+        policies, _, pool_at = ORACLE_CASES["two-hard-heads"]
+        lengths, positives = [], []
+        for t in range(ORACLE_STEPS):
+            pool = pool_at(t)
+            batches = [sample(pool.classes, p, prm_mod.batch_seed(3, t, i))
+                       for i, p in enumerate(policies)]
+            lengths.append({len(b.indices) for b in batches})
+            positives += [b.pos_count_unique for b in batches]
+        assert any(len(step) > 1 for step in lengths)
+        assert 0 in positives
+
+    def test_one_pool_forward_per_step_and_no_loss(self, monkeypatch):
+        calls = []
         forward = net.forward
 
-        def counted(backbone, head, features):
-            rows.append(len(features))
-            return forward(backbone, head, features)
+        def counted(backbone, heads, features):
+            calls.append((len(features), len(heads.w_cls)))
+            return forward(backbone, heads, features)
 
         def no_loss(*args, **kwargs):
             raise AssertionError("the step computes a loss that nothing reads")
 
         monkeypatch.setattr(net, "forward", counted)
         monkeypatch.setattr(net, "total_loss", no_loss)
-        policies, _ = ORACLE_CASES["three-heads-annealed"]
+        policies, _, _ = ORACLE_CASES["three-heads-annealed"]
         model = init_model(FEATURE_DIM, 5, C, policies, 17)
         for t in range(5):
             pool = oracle_pool(t)
-            rows.clear()
+            calls.clear()
             prm_train_step(model, pool, t, train_cfg(total=5), None, 3)
-            assert rows == [len(pool)] * 3
+            assert calls == [(len(pool), 3)]  # once over the pool, for all three heads
