@@ -27,8 +27,10 @@ from .metrics import (
     nms,
     score_gap_stats,
 )
-from .net import BackboneParams, HeadParams
-from .prm import GradNormRecord, PrmModel, init_model, prm_predict, prm_train_step
+from .net import BackboneParams, HeadParams, TrainConfig
+from .prm import (BlockArrays, GradNormRecord, PrmModel, draw_batches, init_model,
+                  prm_predict, prm_train_step, summarize_block)
+from .rga import AnnealSchedule
 from .seeding import derive_seed
 from .synthdata import (
     ProposalSet,
@@ -237,6 +239,22 @@ def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> list[Sce
     return scenes
 
 
+def train_block(model: PrmModel, pools: Sequence[ProposalSet], steps: Sequence[int],
+                config: TrainConfig, schedule: Optional[AnnealSchedule], base_seed: int,
+                stages: dict[str, float]) -> tuple[list[MetricsRow], list[GradNormRecord]]:
+    """Trains step steps[i] on pools[i] in three phases, each timed in
+    `stages`: draw every batch, run the network steps, then compute every
+    step's statistics (which raises if training went non-finite)."""
+    with _timed(stages, "sampling"):
+        batches = draw_batches(pools, model.policies, steps, base_seed)
+    with _timed(stages, "network"):
+        arrays = BlockArrays.empty(model, batches)
+        for i, (pool, t) in enumerate(zip(pools, steps)):
+            prm_train_step(model, pool, batches[i], t, config, schedule, arrays, i)
+    with _timed(stages, "statistics"):
+        return summarize_block(arrays, steps)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Train per the config, evaluate, and write all artifacts to cfg.out."""
     out_dir = Path(cfg.out)
@@ -260,28 +278,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             block = _proposal_block(cfg, [train_scenes[t % len(train_scenes)] for t in steps],
                                     [quality_at(t, cfg.total_steps) for t in steps],
                                     [("prop", t) for t in steps])
-        with _timed(stages, "train_steps"):
-            for i, t in enumerate(steps):
-                record, stats, lam = prm_train_step(
-                    model, block.pool(i), t, train_cfg, schedule, cfg.seed
-                )
-                fg_scores = tuple(s.mean_fg_score for s in stats)
-                if not np.isfinite((record.norm_sum, *fg_scores)).all():
-                    raise FloatingPointError(
-                        f"training went non-finite at step {t}: backbone gradient norm "
-                        f"{record.norm_sum!r}, mean foreground scores {fg_scores!r}")
-                head0 = stats[0]
-                log.append(MetricsRow(
-                    step=t,
-                    pos_count_unique=head0.pos_count_unique,
-                    pos_count_effective=head0.pos_count_effective,
-                    pos_acc=head0.pos_acc,
-                    neg_acc=head0.neg_acc,
-                    lam=lam,
-                    fg_scores=fg_scores,
-                ))
-                gradnorm.append(record)
-        del block  # dropped before the next block is built
+            pools = [block.pool(i) for i in range(len(steps))]
+        rows, records = train_block(model, pools, steps, train_cfg, schedule, cfg.seed, stages)
+        for row in rows:
+            log.append(row)
+        gradnorm += records
+        del block, pools  # dropped before the next block is built
 
     log.to_csv(out_dir / "metrics.csv")
     write_gradnorm_csv(gradnorm, out_dir / "gradnorm.csv")

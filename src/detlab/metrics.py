@@ -52,21 +52,24 @@ class APResult:
         return self.per_threshold[0.75]
 
 
-def proposal_accuracy(logits: np.ndarray, targets: np.ndarray
-                      ) -> tuple[Optional[float], Optional[float]]:
+def proposal_accuracy(logits: np.ndarray, targets: np.ndarray):
     """Fractions of positives / backgrounds whose argmax matches their label.
 
-    An empty group reports None rather than 0.
+    One batch, (N, C+1) logits and (N,) targets, gives two floats; a stack of
+    batches, (..., N, C+1) and (..., N), gives two nested lists with one value
+    per batch. A negative target pads a batch and counts in neither group. An
+    empty group reports None rather than 0; a batch without rows raises.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    if len(targets) == 0:
+    if not (targets >= 0).any(axis=-1).all():
         raise ValueError("empty batch")
-    pred = np.argmax(logits, axis=1)  # ties break toward the lowest index
-    pos = targets > 0
-    neg = ~pos
-    pos_acc = float((pred[pos] == targets[pos]).mean()) if pos.any() else None
-    neg_acc = float((pred[neg] == 0).mean()) if neg.any() else None
-    return pos_acc, neg_acc
+    hits = np.argmax(logits, axis=-1) == targets  # ties break toward the lowest index
+
+    def fraction(group):
+        n = group.sum(axis=-1)
+        return np.where(n > 0, (hits & group).sum(axis=-1) / np.maximum(n, 1), None).tolist()
+
+    return fraction(targets > 0), fraction(targets == 0)
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray, groups: np.ndarray,

@@ -43,11 +43,11 @@ class HeadParams:
 
 @dataclass
 class Gradients:
-    """Arrays mirroring the backbone and the heads exactly; each entry of
-    `heads` is one head or a stack of heads."""
+    """Arrays mirroring the backbone and the heads exactly; `heads` is one
+    head or a stack of heads."""
 
     backbone: BackboneParams
-    heads: list[HeadParams]
+    heads: HeadParams
 
 
 @dataclass(frozen=True)
@@ -224,17 +224,16 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def sgd_step(backbone: BackboneParams, heads: list[HeadParams], grads: Gradients,
+def sgd_step(backbone: BackboneParams, heads: HeadParams, grads: Gradients,
              t: int, config: TrainConfig) -> None:
-    """In-place update with the step-decayed learning rate."""
+    """In-place update with the step-decayed learning rate; `heads` is one
+    head or a stack of heads, as in `grads.heads`."""
     if t >= config.total_steps:
         raise ValueError(f"step {t} beyond schedule of {config.total_steps}")
     lr = config.lr_at(t)
-    for param, grad in zip(backbone.arrays(), grads.backbone.arrays()):
+    for param, grad in zip(backbone.arrays() + heads.arrays(),
+                           grads.backbone.arrays() + grads.heads.arrays()):
         param -= lr * grad
-    for head, g_head in zip(heads, grads.heads):
-        for param, grad in zip(head.arrays(), g_head.arrays()):
-            param -= lr * grad
 
 
 # --- checkpoints ------------------------------------------------------------

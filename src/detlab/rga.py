@@ -40,7 +40,5 @@ def apply_rga(grads: Gradients, lam: float) -> Gradients:
     through unchanged (same arrays)."""
     if lam < 1.0:
         raise ValueError(f"magnification {lam} violates the schedule (must be >= 1)")
-    scaled_heads = [
-        HeadParams(*[lam * a for a in head.arrays()]) for head in grads.heads
-    ]
-    return Gradients(backbone=grads.backbone, heads=scaled_heads)
+    return Gradients(backbone=grads.backbone,
+                     heads=HeadParams(*[lam * a for a in grads.heads.arrays()]))

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(*parts) -> int:
     """Hash a tuple of ints/strings into a stable 63-bit seed.
@@ -15,7 +13,3 @@ def derive_seed(*parts) -> int:
     payload = "\x1f".join(str(p) for p in parts).encode()
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "little") >> 1
-
-
-def rng_for(*parts) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(*parts))

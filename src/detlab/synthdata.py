@@ -16,7 +16,7 @@ import numpy as np
 
 from .files import atomic_write
 from .geometry import check_boxes, iou, iou_matrix, label_arrays  # iou_matrix: perfbench patches it here
-from .seeding import rng_for
+from .seeding import derive_seed
 
 POS_IOU_THRESHOLD = 0.5
 
@@ -272,7 +272,7 @@ def generate_dataset(config: SceneConfig, n_scenes: int, base_seed: int,
     """Scenes with per-scene derived seeds; embarrassingly parallel by design."""
     scenes = []
     for i in range(n_scenes):
-        seed = int(rng_for(base_seed, tag, i).integers(0, 2**63))
+        seed = int(np.random.default_rng(derive_seed(base_seed, tag, i)).integers(0, 2**63))
         scenes.append(generate_scene(config, seed))
         scenes[-1].id = i
     return scenes

@@ -18,7 +18,7 @@ from detlab import net
 from detlab.config import MODES, load_config, parse_config
 from detlab.harness import run_experiment
 from detlab.metrics import Detections, compute_ap, nms
-from detlab.net import Gradients, load_params
+from detlab.net import Gradients, HeadParams, load_params
 from detlab.prm import ensemble_scores, select_regression
 from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
 from detlab.sampler import SamplingPolicy, sample
@@ -147,14 +147,13 @@ class TestExactContracts:
         rng = np.random.default_rng(0)
         grads = Gradients(
             backbone=net.init_backbone(6, 4, rng),
-            heads=[net.init_head(4, 3, rng) for _ in range(2)],
+            heads=HeadParams(*map(np.stack, zip(*(net.init_head(4, 3, rng).arrays() for _ in range(2))))),
         )
         lam = 4.25
         out = apply_rga(grads, lam)
         ok = all(
             np.abs(b / lam - a).max() <= 1e-12 * np.abs(a).max()
-            for head_in, head_out in zip(grads.heads, out.heads)
-            for a, b in zip(head_in.arrays(), head_out.arrays())
+            for a, b in zip(grads.heads.arrays(), out.heads.arrays())
         )
         ok = ok and all(
             a is b for a, b in zip(grads.backbone.arrays(), out.backbone.arrays())

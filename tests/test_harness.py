@@ -199,7 +199,8 @@ class TestRunExperiment:
     def test_timings_record_stage_seconds(self, tmp_path):
         result = run_experiment(tiny_cfg(tmp_path))
         stages = json.loads((result.out_dir / "timings.json").read_text())["stages"]
-        assert sorted(stages) == ["dataset", "evaluation", "proposals", "train_steps"]
+        assert sorted(stages) == ["dataset", "evaluation", "network", "proposals", "sampling",
+                                  "statistics"]
         assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())
 
     def test_artifacts_exist(self, tmp_path):

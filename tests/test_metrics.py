@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detlab.config import parse_config
 from detlab.harness import _scene_detections
@@ -22,6 +24,7 @@ from detlab.metrics import (
 from detlab.synthdata import Scene
 
 import ap_oracle
+import train_step_oracle
 from test_geometry import Box, iou
 
 
@@ -68,6 +71,27 @@ class TestProposalAccuracy:
             pos_acc, neg_acc = proposal_accuracy(logits, targets)
             for v in (pos_acc, neg_acc):
                 assert v is None or 0.0 <= v <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 9), st.integers(1, 4))
+    def test_block_equals_each_batch(self, seed, n_batches, width, classes):
+        rng = np.random.default_rng(seed)
+        logits = rng.integers(-2, 3, size=(n_batches, width, classes + 1)).astype(float)  # ties
+        targets = rng.integers(0, classes + 1, size=(n_batches, width))
+        rows = rng.random((n_batches, width)) < 0.7
+        rows[np.arange(n_batches), rng.integers(0, width, size=n_batches)] = True
+        pos_acc, neg_acc = proposal_accuracy(logits, np.where(rows, targets, -1))
+        for i in range(n_batches):
+            want = train_step_oracle.proposal_accuracy(logits[i][rows[i]], targets[i][rows[i]])
+            assert (pos_acc[i], neg_acc[i]) == want
+            assert proposal_accuracy(logits[i][rows[i]], targets[i][rows[i]]) == want
+            assert all(type(v) in (float, type(None)) for v in (pos_acc[i], neg_acc[i]))
+
+    def test_empty_batch_raises(self):
+        with pytest.raises(ValueError, match="empty batch"):
+            proposal_accuracy(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="empty batch"):  # the second batch is padding only
+            proposal_accuracy(np.zeros((2, 3, 3)), np.array([[1, 0, -1], [-1, -1, -1]]))
 
 
 def brute_force_nms(boxes, scores, classes, thr):

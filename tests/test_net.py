@@ -254,8 +254,8 @@ class TestSgd:
         backbone, head = tiny_model()
         before = [a.copy() for a in backbone.arrays() + head.arrays()]
         grads = Gradients(backbone=zeros_like_backbone(backbone),
-                          heads=[zeros_like_head(head)])
-        sgd_step(backbone, [head], grads, 0, self.cfg())
+                          heads=zeros_like_head(head))
+        sgd_step(backbone, head, grads, 0, self.cfg())
         for a, b in zip(backbone.arrays() + head.arrays(), before):
             np.testing.assert_array_equal(a, b)
 
@@ -265,9 +265,9 @@ class TestSgd:
                           np.zeros(1), np.ones((1, 4)), np.zeros(4))
         g = Gradients(
             backbone=BackboneParams(w=np.array([[0.5]]), b=np.array([0.0])),
-            heads=[zeros_like_head(head)],
+            heads=zeros_like_head(head),
         )
-        sgd_step(backbone, [head], g, 0, self.cfg())
+        sgd_step(backbone, head, g, 0, self.cfg())
         assert backbone.w[0, 0] == pytest.approx(0.99, abs=1e-15)
 
     def test_decay_points(self):
@@ -282,9 +282,9 @@ class TestSgd:
     def test_step_beyond_schedule(self):
         backbone, head = tiny_model()
         grads = Gradients(backbone=zeros_like_backbone(backbone),
-                          heads=[zeros_like_head(head)])
+                          heads=zeros_like_head(head))
         with pytest.raises(ValueError):
-            sgd_step(backbone, [head], grads, 1200, self.cfg(total=1200))
+            sgd_step(backbone, head, grads, 1200, self.cfg(total=1200))
 
 
 class TestCheckpoint:

@@ -5,13 +5,16 @@ import detlab.prm as prm_mod
 from detlab import net
 from detlab.geometry import decode_deltas_array
 from detlab.net import BackboneParams, HeadParams, TrainConfig, softmax
+from detlab.harness import train_block
+from detlab.metrics import MetricsRow
 from detlab.prm import (
+    BlockArrays,
     PrmModel,
     ensemble_scores,
     init_model,
     prm_predict,
-    prm_train_step,
     select_regression,
+    summarize_block,
 )
 from detlab.rga import AnnealSchedule
 from detlab.sampler import SamplingPolicy, sample
@@ -35,6 +38,12 @@ def policy(ratio=(1, 3), mode="soft", batch=32):
 
 def train_cfg(total=100):
     return TrainConfig(learning_rate=0.02, total_steps=total)
+
+
+def train(model, pools, cfg, schedule=None, base_seed=3):
+    """Steps 0, 1, ... on `pools` as one block: each step's metrics row and
+    gradient-norm record."""
+    return train_block(model, pools, range(len(pools)), cfg, schedule, base_seed, {})
 
 
 class TestEnsembleScores:
@@ -154,10 +163,9 @@ class TestTrainStep:
     def test_triangle_inequality_every_step(self):
         model = init_model(FEATURE_DIM, 5, C,
                            [policy((1, 1)), policy((1, 9))], 1)
-        cfg = train_cfg()
-        for t in range(50):
-            pool = make_pool(seed=200 + t, q=t / 50)
-            record, _, _ = prm_train_step(model, pool, t, cfg, None, base_seed=3)
+        pools = [make_pool(seed=200 + t, q=t / 50) for t in range(50)]
+        _, records = train(model, pools, train_cfg())
+        for record in records:
             assert record.norm_sum <= sum(record.head_norms) + 1e-9
 
     def test_identical_policies_and_seeds_parallel_gradients(self, monkeypatch):
@@ -171,8 +179,7 @@ class TestTrainStep:
                    HeadParams(*[a.copy() for a in base.heads[0].arrays()])],
             policies=[policy((1, 3)), policy((1, 3))],
         )
-        pool = make_pool(seed=9)
-        record, _, _ = prm_train_step(model, pool, 0, train_cfg(), None, base_seed=11)
+        _, (record,) = train(model, [make_pool(seed=9)], train_cfg(), base_seed=11)
         assert record.head_norms[0] == pytest.approx(record.head_norms[1], rel=1e-12)
         assert record.norm_sum == pytest.approx(2 * record.head_norms[0], rel=1e-12)
         assert record.cosine == pytest.approx(1.0, abs=1e-12)
@@ -180,25 +187,56 @@ class TestTrainStep:
     def test_distinct_ratios_give_distinct_gradients(self):
         model = init_model(FEATURE_DIM, 5, C,
                            [policy((1, 1)), policy((1, 9))], 2)
-        cfg = train_cfg(total=200)
-        cosines = []
-        for t in range(200):
-            pool = make_pool(seed=300 + t, q=t / 200)
-            record, _, _ = prm_train_step(model, pool, t, cfg, None, base_seed=13)
-            if record.cosine is not None:
-                cosines.append(record.cosine)
+        pools = [make_pool(seed=300 + t, q=t / 200) for t in range(200)]
+        _, records = train(model, pools, train_cfg(total=200), base_seed=13)
+        cosines = [r.cosine for r in records if r.cosine is not None]
         assert np.median(cosines) < 1 - 1e-6
 
     def test_determinism(self):
         results = []
         for _ in range(2):
             model = init_model(FEATURE_DIM, 5, C, [policy((1, 3))], 4)
-            cfg = train_cfg()
-            for t in range(5):
-                prm_train_step(model, make_pool(seed=400 + t), t, cfg, None, base_seed=5)
+            train(model, [make_pool(seed=400 + t) for t in range(5)], train_cfg(), base_seed=5)
             results.append(np.concatenate(
                 [a.ravel() for a in model.backbone.arrays() + model.heads[0].arrays()]))
         np.testing.assert_array_equal(results[0], results[1])
+
+
+def block_arrays(steps=4, heads=2, width=6, seed=0):
+    """Random raw arrays of a block with every statistic defined."""
+    rng = np.random.default_rng(seed)
+    grad_w, grad_b = rng.normal(size=(steps, heads, 3, 2)), rng.normal(size=(steps, heads, 2))
+    targets = rng.integers(0, C + 1, size=(steps, width))
+    targets[:, :2] = [1, 0]  # a positive and a background in every batch
+    return BlockArrays(grad_w, grad_b, grad_w.sum(axis=1), grad_b.sum(axis=1),
+                       rng.normal(size=(steps, width, C + 1)), targets, np.ones((steps, width)),
+                       rng.uniform(size=(steps, heads)), np.ones(steps))
+
+
+class TestSummarizeBlock:
+    def test_head_without_positives_has_no_positive_accuracy(self):
+        arrays = block_arrays()
+        arrays.targets[2] = np.where(arrays.targets[2] > 0, 0, arrays.targets[2])
+        rows, _ = summarize_block(arrays, range(10, 14))
+        assert [r.pos_acc is None for r in rows] == [False, False, True, False]
+        assert rows[2].neg_acc is not None
+
+    def test_zero_backbone_contribution_has_no_cosine(self):
+        # pyproject turns warnings into errors, so a 0/0 would fail here
+        arrays = block_arrays()
+        arrays.grad_w[1, 1] = arrays.grad_b[1, 1] = 0.0
+        _, records = summarize_block(arrays, range(10, 14))
+        assert [r.cosine is None for r in records] == [False, True, False, False]
+        assert records[1].head_norms[1] == 0.0
+
+    def test_non_finite_names_the_first_bad_step(self):
+        arrays = block_arrays()
+        arrays.fg_means[2, 1] = np.nan
+        arrays.sum_w[3, 0, 0] = np.inf
+        with pytest.raises(FloatingPointError,
+                           match=r"non-finite at step 12: backbone gradient norm [\d.]+, "
+                                 r"mean foreground scores \([\d.]+, nan\)"):
+            summarize_block(arrays, range(10, 14))
 
 
 def copy_model(model):
@@ -210,6 +248,7 @@ def copy_model(model):
 
 
 ORACLE_STEPS = 20
+ORACLE_BLOCK = 8  # blocks of 8, 8 and 4 steps
 
 
 def oracle_pool(t):
@@ -242,9 +281,10 @@ def all_params(model):
 
 
 class TestTrainStepOracle:
-    """The step takes every head's batch from one stacked pool forward; the
-    oracle is the step as it was, per head, with a forward on the batch and
-    another on the pool."""
+    """Blocks of steps are drawn, run and summarized in three phases, taking
+    every head's batch from one stacked pool forward; the oracle is the step
+    as it was, per head and per step, with a forward on the batch and another
+    on the pool, and its statistics built at once."""
 
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_equals_oracle_exactly(self, case):
@@ -254,21 +294,24 @@ class TestTrainStepOracle:
         cfg = train_cfg(total=ORACLE_STEPS)
         schedule = AnnealSchedule(lambda0=4.0, total_steps=ORACLE_STEPS) if annealed else None
         repeated = [False] * len(policies)
-        for t in range(ORACLE_STEPS):
-            pool = pool_at(t)
-            record, stats, lam = prm_train_step(model, pool, t, cfg, schedule, 3)
-            want_record, want_stats, want_lam = train_step_oracle.prm_train_step(
-                oracle, pool, t, cfg, schedule, 3)
+        for start in range(0, ORACLE_STEPS, ORACLE_BLOCK):
+            steps = range(start, min(start + ORACLE_BLOCK, ORACLE_STEPS))
+            pools = [pool_at(t) for t in steps]
+            rows, records = train_block(model, pools, steps, cfg, schedule, 3, {})
+            for t, pool, row, record in zip(steps, pools, rows, records, strict=True):
+                want_record, want_stats, want_lam = train_step_oracle.prm_train_step(
+                    oracle, pool, t, cfg, schedule, 3)
+                head0 = want_stats[0]
+                assert record == want_record, f"step {t}"
+                assert row == MetricsRow(
+                    step=t, pos_count_unique=head0.pos_count_unique,
+                    pos_count_effective=head0.pos_count_effective, pos_acc=head0.pos_acc,
+                    neg_acc=head0.neg_acc, lam=want_lam,
+                    fg_scores=tuple(s.mean_fg_score for s in want_stats)), f"step {t}"
+                repeated = [r or s.pos_count_effective > s.pos_count_unique
+                            for r, s in zip(repeated, want_stats)]
             for got, want in zip(all_params(model), all_params(oracle), strict=True):
-                assert np.array_equal(got, want), f"step {t}"
-            assert record == want_record
-            assert lam == want_lam
-            for i, (got, want) in enumerate(zip(stats, want_stats, strict=True)):
-                assert (got.pos_count_unique, got.pos_count_effective, got.pos_acc,
-                        got.neg_acc, got.mean_fg_score) == (
-                    want.pos_count_unique, want.pos_count_effective, want.pos_acc,
-                    want.neg_acc, want.mean_fg_score), f"step {t} head {i}"
-                repeated[i] |= got.pos_count_effective > got.pos_count_unique
+                assert np.array_equal(got, want), f"block from step {start}"
         assert repeated == [p.mode == "hard" for p in policies]
 
     def test_two_hard_heads_pad_and_miss_positives(self):
@@ -300,8 +343,7 @@ class TestTrainStepOracle:
         monkeypatch.setattr(net, "total_loss", no_loss)
         policies, _, _ = ORACLE_CASES["three-heads-annealed"]
         model = init_model(FEATURE_DIM, 5, C, policies, 17)
-        for t in range(5):
-            pool = oracle_pool(t)
-            calls.clear()
-            prm_train_step(model, pool, t, train_cfg(total=5), None, 3)
-            assert calls == [(len(pool), 3)]  # once over the pool, for all three heads
+        pools = [oracle_pool(t) for t in range(5)]
+        train(model, pools, train_cfg(total=5))
+        # once over each pool, for all three heads
+        assert calls == [(len(pool), 3) for pool in pools]

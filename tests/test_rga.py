@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 
 from detlab import net
-from detlab.net import Gradients, TrainConfig, sgd_step
+from detlab.net import Gradients, HeadParams, TrainConfig, sgd_step
 from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
 
 
-def random_grads(seed=0, heads=1):
+def stack_heads(heads):
+    return HeadParams(*map(np.stack, zip(*(h.arrays() for h in heads))))
+
+
+def random_grads(seed=0, heads=None):
+    """Gradients of one head, or of a stack of `heads` heads."""
     rng = np.random.default_rng(seed)
     backbone = net.init_backbone(4, 3, rng)
+    if heads is None:
+        return Gradients(backbone=backbone, heads=net.init_head(3, 2, rng))
     return Gradients(backbone=backbone,
-                     heads=[net.init_head(3, 2, rng) for _ in range(heads)])
+                     heads=stack_heads([net.init_head(3, 2, rng) for _ in range(heads)]))
 
 
 class TestSchedule:
@@ -49,7 +56,7 @@ class TestConstantMode:
         sched = AnnealSchedule(1.0, 1000, constant=True)
         grads = random_grads()
         out = apply_rga(grads, anneal_factor(300, sched))
-        for a, b in zip(out.heads[0].arrays(), grads.heads[0].arrays()):
+        for a, b in zip(out.heads.arrays(), grads.heads.arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_differs_from_annealed_at_midpoint(self):
@@ -61,16 +68,16 @@ class TestApply:
     def test_identity_at_one(self):
         grads = random_grads()
         out = apply_rga(grads, 1.0)
-        for a, b in zip(out.heads[0].arrays(), grads.heads[0].arrays()):
+        for a, b in zip(out.heads.arrays(), grads.heads.arrays()):
             np.testing.assert_array_equal(a, b)
         assert out.backbone is grads.backbone
 
     def test_scales_heads_only(self):
         grads = random_grads(seed=2, heads=2)
         out = apply_rga(grads, 7.0)
-        for head_in, head_out in zip(grads.heads, out.heads):
-            for a, b in zip(head_in.arrays(), head_out.arrays()):
-                np.testing.assert_allclose(b, 7.0 * a, rtol=1e-12)
+        for a, b in zip(grads.heads.arrays(), out.heads.arrays()):
+            assert a.shape[0] == 2
+            np.testing.assert_allclose(b, 7.0 * a, rtol=1e-12)
         for a, b in zip(grads.backbone.arrays(), out.backbone.arrays()):
             assert a is b
 
@@ -94,11 +101,11 @@ class TestUpdateEquivalence:
         backbone_b = net.BackboneParams(backbone_a.w.copy(), backbone_a.b.copy())
         head_b = net.HeadParams(*[a.copy() for a in head_a.arrays()])
 
-        sgd_step(backbone_a, [head_a], apply_rga(grads, lam), 0, cfg)
+        sgd_step(backbone_a, head_a, apply_rga(grads, lam), 0, cfg)
 
         for param, grad in zip(backbone_b.arrays(), grads.backbone.arrays()):
             param -= alpha * grad
-        for param, grad in zip(head_b.arrays(), grads.heads[0].arrays()):
+        for param, grad in zip(head_b.arrays(), grads.heads.arrays()):
             param -= lam * alpha * grad
 
         for a, b in zip(backbone_a.arrays() + head_a.arrays(),

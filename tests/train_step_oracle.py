@@ -1,11 +1,15 @@
 """Slow reference for one training step: `prm_train_step` as it was before
-each head's batch was taken from its pool forward.
+each head's batch was taken from its pool forward, and before a block's
+batches, steps and statistics ran in separate phases.
 
 The old step runs, per head, a forward pass on the sampled batch, a
 `net.total_loss` call whose value goes into `HeadBatchStats.loss`, and a second
-forward pass over the whole pool for the foreground-score statistics.
-`HeadBatchStats` and `prm_train_step` are the old implementation verbatim, so
-`detlab.prm.prm_train_step` can be checked against it for exact equality.
+forward pass over the whole pool for the foreground-score statistics; then it
+builds that step's statistics one head at a time. `HeadBatchStats`,
+`_frobenius`, `_flat`, `proposal_accuracy` and `prm_train_step` are the old
+implementation verbatim, except that the per-head gradients are stacked for
+the library's `apply_rga` and `sgd_step`, so detlab's phased block training
+can be checked against it for exact equality.
 """
 
 from __future__ import annotations
@@ -16,9 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from detlab import net
-from detlab.metrics import proposal_accuracy
 from detlab.net import BackboneParams, Gradients, HeadParams, TrainConfig
-from detlab.prm import GradNormRecord, PrmModel, _flat, _frobenius, batch_seed
+from detlab.prm import GradNormRecord, PrmModel, batch_seed
 from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
 from detlab.sampler import sample
 from detlab.synthdata import ProposalSet
@@ -33,6 +36,31 @@ class HeadBatchStats:
     neg_acc: Optional[float]
     loss: float
     mean_fg_score: float  # mean max foreground probability over the whole pool
+
+
+def _frobenius(params: BackboneParams) -> float:
+    return float(np.sqrt(sum(float(np.sum(a * a)) for a in params.arrays())))
+
+
+def _flat(params: BackboneParams) -> np.ndarray:
+    return np.concatenate([a.ravel() for a in params.arrays()])
+
+
+def proposal_accuracy(logits: np.ndarray, targets: np.ndarray
+                      ) -> tuple[Optional[float], Optional[float]]:
+    """Fractions of positives / backgrounds whose argmax matches their label.
+
+    An empty group reports None rather than 0.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    if len(targets) == 0:
+        raise ValueError("empty batch")
+    pred = np.argmax(logits, axis=1)  # ties break toward the lowest index
+    pos = targets > 0
+    neg = ~pos
+    pos_acc = float((pred[pos] == targets[pos]).mean()) if pos.any() else None
+    neg_acc = float((pred[neg] == 0).mean()) if neg.any() else None
+    return pos_acc, neg_acc
 
 
 def prm_train_step(
@@ -110,8 +138,9 @@ def prm_train_step(
         cosine=cosine,
     )
 
-    grads = Gradients(backbone=summed, heads=head_grads)
+    stacked = HeadParams(*map(np.stack, zip(*(g.arrays() for g in head_grads))))
+    grads = Gradients(backbone=summed, heads=stacked)
     if schedule is not None:
         grads = apply_rga(grads, lam)
-    net.sgd_step(model.backbone, model.heads, grads, t, config)
+    net.sgd_step(model.backbone, model.stack, grads, t, config)
     return record, stats, lam
