@@ -21,15 +21,14 @@ from .metrics import (
     APResult,
     Detections,
     MetricsLog,
-    MetricsRow,
     ScoreGapStats,
     compute_ap,
     nms,
     score_gap_stats,
 )
 from .net import BackboneParams, HeadParams, TrainConfig
-from .prm import (BlockArrays, GradNormRecord, PrmModel, draw_batches, init_model,
-                  prm_predict, prm_train_step, summarize_block)
+from .prm import (BlockArrays, PrmModel, draw_batches, init_model, prm_predict,
+                  prm_train_step, summarize_block)
 from .rga import AnnealSchedule
 from .seeding import derive_seed
 from .synthdata import (
@@ -53,8 +52,8 @@ class EvalResult:
 @dataclass
 class RunResult:
     config: ExperimentConfig
-    metrics: MetricsLog
-    gradnorm: list[GradNormRecord]
+    metrics: MetricsLog  # the columns of metrics.csv
+    gradnorm: MetricsLog  # the columns of gradnorm.csv
     eval: EvalResult
     summary: dict
     out_dir: Path
@@ -111,7 +110,7 @@ def evaluate_model(model: PrmModel, scenes: Sequence[Scene], cfg: ExperimentConf
     head score-disagreement statistics. Adds the wall seconds spent building
     proposals and evaluating to `stages`, if given."""
     stages = {} if stages is None else stages
-    multi = len(model.heads) > 1
+    multi = len(model.policies) > 1
     found: list[list[tuple]] = []  # per scene, per output
     head_logits: list[list[np.ndarray]] = []  # per scene, per head
     for start in range(0, len(scenes), POOL_BLOCK):
@@ -164,16 +163,9 @@ def write_eval_report(result: EvalResult, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_gradnorm_csv(records: Sequence[GradNormRecord], path) -> None:
-    n_heads = len(records[0].head_norms) if records else 0
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [f"norm_h{i + 1}" for i in range(n_heads)]
-                        + ["norm_sum", "cosine"])
-        for r in records:
-            writer.writerow([r.step] + [repr(v) for v in r.head_norms]
-                            + [repr(r.norm_sum),
-                               "" if r.cosine is None else repr(r.cosine)])
+def write_gradnorm_csv(log: MetricsLog, path) -> None:
+    # a name of its own only so that perfbench/tracer.py can time it
+    log.to_csv(path)
 
 
 def write_eval_summary(result: EvalResult, cfg: ExperimentConfig, path) -> dict:
@@ -205,7 +197,7 @@ def _shapes(shapes) -> str:
     return " ".join("x".join(map(str, shape)) for shape in shapes)
 
 
-def check_head_layout(checkpoint: Path, backbone: BackboneParams, heads: Sequence[HeadParams],
+def check_head_layout(checkpoint: Path, backbone: BackboneParams, heads: HeadParams,
                       ratios, cfg: ExperimentConfig) -> None:
     """Rejects a checkpoint whose heads were trained with other sampling
     ratios, in count or order, than the config gives, or whose parameter
@@ -215,7 +207,8 @@ def check_head_layout(checkpoint: Path, backbone: BackboneParams, heads: Sequenc
         raise ConfigError(f"checkpoint {checkpoint} has heads {stored}, the config has {wanted}")
     d, hidden, classes = cfg.feat.dim(cfg.scene.num_classes), cfg.hidden, cfg.scene.num_classes
     head = [(hidden, hidden), (hidden,), (hidden, classes + 1), (classes + 1,), (hidden, 4), (4,)]
-    stored = _shapes(a.shape for a in [*backbone.arrays(), *(a for h in heads for a in h.arrays())])
+    per_head = [a.shape[1:] for a in heads.arrays()] * len(heads.b_reg)
+    stored = _shapes([*(a.shape for a in backbone.arrays()), *per_head])
     wanted = _shapes([(d, hidden), (hidden,), *head * len(cfg.ratios)])
     if stored != wanted:
         raise ConfigError(f"checkpoint {checkpoint} has parameter shapes {stored}, the config "
@@ -241,10 +234,10 @@ def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> list[Sce
 
 def train_block(model: PrmModel, pools: Sequence[ProposalSet], steps: Sequence[int],
                 config: TrainConfig, schedule: Optional[AnnealSchedule], base_seed: int,
-                stages: dict[str, float]) -> tuple[list[MetricsRow], list[GradNormRecord]]:
+                stages: dict[str, float]) -> tuple[dict[str, list], dict[str, list]]:
     """Trains step steps[i] on pools[i] in three phases, each timed in
-    `stages`: draw every batch, run the network steps, then compute every
-    step's statistics (which raises if training went non-finite)."""
+    `stages`: draw every batch, run the network steps, then compute the
+    block's log columns (which raises if training went non-finite)."""
     with _timed(stages, "sampling"):
         batches = draw_batches(pools, model.policies, steps, base_seed)
     with _timed(stages, "network"):
@@ -270,8 +263,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     )
     schedule = cfg.schedule
     train_cfg = cfg.train
-    log = MetricsLog()
-    gradnorm: list[GradNormRecord] = []
+    log, gradnorm = MetricsLog(), MetricsLog()
     for start in range(0, cfg.total_steps, POOL_BLOCK):
         steps = range(start, min(start + POOL_BLOCK, cfg.total_steps))
         with _timed(stages, "proposals"):
@@ -279,10 +271,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                                     [quality_at(t, cfg.total_steps) for t in steps],
                                     [("prop", t) for t in steps])
             pools = [block.pool(i) for i in range(len(steps))]
-        rows, records = train_block(model, pools, steps, train_cfg, schedule, cfg.seed, stages)
-        for row in rows:
-            log.append(row)
-        gradnorm += records
+        metrics, norms = train_block(model, pools, steps, train_cfg, schedule, cfg.seed, stages)
+        log.extend(metrics)
+        gradnorm.extend(norms)
         del block, pools  # dropped before the next block is built
 
     log.to_csv(out_dir / "metrics.csv")

@@ -219,38 +219,19 @@ def score_gap_stats(head_logits: Sequence[np.ndarray],
 
 # --- per-iteration instrumentation log --------------------------------------
 
-@dataclass(frozen=True)
-class MetricsRow:
-    step: int
-    pos_count_unique: int
-    pos_count_effective: int
-    pos_acc: Optional[float]
-    neg_acc: Optional[float]
-    lam: float
-    fg_scores: tuple[float, ...]  # per-head mean foreground score
-
-
 @dataclass
 class MetricsLog:
-    rows: list[MetricsRow] = field(default_factory=list)
+    """A per-step log, {CSV header: one value per step} in CSV order."""
+    columns: dict[str, list] = field(default_factory=dict)
 
-    def append(self, row: MetricsRow) -> None:
-        if self.rows and row.step <= self.rows[-1].step:
-            raise ValueError("steps must be strictly increasing")
-        self.rows.append(row)
+    def extend(self, block: dict[str, list]) -> None:
+        """Appends a block of steps, given as its columns."""
+        for name, values in block.items():
+            self.columns.setdefault(name, []).extend(values)
 
     def to_csv(self, path) -> None:
+        """Raises ValueError, keeping any previous file, on a ragged table."""
         with atomic_write(path, newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["step", "pos_count_unique", "pos_count_effective",
-                      "pos_acc", "neg_acc", "lambda"]
-            n_heads = len(self.rows[0].fg_scores) if self.rows else 0
-            header += [f"fg_score_h{i + 1}" for i in range(n_heads)]
-            writer.writerow(header)
-            for r in self.rows:
-                row = [r.step, r.pos_count_unique, r.pos_count_effective,
-                       "" if r.pos_acc is None else repr(r.pos_acc),
-                       "" if r.neg_acc is None else repr(r.neg_acc),
-                       repr(r.lam)]
-                row += [repr(v) for v in r.fg_scores]
-                writer.writerow(row)
+            writer = csv.writer(fh)  # writes a float as its repr, None as ""
+            writer.writerow(self.columns)
+            writer.writerows(zip(*self.columns.values(), strict=True))

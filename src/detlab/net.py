@@ -91,6 +91,11 @@ def init_head(hidden: int, num_classes: int, rng: np.random.Generator) -> HeadPa
     )
 
 
+def stack_heads(heads) -> HeadParams:
+    """Heads stacked along a new leading axis of each array, (H, ·, ·)."""
+    return HeadParams(*map(np.stack, zip(*(h.arrays() for h in heads))))
+
+
 @dataclass
 class ForwardCache:
     head: HeadParams
@@ -241,23 +246,27 @@ def sgd_step(backbone: BackboneParams, heads: HeadParams, grads: Gradients,
 HEAD_KEYS = ("w_shared", "b_shared", "w_cls", "b_cls", "w_reg", "b_reg")  # HeadParams order
 
 
-def save_params(path, backbone: BackboneParams, heads: list[HeadParams], ratios) -> None:
+def save_params(path, backbone: BackboneParams, heads: HeadParams, ratios) -> None:
     """Writes the parameters and each head's (pos, neg) sampling ratio."""
+    n_heads = len(heads.b_reg)
     arrays = {"backbone/w": backbone.w, "backbone/b": backbone.b,
-              "num_heads": np.array(len(heads)), "ratios": np.asarray(ratios)}
-    for i, head in enumerate(heads):
-        for name, arr in zip(HEAD_KEYS, head.arrays()):
-            arrays[f"head{i}/{name}"] = arr
+              "num_heads": np.array(n_heads), "ratios": np.asarray(ratios)}
+    for i in range(n_heads):
+        for name, arr in zip(HEAD_KEYS, heads.arrays()):
+            arrays[f"head{i}/{name}"] = arr[i]
     with atomic_write(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
-def load_params(path) -> tuple[BackboneParams, list[HeadParams], np.ndarray]:
-    """The backbone, the heads and their (pos, neg) sampling ratios."""
+def load_params(path) -> tuple[BackboneParams, HeadParams, np.ndarray]:
+    """The backbone, the stack of heads and their (pos, neg) sampling ratios."""
     with np.load(path) as data:
         if "ratios" not in data:
             raise ValueError(f"checkpoint {path} records no head ratios; retrain it")
         backbone = BackboneParams(w=data["backbone/w"], b=data["backbone/b"])
         heads = [HeadParams(*[data[f"head{i}/{name}"] for name in HEAD_KEYS])
                  for i in range(int(data["num_heads"]))]
-        return backbone, heads, data["ratios"]
+        if len({tuple(a.shape for a in h.arrays()) for h in heads}) != 1:
+            kind = "heads of different shapes" if heads else "no heads"
+            raise ValueError(f"checkpoint {path} holds {kind}")
+        return backbone, stack_heads(heads), data["ratios"]

@@ -10,14 +10,14 @@ heads are kept as one stack, so each network pass runs once for all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import net
 from .geometry import decode_deltas_array
-from .metrics import MetricsRow, proposal_accuracy
+from .metrics import proposal_accuracy
 from .net import BackboneParams, Gradients, HeadParams, TrainConfig
 from .rga import AnnealSchedule, anneal_factor, apply_rga
 from .sampler import SamplingPolicy, sample
@@ -28,26 +28,12 @@ from .synthdata import ProposalSet
 @dataclass
 class PrmModel:
     backbone: BackboneParams
-    heads: list[HeadParams]
+    heads: HeadParams  # every head, stacked along a leading axis (H, ·, ·)
     policies: list[SamplingPolicy]
-    stack: HeadParams = field(init=False, repr=False)  # every head, (H, ·, ·)
 
     def __post_init__(self):
-        if len(self.heads) < 1 or len(self.heads) != len(self.policies):
+        if not self.policies or self.heads.b_reg.shape[:-1] != (len(self.policies),):
             raise ValueError("need one policy per head and at least one head")
-        # The heads are copied into one stack and `heads[i]` become views of
-        # it, so an in-place update of either shows in both.
-        self.stack = HeadParams(*map(np.stack, zip(*(h.arrays() for h in self.heads))))
-        self.heads = [HeadParams(*(a[i] for a in self.stack.arrays()))
-                      for i in range(len(self.heads))]
-
-
-@dataclass(frozen=True)
-class GradNormRecord:
-    step: int
-    head_norms: tuple[float, ...]  # per-head backbone-gradient Frobenius norms
-    norm_sum: float  # Frobenius norm of the summed backbone gradient
-    cosine: Optional[float]  # between the first two heads' contributions
 
 
 def init_model(feature_dim: int, hidden: int, num_classes: int,
@@ -57,11 +43,11 @@ def init_model(feature_dim: int, hidden: int, num_classes: int,
     backbone = net.init_backbone(
         feature_dim, hidden, np.random.default_rng(derive_seed(seed, "backbone"))
     )
-    heads = [
+    heads = net.stack_heads([
         net.init_head(hidden, num_classes,
                       np.random.default_rng(derive_seed(seed, "head", i)))
         for i in range(len(policies))
-    ]
+    ])
     return PrmModel(backbone=backbone, heads=heads, policies=list(policies))
 
 
@@ -104,11 +90,11 @@ class BlockArrays:
 
     @classmethod
     def empty(cls, model: PrmModel, batches: Sequence[tuple[np.ndarray, np.ndarray]]):
-        (n, heads), (d, hidden) = (len(batches), len(model.heads)), model.backbone.w.shape
+        (n, heads), (d, hidden) = (len(batches), len(model.policies)), model.backbone.w.shape
         width = max(rows.shape[1] for rows, _ in batches)
         return cls(np.empty((n, heads, d, hidden)), np.empty((n, heads, hidden)),
                    np.empty((n, d, hidden)), np.empty((n, hidden)),
-                   np.zeros((n, width, model.stack.w_cls.shape[-1])), np.full((n, width), -1),
+                   np.zeros((n, width, model.heads.w_cls.shape[-1])), np.full((n, width), -1),
                    np.zeros((n, width)), np.empty((n, heads)), np.empty(n))
 
 
@@ -130,11 +116,11 @@ def prm_train_step(model: PrmModel, pool: ProposalSet, batches: tuple[np.ndarray
     # One forward over the pool serves every head, the pool statistics and
     # the batches (each row's outputs do not depend on the other rows), and
     # one softmax serves both the foreground scores and the gradient.
-    logits, deltas, cache = net.forward(model.backbone, model.stack, pool.features)
+    logits, deltas, cache = net.forward(model.backbone, model.heads, pool.features)
     probs = net.softmax(logits)
     at = (np.arange(len(rows))[:, None], rows)
     targets = pool.classes[rows]
-    batch = net.ForwardCache(model.stack, cache.x[rows], cache.hidden[rows],
+    batch = net.ForwardCache(model.heads, cache.x[rows], cache.hidden[rows],
                              cache.shared[at], logits[at], deltas[at])
     g_backbone, g_heads = net.backward(
         batch, targets, pool.reg_targets[rows], targets > 0, mults,
@@ -154,7 +140,7 @@ def prm_train_step(model: PrmModel, pool: ProposalSet, batches: tuple[np.ndarray
     grads = Gradients(backbone=summed, heads=g_heads)
     if schedule is not None:
         grads = apply_rga(grads, lam)
-    net.sgd_step(model.backbone, model.stack, grads, t, config)
+    net.sgd_step(model.backbone, model.heads, grads, t, config)
 
 
 def _norms(w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,9 +149,10 @@ def _norms(w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def summarize_block(arrays: BlockArrays, steps: Sequence[int]
-                    ) -> tuple[list[MetricsRow], list[GradNormRecord]]:
-    """Every step's metrics row and gradient-norm record from a block's raw
-    arrays, each statistic computed for the whole block at once.
+                    ) -> tuple[dict[str, list], dict[str, list]]:
+    """The block's metrics.csv and gradnorm.csv columns, {header: values per
+    step} in CSV order, from its raw arrays, each statistic computed for the
+    whole block at once.
 
     Raises FloatingPointError naming the first step whose summed backbone
     gradient norm or a mean foreground score is not finite.
@@ -193,11 +180,14 @@ def summarize_block(arrays: BlockArrays, steps: Sequence[int]
     # a batch holds each pool row at most once, with its multiplicity
     positive = a.targets > 0
     unique, effective = positive.sum(axis=1), (a.mults * positive).sum(axis=1).astype(np.int64)
-    rows = map(MetricsRow, steps, unique.tolist(), effective.tolist(), pos_acc, neg_acc,
-               a.lam.tolist(), map(tuple, a.fg_means.tolist()))
-    records = map(GradNormRecord, steps, map(tuple, head_norms.tolist()), norm_sum.tolist(),
-                  cosines)
-    return list(rows), list(records)
+    metrics = {"step": list(steps), "pos_count_unique": unique.tolist(),
+               "pos_count_effective": effective.tolist(), "pos_acc": pos_acc,
+               "neg_acc": neg_acc, "lambda": a.lam.tolist()}
+    metrics.update((f"fg_score_h{i + 1}", v) for i, v in enumerate(a.fg_means.T.tolist()))
+    gradnorm = {"step": list(steps)}
+    gradnorm.update((f"norm_h{i + 1}", v) for i, v in enumerate(head_norms.T.tolist()))
+    gradnorm.update(norm_sum=norm_sum.tolist(), cosine=cosines)
+    return metrics, gradnorm
 
 
 def ensemble_scores(head_logits) -> np.ndarray:
@@ -227,10 +217,10 @@ def prm_predict(model: PrmModel, pool: ProposalSet
     ensemble first (softmax of the mean logits, the selected head's boxes),
     then each head on its own if there are several; and the (H, N, C+1)
     logits of the heads."""
-    logits, deltas, _ = net.forward(model.backbone, model.stack, pool.features)
+    logits, deltas, _ = net.forward(model.backbone, model.heads, pool.features)
     head_boxes = [decode_deltas_array(pool.boxes, d) for d in deltas]
     outputs = [(net.softmax(ensemble_scores(logits)),
                 select_regression(model.policies, head_boxes))]
-    if len(model.heads) > 1:
+    if len(model.policies) > 1:
         outputs += zip(net.softmax(logits), head_boxes)
     return outputs, logits

@@ -50,7 +50,6 @@ class SampledBatch:
     multiplicities: np.ndarray  # same length, all >= 1
     pos_count_unique: int
     pos_count_effective: int
-    neg_count: int
 
 
 def _pick(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
@@ -75,7 +74,6 @@ def _soft(rng, pos, neg, policy: SamplingPolicy) -> SampledBatch:
         multiplicities=np.ones(len(indices), dtype=np.int64),
         pos_count_unique=len(take_pos),
         pos_count_effective=len(take_pos),
-        neg_count=len(take_neg),
     )
 
 
@@ -117,5 +115,4 @@ def sample(classes: np.ndarray, policy: SamplingPolicy, rng_seed: int) -> Sample
         multiplicities=multiplicities,
         pos_count_unique=len(take_pos),
         pos_count_effective=int(mults.sum()),
-        neg_count=len(take_neg),
     )

@@ -18,7 +18,7 @@ from detlab import net
 from detlab.config import MODES, load_config, parse_config
 from detlab.harness import run_experiment
 from detlab.metrics import Detections, compute_ap, nms
-from detlab.net import Gradients, HeadParams, load_params
+from detlab.net import Gradients, load_params
 from detlab.prm import ensemble_scores, select_regression
 from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
 from detlab.sampler import SamplingPolicy, sample
@@ -65,7 +65,7 @@ def median_over_seeds(runs, name, fn):
 
 def pos_acc_series(run):
     return np.array(
-        [r.pos_acc if r.pos_acc is not None else np.nan for r in run.metrics.rows]
+        [v if v is not None else np.nan for v in run.metrics.columns["pos_acc"]]
     )
 
 
@@ -147,7 +147,7 @@ class TestExactContracts:
         rng = np.random.default_rng(0)
         grads = Gradients(
             backbone=net.init_backbone(6, 4, rng),
-            heads=HeadParams(*map(np.stack, zip(*(net.init_head(4, 3, rng).arrays() for _ in range(2))))),
+            heads=net.stack_heads([net.init_head(4, 3, rng) for _ in range(2)]),
         )
         lam = 4.25
         out = apply_rga(grads, lam)
@@ -172,8 +172,8 @@ class TestExactContracts:
         same_params = all(
             np.array_equal(x, y)
             for x, y in zip(
-                bb_a.arrays() + heads_a[0].arrays(),
-                bb_b.arrays() + heads_b[0].arrays(),
+                bb_a.arrays() + heads_a.arrays(),
+                bb_b.arrays() + heads_b.arrays(),
             )
         )
         report("02b unit magnification run is bit-identical", same_csv and same_params)
@@ -268,9 +268,12 @@ class TestExactContracts:
 
     def test_07_triangle_inequality_all_steps(self, tmp_path):
         run = tiny_run(tmp_path, "tri", **MODES["prm"])
+        norms = run.gradnorm.columns
+        head_norms = zip(*(v for k, v in norms.items() if k.startswith("norm_h")))
         ok = all(
-            r.norm_sum <= sum(r.head_norms) + 1e-9 for r in run.gradnorm
-        ) and len(run.gradnorm) == 40
+            norm_sum <= sum(heads) + 1e-9
+            for norm_sum, heads in zip(norms["norm_sum"], head_norms, strict=True)
+        ) and len(norms["step"]) == 40
         report("07 summed-gradient norm triangle inequality", ok)
 
     def test_08_evaluation_contracts(self):
@@ -322,8 +325,7 @@ class TestBehavioral:
         for seed in SEEDS:
             run = desk_runs[("baseline", seed)]
             target = run.config.policies[0].pos_target
-            eff = np.array([r.pos_count_effective for r in run.metrics.rows],
-                           dtype=float)
+            eff = np.array(run.metrics.columns["pos_count_effective"], dtype=float)
             t10 = len(eff) // 10
             early_fracs.append(eff[:t10].mean() / target)
             window = 101
@@ -364,10 +366,8 @@ class TestBehavioral:
             third = len(base) // 3
             margins.append(np.nanmean(rga[:third]) - np.nanmean(base[:third]))
             tail = len(base) // 10
-            base_neg = np.array(
-                [r.neg_acc for r in desk_runs[("baseline", seed)].metrics.rows])
-            rga_neg = np.array(
-                [r.neg_acc for r in desk_runs[("rga", seed)].metrics.rows])
+            base_neg = np.array(desk_runs[("baseline", seed)].metrics.columns["neg_acc"])
+            rga_neg = np.array(desk_runs[("rga", seed)].metrics.columns["neg_acc"])
             neg_diffs.append(abs(rga_neg[-tail:].mean() - base_neg[-tail:].mean()))
         margin = float(np.median(margins))
         neg_diff = float(np.median(neg_diffs))

@@ -13,8 +13,8 @@ from detlab.cli import main as cli_main
 from detlab.config import MODES, SCHEMA, ConfigError, ExperimentConfig, load_config, parse_config
 from detlab.files import atomic_write
 from detlab.harness import axis_cells, run_experiment, sweep
-from detlab.metrics import MetricsLog, MetricsRow
-from detlab.net import init_backbone, save_params
+from detlab.metrics import MetricsLog
+from detlab.net import init_backbone, init_head, save_params, stack_heads
 from detlab.seeding import derive_seed
 
 TINY = """
@@ -248,16 +248,23 @@ class Unprintable(float):
 
 def fail_metrics_csv(path):
     log = MetricsLog()
-    for step, score in enumerate((0.5, Unprintable(0.5))):  # fails on the second row
-        log.append(MetricsRow(step=step, pos_count_unique=1, pos_count_effective=1,
-                              pos_acc=None, neg_acc=None, lam=1.0, fg_scores=(score,)))
+    # fails on the second row
+    log.extend({"step": [0, 1], "pos_acc": [None, None], "fg_score_h1": [0.5, Unprintable(0.5)]})
+    log.to_csv(path)
+
+
+def fail_ragged_csv(path):
+    log = MetricsLog()
+    log.extend({"step": [0, 1], "lambda": [1.0, 1.0]})
+    log.extend({"step": [2], "lambda": [1.0], "fg_score_h1": [0.5]})  # a column starts late
     log.to_csv(path)
 
 
 def fail_checkpoint(path):
-    backbone = init_backbone(3, 2, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    backbone, heads = init_backbone(3, 2, rng), stack_heads([init_head(2, 1, rng)])
     # an array that cannot be pickled, written after the parameters
-    save_params(path, backbone, [], np.array([lambda: 0], dtype=object))
+    save_params(path, backbone, heads, np.array([lambda: 0], dtype=object))
 
 
 def fail_plain(path):
@@ -267,8 +274,9 @@ def fail_plain(path):
 
 
 class TestAtomicWrite:
-    @pytest.mark.parametrize("writer", [fail_plain, fail_metrics_csv, fail_checkpoint],
-                             ids=["atomic_write", "metrics_csv", "checkpoint"])
+    @pytest.mark.parametrize("writer", [fail_plain, fail_metrics_csv, fail_ragged_csv,
+                                        fail_checkpoint],
+                             ids=["atomic_write", "metrics_csv", "ragged_csv", "checkpoint"])
     def test_failed_writer_leaves_previous_file(self, tmp_path, writer):
         path = tmp_path / "artifact"
         path.write_bytes(b"previous run\n")
@@ -587,6 +595,26 @@ class TestCli:
         assert "has parameter shapes 11x8 8 8x8 8 8x4 4 8x4 4 8x8 8 8x4 4 8x4 4, " in err
         assert config_layout in err
 
+    @pytest.mark.parametrize("kind", ["heads of different shapes", "no heads"])
+    def test_eval_rejects_checkpoint_heads_that_do_not_stack(self, tmp_path, capsys, kind):
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out),
+                         "--mode", "rga+prm"]) == 0
+        checkpoint = out / "checkpoint.npz"
+        with np.load(checkpoint) as data:
+            arrays = {k: data[k] for k in data.files}
+        if kind == "no heads":
+            arrays = {k: v for k, v in arrays.items() if not k.startswith("head")}
+            arrays.update(num_heads=np.array(0), ratios=np.zeros((0, 2), dtype=np.int64))
+        else:
+            arrays["head1/w_cls"] = arrays["head1/w_cls"][:, :2]
+        np.savez(checkpoint, **arrays)
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", str(cfg_path), "--out", str(out),
+                         "--mode", "rga+prm"]) == 2
+        assert f"error: checkpoint {checkpoint} holds {kind}\n" in capsys.readouterr().err
+
     def test_eval_rejects_checkpoint_without_layout(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "run"
@@ -627,3 +655,32 @@ def test_perfbench_tracer_installs(monkeypatch):
     finally:
         tracer.uninstall()
     assert detlab.synthdata.iou_matrix is original
+
+
+# Traced names that no run calls, so they record no span (ROADMAP item 6):
+# labeling and the training step stopped using them. Moving them out of the
+# tracer is a change to the benchmark.
+DEAD_TRACE_NAMES = {"geometry.iou_matrix", "net.total_loss"}
+
+
+def test_every_traced_name_records_a_span(tmp_path, monkeypatch):
+    """A two-head annealed train and eval call every other name the benchmark
+    tracer patches (a one-head run never calls score_gap_stats)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracer import TRACE_METHODS, TRACE_POINTS, Tracer
+
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(TINY)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for command in ("train", "eval"):
+            assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                             "--mode", "rga+prm"]) == 0
+    finally:
+        tracer.uninstall()
+    # a span may carry a variant after its name, as net.forward.train does
+    recorded = {span[0] for span in tracer.spans}
+    silent = {name for name, *_ in TRACE_POINTS + TRACE_METHODS
+              if not any(r == name or r.startswith(name + ".") for r in recorded)}
+    assert silent == DEAD_TRACE_NAMES

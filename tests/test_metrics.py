@@ -14,7 +14,6 @@ from detlab.metrics import (
     APResult,
     Detections,
     MetricsLog,
-    MetricsRow,
     compute_ap,
     foreground_scores,
     nms,
@@ -418,32 +417,19 @@ class TestScoreGap:
 
 
 class TestMetricsLog:
-    def row(self, step, pos_acc=0.5):
-        return MetricsRow(step=step, pos_count_unique=3, pos_count_effective=5,
-                          pos_acc=pos_acc, neg_acc=0.9, lam=2.5, fg_scores=(0.3, 0.2))
-
-    def test_steps_strictly_increasing(self):
-        log = MetricsLog()
-        log.append(self.row(0))
-        with pytest.raises(ValueError):
-            log.append(self.row(0))
-
     def test_csv_round_trip(self, tmp_path):
         log = MetricsLog()
-        log.append(self.row(0))
-        log.append(self.row(1, pos_acc=None))
+        log.extend({"step": [0], "pos_count_unique": [3], "pos_count_effective": [5],
+                    "pos_acc": [0.5], "neg_acc": [0.9], "lambda": [2.5],
+                    "fg_score_h1": [0.3], "fg_score_h2": [0.2]})
+        log.extend({"step": [1, 2], "pos_count_unique": [3, 0], "pos_count_effective": [5, 0],
+                    "pos_acc": [None, None], "neg_acc": [0.1 + 0.2, 1.0], "lambda": [2.5, 1.0],
+                    "fg_score_h1": [1 / 3, 0.25], "fg_score_h2": [0.2, 1e-300]})
         path = tmp_path / "metrics.csv"
         log.to_csv(path)
-        with open(path, newline="") as fh:  # the CSV alone gives back every row
-            reader = csv.DictReader(fh)
-            heads = [k for k in reader.fieldnames if k.startswith("fg_score_h")]
-            loaded = [MetricsRow(
-                step=int(rec["step"]),
-                pos_count_unique=int(rec["pos_count_unique"]),
-                pos_count_effective=int(rec["pos_count_effective"]),
-                pos_acc=float(rec["pos_acc"]) if rec["pos_acc"] else None,
-                neg_acc=float(rec["neg_acc"]) if rec["neg_acc"] else None,
-                lam=float(rec["lambda"]),
-                fg_scores=tuple(float(rec[k]) for k in heads),
-            ) for rec in reader]
-        assert loaded == log.rows
+        counts = ("step", "pos_count_unique", "pos_count_effective")
+        with open(path, newline="") as fh:  # the CSV alone gives back every column
+            header, *rows = csv.reader(fh)
+        loaded = {name: [int(v) if name in counts else float(v) if v else None for v in column]
+                  for name, column in zip(header, zip(*rows, strict=True), strict=True)}
+        assert loaded == log.columns

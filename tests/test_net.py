@@ -18,6 +18,7 @@ from detlab.net import (
     reg_loss,
     save_params,
     sgd_step,
+    stack_heads,
     total_loss,
 )
 
@@ -205,7 +206,7 @@ class TestStackedHeads:
         backbone, _ = tiny_model(d=4, h=3, c=2)
         rng = np.random.default_rng(11)
         heads = [init_head(3, 2, rng) for _ in range(3)]
-        stack = HeadParams(*map(np.stack, zip(*(h.arrays() for h in heads))))
+        stack = stack_heads(heads)
         x = rng.normal(size=(8, 4))
         return backbone, heads, stack, x
 
@@ -293,15 +294,15 @@ class TestCheckpoint:
         backbone = init_backbone(5, 4, rng)
         heads = [init_head(4, 3, rng), init_head(4, 3, rng)]
         path = tmp_path / "ckpt.npz"
-        save_params(path, backbone, heads, ((1, 1), (1, 9)))
+        save_params(path, backbone, stack_heads(heads), ((1, 1), (1, 9)))
         loaded_backbone, loaded_heads, ratios = load_params(path)
         np.testing.assert_array_equal(ratios, [[1, 1], [1, 9]])
         np.testing.assert_array_equal(loaded_backbone.w, backbone.w)
         np.testing.assert_array_equal(loaded_backbone.b, backbone.b)
-        assert len(loaded_heads) == 2
-        for orig, got in zip(heads, loaded_heads):
-            for a, b in zip(orig.arrays(), got.arrays()):
-                np.testing.assert_array_equal(a, b)
+        assert len(loaded_heads.b_reg) == 2
+        for i, orig in enumerate(heads):
+            for a, b in zip(orig.arrays(), loaded_heads.arrays()):
+                np.testing.assert_array_equal(a, b[i])
 
     def test_missing_ratios_named(self, tmp_path):
         backbone = init_backbone(5, 4, np.random.default_rng(12))

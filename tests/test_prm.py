@@ -6,7 +6,6 @@ from detlab import net
 from detlab.geometry import decode_deltas_array
 from detlab.net import BackboneParams, HeadParams, TrainConfig, softmax
 from detlab.harness import train_block
-from detlab.metrics import MetricsRow
 from detlab.prm import (
     BlockArrays,
     PrmModel,
@@ -41,9 +40,14 @@ def train_cfg(total=100):
 
 
 def train(model, pools, cfg, schedule=None, base_seed=3):
-    """Steps 0, 1, ... on `pools` as one block: each step's metrics row and
-    gradient-norm record."""
+    """Steps 0, 1, ... on `pools` as one block: its metrics.csv and
+    gradnorm.csv columns."""
     return train_block(model, pools, range(len(pools)), cfg, schedule, base_seed, {})
+
+
+def head(model, i):
+    """Head i of a model, as views of its stack."""
+    return HeadParams(*(a[i] for a in model.heads.arrays()))
 
 
 class TestEnsembleScores:
@@ -118,7 +122,7 @@ class TestPredict:
             s = np.tanh(h @ head.w_shared + head.b_shared)
             return s @ head.w_cls + head.b_cls, s @ head.w_reg + head.b_reg
 
-        (logits0, deltas0), (logits1, _) = map(head_outputs, model.heads)
+        (logits0, deltas0), (logits1, _) = (head_outputs(head(model, i)) for i in range(2))
         expected_scores = softmax((logits0 + logits1) / 2)
         np.testing.assert_allclose(scores, expected_scores, rtol=1e-12)
         np.testing.assert_allclose(
@@ -128,7 +132,7 @@ class TestPredict:
         single = self.model(n_heads=1)
         double = PrmModel(
             backbone=single.backbone,
-            heads=[single.heads[0], HeadParams(*[a.copy() for a in single.heads[0].arrays()])],
+            heads=net.stack_heads([head(single, 0), head(single, 0)]),
             policies=[single.policies[0], single.policies[0]],
         )
         pool = make_pool(seed=3)
@@ -164,9 +168,10 @@ class TestTrainStep:
         model = init_model(FEATURE_DIM, 5, C,
                            [policy((1, 1)), policy((1, 9))], 1)
         pools = [make_pool(seed=200 + t, q=t / 50) for t in range(50)]
-        _, records = train(model, pools, train_cfg())
-        for record in records:
-            assert record.norm_sum <= sum(record.head_norms) + 1e-9
+        _, norms = train(model, pools, train_cfg())
+        for n1, n2, norm_sum in zip(norms["norm_h1"], norms["norm_h2"], norms["norm_sum"],
+                                    strict=True):
+            assert norm_sum <= n1 + n2 + 1e-9
 
     def test_identical_policies_and_seeds_parallel_gradients(self, monkeypatch):
         # force both heads to draw the same batch
@@ -175,21 +180,22 @@ class TestTrainStep:
         base = init_model(FEATURE_DIM, 5, C, [policy((1, 3))], 5)
         model = PrmModel(
             backbone=base.backbone,
-            heads=[base.heads[0],
-                   HeadParams(*[a.copy() for a in base.heads[0].arrays()])],
+            heads=net.stack_heads([head(base, 0), head(base, 0)]),
             policies=[policy((1, 3)), policy((1, 3))],
         )
-        _, (record,) = train(model, [make_pool(seed=9)], train_cfg(), base_seed=11)
-        assert record.head_norms[0] == pytest.approx(record.head_norms[1], rel=1e-12)
-        assert record.norm_sum == pytest.approx(2 * record.head_norms[0], rel=1e-12)
-        assert record.cosine == pytest.approx(1.0, abs=1e-12)
+        _, norms = train(model, [make_pool(seed=9)], train_cfg(), base_seed=11)
+        (n1,), (n2,), (norm_sum,), (cosine,) = (norms[k] for k in ("norm_h1", "norm_h2",
+                                                                   "norm_sum", "cosine"))
+        assert n1 == pytest.approx(n2, rel=1e-12)
+        assert norm_sum == pytest.approx(2 * n1, rel=1e-12)
+        assert cosine == pytest.approx(1.0, abs=1e-12)
 
     def test_distinct_ratios_give_distinct_gradients(self):
         model = init_model(FEATURE_DIM, 5, C,
                            [policy((1, 1)), policy((1, 9))], 2)
         pools = [make_pool(seed=300 + t, q=t / 200) for t in range(200)]
-        _, records = train(model, pools, train_cfg(total=200), base_seed=13)
-        cosines = [r.cosine for r in records if r.cosine is not None]
+        _, norms = train(model, pools, train_cfg(total=200), base_seed=13)
+        cosines = [c for c in norms["cosine"] if c is not None]
         assert np.median(cosines) < 1 - 1e-6
 
     def test_determinism(self):
@@ -198,7 +204,7 @@ class TestTrainStep:
             model = init_model(FEATURE_DIM, 5, C, [policy((1, 3))], 4)
             train(model, [make_pool(seed=400 + t) for t in range(5)], train_cfg(), base_seed=5)
             results.append(np.concatenate(
-                [a.ravel() for a in model.backbone.arrays() + model.heads[0].arrays()]))
+                [a.ravel() for a in model.backbone.arrays() + model.heads.arrays()]))
         np.testing.assert_array_equal(results[0], results[1])
 
 
@@ -217,17 +223,17 @@ class TestSummarizeBlock:
     def test_head_without_positives_has_no_positive_accuracy(self):
         arrays = block_arrays()
         arrays.targets[2] = np.where(arrays.targets[2] > 0, 0, arrays.targets[2])
-        rows, _ = summarize_block(arrays, range(10, 14))
-        assert [r.pos_acc is None for r in rows] == [False, False, True, False]
-        assert rows[2].neg_acc is not None
+        metrics, _ = summarize_block(arrays, range(10, 14))
+        assert [v is None for v in metrics["pos_acc"]] == [False, False, True, False]
+        assert metrics["neg_acc"][2] is not None
 
     def test_zero_backbone_contribution_has_no_cosine(self):
         # pyproject turns warnings into errors, so a 0/0 would fail here
         arrays = block_arrays()
         arrays.grad_w[1, 1] = arrays.grad_b[1, 1] = 0.0
-        _, records = summarize_block(arrays, range(10, 14))
-        assert [r.cosine is None for r in records] == [False, True, False, False]
-        assert records[1].head_norms[1] == 0.0
+        _, norms = summarize_block(arrays, range(10, 14))
+        assert [v is None for v in norms["cosine"]] == [False, True, False, False]
+        assert norms["norm_h2"][1] == 0.0
 
     def test_non_finite_names_the_first_bad_step(self):
         arrays = block_arrays()
@@ -242,7 +248,7 @@ class TestSummarizeBlock:
 def copy_model(model):
     return PrmModel(
         backbone=BackboneParams(*[a.copy() for a in model.backbone.arrays()]),
-        heads=[HeadParams(*[a.copy() for a in h.arrays()]) for h in model.heads],
+        heads=HeadParams(*[a.copy() for a in model.heads.arrays()]),
         policies=list(model.policies),
     )
 
@@ -277,7 +283,7 @@ ORACLE_CASES = {
 
 
 def all_params(model):
-    return model.backbone.arrays() + [a for h in model.heads for a in h.arrays()]
+    return model.backbone.arrays() + model.heads.arrays()
 
 
 class TestTrainStepOracle:
@@ -297,17 +303,23 @@ class TestTrainStepOracle:
         for start in range(0, ORACLE_STEPS, ORACLE_BLOCK):
             steps = range(start, min(start + ORACLE_BLOCK, ORACLE_STEPS))
             pools = [pool_at(t) for t in steps]
-            rows, records = train_block(model, pools, steps, cfg, schedule, 3, {})
+            metrics, norms = train_block(model, pools, steps, cfg, schedule, 3, {})
+            heads = [str(i + 1) for i in range(len(policies))]
+            assert list(metrics) == ["step", "pos_count_unique", "pos_count_effective",
+                                     "pos_acc", "neg_acc", "lambda",
+                                     *("fg_score_h" + h for h in heads)]
+            assert list(norms) == ["step", *("norm_h" + h for h in heads), "norm_sum", "cosine"]
+            rows = zip(*metrics.values(), strict=True)
+            records = zip(*norms.values(), strict=True)
             for t, pool, row, record in zip(steps, pools, rows, records, strict=True):
                 want_record, want_stats, want_lam = train_step_oracle.prm_train_step(
                     oracle, pool, t, cfg, schedule, 3)
                 head0 = want_stats[0]
-                assert record == want_record, f"step {t}"
-                assert row == MetricsRow(
-                    step=t, pos_count_unique=head0.pos_count_unique,
-                    pos_count_effective=head0.pos_count_effective, pos_acc=head0.pos_acc,
-                    neg_acc=head0.neg_acc, lam=want_lam,
-                    fg_scores=tuple(s.mean_fg_score for s in want_stats)), f"step {t}"
+                assert record == (want_record.step, *want_record.head_norms,
+                                  want_record.norm_sum, want_record.cosine), f"step {t}"
+                assert row == (t, head0.pos_count_unique, head0.pos_count_effective,
+                               head0.pos_acc, head0.neg_acc, want_lam,
+                               *(s.mean_fg_score for s in want_stats)), f"step {t}"
                 repeated = [r or s.pos_count_effective > s.pos_count_unique
                             for r, s in zip(repeated, want_stats)]
             for got, want in zip(all_params(model), all_params(oracle), strict=True):

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from detlab import net
-from detlab.net import Gradients, HeadParams, TrainConfig, sgd_step
+from detlab.net import Gradients, TrainConfig, sgd_step, stack_heads
 from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
-
-
-def stack_heads(heads):
-    return HeadParams(*map(np.stack, zip(*(h.arrays() for h in heads))))
 
 
 def random_grads(seed=0, heads=None):

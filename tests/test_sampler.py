@@ -32,18 +32,18 @@ class TestSoft:
     def test_plenty_of_positives(self):
         batch = sample(pool(200, 600), SOFT_512, 0)
         assert batch.pos_count_effective == 128
-        assert batch.neg_count == 384
+        assert len(batch.indices) - batch.pos_count_unique == 384
         assert (batch.multiplicities == 1).all()
 
     def test_scarce_positives_all_used(self):
         batch = sample(pool(40, 600), SOFT_512, 0)
         assert batch.pos_count_unique == 40
-        assert batch.neg_count == 472
+        assert len(batch.indices) - batch.pos_count_unique == 472
 
     def test_zero_positives(self):
         batch = sample(pool(0, 600), SOFT_512, 0)
         assert batch.pos_count_effective == 0
-        assert batch.neg_count == 512
+        assert len(batch.indices) - batch.pos_count_unique == 512
 
     def test_pool_too_small(self):
         with pytest.raises(ValueError, match="pool of 110 proposals cannot fill a batch of 512"):
@@ -65,7 +65,7 @@ class TestHard:
         batch = sample(pool(1, 20), policy, 0)
         assert batch.pos_count_unique == 1
         assert batch.pos_count_effective == 4
-        assert batch.neg_count == 4
+        assert len(batch.indices) - batch.pos_count_unique == 4
         assert batch.multiplicities[0] == 4
 
     def test_enough_positives_no_duplication(self):
@@ -76,7 +76,7 @@ class TestHard:
     def test_zero_positive_fallback(self):
         batch = sample(pool(0, 600), HARD_512, 0)
         assert batch.pos_count_effective == 0
-        assert batch.neg_count == 512
+        assert len(batch.indices) - batch.pos_count_unique == 512
 
     def test_even_distribution_extras_to_lowest(self):
         policy = SamplingPolicy("hard", (1, 1), 16)  # target 8
@@ -109,7 +109,7 @@ class TestProperties:
     def test_batch_size_conservation(self, n_pos, seed, mode):
         policy = SamplingPolicy(mode, (1, 3), 64)
         batch = sample(pool(n_pos, 128), policy, seed)
-        assert batch.pos_count_effective + batch.neg_count == 64
+        assert batch.pos_count_effective + (len(batch.indices) - batch.pos_count_unique) == 64
         assert batch.multiplicities.sum() == 64
 
     @given(st.integers(0, 64), st.integers(0, 1_000_000))

@@ -5,11 +5,13 @@ batches, steps and statistics ran in separate phases.
 The old step runs, per head, a forward pass on the sampled batch, a
 `net.total_loss` call whose value goes into `HeadBatchStats.loss`, and a second
 forward pass over the whole pool for the foreground-score statistics; then it
-builds that step's statistics one head at a time. `HeadBatchStats`,
-`_frobenius`, `_flat`, `proposal_accuracy` and `prm_train_step` are the old
-implementation verbatim, except that the per-head gradients are stacked for
-the library's `apply_rga` and `sgd_step`, so detlab's phased block training
-can be checked against it for exact equality.
+builds that step's statistics one head at a time. `GradNormRecord`,
+`HeadBatchStats`, `_frobenius`, `_flat`, `proposal_accuracy` and
+`prm_train_step` are the old implementation verbatim, except that the model
+keeps its heads as one stack, each head's negatives are counted from its
+batch, and the per-head gradients are stacked for the library's `apply_rga`
+and `sgd_step`, so detlab's phased block training can be checked against it
+for exact equality.
 """
 
 from __future__ import annotations
@@ -21,10 +23,18 @@ import numpy as np
 
 from detlab import net
 from detlab.net import BackboneParams, Gradients, HeadParams, TrainConfig
-from detlab.prm import GradNormRecord, PrmModel, batch_seed
+from detlab.prm import PrmModel, batch_seed
 from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
 from detlab.sampler import sample
 from detlab.synthdata import ProposalSet
+
+
+@dataclass(frozen=True)
+class GradNormRecord:
+    step: int
+    head_norms: tuple[float, ...]  # per-head backbone-gradient Frobenius norms
+    norm_sum: float  # Frobenius norm of the summed backbone gradient
+    cosine: Optional[float]  # between the first two heads' contributions
 
 
 @dataclass(frozen=True)
@@ -79,15 +89,17 @@ def prm_train_step(
     after backward and before the optimizer step, so backbone gradients
     flowing from the heads stay unscaled.
     """
+    heads = [HeadParams(*(a[i] for a in model.heads.arrays()))
+             for i in range(len(model.policies))]
     if head_weights is None:
-        head_weights = [1.0] * len(model.heads)
+        head_weights = [1.0] * len(heads)
     lam = anneal_factor(t, schedule) if schedule is not None else 1.0
 
     backbone_contribs: list[BackboneParams] = []
     head_grads: list[HeadParams] = []
     stats: list[HeadBatchStats] = []
     for i, (head, policy, weight) in enumerate(
-        zip(model.heads, model.policies, head_weights)
+        zip(heads, model.policies, head_weights)
     ):
         batch = sample(pool.classes, policy, batch_seed(base_seed, t, i))
         x = pool.features[batch.indices]
@@ -114,7 +126,7 @@ def prm_train_step(
         stats.append(HeadBatchStats(
             pos_count_unique=batch.pos_count_unique,
             pos_count_effective=batch.pos_count_effective,
-            neg_count=batch.neg_count,
+            neg_count=len(batch.indices) - batch.pos_count_unique,
             pos_acc=pos_acc,
             neg_acc=neg_acc,
             loss=loss,
@@ -138,9 +150,8 @@ def prm_train_step(
         cosine=cosine,
     )
 
-    stacked = HeadParams(*map(np.stack, zip(*(g.arrays() for g in head_grads))))
-    grads = Gradients(backbone=summed, heads=stacked)
+    grads = Gradients(backbone=summed, heads=net.stack_heads(head_grads))
     if schedule is not None:
         grads = apply_rga(grads, lam)
-    net.sgd_step(model.backbone, model.stack, grads, t, config)
+    net.sgd_step(model.backbone, model.heads, grads, t, config)
     return record, stats, lam
