@@ -26,7 +26,7 @@ from .metrics import (
     nms,
     score_gap_stats,
 )
-from .net import BackboneParams, HeadParams, TrainConfig
+from . import net
 from .prm import (BlockArrays, PrmModel, draw_batches, init_model, prm_predict,
                   prm_train_step, summarize_block)
 from .rga import AnnealSchedule
@@ -65,16 +65,6 @@ class RunResult:
 POOL_BLOCK = 32
 
 
-def _proposal_block(cfg: ExperimentConfig, scenes: Sequence[Scene], qualities: Sequence[float],
-                    seed_tags: Sequence[tuple]) -> ProposalSet:
-    """One block of proposal pools: each scene's at its quality, seeded by its tag."""
-    return generate_proposals(
-        scenes, qualities, cfg.rpn, [derive_seed(cfg.seed, *tag) for tag in seed_tags],
-        feat=cfg.feat, num_classes=cfg.scene.num_classes,
-        box_size_range=cfg.scene.box_size_range,
-    )
-
-
 @contextlib.contextmanager
 def _timed(stages: dict[str, float], name: str):
     """Adds the wall seconds the block takes to stages[name]."""
@@ -85,23 +75,53 @@ def _timed(stages: dict[str, float], name: str):
         stages[name] = stages.get(name, 0.0) + time.perf_counter() - start
 
 
-def _scene_detections(cfg: ExperimentConfig, scene_index: int,
-                      outputs: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[tuple]:
-    """Each output's (scene, class, score, box) detection columns in one scene,
-    from its (scores, boxes): the candidates at or above the score floor after
-    one NMS keyed by (output, class), capped at `max_detections` per output."""
-    scores, boxes = (np.stack(column) for column in zip(*outputs))
-    out, classes, rows = np.nonzero(scores[:, :, 1:].transpose(0, 2, 1) >= cfg.score_floor)
+def _pool_blocks(cfg: ExperimentConfig, scenes: Sequence[Scene], qualities: Sequence[float],
+                 seed_tags: Sequence[tuple], stages: dict[str, float]):
+    """Yields (index, block) per POOL_BLOCK of positions: pool i of the block
+    holds scenes[index[i]]'s proposals at its quality, seeded by its tag. The
+    caller's loop variable and this generator hold a block until the next one
+    is built, so at most two (~0.6 MB each at desk scale) are alive at once."""
+    for start in range(0, len(scenes), POOL_BLOCK):
+        index = range(start, min(start + POOL_BLOCK, len(scenes)))
+        with _timed(stages, "proposals"):
+            block = generate_proposals(
+                [scenes[i] for i in index], [qualities[i] for i in index], cfg.rpn,
+                [derive_seed(cfg.seed, *seed_tags[i]) for i in index], feat=cfg.feat,
+                num_classes=cfg.scene.num_classes, box_size_range=cfg.scene.box_size_range)
+        yield index, block
+
+
+def _block_detections(cfg: ExperimentConfig, model: PrmModel, block: ProposalSet,
+                      index: range, scenes: Sequence[Scene], scores: np.ndarray,
+                      boxes: np.ndarray) -> list[tuple]:
+    """Each output's (scene, class, score, box) detection columns in a block
+    whose pool i is scenes[index[i]], from its (O, N, C+1) scores and (O, N, 4)
+    boxes: the candidates at or above the score floor after one NMS keyed by
+    (scene, output, class), capped at `max_detections` per (scene, output)."""
+    n_out, _, n_cols = scores.shape
+    out, rows, classes = np.nonzero(scores[:, :, 1:] >= cfg.score_floor)
     classes += 1
-    groups = out * scores.shape[2] + classes  # (output, class)
+    scene = np.repeat(index, np.diff(block.offsets))[rows]
+    groups = (scene * n_out + out) * n_cols + classes  # (scene, output, class)
     scores, boxes = scores[out, rows, classes], boxes[out, rows]
-    keep = nms(boxes, scores, groups, cfg.nms_threshold)
-    found = []  # nms returns its groups ascending, so output by output
-    for kept in np.split(keep, np.searchsorted(out[keep], np.arange(1, len(outputs)))):
-        if len(kept) > cfg.max_detections:  # the highest scores, ties in NMS order
-            kept = kept[np.argsort(-scores[kept], kind="stable")[: cfg.max_detections]]
-        found.append((np.full(len(kept), scene_index), classes[kept], scores[kept], boxes[kept]))
-    return found
+    good = np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > boxes[:, :2]).all(axis=1)
+    if not good.all():  # only diverged training gives such candidates
+        k = np.argmin(good)  # the first output with one, in its first scene
+        pool = block.pool(scene[k] - index.start)
+        _, deltas, _ = net.forward(model.backbone, model.heads, pool.features)
+        raise FloatingPointError(
+            f"training diverged: {f'head {out[k]}' if out[k] else 'the ensemble'} gives "
+            f"degenerate or non-finite boxes in scene {scenes[scene[k]].id}, where the "
+            f"largest |delta| is {np.abs(deltas).max():.3g}")
+    keep = nms(boxes, scores, groups, cfg.nms_threshold)  # groups ascending
+    segment = groups[keep] // n_cols  # (scene, output)
+    first = np.searchsorted(segment, segment)
+    over = np.searchsorted(segment, segment, side="right") - first > cfg.max_detections
+    # a segment over the cap keeps its highest scores, ties in NMS order
+    keep = keep[np.lexsort((np.where(over, -scores[keep], 0.0), segment))]
+    keep = keep[np.arange(len(keep)) - first < cfg.max_detections]
+    return [(scene[kept], classes[kept], scores[kept], boxes[kept])
+            for kept in (keep[out[keep] == o] for o in range(n_out))]
 
 
 def evaluate_model(model: PrmModel, scenes: Sequence[Scene], cfg: ExperimentConfig,
@@ -110,24 +130,18 @@ def evaluate_model(model: PrmModel, scenes: Sequence[Scene], cfg: ExperimentConf
     head score-disagreement statistics. Adds the wall seconds spent building
     proposals and evaluating to `stages`, if given."""
     stages = {} if stages is None else stages
-    multi = len(model.policies) > 1
-    found: list[list[tuple]] = []  # per scene, per output
-    head_logits: list[list[np.ndarray]] = []  # per scene, per head
-    for start in range(0, len(scenes), POOL_BLOCK):
-        batch = scenes[start:start + POOL_BLOCK]
-        with _timed(stages, "proposals"):
-            block = _proposal_block(cfg, batch, [1.0] * len(batch),
-                                    [("evalprop", scene.id) for scene in batch])
+    found, fg_scores = [], []  # per block: each output's detections, the heads' (H, n) fg scores
+    for index, block in _pool_blocks(cfg, scenes, [1.0] * len(scenes),
+                                     [("evalprop", scene.id) for scene in scenes], stages):
         with _timed(stages, "evaluation"):
-            for i in range(len(batch)):
-                outputs, logits = prm_predict(model, block.pool(i))  # the ensemble, then each head
-                head_logits.append(logits)
-                found.append(_scene_detections(cfg, start + i, outputs))
-        del block  # dropped before the next block is built
+            scores, boxes = prm_predict(model, block)  # the ensemble, then each head
+            found.append(_block_detections(cfg, model, block, index, scenes, scores, boxes))
+            fg_scores.append(scores[1:, :, 1:].max(axis=-1))
     with _timed(stages, "evaluation"):
         ensemble_ap, *heads_ap = [compute_ap(Detections(*map(np.concatenate, zip(*d))), scenes)
                                   for d in zip(*found)]
-        stats = score_gap_stats([np.concatenate(h) for h in zip(*head_logits)]) if multi else None
+        stats = (score_gap_stats(np.concatenate(fg_scores, axis=1))
+                 if len(model.policies) > 1 else None)
     return EvalResult(ensemble=ensemble_ap, heads=heads_ap, score_stats=stats)
 
 
@@ -197,7 +211,7 @@ def _shapes(shapes) -> str:
     return " ".join("x".join(map(str, shape)) for shape in shapes)
 
 
-def check_head_layout(checkpoint: Path, backbone: BackboneParams, heads: HeadParams,
+def check_head_layout(checkpoint: Path, backbone: net.BackboneParams, heads: net.HeadParams,
                       ratios, cfg: ExperimentConfig) -> None:
     """Rejects a checkpoint whose heads were trained with other sampling
     ratios, in count or order, than the config gives, or whose parameter
@@ -233,7 +247,7 @@ def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> list[Sce
 
 
 def train_block(model: PrmModel, pools: Sequence[ProposalSet], steps: Sequence[int],
-                config: TrainConfig, schedule: Optional[AnnealSchedule], base_seed: int,
+                config: net.TrainConfig, schedule: Optional[AnnealSchedule], base_seed: int,
                 stages: dict[str, float]) -> tuple[dict[str, list], dict[str, list]]:
     """Trains step steps[i] on pools[i] in three phases, each timed in
     `stages`: draw every batch, run the network steps, then compute the
@@ -257,30 +271,21 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         train_scenes = _dataset(cfg, out_dir, "train", cfg.train_scenes)
         eval_scenes = _dataset(cfg, out_dir, "eval", cfg.eval_scenes)
 
-    model = init_model(
-        cfg.feat.dim(cfg.scene.num_classes), cfg.hidden, cfg.scene.num_classes,
-        cfg.policies, cfg.seed,
-    )
-    schedule = cfg.schedule
-    train_cfg = cfg.train
+    model = init_model(cfg.feat.dim(cfg.scene.num_classes), cfg.hidden, cfg.scene.num_classes,
+                       cfg.policies, cfg.seed)
     log, gradnorm = MetricsLog(), MetricsLog()
-    for start in range(0, cfg.total_steps, POOL_BLOCK):
-        steps = range(start, min(start + POOL_BLOCK, cfg.total_steps))
-        with _timed(stages, "proposals"):
-            block = _proposal_block(cfg, [train_scenes[t % len(train_scenes)] for t in steps],
-                                    [quality_at(t, cfg.total_steps) for t in steps],
-                                    [("prop", t) for t in steps])
-            pools = [block.pool(i) for i in range(len(steps))]
-        metrics, norms = train_block(model, pools, steps, train_cfg, schedule, cfg.seed, stages)
+    every = range(cfg.total_steps)
+    for steps, block in _pool_blocks(cfg, [train_scenes[t % len(train_scenes)] for t in every],
+                                     [quality_at(t, cfg.total_steps) for t in every],
+                                     [("prop", t) for t in every], stages):
+        metrics, norms = train_block(model, [block.pool(i) for i in range(len(steps))], steps,
+                                     cfg.train, cfg.schedule, cfg.seed, stages)
         log.extend(metrics)
         gradnorm.extend(norms)
-        del block, pools  # dropped before the next block is built
 
     log.to_csv(out_dir / "metrics.csv")
     write_gradnorm_csv(gradnorm, out_dir / "gradnorm.csv")
-    from .net import save_params
-
-    save_params(out_dir / "checkpoint.npz", model.backbone, model.heads, cfg.ratios)
+    net.save_params(out_dir / "checkpoint.npz", model.backbone, model.heads, cfg.ratios)
     result = evaluate_model(model, eval_scenes, cfg, stages)
     write_eval_report(result, out_dir / "eval_report.txt")
     summary = write_eval_summary(result, cfg, out_dir / "eval_summary.json")

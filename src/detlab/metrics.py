@@ -11,12 +11,12 @@ import numpy as np
 
 from .files import atomic_write
 from .geometry import check_boxes, iou, iou_matrix  # iou_matrix: perfbench patches it here
-from .net import softmax
 from .synthdata import Scene
 
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 DEFAULT_BUCKETS = (("1_3", 1, 3), ("8_inf", 8, None))
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
+PAIR_CHUNK = 1 << 14  # pairs whose IoUs nms takes at once: bounds its memory on a block
 
 
 class Detections:
@@ -74,8 +74,8 @@ def proposal_accuracy(logits: np.ndarray, targets: np.ndarray):
 
 def nms(boxes: np.ndarray, scores: np.ndarray, groups: np.ndarray,
         iou_threshold: float) -> np.ndarray:
-    """Greedy suppression within each integer group (say, a class) of one
-    scene's candidates. Returns the kept row indices, groups ascending, then
+    """Greedy suppression within each integer group (say, a (scene, class)
+    pair) of candidates. Returns the kept row indices, groups ascending, then
     descending score; equal scores keep row order."""
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError("NMS threshold must lie in (0, 1)")
@@ -87,7 +87,9 @@ def nms(boxes: np.ndarray, scores: np.ndarray, groups: np.ndarray,
     n_before = np.arange(len(order)) - first
     j = np.repeat(np.arange(len(order)), n_before)
     i = np.repeat(first - np.cumsum(n_before) + n_before, n_before) + np.arange(len(j))
-    i, j = np.compress(iou(boxes[i], boxes[j]) >= iou_threshold, [i, j], axis=1)
+    hit = [iou(boxes[i[s:s + PAIR_CHUNK]], boxes[j[s:s + PAIR_CHUNK]]) >= iou_threshold
+           for s in range(0, len(j), PAIR_CHUNK)]
+    i, j = np.compress(np.concatenate([np.zeros(0, dtype=bool), *hit]), [i, j], axis=1)
     # greedy NMS is the one fixed point of "j is kept iff no kept i < j suppresses it"
     keep, kept = None, np.ones(len(order), dtype=bool)
     while not np.array_equal(keep, kept):
@@ -197,20 +199,15 @@ class ScoreGapStats:
     gap_threshold: float
 
 
-def foreground_scores(logits: np.ndarray) -> np.ndarray:
-    """Max softmax probability over non-background classes, per row."""
-    return softmax(np.asarray(logits, dtype=np.float64))[:, 1:].max(axis=1)
-
-
-def score_gap_stats(head_logits: Sequence[np.ndarray],
+def score_gap_stats(fg_scores: Sequence[np.ndarray],
                     gap_threshold: float = 0.1) -> ScoreGapStats:
-    """Per-head foreground-score levels and the first-two-heads disagreement."""
-    if len(head_logits) < 2:
+    """Per-head foreground-score levels and the first-two-heads disagreement,
+    from each head's (N,) largest non-background probability per row."""
+    if len(fg_scores) < 2:
         raise ValueError("need at least two heads to compare")
-    scores = [foreground_scores(lg) for lg in head_logits]
-    gaps = np.abs(scores[0] - scores[1])
+    gaps = np.abs(fg_scores[0] - fg_scores[1])
     return ScoreGapStats(
-        mean_fg=tuple(float(s.mean()) for s in scores),
+        mean_fg=tuple(float(s.mean()) for s in fg_scores),
         median_gap=float(np.median(gaps)),
         frac_large_gap=float((gaps > gap_threshold).mean()),
         gap_threshold=gap_threshold,

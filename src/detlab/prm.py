@@ -211,16 +211,13 @@ def select_regression(policies: Sequence[SamplingPolicy],
     return head_outputs[best]
 
 
-def prm_predict(model: PrmModel, pool: ProposalSet
-                ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """The scored outputs on a pool, each (scores (N, C+1), boxes (N, 4)): the
-    ensemble first (softmax of the mean logits, the selected head's boxes),
-    then each head on its own if there are several; and the (H, N, C+1)
-    logits of the heads."""
-    logits, deltas, _ = net.forward(model.backbone, model.heads, pool.features)
-    head_boxes = [decode_deltas_array(pool.boxes, d) for d in deltas]
-    outputs = [(net.softmax(ensemble_scores(logits)),
-                select_regression(model.policies, head_boxes))]
+def prm_predict(model: PrmModel, proposals: ProposalSet) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's scored outputs on a pool or a block of pools, stacked as
+    (O, N, C+1) scores and (O, N, 4) boxes: the ensemble first (softmax of the
+    mean logits, the selected head's boxes), then each head if there are several."""
+    logits, deltas, _ = net.forward(model.backbone, model.heads, proposals.features)
+    boxes = np.stack([decode_deltas_array(proposals.boxes, d) for d in deltas])
     if len(model.policies) > 1:
-        outputs += zip(net.softmax(logits), head_boxes)
-    return outputs, logits
+        logits = np.concatenate([ensemble_scores(logits)[None], logits])
+        boxes = np.concatenate([select_regression(model.policies, boxes)[None], boxes])
+    return net.softmax(logits), boxes

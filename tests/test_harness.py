@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import re
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -438,6 +439,18 @@ class TestCli:
         assert "error: training went non-finite at step 3:" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    # the parameters stay finite (~1e200) and the gradient norms read 0, so
+    # only the boxes show it: every decoded eval box has zero size
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_training_exits_2_naming_the_output_and_scene(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY + "[train]\nlearning_rate = 1e200\n")
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "error: training diverged: the ensemble gives degenerate or non-finite boxes " \
+               "in scene " in err
+        assert re.search(r"in scene \d+, where the largest \|delta\| is [\d.]+e\+200$", err)
+
     def test_eval_from_checkpoint(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)
         out = str(tmp_path / "run")
@@ -665,16 +678,18 @@ DEAD_TRACE_NAMES = {"geometry.iou_matrix", "net.total_loss"}
 
 def test_every_traced_name_records_a_span(tmp_path, monkeypatch):
     """A two-head annealed train and eval call every other name the benchmark
-    tracer patches (a one-head run never calls score_gap_stats)."""
+    tracer patches (a one-head run never calls score_gap_stats), and eval
+    predicts and suppresses once per POOL_BLOCK of scenes, not once per scene."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     from tracer import TRACE_METHODS, TRACE_POINTS, Tracer
 
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(TINY)
+    cfg_path.write_text(TINY.replace("[eval]\nscenes = 20", "[eval]\nscenes = 40"))
     tracer = Tracer()
     tracer.install()
     try:
         for command in ("train", "eval"):
+            eval_from = len(tracer.spans)
             assert cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "run"),
                              "--mode", "rga+prm"]) == 0
     finally:
@@ -684,3 +699,7 @@ def test_every_traced_name_records_a_span(tmp_path, monkeypatch):
     silent = {name for name, *_ in TRACE_POINTS + TRACE_METHODS
               if not any(r == name or r.startswith(name + ".") for r in recorded)}
     assert silent == DEAD_TRACE_NAMES
+    blocks = -(-40 // harness.POOL_BLOCK)
+    assert blocks == 2  # a full block and a partial one
+    for name in ("prm.prm_predict", "metrics.nms"):
+        assert sum(span[0] == name for span in tracer.spans[eval_from:]) == blocks

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detlab.config import parse_config
-from detlab.harness import _scene_detections
+from detlab.harness import _block_detections
 from detlab.metrics import (
     DEFAULT_BUCKETS,
     DEFAULT_IOU_THRESHOLDS,
@@ -15,12 +15,12 @@ from detlab.metrics import (
     Detections,
     MetricsLog,
     compute_ap,
-    foreground_scores,
     nms,
     proposal_accuracy,
     score_gap_stats,
 )
-from detlab.synthdata import Scene
+from detlab.net import softmax
+from detlab.synthdata import ProposalSet, Scene
 
 import ap_oracle
 import train_step_oracle
@@ -359,35 +359,59 @@ class TestMatchesOracle:
         assert most == 12  # so every ground-truth column of the matching is filled
 
     def test_detection_extraction_and_ap_match(self):
-        # an ensemble and two heads share one NMS call per scene; each output
-        # must equal the old extraction run on that output alone
+        # an ensemble and two heads in blocks of 1, 2 and 5 scenes share one
+        # NMS call per block; each output must equal the old extraction run on
+        # that output alone, scene by scene
         cfg = replace(parse_config("", seed=1), max_detections=6)
+        uncapped = replace(cfg, max_detections=10**6)
+        segments = {"empty": 0, "under the cap": 0, "over the cap": 0}
         for seed in range(30):
             rng = np.random.default_rng(seed)
             scenes, _ = random_case(rng, n_scenes=5)
-            found, theirs = [], [[], [], []]
-            for index, s in enumerate(scenes):
-                n = int(rng.integers(0, 40))  # often more than max_detections
-                outputs = []
-                for expected in theirs:
-                    x, y = rng.uniform(0, 40, size=(2, n))
-                    w, h = rng.uniform(4, 15, size=(2, n))
-                    boxes = np.stack([x, y, x + w, y + h], axis=1)
-                    scores = rng.dirichlet(np.ones(4), size=n)
-                    scores[rng.random(n) < 0.3] = [0.1, 0.3, 0.3, 0.3]  # tied rows
-                    outputs.append((scores, boxes))
-                    expected.extend(ap_oracle.detections_for(cfg, s, scores, boxes))
-                found.append(_scene_detections(cfg, index, outputs))
-            for ours, expected in zip(zip(*found), theirs):
-                ours = Detections(*map(np.concatenate, zip(*ours)))
-                assert as_tuples(ours) == as_tuples(expected)
-                assert compute_ap(ours, scenes) == ap_oracle.compute_ap(expected, scenes)
+            outputs, theirs = [], [[], [], []]  # per scene (scores, boxes); per output
+            for s in scenes:
+                n = int(rng.choice([0, 1, 2, 12, 25, 40]))
+                x, y = rng.uniform(0, 40, size=(2, 3, n))
+                w, h = rng.uniform(4, 15, size=(2, 3, n))
+                boxes = np.stack([x, y, x + w, y + h], axis=-1)
+                scores = rng.dirichlet(np.ones(4), size=(3, n))
+                scores[rng.random((3, n)) < 0.3] = [0.1, 0.3, 0.3, 0.3]  # tied rows
+                scores[rng.random(3) < 0.2] = [0.97, 0.01, 0.01, 0.01]  # below the floor
+                outputs.append((scores, boxes))
+                for expected, o_scores, o_boxes in zip(theirs, scores, boxes):
+                    expected.extend(ap_oracle.detections_for(cfg, s, o_scores, o_boxes))
+                    n_kept = len(ap_oracle.detections_for(uncapped, s, o_scores, o_boxes))
+                    segments["empty" if n_kept == 0 else "over the cap"
+                             if n_kept > cfg.max_detections else "under the cap"] += 1
+            for size in (1, 2, 5):
+                found = []
+                for start in range(0, len(scenes), size):
+                    index = range(start, min(start + size, len(scenes)))
+                    scores, boxes = (np.concatenate(a, axis=1)
+                                     for a in zip(*(outputs[i] for i in index)))
+                    n = [outputs[i][0].shape[1] for i in index]
+                    block = ProposalSet(np.zeros((sum(n), 4)), np.zeros(sum(n), int),
+                                        np.zeros((sum(n), 4)), np.zeros((sum(n), 1)),
+                                        np.cumsum([0] + n))
+                    # the model is read only to name a diverged output
+                    found.append(_block_detections(cfg, None, block, index, scenes,
+                                                   scores, boxes))
+                for ours, expected in zip(zip(*found), theirs, strict=True):
+                    ours = Detections(*map(np.concatenate, zip(*ours)))
+                    assert as_tuples(ours) == as_tuples(expected), (seed, size)
+                    assert compute_ap(ours, scenes) == ap_oracle.compute_ap(expected, scenes)
+        assert min(segments.values()) >= 20, segments
+
+
+def foreground(logits):
+    """Each row's largest non-background probability."""
+    return softmax(logits)[..., 1:].max(axis=-1)
 
 
 class TestScoreGap:
     def test_identical_heads_point_mass_at_zero(self):
-        logits = np.random.default_rng(0).normal(size=(50, 4))
-        stats = score_gap_stats([logits, logits.copy()])
+        fg = foreground(np.random.default_rng(0).normal(size=(50, 4)))
+        stats = score_gap_stats(np.stack([fg, fg]))
         assert stats.median_gap == 0.0
         assert stats.frac_large_gap == 0.0
 
@@ -396,7 +420,7 @@ class TestScoreGap:
         logits = rng.normal(size=(100, 3))
         shifted = logits.copy()
         shifted[:, 1] += 2.0
-        stats = score_gap_stats([shifted, logits])
+        stats = score_gap_stats(foreground(np.stack([shifted, logits])))
         assert stats.mean_fg[0] > stats.mean_fg[1]
         assert stats.median_gap > 0.0
 
@@ -404,8 +428,8 @@ class TestScoreGap:
         rng = np.random.default_rng(2)
         h1 = rng.normal(size=(200, 4))
         h2 = rng.normal(size=(200, 4))
-        stats = score_gap_stats([h1, h2])
-        s1, s2 = foreground_scores(h1), foreground_scores(h2)
+        s1, s2 = foreground(h1), foreground(h2)
+        stats = score_gap_stats([s1, s2])
         gaps = [abs(a - b) for a, b in zip(s1, s2)]
         assert stats.frac_large_gap == pytest.approx(
             sum(g > 0.1 for g in gaps) / len(gaps))
@@ -413,7 +437,7 @@ class TestScoreGap:
 
     def test_needs_two_heads(self):
         with pytest.raises(ValueError):
-            score_gap_stats([np.zeros((3, 3))])
+            score_gap_stats(np.zeros((1, 3)))
 
 
 class TestMetricsLog:

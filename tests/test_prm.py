@@ -5,7 +5,7 @@ import detlab.prm as prm_mod
 from detlab import net
 from detlab.geometry import decode_deltas_array
 from detlab.net import BackboneParams, HeadParams, TrainConfig, softmax
-from detlab.harness import train_block
+from detlab.harness import POOL_BLOCK, train_block
 from detlab.prm import (
     BlockArrays,
     PrmModel,
@@ -115,18 +115,20 @@ class TestPredict:
         pool.features = pool.features[:5]
         pool.classes = pool.classes[:5]
         pool.reg_targets = pool.reg_targets[:5]
-        (scores, boxes), *_ = prm_predict(model, pool)[0]
+        scores, boxes = prm_predict(model, pool)
 
         def head_outputs(head):  # the network written out in numpy
             h = np.tanh(pool.features @ model.backbone.w + model.backbone.b)
             s = np.tanh(h @ head.w_shared + head.b_shared)
             return s @ head.w_cls + head.b_cls, s @ head.w_reg + head.b_reg
 
-        (logits0, deltas0), (logits1, _) = (head_outputs(head(model, i)) for i in range(2))
-        expected_scores = softmax((logits0 + logits1) / 2)
-        np.testing.assert_allclose(scores, expected_scores, rtol=1e-12)
-        np.testing.assert_allclose(
-            boxes, decode_deltas_array(pool.boxes, deltas0), rtol=1e-12)
+        (logits0, deltas0), (logits1, deltas1) = (head_outputs(head(model, i)) for i in range(2))
+        assert scores.shape == (3, 5, C + 1) and boxes.shape == (3, 5, 4)
+        for out, (logits, deltas) in enumerate([((logits0 + logits1) / 2, deltas0),
+                                                (logits0, deltas0), (logits1, deltas1)]):
+            np.testing.assert_allclose(scores[out], softmax(logits), rtol=1e-12)
+            np.testing.assert_allclose(
+                boxes[out], decode_deltas_array(pool.boxes, deltas), rtol=1e-12)
 
     def test_identical_heads_match_single_head(self):
         single = self.model(n_heads=1)
@@ -136,8 +138,8 @@ class TestPredict:
             policies=[single.policies[0], single.policies[0]],
         )
         pool = make_pool(seed=3)
-        np.testing.assert_allclose(prm_predict(double, pool)[0][0][0],
-                                   prm_predict(single, pool)[0][0][0], rtol=1e-12)
+        np.testing.assert_allclose(prm_predict(double, pool)[0][0],
+                                   prm_predict(single, pool)[0][0], rtol=1e-12)
 
     @pytest.mark.parametrize("n_heads", [1, 2, 3])
     def test_decodes_each_head_once(self, monkeypatch, n_heads):
@@ -151,16 +153,30 @@ class TestPredict:
         policies = [policy((1, 3)), policy((1, 1)), policy((1, 9))][:n_heads]
         model = init_model(FEATURE_DIM, 5, C, policies, 6)
         pool = make_pool(seed=4)
-        outputs, head_logits = prm_predict(model, pool)
+        scores, boxes = prm_predict(model, pool)
         assert len(decoded) == n_heads
-        assert len(head_logits) == n_heads
-        assert len(outputs) == (1 if n_heads == 1 else 1 + n_heads)
-        # the ensemble adopts the array decoded for the head with the largest
+        assert len(scores) == len(boxes) == (1 if n_heads == 1 else 1 + n_heads)
+        # the ensemble adopts the boxes decoded for the head with the largest
         # positive fraction, which is head 2 (1:1) when there are several
-        assert outputs[0][1] is decoded[0 if n_heads == 1 else 1]
-        for i, (scores, boxes) in enumerate(outputs[1:]):
-            assert boxes is decoded[i]
-            np.testing.assert_array_equal(scores, softmax(head_logits[i]))
+        np.testing.assert_array_equal(boxes[0], decoded[0 if n_heads == 1 else 1])
+        if n_heads > 1:
+            logits, _, _ = net.forward(model.backbone, model.heads, pool.features)
+            np.testing.assert_array_equal(boxes[1:], decoded)
+            np.testing.assert_array_equal(scores[1:], softmax(logits))
+
+    @pytest.mark.parametrize("n_heads", [1, 2])
+    def test_a_block_equals_its_pools_bit_for_bit(self, n_heads):
+        # each row's outputs do not depend on the other rows, so evaluation may
+        # predict a POOL_BLOCK of pools at once
+        config = SceneConfig()
+        scenes = [generate_scene(config, 40 + i) for i in range(POOL_BLOCK)]
+        block = generate_proposals(scenes, [1.0] * POOL_BLOCK, RpnQualityModel(),
+                                   [90 + i for i in range(POOL_BLOCK)], num_classes=C)
+        model = self.model(n_heads, seed=7)
+        together = prm_predict(model, block)
+        apart = [prm_predict(model, block.pool(i)) for i in range(POOL_BLOCK)]
+        for ours, theirs in zip(together, zip(*apart)):
+            assert ours.tobytes() == np.concatenate(theirs, axis=1).tobytes()
 
 
 class TestTrainStep:
