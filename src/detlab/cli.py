@@ -67,6 +67,8 @@ def cmd_eval(args) -> int:
     check_head_layout(checkpoint, backbone, heads, ratios, cfg)
     model = PrmModel(backbone=backbone, heads=heads, policies=cfg.policies)
     scenes = _dataset(cfg, out_dir, "eval", cfg.eval_scenes)
+    for name in ("eval_report.txt", "eval_summary.json"):  # a failed eval leaves neither
+        (out_dir / name).unlink(missing_ok=True)
     result = evaluate_model(model, scenes, cfg)
     write_eval_report(result, out_dir / "eval_report.txt")
     write_eval_summary(result, cfg, out_dir / "eval_summary.json")

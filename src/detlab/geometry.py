@@ -102,6 +102,6 @@ def label_arrays(
     classes = np.zeros(n, dtype=np.int64)
     classes[positive] = np.asarray(gt_classes, dtype=np.int64)[matched]
     reg = np.zeros((n, 4), dtype=np.float64)
-    reg[positive] = encode_deltas_array(
-        proposal_boxes[positive], np.asarray(gt_boxes, dtype=np.float64)[matched])
+    reg[positive] = encode_deltas_array(proposal_boxes.take(positive, axis=0),
+                                        np.take(gt_boxes, matched, axis=0))
     return classes, max_ious, nearest, reg

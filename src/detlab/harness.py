@@ -98,12 +98,13 @@ def _block_detections(cfg: ExperimentConfig, model: PrmModel, block: ProposalSet
     whose pool i is scenes[index[i]], from its (O, N, C+1) scores and (O, N, 4)
     boxes: the candidates at or above the score floor after one NMS keyed by
     (scene, output, class), capped at `max_detections` per (scene, output)."""
-    n_out, _, n_cols = scores.shape
+    n_out, n_rows, n_cols = scores.shape
     out, rows, classes = np.nonzero(scores[:, :, 1:] >= cfg.score_floor)
     classes += 1
     scene = np.repeat(index, np.diff(block.offsets))[rows]
     groups = (scene * n_out + out) * n_cols + classes  # (scene, output, class)
-    scores, boxes = scores[out, rows, classes], boxes[out, rows]
+    at = out * n_rows + rows  # the candidate's row among all O * N (output, row) pairs
+    scores, boxes = scores.take(at * n_cols + classes), boxes.reshape(-1, 4).take(at, axis=0)
     good = np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > boxes[:, :2]).all(axis=1)
     if not good.all():  # only diverged training gives such candidates
         k = np.argmin(good)  # the first output with one, in its first scene
@@ -120,7 +121,7 @@ def _block_detections(cfg: ExperimentConfig, model: PrmModel, block: ProposalSet
     # a segment over the cap keeps its highest scores, ties in NMS order
     keep = keep[np.lexsort((np.where(over, -scores[keep], 0.0), segment))]
     keep = keep[np.arange(len(keep)) - first < cfg.max_detections]
-    return [(scene[kept], classes[kept], scores[kept], boxes[kept])
+    return [(scene[kept], classes[kept], scores[kept], boxes.take(kept, axis=0))
             for kept in (keep[out[keep] == o] for o in range(n_out))]
 
 
@@ -266,6 +267,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Train per the config, evaluate, and write all artifacts to cfg.out."""
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("eval_report.txt", "eval_summary.json", "metrics.csv", "gradnorm.csv",
+                 "checkpoint.npz", "manifest.json", "timings.json"):  # only the caches stay
+        (out_dir / name).unlink(missing_ok=True)  # so a failed run leaves no earlier results
     stages: dict[str, float] = {}  # wall seconds per stage, for timings.json
     with _timed(stages, "dataset"):
         train_scenes = _dataset(cfg, out_dir, "train", cfg.train_scenes)

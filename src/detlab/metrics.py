@@ -80,14 +80,14 @@ def nms(boxes: np.ndarray, scores: np.ndarray, groups: np.ndarray,
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError("NMS threshold must lie in (0, 1)")
     order = np.lexsort((-np.asarray(scores, dtype=np.float64), groups))  # stable
-    boxes = check_boxes(boxes, "detection boxes")[order]
+    boxes = check_boxes(boxes, "detection boxes").take(order, axis=0)
     groups = np.asarray(groups)[order]
     # every pair (i, j) of sorted rows i < j in one group, j-major
     first = np.searchsorted(groups, groups)
     n_before = np.arange(len(order)) - first
     j = np.repeat(np.arange(len(order)), n_before)
     i = np.repeat(first - np.cumsum(n_before) + n_before, n_before) + np.arange(len(j))
-    hit = [iou(boxes[i[s:s + PAIR_CHUNK]], boxes[j[s:s + PAIR_CHUNK]]) >= iou_threshold
+    hit = [iou(*boxes.take([i[s:s + PAIR_CHUNK], j[s:s + PAIR_CHUNK]], axis=0)) >= iou_threshold
            for s in range(0, len(j), PAIR_CHUNK)]
     i, j = np.compress(np.concatenate([np.zeros(0, dtype=bool), *hit]), [i, j], axis=1)
     # greedy NMS is the one fixed point of "j is kept iff no kept i < j suppresses it"
@@ -121,8 +121,6 @@ def _match(dets: Detections, inst_scene: np.ndarray, inst_class: np.ndarray,
     keys = dets.scenes * n_keys + dets.classes
     ranked = np.lexsort((-dets.scores, keys))
     keys = keys[ranked]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    lengths = np.diff(starts, append=len(keys))
     # ground truths grouped by (scene, class), in instance order within each
     gt_keys = inst_scene * n_keys + inst_class
     gt_order = np.argsort(gt_keys, kind="stable")
@@ -133,22 +131,26 @@ def _match(dets: Detections, inst_scene: np.ndarray, inst_class: np.ndarray,
     ious = np.full((len(keys), max(1, n_gts.max(initial=0))), -1.0)
     for k in range(ious.shape[1]):
         rows = np.flatnonzero(n_gts > k)
-        ious[rows, k] = iou(dets.boxes[ranked[rows]], inst_boxes[gt_order[first[rows] + k]])
-    # the k-th ranked detection of every (scene, class) at once, per threshold
+        ious[rows, k] = iou(dets.boxes.take(ranked[rows], axis=0),
+                            inst_boxes.take(gt_order[first[rows] + k], axis=0))
+    # a row whose best IoU is below every threshold is a false positive at each and takes
+    # nothing, so only the live rest is matched: the k-th ranked of every group at once
+    live = np.flatnonzero(ious.max(axis=1) >= thresholds.min())
+    ious, keys = ious.take(live, axis=0), keys[live]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    lengths = np.diff(starts, append=len(keys))
     n_thr = len(thresholds)
     matched = np.zeros((len(starts), n_thr, ious.shape[1]), dtype=bool)
-    is_tp = np.zeros((len(keys), n_thr), dtype=bool)
+    is_tp = np.zeros((len(ranked), n_thr), dtype=bool)
     for k in range(int(lengths.max(initial=0))):
         groups = np.flatnonzero(lengths > k)
         rows = starts[groups] + k
-        cand = np.where(matched[groups], -1.0, ious[rows, None, :])
+        cand = np.where(matched.take(groups, axis=0), -1.0, ious.take(rows, axis=0)[:, None, :])
         best = cand.argmax(axis=2)
         hit = np.take_along_axis(cand, best[:, :, None], axis=2)[:, :, 0] >= thresholds
-        is_tp[rows] = hit
+        is_tp[ranked[live[rows]]] = hit
         matched[groups[:, None], np.arange(n_thr), best] |= hit
-    out = np.empty_like(is_tp)
-    out[ranked] = is_tp
-    return out
+    return is_tp
 
 
 def compute_ap(

@@ -118,13 +118,15 @@ def prm_train_step(model: PrmModel, pool: ProposalSet, batches: tuple[np.ndarray
     # one softmax serves both the foreground scores and the gradient.
     logits, deltas, cache = net.forward(model.backbone, model.heads, pool.features)
     probs = net.softmax(logits)
-    at = (np.arange(len(rows))[:, None], rows)
+    at = np.arange(len(rows))[:, None] * len(pool.classes) + rows  # into (H * P, ·) rows
     targets = pool.classes[rows]
-    batch = net.ForwardCache(model.heads, cache.x[rows], cache.hidden[rows],
-                             cache.shared[at], logits[at], deltas[at])
+    shared, batch_logits, batch_deltas, batch_probs = (
+        a.reshape(-1, a.shape[-1]).take(at, axis=0) for a in (cache.shared, logits, deltas, probs))
+    batch = net.ForwardCache(model.heads, cache.x.take(rows, axis=0),
+                             cache.hidden.take(rows, axis=0), shared, batch_logits, batch_deltas)
     g_backbone, g_heads = net.backward(
-        batch, targets, pool.reg_targets[rows], targets > 0, mults,
-        config.cls_weight, config.reg_weight, probs=probs[at],
+        batch, targets, pool.reg_targets.take(rows, axis=0), targets > 0, mults,
+        config.cls_weight, config.reg_weight, probs=batch_probs,
     )
     summed = BackboneParams(w=g_backbone.w.sum(axis=0), b=g_backbone.b.sum(axis=0))
 

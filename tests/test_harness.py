@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detlab import harness
+from detlab import cli, harness
 from detlab.cli import main as cli_main
 from detlab.config import MODES, SCHEMA, ConfigError, ExperimentConfig, load_config, parse_config
 from detlab.files import atomic_write
@@ -471,6 +471,44 @@ class TestCli:
         report = (out / "eval_report.txt").read_text().splitlines()
         assert report[report.index("ensemble") + 11] == (
             f"  ap_mean = {summary['ap_mean']:.4f}")
+
+    # a rerun that fails must not leave the earlier run's results for report
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_rerun_leaves_no_stale_results(self, tmp_path, capsys):
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        caches = sorted(p.name for p in out.glob("dataset_*.txt"))
+        diverging = tmp_path / "diverging.cfg"
+        diverging.write_text(TINY + "[train]\nlearning_rate = 1e200\n")
+        capsys.readouterr()
+        assert cli_main(["train", "--config", str(diverging), "--out", str(out)]) == 2
+        assert "error: training diverged" in capsys.readouterr().err
+        for name in ("eval_summary.json", "eval_report.txt", "manifest.json", "timings.json"):
+            assert not (out / name).exists(), name
+        assert sorted(p.name for p in out.glob("dataset_*.txt")) == caches
+        assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: no run artifacts at {out}" in captured.err
+
+    def test_failed_eval_leaves_no_stale_results(self, tmp_path, capsys, monkeypatch):
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        checkpoint = (out / "checkpoint.npz").read_bytes()
+
+        def failing(*args, **kwargs):
+            raise FloatingPointError("evaluation failed")
+
+        monkeypatch.setattr(cli, "evaluate_model", failing)
+        assert cli_main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not (out / "eval_summary.json").exists()
+        assert not (out / "eval_report.txt").exists()
+        assert (out / "checkpoint.npz").read_bytes() == checkpoint
+        capsys.readouterr()
+        assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "no run artifacts at" in capsys.readouterr().err
 
     def test_truncated_cache_rejected(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)

@@ -11,6 +11,7 @@ from detlab.harness import _block_detections
 from detlab.metrics import (
     DEFAULT_BUCKETS,
     DEFAULT_IOU_THRESHOLDS,
+    PAIR_CHUNK,
     APResult,
     Detections,
     MetricsLog,
@@ -164,6 +165,30 @@ class TestNms:
             expected = [offset + nms(b, p, np.zeros(len(b), np.int64), thr)
                         for offset, (b, p) in zip(offsets, parts)]
             assert kept.tolist() == np.concatenate(expected).tolist()
+
+    def test_groups_spanning_pair_chunks_match_the_oracle(self):
+        # (scene, class) groups of 150-250 rows: their pairs run over several
+        # PAIR_CHUNKs, with tied scores and IoUs exactly at the threshold
+        rng = np.random.default_rng(6)
+        for trial in range(4):
+            rows = []
+            for sid, c, n in ((0, 1, 150), (0, 2, 250), (1, 1, 200), (1, 3, 1)):
+                xy = rng.integers(0, 120, size=(n, 2)) / 4
+                boxes = np.concatenate([xy, xy + rng.integers(16, 60, size=(n, 2)) / 4], axis=1)
+                halves = np.flatnonzero(rng.random(n) < 0.3)[1:]
+                boxes[halves] = boxes[halves - 1]
+                boxes[halves, 3] = (boxes[halves, 1] + boxes[halves, 3]) / 2  # IoU 0.5
+                scores = (rng.choice([0.3, 0.6, 0.9], size=n) if trial % 2  # ties
+                          else rng.uniform(0.0, 1.0, size=n))
+                rows += [(sid, Box(*b), c, float(s)) for b, s in zip(boxes.tolist(), scores)]
+            detections = take(dets(*rows), rng.permutation(len(rows)))
+            n_pairs = sum(n * (n - 1) // 2 for n in (150, 250, 200, 1))
+            assert n_pairs > 3 * PAIR_CHUNK
+            thr = (0.5, 0.7)[trial // 2]
+            kept = nms(detections.boxes, detections.scores,
+                       detections.scenes * 4 + detections.classes, thr)
+            expected = ap_oracle.nms(oracle_rows(detections), thr)
+            assert as_tuples(take(detections, kept)) == as_tuples(expected), trial
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
@@ -357,6 +382,71 @@ class TestMatchesOracle:
                                             iou_thresholds=thresholds)
             assert result == expected, seed
         assert most == 12  # so every ground-truth column of the matching is filled
+
+    # matching runs only over the detections that reach the lowest threshold
+    # with a ground truth of their (scene, class); the rest must stay false
+    # positives at every threshold and never take a ground truth
+
+    def assert_equals_oracle(self, detections, scenes, thresholds):
+        result = compute_ap(detections, scenes, iou_thresholds=thresholds)
+        assert result == ap_oracle.compute_ap(oracle_rows(detections), scenes,
+                                              iou_thresholds=thresholds)
+        return result
+
+    def test_most_detections_below_the_lowest_threshold(self):
+        live = total = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            scenes, detections = random_case(rng)
+            rows = [(s, Box(*b), c, p) for s, c, p, b in as_tuples(detections)]
+            for s in scenes:  # near misses: each ground truth shifted by 0.4-0.9 of its width
+                for b, c in zip(s.gt_boxes.tolist(), s.gt_classes.tolist()):
+                    for f in rng.choice([0.4, 0.5, 0.6, 0.75, 0.9], size=3):
+                        shift = f * (b[2] - b[0])
+                        rows.append((s.id, Box(b[0] + shift, b[1], b[2] + shift, b[3]), c,
+                                     float(rng.choice([0.3, 0.95, rng.uniform(0.05, 1.0)]))))
+            detections = take(dets(*rows), rng.permutation(len(rows)))
+            thresholds = (0.3, 0.5, 0.75, 0.9) if seed % 2 else DEFAULT_IOU_THRESHOLDS
+            self.assert_equals_oracle(detections, scenes, thresholds)
+            best = [max([iou(Box(*b), Box(*g)) for g, gc in zip(scenes[s].gt_boxes.tolist(),
+                                                               scenes[s].gt_classes.tolist())
+                         if gc == c], default=0.0)
+                    for s, c, b in zip(detections.scenes, detections.classes,
+                                       detections.boxes.tolist())]
+            live += sum(v >= min(thresholds) for v in best)
+            total += len(best)
+        assert live < 0.4 * total, (live, total)
+
+    def test_no_detection_reaches_the_lowest_threshold(self):
+        scenes = [scene(0, [(Box(0, 0, 10, 10), 1), (Box(20, 0, 30, 10), 2)]),
+                  scene(1, [(Box(0, 0, 10, 10), 1)])]
+        detections = dets(
+            (0, Box(6, 0, 16, 10), 1, 0.9),  # IoU 0.25
+            (0, Box(0, 0, 10, 10), 2, 0.8),  # another class's box
+            (1, Box(5, 0, 15, 10), 1, 0.8),  # IoU 1/3
+            (1, Box(50, 50, 60, 60), 3, 0.7),  # a class without ground truths
+        )
+        for thresholds in ((0.5,), DEFAULT_IOU_THRESHOLDS, (0.4, 0.9)):
+            result = self.assert_equals_oracle(detections, scenes, thresholds)
+            assert set(result.per_threshold.values()) == {0.0}
+            assert set(result.per_bucket.values()) == {0.0}
+
+    def test_live_row_ranked_after_dead_rows(self):
+        scenes = [scene(0, [(Box(0, 0, 10, 10), 1), (Box(20, 0, 30, 10), 1)])]
+        detections = dets(
+            (0, Box(6, 0, 16, 10), 1, 0.9),  # IoU 0.25: dead
+            (0, Box(50, 50, 60, 60), 1, 0.8),  # IoU 0: dead
+            (0, Box(0, 0, 10, 5), 1, 0.7),  # IoU exactly 0.5 with the first
+            (0, Box(20, 0, 30, 10), 1, 0.7),  # tied score, IoU 1 with the second
+            (0, Box(0, 0, 10, 10), 1, 0.6),  # IoU 1 with the first, once it is free
+        )
+        result = self.assert_equals_oracle(detections, scenes, (0.5, 0.55))
+        assert result.per_threshold == {0.5: pytest.approx(0.5), 0.55: pytest.approx(0.4)}
+
+    def test_single_threshold(self):
+        for seed in range(100):
+            scenes, detections = random_case(np.random.default_rng(seed))
+            self.assert_equals_oracle(detections, scenes, ((0.5,), (0.75,), (0.3,))[seed % 3])
 
     def test_detection_extraction_and_ap_match(self):
         # an ensemble and two heads in blocks of 1, 2 and 5 scenes share one
