@@ -27,7 +27,7 @@ from .metrics import (
     score_gap_stats,
 )
 from . import net
-from .prm import (BlockArrays, PrmModel, draw_batches, init_model, prm_predict,
+from .prm import (BlockArrays, PrmModel, block_inputs, draw_batches, init_model, prm_predict,
                   prm_train_step, summarize_block)
 from .rga import AnnealSchedule
 from .seeding import derive_seed
@@ -47,6 +47,7 @@ class EvalResult:
     ensemble: APResult
     heads: list[APResult]
     score_stats: Optional[ScoreGapStats]
+    health: str  # "ok", or what shows that training collapsed
 
 
 @dataclass
@@ -131,19 +132,32 @@ def evaluate_model(model: PrmModel, scenes: Sequence[Scene], cfg: ExperimentConf
     head score-disagreement statistics. Adds the wall seconds spent building
     proposals and evaluating to `stages`, if given."""
     stages = {} if stages is None else stages
-    found, fg_scores = [], []  # per block: each output's detections, the heads' (H, n) fg scores
+    found, fg_scores = [], []  # per block: each output's detections and (O, n) fg scores
     for index, block in _pool_blocks(cfg, scenes, [1.0] * len(scenes),
                                      [("evalprop", scene.id) for scene in scenes], stages):
         with _timed(stages, "evaluation"):
             scores, boxes = prm_predict(model, block)  # the ensemble, then each head
             found.append(_block_detections(cfg, model, block, index, scenes, scores, boxes))
-            fg_scores.append(scores[1:, :, 1:].max(axis=-1))
+            fg_scores.append(net.class_max(scores, 1))
     with _timed(stages, "evaluation"):
         ensemble_ap, *heads_ap = [compute_ap(Detections(*map(np.concatenate, zip(*d))), scenes)
                                   for d in zip(*found)]
-        stats = (score_gap_stats(np.concatenate(fg_scores, axis=1))
-                 if len(model.policies) > 1 else None)
-    return EvalResult(ensemble=ensemble_ap, heads=heads_ap, score_stats=stats)
+        fg = np.concatenate(fg_scores, axis=1)
+        stats = score_gap_stats(fg[1:]) if len(model.policies) > 1 else None
+        health = _health(sum(len(d[0][0]) for d in found), fg.mean(axis=1), cfg.score_floor)
+    return EvalResult(ensemble=ensemble_ap, heads=heads_ap, score_stats=stats, health=health)
+
+
+def _health(kept: int, mean_fg: np.ndarray, score_floor: float) -> str:
+    """"ok", or each sign of a collapsed model: an ensemble that keeps no
+    detection, or every output's mean foreground score below the floor."""
+    causes = []
+    if kept == 0:
+        causes.append("the ensemble kept no detection")
+    if (mean_fg < score_floor).all():
+        causes.append(f"every output's mean foreground score is below the score floor "
+                      f"{score_floor}: {', '.join(f'{v:.3g}' for v in mean_fg)}")
+    return "collapsed: " + "; ".join(causes) if causes else "ok"
 
 
 def _ap_dict(ap: APResult) -> dict:
@@ -189,6 +203,7 @@ def write_eval_summary(result: EvalResult, cfg: ExperimentConfig, path) -> dict:
     summary["mode"] = cfg.mode
     summary["sampling"] = cfg.sampling_mode
     summary["heads"] = [_ap_dict(h) for h in result.heads]
+    summary["health"] = result.health  # not in eval_report.txt, whose bytes are compared
     if result.score_stats is not None:
         summary["score_stats"] = {
             "mean_fg": list(result.score_stats.mean_fg),
@@ -247,18 +262,20 @@ def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> list[Sce
     return scenes
 
 
-def train_block(model: PrmModel, pools: Sequence[ProposalSet], steps: Sequence[int],
+def train_block(model: PrmModel, block: ProposalSet, steps: Sequence[int],
                 config: net.TrainConfig, schedule: Optional[AnnealSchedule], base_seed: int,
                 stages: dict[str, float]) -> tuple[dict[str, list], dict[str, list]]:
-    """Trains step steps[i] on pools[i] in three phases, each timed in
-    `stages`: draw every batch, run the network steps, then compute the
-    block's log columns (which raises if training went non-finite)."""
+    """Trains step steps[i] on pool i of `block` in three phases, each timed
+    in `stages`: draw every batch and gather its model-independent inputs,
+    run the network steps, then compute the block's log columns (which
+    raises if training went non-finite)."""
     with _timed(stages, "sampling"):
-        batches = draw_batches(pools, model.policies, steps, base_seed)
+        inputs = block_inputs(block, draw_batches(block, model.policies, steps, base_seed),
+                              steps, config, schedule, model.heads.w_cls.shape[-1])
     with _timed(stages, "network"):
-        arrays = BlockArrays.empty(model, batches)
-        for i, (pool, t) in enumerate(zip(pools, steps)):
-            prm_train_step(model, pool, batches[i], t, config, schedule, arrays, i)
+        arrays = BlockArrays.empty(model, inputs)
+        for i, t in enumerate(steps):
+            prm_train_step(model, block, inputs, t, config, schedule, arrays, i)
     with _timed(stages, "statistics"):
         return summarize_block(arrays, steps)
 
@@ -282,8 +299,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     for steps, block in _pool_blocks(cfg, [train_scenes[t % len(train_scenes)] for t in every],
                                      [quality_at(t, cfg.total_steps) for t in every],
                                      [("prop", t) for t in every], stages):
-        metrics, norms = train_block(model, [block.pool(i) for i in range(len(steps))], steps,
-                                     cfg.train, cfg.schedule, cfg.seed, stages)
+        metrics, norms = train_block(model, block, steps, cfg.train, cfg.schedule, cfg.seed,
+                                     stages)
         log.extend(metrics)
         gradnorm.extend(norms)
 

@@ -7,8 +7,10 @@ tanh (not ReLU) keeps every loss smooth so finite-difference checks are clean.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,10 +46,23 @@ class HeadParams:
 @dataclass
 class Gradients:
     """Arrays mirroring the backbone and the heads exactly; `heads` is one
-    head or a stack of heads."""
+    head or a stack of heads. `flat`, if given, is the one vector whose views
+    the arrays are, laid out as `flatten` lays out the parameters."""
 
     backbone: BackboneParams
     heads: HeadParams
+    flat: Optional[np.ndarray] = None
+
+    def vector(self) -> np.ndarray:
+        """Every gradient in one vector, in the order of `flatten`."""
+        if self.flat is not None:
+            return self.flat
+        return np.concatenate([a.ravel() for a in self.backbone.arrays() + self.heads.arrays()])
+
+    def at(self, i: int) -> "Gradients":
+        """Index i of the leading axis of every array, of a stack of gradients."""
+        return Gradients(BackboneParams(*(a[i] for a in self.backbone.arrays())),
+                         HeadParams(*(a[i] for a in self.heads.arrays())), self.flat[i])
 
 
 @dataclass(frozen=True)
@@ -66,11 +81,21 @@ class TrainConfig:
             raise ValueError("total_steps must be >= 1")
         if not (0.0 < self.decay_factor < 1.0):
             raise ValueError("decay factor must lie in (0, 1)")
+        if not all(math.isfinite(f) for f in self.decay_points):
+            raise ValueError("decay_points must be finite")
+        for name in ("cls_weight", "reg_weight"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
     def lr_at(self, t: int) -> float:
-        passed = sum(1 for f in self.decay_points
-                     if t >= math.floor(f * self.total_steps))
-        return self.learning_rate * self.decay_factor ** passed
+        return self.lr_schedule([t])[0]
+
+    def lr_schedule(self, steps) -> list[float]:
+        """The learning rate at each of `steps`, decayed once for every decay
+        point at or before the step."""
+        starts = np.sort([math.floor(f * self.total_steps) for f in self.decay_points])
+        return [self.learning_rate * self.decay_factor ** passed
+                for passed in np.searchsorted(starts, steps, side="right").tolist()]
 
 
 def init_backbone(feature_dim: int, hidden: int, rng: np.random.Generator) -> BackboneParams:
@@ -94,6 +119,25 @@ def init_head(hidden: int, num_classes: int, rng: np.random.Generator) -> HeadPa
 def stack_heads(heads) -> HeadParams:
     """Heads stacked along a new leading axis of each array, (H, ·, ·)."""
     return HeadParams(*map(np.stack, zip(*(h.arrays() for h in heads))))
+
+
+def views(flat: np.ndarray, backbone: BackboneParams, heads: HeadParams
+          ) -> tuple[BackboneParams, HeadParams]:
+    """Consecutive slices of the last axis of `flat`, shaped like the backbone
+    and then the heads arrays (after any leading axes of `flat`)."""
+    out, start = [], 0
+    for a in backbone.arrays() + heads.arrays():
+        out.append(flat[..., start:start + a.size].reshape(flat.shape[:-1] + a.shape))
+        start += a.size
+    return BackboneParams(*out[:2]), HeadParams(*out[2:])
+
+
+def flatten(backbone: BackboneParams, heads: HeadParams
+            ) -> tuple[np.ndarray, BackboneParams, HeadParams]:
+    """The arrays copied into one vector, the backbone first and then the
+    heads in HEAD_KEYS order, and the backbone and heads as views of it."""
+    flat = np.concatenate([a.ravel() for a in backbone.arrays() + heads.arrays()])
+    return (flat, *views(flat, backbone, heads))
 
 
 @dataclass
@@ -127,10 +171,18 @@ def forward(backbone: BackboneParams, heads: HeadParams, features: np.ndarray):
     return logits, deltas, cache
 
 
+def class_max(a: np.ndarray, start: int = 0) -> np.ndarray:
+    """The maximum over the last axis from column `start` on. A chain of
+    np.maximum over the few class columns gives the bits of `.max(axis=-1)`
+    (a maximum does not depend on the order), in a fraction of its time."""
+    columns = (a[..., j] for j in range(start, a.shape[-1]))
+    return functools.reduce(np.maximum, columns)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - class_max(logits)[..., None])
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def cls_loss(logits: np.ndarray, targets: np.ndarray, multiplicities=None) -> float:
@@ -150,7 +202,10 @@ def _smooth_l1(x: np.ndarray) -> np.ndarray:
 
 
 def _smooth_l1_grad(x: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(x) < SMOOTH_L1_BETA, x / SMOOTH_L1_BETA, np.sign(x))
+    # x / beta clipped to [-1, 1]: the ramp below beta, sign(x) from beta on
+    g = x / SMOOTH_L1_BETA
+    np.maximum(g, -1.0, out=g)
+    return np.minimum(g, 1.0, out=g)
 
 
 def reg_loss(deltas, targets, pos_mask, multiplicities=None) -> float:
@@ -178,9 +233,40 @@ def total_loss(logits, deltas, targets, reg_targets, pos_mask, multiplicities,
     )
 
 
+class LossWeights(NamedTuple):
+    """What `backward` reads of a batch besides the network's outputs, for
+    (..., B) batch tables."""
+
+    onehot: np.ndarray  # (..., B, C+1) 1.0 in each row's class column
+    cls: np.ndarray  # (..., B, 1) cls_weight / sum(m) * m
+    reg_mask: np.ndarray  # (..., B, 1) the positives of nonzero multiplicity
+    reg_scale: np.ndarray  # (..., 1, 1) reg_weight / the positives' sum(m)
+    reg_m: np.ndarray  # (..., B, 1) m at the positives, 0 elsewhere
+
+
+def loss_weights(targets, pos_mask, multiplicities, num_outputs: int,
+                 cls_weight: float = 1.0, reg_weight: float = 1.0) -> LossWeights:
+    """The loss weights of a batch, or of (..., B) tables of batches, whose
+    logits have `num_outputs` columns."""
+    targets = np.asarray(targets, dtype=np.int64)
+    m = _mults(multiplicities, targets.shape)
+    pos_m = m * np.asarray(pos_mask, dtype=bool)
+    pos_sum = pos_m.sum(axis=-1, keepdims=True)
+    return LossWeights(
+        onehot=(targets[..., None] == np.arange(num_outputs)).astype(np.float64),
+        cls=((cls_weight / m.sum(axis=-1, keepdims=True)) * m)[..., None],
+        reg_mask=(pos_m > 0)[..., None],
+        # a batch without positives has no regression gradient (and no 0/0)
+        reg_scale=(reg_weight / np.where(pos_sum > 0, pos_sum, 1.0))[..., None],
+        reg_m=pos_m[..., None],
+    )
+
+
 def backward(cache: ForwardCache, targets, reg_targets, pos_mask,
-             multiplicities=None, cls_weight: float = 1.0,
-             reg_weight: float = 1.0, probs=None) -> tuple[BackboneParams, HeadParams]:
+             multiplicities=None, cls_weight: float = 1.0, reg_weight: float = 1.0,
+             probs=None, weights: Optional[LossWeights] = None,
+             out: Optional[tuple[BackboneParams, HeadParams]] = None
+             ) -> tuple[BackboneParams, HeadParams]:
     """Analytic gradients of cls_weight*cls_loss + reg_weight*reg_loss.
 
     Returns (backbone gradients, head gradients) shaped like the parameters.
@@ -189,37 +275,33 @@ def backward(cache: ForwardCache, targets, reg_targets, pos_mask,
     trailing feature axes), and the backbone gradients are each head's
     contribution, (H, D, hidden) and (H, hidden). Rows of multiplicity 0 pad
     shorter batches and add nothing. `probs` is the softmax of
-    `cache.logits`, if the caller has taken it.
+    `cache.logits` and `weights` the batch's `loss_weights`, if the caller
+    has taken them (the targets, mask, multiplicities and loss weights are
+    then not read). Given `out`, the gradients are written into its arrays.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    pos_mask = np.asarray(pos_mask, dtype=bool)
-    m = _mults(multiplicities, targets.shape)
     p = softmax(cache.logits) if probs is None else probs
-
-    onehot = targets[..., None] == np.arange(p.shape[-1])
-    d_logits = (p - onehot) * ((cls_weight / m.sum(axis=-1, keepdims=True)) * m)[..., None]
-
-    pos_m = m * pos_mask
-    pos_sum = pos_m.sum(axis=-1, keepdims=True)
-    # a batch without positives has no regression gradient (and no 0/0)
-    scale = reg_weight / np.where(pos_sum > 0, pos_sum, 1.0)
+    w = weights if weights is not None else loss_weights(
+        targets, pos_mask, multiplicities, p.shape[-1], cls_weight, reg_weight)
+    o_backbone, o_head = out if out is not None else (BackboneParams(None, None),
+                                                      HeadParams(*[None] * 6))
+    d_logits = (p - w.onehot) * w.cls
     diff = cache.deltas - np.asarray(reg_targets, dtype=np.float64)
-    d_deltas = np.where((pos_m > 0)[..., None],
-                        _smooth_l1_grad(diff) * scale[..., None] * pos_m[..., None], 0.0)
+    d_deltas = np.where(w.reg_mask, _smooth_l1_grad(diff) * w.reg_scale * w.reg_m, 0.0)
 
     head = cache.head
     s, h, x = cache.shared, cache.hidden, cache.x
-    g_w_cls = _t(s) @ d_logits
-    g_b_cls = d_logits.sum(axis=-2)
-    g_w_reg = _t(s) @ d_deltas
-    g_b_reg = d_deltas.sum(axis=-2)
+    g_w_cls = np.matmul(_t(s), d_logits, out=o_head.w_cls)
+    g_b_cls = np.add.reduce(d_logits, axis=-2, out=o_head.b_cls)
+    g_w_reg = np.matmul(_t(s), d_deltas, out=o_head.w_reg)
+    g_b_reg = np.add.reduce(d_deltas, axis=-2, out=o_head.b_reg)
     d_s = d_logits @ _t(head.w_cls) + d_deltas @ _t(head.w_reg)
     d_a2 = d_s * (1.0 - s * s)
-    g_w_shared = _t(h) @ d_a2
-    g_b_shared = d_a2.sum(axis=-2)
+    g_w_shared = np.matmul(_t(h), d_a2, out=o_head.w_shared)
+    g_b_shared = np.add.reduce(d_a2, axis=-2, out=o_head.b_shared)
     d_h = d_a2 @ _t(head.w_shared)
     d_a1 = d_h * (1.0 - h * h)
-    g_backbone = BackboneParams(w=_t(x) @ d_a1, b=d_a1.sum(axis=-2))
+    g_backbone = BackboneParams(w=np.matmul(_t(x), d_a1, out=o_backbone.w),
+                                b=np.add.reduce(d_a1, axis=-2, out=o_backbone.b))
     g_head = HeadParams(g_w_shared, g_b_shared, g_w_cls, g_b_cls, g_w_reg, g_b_reg)
     return g_backbone, g_head
 
@@ -229,16 +311,14 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def sgd_step(backbone: BackboneParams, heads: HeadParams, grads: Gradients,
-             t: int, config: TrainConfig) -> None:
-    """In-place update with the step-decayed learning rate; `heads` is one
-    head or a stack of heads, as in `grads.heads`."""
+def sgd_step(params: np.ndarray, grads: Gradients, t: int, config: TrainConfig,
+             lr: Optional[float] = None) -> None:
+    """In-place update of the parameter vector that `flatten` lays out, with
+    the step-decayed learning rate; `lr` is config.lr_at(t), if the caller
+    has taken it."""
     if t >= config.total_steps:
         raise ValueError(f"step {t} beyond schedule of {config.total_steps}")
-    lr = config.lr_at(t)
-    for param, grad in zip(backbone.arrays() + heads.arrays(),
-                           grads.backbone.arrays() + grads.heads.arrays()):
-        param -= lr * grad
+    params -= (config.lr_at(t) if lr is None else lr) * grads.vector()
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -10,7 +10,7 @@ heads are kept as one stack, so each network pass runs once for all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,13 +27,18 @@ from .synthdata import ProposalSet
 
 @dataclass
 class PrmModel:
+    """The model owns its parameters as one vector, `params` (laid out by
+    `net.flatten`): construction copies the given arrays into it, and
+    `backbone` and `heads` are then views of it."""
     backbone: BackboneParams
     heads: HeadParams  # every head, stacked along a leading axis (H, ·, ·)
     policies: list[SamplingPolicy]
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.policies or self.heads.b_reg.shape[:-1] != (len(self.policies),):
             raise ValueError("need one policy per head and at least one head")
+        self.params, self.backbone, self.heads = net.flatten(self.backbone, self.heads)
 
 
 def init_model(feature_dim: int, hidden: int, num_classes: int,
@@ -55,24 +60,59 @@ def batch_seed(base_seed: int, t: int, head_index: int) -> int:
     return derive_seed(base_seed, "batch", t, head_index)
 
 
-def draw_batches(pools: Sequence[ProposalSet], policies: Sequence[SamplingPolicy],
-                 steps: Sequence[int], base_seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The batches of step steps[i] from pools[i], every head's in one (H, B)
-    table of pool rows and one of their multiplicities; a batch shorter than
-    the step's longest (hard sampling) is padded with multiplicity-0 rows. A
-    batch depends on its pool's labels, policy, seed, step and head, never on
-    the model."""
-    tables = []
-    for pool, t in zip(pools, steps, strict=True):
-        batches = [sample(pool.classes, policy, batch_seed(base_seed, t, i))
-                   for i, policy in enumerate(policies)]
-        rows = np.zeros((len(batches), max(len(b.indices) for b in batches)), dtype=np.int64)
-        mults = np.zeros(rows.shape)
-        for i, b in enumerate(batches):
-            rows[i, :len(b.indices)] = b.indices
-            mults[i, :len(b.indices)] = b.multiplicities
-        tables.append((rows, mults))
-    return tables
+def draw_batches(block: ProposalSet, policies: Sequence[SamplingPolicy],
+                 steps: Sequence[int], base_seed: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The batches of step steps[i] from pool i of `block`: (S, H, W) tables
+    of pool rows and of their multiplicities, padded with multiplicity-0
+    rows past each batch up to the block's longest, and each step's width,
+    its longest batch (hard sampling draws shorter ones). A batch depends on
+    its pool's labels, policy, seed, step and head, never on the model."""
+    drawn = [[sample(block.classes[lo:hi], policy, batch_seed(base_seed, t, i))
+              for i, policy in enumerate(policies)]
+             for lo, hi, t in zip(block.offsets[:-1], block.offsets[1:], steps, strict=True)]
+    lengths = np.array([[len(b.indices) for b in batches] for batches in drawn])
+    filled = np.arange(lengths.max()) < lengths[..., None]  # (S, H, W), in batch order
+    rows, mults = np.zeros(filled.shape, dtype=np.int64), np.zeros(filled.shape)
+    rows[filled] = np.concatenate([b.indices for batches in drawn for b in batches])
+    mults[filled] = np.concatenate([b.multiplicities for batches in drawn for b in batches])
+    widths = lengths.max(axis=1).tolist()
+    return rows, mults, widths
+
+
+@dataclass
+class BlockInputs:
+    """What the training steps of a block take that does not depend on the
+    model, as (S, H, W) batch tables from `draw_batches`; step i reads the
+    first widths[i] columns."""
+    widths: list[int]
+    rows: np.ndarray  # (S, H, W) pool rows
+    at: np.ndarray  # (S, H, W) the same rows in the pool's stacked (H * P, ·) forward rows
+    targets: np.ndarray  # (S, H, W)
+    mults: np.ndarray  # (S, H, W)
+    features: np.ndarray  # (S, H, W, D)
+    reg_targets: np.ndarray  # (S, H, W, 4)
+    weights: net.LossWeights  # of (S, H, W) tables
+    lr: list[float]  # each step's learning rate
+    lam: list[float]  # each step's annealing factor, 1.0 without a schedule
+
+
+def block_inputs(block: ProposalSet, batches: tuple[np.ndarray, np.ndarray, list[int]],
+                 steps: Sequence[int], config: TrainConfig,
+                 schedule: Optional[AnnealSchedule], num_outputs: int) -> BlockInputs:
+    """Gathers the block's batches (`draw_batches` of `block` and `steps`)
+    with their loss weights, learning rates and annealing factors, each for
+    the whole block at once."""
+    rows, mults, widths = batches
+    starts, sizes = block.offsets[:-1, None, None], np.diff(block.offsets)[:, None, None]
+    in_block = starts + rows
+    targets = block.classes[in_block]
+    return BlockInputs(
+        widths, rows, np.arange(rows.shape[1])[:, None] * sizes + rows, targets, mults,
+        block.features.take(in_block, axis=0), block.reg_targets.take(in_block, axis=0),
+        net.loss_weights(targets, targets > 0, mults, num_outputs, config.cls_weight,
+                         config.reg_weight),
+        config.lr_schedule(steps),
+        [anneal_factor(t, schedule) if schedule is not None else 1.0 for t in steps])
 
 
 @dataclass
@@ -80,69 +120,73 @@ class BlockArrays:
     """The raw arrays of a block of training steps, step i at index i."""
     grad_w: np.ndarray  # (S, H, D, hidden) each head's backbone-gradient contribution
     grad_b: np.ndarray  # (S, H, hidden)
-    sum_w: np.ndarray  # (S, D, hidden) the summed backbone gradient
-    sum_b: np.ndarray  # (S, hidden)
+    grads: Gradients  # (S, ·) the summed backbone and the head gradients, before annealing
     logits: np.ndarray  # (S, B, C+1) head 0's batch logits
     targets: np.ndarray  # (S, B) head 0's batch labels, -1 past its batch
     mults: np.ndarray  # (S, B) head 0's batch multiplicities, 0 past its batch
     fg_means: np.ndarray  # (S, H) each head's mean max foreground probability over the pool
     lam: np.ndarray  # (S,) the annealing factor
+    scaled: Optional[Gradients] = None  # the current step's annealed gradients
 
     @classmethod
-    def empty(cls, model: PrmModel, batches: Sequence[tuple[np.ndarray, np.ndarray]]):
-        (n, heads), (d, hidden) = (len(batches), len(model.policies)), model.backbone.w.shape
-        width = max(rows.shape[1] for rows, _ in batches)
+    def empty(cls, model: PrmModel, inputs: BlockInputs):
+        (n, heads, _), (d, hidden) = inputs.rows.shape, model.backbone.w.shape
+        grads, scaled = np.empty((n, model.params.size)), np.empty(model.params.size)
+        head0 = inputs.mults[:, 0]
         return cls(np.empty((n, heads, d, hidden)), np.empty((n, heads, hidden)),
-                   np.empty((n, d, hidden)), np.empty((n, hidden)),
-                   np.zeros((n, width, model.heads.w_cls.shape[-1])), np.full((n, width), -1),
-                   np.zeros((n, width)), np.empty((n, heads)), np.empty(n))
+                   Gradients(*net.views(grads, model.backbone, model.heads), grads),
+                   np.zeros(head0.shape + model.heads.w_cls.shape[-1:]),
+                   np.where(head0 > 0, inputs.targets[:, 0], -1), head0,
+                   np.empty((n, heads)), np.array(inputs.lam),
+                   Gradients(*net.views(scaled, model.backbone, model.heads), scaled))
 
 
-def prm_train_step(model: PrmModel, pool: ProposalSet, batches: tuple[np.ndarray, np.ndarray],
-                   t: int, config: TrainConfig, schedule: Optional[AnnealSchedule],
+def mean_fg_scores(probs: np.ndarray) -> np.ndarray:
+    """Each head's mean over the rows of their largest foreground probability,
+    (..., N, C+1) -> (...,); add.reduce and a division give the bits of
+    `.mean(axis=-1)` without its wrapper."""
+    fg = net.class_max(probs, 1)
+    return np.add.reduce(fg, axis=-1) / fg.shape[-1]
+
+
+def prm_train_step(model: PrmModel, block: ProposalSet, inputs: BlockInputs, t: int,
+                   config: TrainConfig, schedule: Optional[AnnealSchedule],
                    out: BlockArrays, i: int) -> None:
-    """One joint optimization step over all heads on their (rows,
-    multiplicities) batch tables; updates the model in place and keeps the
-    step's raw arrays at index i of `out`.
+    """One joint optimization step over all heads on pool i of `block` and
+    step i of `inputs`; updates the model in place and keeps the step's raw
+    arrays at index i of `out`.
 
     Per-head backbone contributions are kept before summation. Head
     gradients are magnified by the annealing factor (if a schedule is given)
     after backward and before the optimizer step, so backbone gradients
     flowing from the heads stay unscaled.
     """
-    lam = anneal_factor(t, schedule) if schedule is not None else 1.0
-    rows, mults = batches
+    width = inputs.widths[i]
+    rows, at = inputs.rows[i, :, :width], inputs.at[i, :, :width]
 
     # One forward over the pool serves every head, the pool statistics and
     # the batches (each row's outputs do not depend on the other rows), and
     # one softmax serves both the foreground scores and the gradient.
-    logits, deltas, cache = net.forward(model.backbone, model.heads, pool.features)
+    pool = block.features[block.offsets[i]:block.offsets[i + 1]]
+    logits, deltas, cache = net.forward(model.backbone, model.heads, pool)
     probs = net.softmax(logits)
-    at = np.arange(len(rows))[:, None] * len(pool.classes) + rows  # into (H * P, ·) rows
-    targets = pool.classes[rows]
     shared, batch_logits, batch_deltas, batch_probs = (
         a.reshape(-1, a.shape[-1]).take(at, axis=0) for a in (cache.shared, logits, deltas, probs))
-    batch = net.ForwardCache(model.heads, cache.x.take(rows, axis=0),
+    batch = net.ForwardCache(model.heads, inputs.features[i, :, :width],
                              cache.hidden.take(rows, axis=0), shared, batch_logits, batch_deltas)
-    g_backbone, g_heads = net.backward(
-        batch, targets, pool.reg_targets.take(rows, axis=0), targets > 0, mults,
-        config.cls_weight, config.reg_weight, probs=batch_probs,
-    )
-    summed = BackboneParams(w=g_backbone.w.sum(axis=0), b=g_backbone.b.sum(axis=0))
+    grads = out.grads.at(i)
+    net.backward(batch, inputs.targets[i, :, :width], inputs.reg_targets[i, :, :width], None,
+                 probs=batch_probs,
+                 weights=net.LossWeights(*(a[i, :, :width] for a in inputs.weights)),
+                 out=(BackboneParams(out.grad_w[i], out.grad_b[i]), grads.heads))
+    np.add.reduce(out.grad_w[i], axis=0, out=grads.backbone.w)
+    np.add.reduce(out.grad_b[i], axis=0, out=grads.backbone.b)
+    out.logits[i, :width] = batch_logits[0]
+    out.fg_means[i] = mean_fg_scores(probs)
 
-    width = rows.shape[1]
-    out.grad_w[i], out.grad_b[i] = g_backbone.w, g_backbone.b
-    out.sum_w[i], out.sum_b[i] = summed.w, summed.b
-    out.logits[i, :width] = batch.logits[0]
-    out.targets[i, :width] = np.where(mults[0] > 0, targets[0], -1)
-    out.mults[i, :width] = mults[0]
-    out.fg_means[i] = probs[..., 1:].max(axis=-1).mean(axis=-1)
-    out.lam[i] = lam
-
-    grads = Gradients(backbone=summed, heads=g_heads)
     if schedule is not None:
-        grads = apply_rga(grads, lam)
-    net.sgd_step(model.backbone, model.heads, grads, t, config)
+        grads = apply_rga(grads, inputs.lam[i], out=out.scaled)
+    net.sgd_step(model.params, grads, t, config, inputs.lr[i])
 
 
 def _norms(w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,7 +204,7 @@ def summarize_block(arrays: BlockArrays, steps: Sequence[int]
     gradient norm or a mean foreground score is not finite.
     """
     a = arrays
-    head_norms, norm_sum = _norms(a.grad_w, a.grad_b), _norms(a.sum_w, a.sum_b)
+    head_norms, norm_sum = _norms(a.grad_w, a.grad_b), _norms(*a.grads.backbone.arrays())
     finite = np.isfinite(norm_sum) & np.isfinite(a.fg_means).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
-from .net import Gradients, HeadParams
+import numpy as np
+
+from .net import Gradients, views
 
 
 @dataclass(frozen=True)
@@ -35,10 +38,18 @@ def anneal_factor(t: int, sched: AnnealSchedule) -> float:
     return sched.lambda0 - (sched.lambda0 - 1.0) * t / sched.total_steps
 
 
-def apply_rga(grads: Gradients, lam: float) -> Gradients:
+def apply_rga(grads: Gradients, lam: float, out: Optional[Gradients] = None) -> Gradients:
     """Scale every head-parameter gradient by `lam`; backbone gradients pass
-    through unchanged (same arrays)."""
+    through unchanged (same arrays). The result has a flat vector of its own,
+    a copy of the backbone part and the head part times `lam` in one multiply;
+    it is written into `out` (arrays that are views of `out.flat`), if given.
+    The input is left untouched."""
     if lam < 1.0:
         raise ValueError(f"magnification {lam} violates the schedule (must be >= 1)")
-    return Gradients(backbone=grads.backbone,
-                     heads=HeadParams(*[lam * a for a in grads.heads.arrays()]))
+    n, flat = grads.backbone.w.size + grads.backbone.b.size, grads.vector()
+    if out is None:
+        scaled = np.empty_like(flat)
+        out = Gradients(*views(scaled, grads.backbone, grads.heads), scaled)
+    out.flat[:n] = flat[:n]
+    np.multiply(flat[n:], lam, out=out.flat[n:])
+    return Gradients(backbone=grads.backbone, heads=out.heads, flat=out.flat)

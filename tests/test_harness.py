@@ -384,6 +384,11 @@ class TestCli:
          "initial magnification must be >= 1 and finite"),
         (TINY + "[train]\nlearning_rate = nan\n", "learning rate must be positive and finite"),
         (TINY + "[train]\nlearning_rate = inf\n", "learning rate must be positive and finite"),
+        (TINY + "[train]\ndecay_points = nan\n", "decay_points must be finite"),
+        (TINY + "[train]\ndecay_points = 0.5, inf\n", "decay_points must be finite"),
+        (TINY + "[train]\ncls_weight = nan\n", "cls_weight must be finite and >= 0"),
+        (TINY + "[train]\ncls_weight = inf\n", "cls_weight must be finite and >= 0"),
+        (TINY + "[train]\nreg_weight = -1\n", "reg_weight must be finite and >= 0"),
         (TINY + "[eval]\nnms_threshold = 0\n", "nms_threshold must lie in (0, 1)"),
         (TINY + "[eval]\nnms_threshold = 1.0\n", "nms_threshold must lie in (0, 1)"),
         (TINY + "[features]\nnoise_sigma = -0.1\n", "noise_sigma must be finite and >= 0"),
@@ -401,7 +406,8 @@ class TestCli:
          "batch_size 25 exceeds the smallest proposal pool, 24 proposals"),
     ], ids=["num_classes", "jitter", "learning_rate", "decay_factor", "lambda0",
             "steps", "train_scenes", "eval_scenes", "lambda0-nan", "lambda0-inf",
-            "learning_rate-nan", "learning_rate-inf", "nms_threshold-0", "nms_threshold-1",
+            "learning_rate-nan", "learning_rate-inf", "decay_points-nan", "decay_points-inf",
+            "cls_weight-nan", "cls_weight-inf", "reg_weight-negative", "nms_threshold-0", "nms_threshold-1",
             "noise_sigma", "noise_dims", "hidden", "max_detections", "score_floor-nan",
             "score_floor-1", "score_floor-negative", "batch_size", "batch_size-gt-counts"])
     def test_invalid_value_exits_1_before_any_work(self, tmp_path, capsys, doc, message):
@@ -450,6 +456,30 @@ class TestCli:
         assert "error: training diverged: the ensemble gives degenerate or non-finite boxes " \
                "in scene " in err
         assert re.search(r"in scene \d+, where the largest \|delta\| is [\d.]+e\+200$", err)
+
+    # the parameters stay finite and every score goes to the background, so
+    # nothing fails: only the health flag of eval_summary.json tells
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_collapsed_training_is_flagged(self, tmp_path):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY + "[train]\nlearning_rate = 1e200\n")
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out),
+                         "--mode", "rga+prm"]) == 0
+        summary = json.loads((out / "eval_summary.json").read_text())
+        assert summary["ap_mean"] == 0.0
+        assert summary["health"] == (
+            "collapsed: the ensemble kept no detection; every output's mean foreground "
+            "score is below the score floor 0.05: 0, 0, 0")
+        assert "collapsed" not in (out / "eval_report.txt").read_text()
+
+    def test_healthy_run_reads_ok(self, tmp_path):
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert json.loads((out / "eval_summary.json").read_text())["health"] == "ok"
+        assert cli_main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert json.loads((out / "eval_summary.json").read_text())["health"] == "ok"
 
     def test_eval_from_checkpoint(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)

@@ -9,8 +9,11 @@ from detlab.net import (
     Gradients,
     HeadParams,
     TrainConfig,
+    _smooth_l1_grad,
     backward,
+    class_max,
     cls_loss,
+    flatten,
     forward,
     init_backbone,
     init_head,
@@ -18,9 +21,11 @@ from detlab.net import (
     reg_loss,
     save_params,
     sgd_step,
+    softmax,
     stack_heads,
     total_loss,
 )
+from detlab.prm import mean_fg_scores
 
 
 def zeros_like_backbone(p):
@@ -252,24 +257,39 @@ class TestSgd:
         return TrainConfig(learning_rate=0.02, total_steps=total)
 
     def test_zero_grad_no_change(self):
-        backbone, head = tiny_model()
-        before = [a.copy() for a in backbone.arrays() + head.arrays()]
+        params, backbone, head = flatten(*tiny_model())
+        before = params.copy()
         grads = Gradients(backbone=zeros_like_backbone(backbone),
                           heads=zeros_like_head(head))
-        sgd_step(backbone, head, grads, 0, self.cfg())
-        for a, b in zip(backbone.arrays() + head.arrays(), before):
-            np.testing.assert_array_equal(a, b)
+        sgd_step(params, grads, 0, self.cfg())
+        np.testing.assert_array_equal(params, before)
 
     def test_hand_update(self):
-        backbone = BackboneParams(w=np.array([[1.0]]), b=np.array([0.0]))
-        head = HeadParams(np.ones((1, 1)), np.zeros(1), np.ones((1, 1)),
-                          np.zeros(1), np.ones((1, 4)), np.zeros(4))
+        params, backbone, head = flatten(
+            BackboneParams(w=np.array([[1.0]]), b=np.array([0.0])),
+            HeadParams(np.ones((1, 1)), np.zeros(1), np.ones((1, 1)),
+                       np.zeros(1), np.ones((1, 4)), np.zeros(4)))
         g = Gradients(
             backbone=BackboneParams(w=np.array([[0.5]]), b=np.array([0.0])),
             heads=zeros_like_head(head),
         )
-        sgd_step(backbone, head, g, 0, self.cfg())
+        sgd_step(params, g, 0, self.cfg())
         assert backbone.w[0, 0] == pytest.approx(0.99, abs=1e-15)
+
+    def test_flat_gradients_update_each_array_bit_for_bit(self):
+        backbone, head = tiny_model(seed=3)
+        rng = np.random.default_rng(4)
+        grads = Gradients(BackboneParams(*(rng.normal(size=a.shape) for a in backbone.arrays())),
+                          HeadParams(*(rng.normal(size=a.shape) for a in head.arrays())))
+        flat, flat_backbone, flat_heads = flatten(grads.backbone, grads.heads)
+        # per-array gradients, and views of one vector with the rate given
+        for g, lr in ((grads, None), (Gradients(flat_backbone, flat_heads, flat), 0.002)):
+            params, p_backbone, p_head = flatten(backbone, head)
+            sgd_step(params, g, 900, self.cfg(), lr=lr)
+            for param, before, grad in zip(p_backbone.arrays() + p_head.arrays(),
+                                           backbone.arrays() + head.arrays(),
+                                           grads.backbone.arrays() + grads.heads.arrays()):
+                assert param.tobytes() == (before - self.cfg().lr_at(900) * grad).tobytes()
 
     def test_decay_points(self):
         cfg = self.cfg(total=1200)
@@ -280,12 +300,70 @@ class TestSgd:
         second_decay = math.floor(11 * 1200 / 12)
         assert cfg.lr_at(second_decay) == pytest.approx(0.0002)
 
+    @pytest.mark.parametrize("points", [(8 / 12, 11 / 12), (0.5, 0.25, 0.5), (), (-1.0, 2.0)])
+    def test_schedule_counts_the_points_passed(self, points):
+        cfg = TrainConfig(learning_rate=0.3, total_steps=120, decay_points=points,
+                          decay_factor=0.5)
+        steps = range(120)
+        want = [0.3 * 0.5 ** sum(1 for f in points if t >= math.floor(f * 120)) for t in steps]
+        assert cfg.lr_schedule(steps) == want
+        assert [cfg.lr_at(t) for t in steps] == want
+
     def test_step_beyond_schedule(self):
-        backbone, head = tiny_model()
+        params, backbone, head = flatten(*tiny_model())
         grads = Gradients(backbone=zeros_like_backbone(backbone),
                           heads=zeros_like_head(head))
-        with pytest.raises(ValueError):
-            sgd_step(backbone, head, grads, 1200, self.cfg(total=1200))
+        with pytest.raises(ValueError, match="beyond schedule"):
+            sgd_step(params, grads, 1200, self.cfg(total=1200))
+
+
+def reference_softmax(logits):
+    """The softmax as written before the class maxima became np.maximum chains."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def logit_cases():
+    rng = np.random.default_rng(21)
+    return {
+        "random": rng.normal(size=(3, 50, 4)),
+        "tied": rng.integers(-2, 3, size=(3, 50, 4)).astype(float),
+        "signed-zeros": rng.choice([0.0, -0.0], size=(3, 50, 4)),
+        "zeros-and-ties": rng.choice([0.0, -0.0, 1.0, -1.0], size=(2, 40, 4)),
+        "large": rng.normal(size=(3, 50, 4)) * 1e300,
+        "one-class": rng.normal(size=(4, 2)),
+    }
+
+
+class TestClassMaxima:
+    """The class-axis maxima are chains of np.maximum; they must give the
+    bits of the `.max(axis=-1)` formulas they replace."""
+
+    @pytest.mark.parametrize("case", logit_cases())
+    def test_softmax_equals_the_max_formula(self, case):
+        logits = logit_cases()[case]
+        assert softmax(logits).tobytes() == reference_softmax(logits).tobytes()
+
+    @pytest.mark.parametrize("case", logit_cases())
+    def test_maxima_equal_max(self, case):
+        logits = logit_cases()[case]
+        for start in range(logits.shape[-1]):
+            assert (class_max(logits, start).tobytes()
+                    == logits[..., start:].max(axis=-1).tobytes())
+
+    @pytest.mark.parametrize("case", logit_cases())
+    def test_mean_foreground_scores_equal_the_max_formula(self, case):
+        for a in (logit_cases()[case], reference_softmax(logit_cases()[case])):
+            assert (mean_fg_scores(a).tobytes()
+                    == a[..., 1:].max(axis=-1).mean(axis=-1).tobytes())
+
+    def test_smooth_l1_gradient_equals_the_branch_formula(self):
+        x = np.concatenate([np.random.default_rng(5).normal(size=200) * 2,
+                            [1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan,
+                             np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), 1e300]])
+        want = np.where(np.abs(x) < 1.0, x / 1.0, np.sign(x))
+        assert _smooth_l1_grad(x).tobytes() == want.tobytes()
 
 
 class TestCheckpoint:
@@ -293,16 +371,22 @@ class TestCheckpoint:
         rng = np.random.default_rng(11)
         backbone = init_backbone(5, 4, rng)
         heads = [init_head(4, 3, rng), init_head(4, 3, rng)]
-        path = tmp_path / "ckpt.npz"
-        save_params(path, backbone, stack_heads(heads), ((1, 1), (1, 9)))
-        loaded_backbone, loaded_heads, ratios = load_params(path)
-        np.testing.assert_array_equal(ratios, [[1, 1], [1, 9]])
-        np.testing.assert_array_equal(loaded_backbone.w, backbone.w)
-        np.testing.assert_array_equal(loaded_backbone.b, backbone.b)
-        assert len(loaded_heads.b_reg) == 2
-        for i, orig in enumerate(heads):
-            for a, b in zip(orig.arrays(), loaded_heads.arrays()):
-                np.testing.assert_array_equal(a, b[i])
+        stack = stack_heads(heads)
+        params, flat_backbone, flat_heads = flatten(backbone, stack)  # a model's layout
+        for name, (b, h) in {"arrays": (backbone, stack), "flat": (flat_backbone, flat_heads)
+                             }.items():
+            path = tmp_path / f"{name}.npz"
+            save_params(path, b, h, ((1, 1), (1, 9)))
+            loaded_backbone, loaded_heads, ratios = load_params(path)
+            np.testing.assert_array_equal(ratios, [[1, 1], [1, 9]])
+            np.testing.assert_array_equal(loaded_backbone.w, backbone.w)
+            np.testing.assert_array_equal(loaded_backbone.b, backbone.b)
+            assert len(loaded_heads.b_reg) == 2
+            for i, orig in enumerate(heads):
+                for a, b in zip(orig.arrays(), loaded_heads.arrays()):
+                    np.testing.assert_array_equal(a, b[i])
+            assert flatten(loaded_backbone, loaded_heads)[0].tobytes() == params.tobytes()
+        assert (tmp_path / "arrays.npz").read_bytes() == (tmp_path / "flat.npz").read_bytes()
 
     def test_missing_ratios_named(self, tmp_path):
         backbone = init_backbone(5, 4, np.random.default_rng(12))

@@ -4,11 +4,12 @@ import pytest
 import detlab.prm as prm_mod
 from detlab import net
 from detlab.geometry import decode_deltas_array
-from detlab.net import BackboneParams, HeadParams, TrainConfig, softmax
+from detlab.net import BackboneParams, Gradients, HeadParams, TrainConfig, softmax
 from detlab.harness import POOL_BLOCK, train_block
 from detlab.prm import (
     BlockArrays,
     PrmModel,
+    draw_batches,
     ensemble_scores,
     init_model,
     prm_predict,
@@ -18,7 +19,8 @@ from detlab.prm import (
 from detlab.rga import AnnealSchedule
 from detlab.sampler import SamplingPolicy, sample
 from detlab.seeding import derive_seed
-from detlab.synthdata import RpnQualityModel, SceneConfig, generate_proposals, generate_scene
+from detlab.synthdata import (ProposalSet, RpnQualityModel, SceneConfig, generate_proposals,
+                               generate_scene)
 
 import train_step_oracle
 
@@ -39,10 +41,17 @@ def train_cfg(total=100):
     return TrainConfig(learning_rate=0.02, total_steps=total)
 
 
+def as_block(pools):
+    """The pools as one block, pool i at rows offsets[i]:offsets[i + 1]."""
+    columns = [np.concatenate([getattr(p, k) for p in pools])
+               for k in ("boxes", "classes", "reg_targets", "features")]
+    return ProposalSet(*columns, offsets=np.cumsum([0] + [len(p) for p in pools]))
+
+
 def train(model, pools, cfg, schedule=None, base_seed=3):
     """Steps 0, 1, ... on `pools` as one block: its metrics.csv and
     gradnorm.csv columns."""
-    return train_block(model, pools, range(len(pools)), cfg, schedule, base_seed, {})
+    return train_block(model, as_block(pools), range(len(pools)), cfg, schedule, base_seed, {})
 
 
 def head(model, i):
@@ -223,6 +232,35 @@ class TestTrainStep:
                 [a.ravel() for a in model.backbone.arrays() + model.heads.arrays()]))
         np.testing.assert_array_equal(results[0], results[1])
 
+    def test_parameters_are_views_of_one_vector(self):
+        model = init_model(FEATURE_DIM, 5, C, [policy((1, 1)), policy((1, 9))], 4)
+        arrays = model.backbone.arrays() + model.heads.arrays()
+        assert model.params.size == sum(a.size for a in arrays)
+        assert all(np.shares_memory(a, model.params) for a in arrays)
+        np.testing.assert_array_equal(model.params, np.concatenate([a.ravel() for a in arrays]))
+        before = model.params.copy()
+        train(model, [make_pool(seed=410)], train_cfg())
+        assert not np.array_equal(model.params, before)
+        np.testing.assert_array_equal(model.params, np.concatenate([a.ravel() for a in arrays]))
+
+
+class TestDrawBatches:
+    def test_tables_hold_each_heads_draw_padded(self):
+        policies, _, pool_at = ORACLE_CASES["two-hard-heads"]
+        pools = [pool_at(t) for t in range(6)]
+        rows, mults, widths = draw_batches(as_block(pools), policies, range(6), 3)
+        assert rows.shape == mults.shape == (6, 2, max(widths))
+        for t, pool in enumerate(pools):
+            batches = [sample(pool.classes, p, prm_mod.batch_seed(3, t, i))
+                       for i, p in enumerate(policies)]
+            assert widths[t] == max(len(b.indices) for b in batches)
+            for h, b in enumerate(batches):
+                n = len(b.indices)
+                np.testing.assert_array_equal(rows[t, h, :n], b.indices)
+                np.testing.assert_array_equal(mults[t, h, :n], b.multiplicities)
+                assert not rows[t, h, n:].any() and not mults[t, h, n:].any()
+        assert len(set(widths)) > 1
+
 
 def block_arrays(steps=4, heads=2, width=6, seed=0):
     """Random raw arrays of a block with every statistic defined."""
@@ -230,9 +268,9 @@ def block_arrays(steps=4, heads=2, width=6, seed=0):
     grad_w, grad_b = rng.normal(size=(steps, heads, 3, 2)), rng.normal(size=(steps, heads, 2))
     targets = rng.integers(0, C + 1, size=(steps, width))
     targets[:, :2] = [1, 0]  # a positive and a background in every batch
-    return BlockArrays(grad_w, grad_b, grad_w.sum(axis=1), grad_b.sum(axis=1),
-                       rng.normal(size=(steps, width, C + 1)), targets, np.ones((steps, width)),
-                       rng.uniform(size=(steps, heads)), np.ones(steps))
+    sums = Gradients(BackboneParams(grad_w.sum(axis=1), grad_b.sum(axis=1)), heads=None)
+    return BlockArrays(grad_w, grad_b, sums, rng.normal(size=(steps, width, C + 1)), targets,
+                       np.ones((steps, width)), rng.uniform(size=(steps, heads)), np.ones(steps))
 
 
 class TestSummarizeBlock:
@@ -254,7 +292,7 @@ class TestSummarizeBlock:
     def test_non_finite_names_the_first_bad_step(self):
         arrays = block_arrays()
         arrays.fg_means[2, 1] = np.nan
-        arrays.sum_w[3, 0, 0] = np.inf
+        arrays.grads.backbone.w[3, 0, 0] = np.inf
         with pytest.raises(FloatingPointError,
                            match=r"non-finite at step 12: backbone gradient norm [\d.]+, "
                                  r"mean foreground scores \([\d.]+, nan\)"):
@@ -319,7 +357,7 @@ class TestTrainStepOracle:
         for start in range(0, ORACLE_STEPS, ORACLE_BLOCK):
             steps = range(start, min(start + ORACLE_BLOCK, ORACLE_STEPS))
             pools = [pool_at(t) for t in steps]
-            metrics, norms = train_block(model, pools, steps, cfg, schedule, 3, {})
+            metrics, norms = train_block(model, as_block(pools), steps, cfg, schedule, 3, {})
             heads = [str(i + 1) for i in range(len(policies))]
             assert list(metrics) == ["step", "pos_count_unique", "pos_count_effective",
                                      "pos_acc", "neg_acc", "lambda",

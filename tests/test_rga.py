@@ -6,14 +6,20 @@ from detlab.net import Gradients, TrainConfig, sgd_step, stack_heads
 from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
 
 
-def random_grads(seed=0, heads=None):
-    """Gradients of one head, or of a stack of `heads` heads."""
+def random_grads(seed=0, heads=None, flat=False):
+    """Gradients of one head, or of a stack of `heads` heads; with `flat`,
+    as views of one vector."""
     rng = np.random.default_rng(seed)
     backbone = net.init_backbone(4, 3, rng)
     if heads is None:
-        return Gradients(backbone=backbone, heads=net.init_head(3, 2, rng))
-    return Gradients(backbone=backbone,
-                     heads=stack_heads([net.init_head(3, 2, rng) for _ in range(heads)]))
+        grads = Gradients(backbone=backbone, heads=net.init_head(3, 2, rng))
+    else:
+        grads = Gradients(backbone=backbone,
+                          heads=stack_heads([net.init_head(3, 2, rng) for _ in range(heads)]))
+    if flat:
+        vector, backbone, heads = net.flatten(grads.backbone, grads.heads)
+        grads = Gradients(backbone, heads, vector)
+    return grads
 
 
 class TestSchedule:
@@ -62,20 +68,35 @@ class TestConstantMode:
 
 class TestApply:
     def test_identity_at_one(self):
-        grads = random_grads()
-        out = apply_rga(grads, 1.0)
-        for a, b in zip(out.heads.arrays(), grads.heads.arrays()):
-            np.testing.assert_array_equal(a, b)
-        assert out.backbone is grads.backbone
+        for flat in (False, True):
+            grads = random_grads(flat=flat)
+            out = apply_rga(grads, 1.0)
+            for a, b in zip(out.heads.arrays(), grads.heads.arrays()):
+                np.testing.assert_array_equal(a, b)
+            assert out.backbone is grads.backbone
 
     def test_scales_heads_only(self):
-        grads = random_grads(seed=2, heads=2)
-        out = apply_rga(grads, 7.0)
-        for a, b in zip(grads.heads.arrays(), out.heads.arrays()):
-            assert a.shape[0] == 2
-            np.testing.assert_allclose(b, 7.0 * a, rtol=1e-12)
-        for a, b in zip(grads.backbone.arrays(), out.backbone.arrays()):
-            assert a is b
+        for flat in (False, True):
+            grads = random_grads(seed=2, heads=2, flat=flat)
+            before = grads.vector().copy()
+            out = apply_rga(grads, 7.0)
+            assert grads.vector().tobytes() == before.tobytes()  # the input is left untouched
+            for a, b in zip(grads.heads.arrays(), out.heads.arrays()):
+                assert a.shape[0] == 2
+                np.testing.assert_allclose(b, 7.0 * a, rtol=1e-12)
+            for a, b in zip(grads.backbone.arrays(), out.backbone.arrays()):
+                assert a is b
+
+    def test_writes_into_out(self):
+        grads = random_grads(seed=3, heads=2, flat=True)
+        buffer = random_grads(seed=4, heads=2, flat=True)
+        got = apply_rga(grads, 3.5, out=buffer)
+        assert got.flat is buffer.flat
+        assert all(a is b for a, b in zip(got.heads.arrays(), buffer.heads.arrays()))
+        assert all(a is b for a, b in zip(got.backbone.arrays(), grads.backbone.arrays()))
+        # the same bits as from separate arrays
+        assert got.vector().tobytes() == apply_rga(random_grads(seed=3, heads=2),
+                                                   3.5).vector().tobytes()
 
     def test_rejects_shrinking(self):
         with pytest.raises(ValueError):
@@ -92,12 +113,12 @@ class TestUpdateEquivalence:
         grads = random_grads(seed=5)
 
         rng = np.random.default_rng(9)
-        backbone_a = net.init_backbone(4, 3, rng)
-        head_a = net.init_head(3, 2, np.random.default_rng(10))
+        params, backbone_a, head_a = net.flatten(
+            net.init_backbone(4, 3, rng), net.init_head(3, 2, np.random.default_rng(10)))
         backbone_b = net.BackboneParams(backbone_a.w.copy(), backbone_a.b.copy())
         head_b = net.HeadParams(*[a.copy() for a in head_a.arrays()])
 
-        sgd_step(backbone_a, head_a, apply_rga(grads, lam), 0, cfg)
+        sgd_step(params, apply_rga(grads, lam), 0, cfg)
 
         for param, grad in zip(backbone_b.arrays(), grads.backbone.arrays()):
             param -= alpha * grad

@@ -10,8 +10,8 @@ builds that step's statistics one head at a time. `GradNormRecord`,
 `prm_train_step` are the old implementation verbatim, except that the model
 keeps its heads as one stack, each head's negatives are counted from its
 batch, and the per-head gradients are stacked for the library's `apply_rga`
-and `sgd_step`, so detlab's phased block training can be checked against it
-for exact equality.
+and `sgd_step` (which updates the model's one parameter vector), so detlab's
+phased block training can be checked against it for exact equality.
 """
 
 from __future__ import annotations
@@ -153,5 +153,5 @@ def prm_train_step(
     grads = Gradients(backbone=summed, heads=net.stack_heads(head_grads))
     if schedule is not None:
         grads = apply_rga(grads, lam)
-    net.sgd_step(model.backbone, model.heads, grads, t, config)
+    net.sgd_step(model.params, grads, t, config)
     return record, stats, lam
