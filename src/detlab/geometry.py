@@ -8,11 +8,17 @@ import numpy as np
 LOG_SIZE_CLAMP = 4.0
 
 
+def valid_boxes(boxes: np.ndarray) -> np.ndarray:
+    """(N,) mask of the boxes of an (N, 4) corner array that are finite with
+    x1 < x2 and y1 < y2."""
+    return np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > boxes[:, :2]).all(axis=1)
+
+
 def check_boxes(boxes, what: str) -> np.ndarray:
     """`boxes` as a float (N, 4) corner array. Raises ValueError naming `what`
-    unless every box is finite with x1 < x2 and y1 < y2."""
+    unless every box is valid (see :func:`valid_boxes`)."""
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    if not (np.all(np.isfinite(boxes)) and np.all(boxes[:, 2:] > boxes[:, :2])):
+    if not valid_boxes(boxes).all():
         raise ValueError(f"{what} must be finite and non-degenerate")
     return boxes
 

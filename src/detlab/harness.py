@@ -33,7 +33,7 @@ from .rga import AnnealSchedule
 from .seeding import derive_seed
 from .synthdata import (
     ProposalSet,
-    Scene,
+    SceneTable,
     generate_dataset,
     generate_proposals,
     load_dataset,
@@ -76,27 +76,27 @@ def _timed(stages: dict[str, float], name: str):
         stages[name] = stages.get(name, 0.0) + time.perf_counter() - start
 
 
-def _pool_blocks(cfg: ExperimentConfig, scenes: Sequence[Scene], qualities: Sequence[float],
+def _pool_blocks(cfg: ExperimentConfig, scenes: SceneTable, qualities: Sequence[float],
                  seed_tags: Sequence[tuple], stages: dict[str, float]):
     """Yields (index, block) per POOL_BLOCK of positions: pool i of the block
-    holds scenes[index[i]]'s proposals at its quality, seeded by its tag. The
+    holds scene index[i]'s proposals at its quality, seeded by its tag. The
     caller's loop variable and this generator hold a block until the next one
     is built, so at most two (~0.6 MB each at desk scale) are alive at once."""
     for start in range(0, len(scenes), POOL_BLOCK):
         index = range(start, min(start + POOL_BLOCK, len(scenes)))
         with _timed(stages, "proposals"):
             block = generate_proposals(
-                [scenes[i] for i in index], [qualities[i] for i in index], cfg.rpn,
+                scenes.take(index), [qualities[i] for i in index], cfg.rpn,
                 [derive_seed(cfg.seed, *seed_tags[i]) for i in index], feat=cfg.feat,
                 num_classes=cfg.scene.num_classes, box_size_range=cfg.scene.box_size_range)
         yield index, block
 
 
 def _block_detections(cfg: ExperimentConfig, model: PrmModel, block: ProposalSet,
-                      index: range, scenes: Sequence[Scene], scores: np.ndarray,
+                      index: range, scenes: SceneTable, scores: np.ndarray,
                       boxes: np.ndarray) -> list[tuple]:
     """Each output's (scene, class, score, box) detection columns in a block
-    whose pool i is scenes[index[i]], from its (O, N, C+1) scores and (O, N, 4)
+    whose pool i is scene index[i], from its (O, N, C+1) scores and (O, N, 4)
     boxes: the candidates at or above the score floor after one NMS keyed by
     (scene, output, class), capped at `max_detections` per (scene, output)."""
     n_out, n_rows, n_cols = scores.shape
@@ -113,7 +113,7 @@ def _block_detections(cfg: ExperimentConfig, model: PrmModel, block: ProposalSet
         _, deltas, _ = net.forward(model.backbone, model.heads, pool.features)
         raise FloatingPointError(
             f"training diverged: {f'head {out[k]}' if out[k] else 'the ensemble'} gives "
-            f"degenerate or non-finite boxes in scene {scenes[scene[k]].id}, where the "
+            f"degenerate or non-finite boxes in scene {scenes.ids[scene[k]]}, where the "
             f"largest |delta| is {np.abs(deltas).max():.3g}")
     keep = nms(boxes, scores, groups, cfg.nms_threshold)  # groups ascending
     segment = groups[keep] // n_cols  # (scene, output)
@@ -126,7 +126,7 @@ def _block_detections(cfg: ExperimentConfig, model: PrmModel, block: ProposalSet
             for kept in (keep[out[keep] == o] for o in range(n_out))]
 
 
-def evaluate_model(model: PrmModel, scenes: Sequence[Scene], cfg: ExperimentConfig,
+def evaluate_model(model: PrmModel, scenes: SceneTable, cfg: ExperimentConfig,
                    stages: Optional[dict[str, float]] = None) -> EvalResult:
     """Proposals at final quality, ensemble + per-head detections, AP, and
     head score-disagreement statistics. Adds the wall seconds spent building
@@ -134,7 +134,7 @@ def evaluate_model(model: PrmModel, scenes: Sequence[Scene], cfg: ExperimentConf
     stages = {} if stages is None else stages
     found, fg_scores = [], []  # per block: each output's detections and (O, n) fg scores
     for index, block in _pool_blocks(cfg, scenes, [1.0] * len(scenes),
-                                     [("evalprop", scene.id) for scene in scenes], stages):
+                                     [("evalprop", i) for i in scenes.ids.tolist()], stages):
         with _timed(stages, "evaluation"):
             scores, boxes = prm_predict(model, block)  # the ensemble, then each head
             found.append(_block_detections(cfg, model, block, index, scenes, scores, boxes))
@@ -245,7 +245,7 @@ def check_head_layout(checkpoint: Path, backbone: net.BackboneParams, heads: net
                           f"({d} features, hidden {hidden}, {classes} classes) has {wanted}")
 
 
-def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> list[Scene]:
+def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> SceneTable:
     """Generate or reuse the cached scene file for this config."""
     key = derive_seed(cfg.scene.__repr__(), cfg.seed, tag, n) % 10**10
     path = out_dir / f"dataset_{tag}_{key}.txt"
@@ -296,7 +296,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                        cfg.policies, cfg.seed)
     log, gradnorm = MetricsLog(), MetricsLog()
     every = range(cfg.total_steps)
-    for steps, block in _pool_blocks(cfg, [train_scenes[t % len(train_scenes)] for t in every],
+    for steps, block in _pool_blocks(cfg, train_scenes.take(np.remainder(every, len(train_scenes))),
                                      [quality_at(t, cfg.total_steps) for t in every],
                                      [("prop", t) for t in every], stages):
         metrics, norms = train_block(model, block, steps, cfg.train, cfg.schedule, cfg.seed,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .files import atomic_write
 from .geometry import check_boxes, iou, iou_matrix  # iou_matrix: perfbench patches it here
-from .synthdata import Scene
+from .synthdata import SceneTable
 
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 DEFAULT_BUCKETS = (("1_3", 1, 3), ("8_inf", 8, None))
@@ -155,7 +155,7 @@ def _match(dets: Detections, inst_scene: np.ndarray, inst_class: np.ndarray,
 
 def compute_ap(
     dets: Detections,
-    scenes: Sequence[Scene],
+    scenes: SceneTable,
     iou_thresholds: Sequence[float] = DEFAULT_IOU_THRESHOLDS,
     buckets: Sequence[tuple[str, int, Optional[int]]] = DEFAULT_BUCKETS,
 ) -> APResult:
@@ -167,10 +167,9 @@ def compute_ap(
     if len(dets) and not (dets.scenes.min() >= 0 and dets.scenes.max() < len(scenes)):
         raise ValueError("detection scene index out of range")
     # one entry per ground-truth instance: its scene, class and box
-    n_inst = np.array([len(s.gt_classes) for s in scenes], dtype=np.int64)
+    n_inst = scenes.counts
     inst_scene = np.repeat(np.arange(len(scenes)), n_inst)
-    inst_class = np.concatenate([s.gt_classes for s in scenes] + [np.zeros(0, np.int64)])
-    inst_boxes = np.concatenate([s.gt_boxes for s in scenes] + [np.zeros((0, 4))])
+    inst_class, inst_boxes = scenes.classes, scenes.boxes
     is_tp = _match(dets, inst_scene, inst_class, inst_boxes, np.asarray(iou_thresholds))
     # ranking for AP: descending score, ties by scene, then row order
     ranked = np.lexsort((dets.scenes, -dets.scores))

@@ -81,8 +81,9 @@ class TrainConfig:
             raise ValueError("total_steps must be >= 1")
         if not (0.0 < self.decay_factor < 1.0):
             raise ValueError("decay factor must lie in (0, 1)")
-        if not all(math.isfinite(f) for f in self.decay_points):
-            raise ValueError("decay_points must be finite")
+        if not all(0.0 <= f <= 1.0 for f in self.decay_points):  # fractions of total_steps
+            raise ValueError(f"decay_points must be finite and lie in [0, 1], got "
+                             f"{self.decay_points}")
         for name in ("cls_weight", "reg_weight"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .files import atomic_write
-from .geometry import check_boxes, iou, iou_matrix, label_arrays  # iou_matrix: perfbench patches it here
+from .geometry import iou, iou_matrix, label_arrays, valid_boxes  # iou_matrix: perfbench patches it here
 from .seeding import derive_seed
 
 POS_IOU_THRESHOLD = 0.5
@@ -39,6 +39,9 @@ class SceneConfig:
     def __post_init__(self):
         if self.num_classes < 1:
             raise ValueError("need at least one foreground class")
+        if not all(0.0 <= w < np.inf for w in self.gt_count_weights.values()):
+            raise ValueError(f"gt_count_weights must be finite and >= 0, got "
+                             f"{self.gt_count_weights}")
         total = sum(self.gt_count_weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"gt_count_weights must sum to 1, got {total}")
@@ -94,19 +97,53 @@ class FeatureModel:
         return rng.normal(0.0, self.noise_sigma, size=shape)
 
 
-class Scene:
-    """Struct-of-arrays ground truth of one scene: (K, 4) corner boxes and
-    their (K,) class ids, which start at 1 (0 is background)."""
+class SceneTable:
+    """Struct-of-arrays ground truth of a sequence of scenes: scene i has id
+    `ids[i]`, extent `extents[i]` (w, h) and the instances at rows
+    `offsets[i]:offsets[i + 1]` of `boxes`, (K, 4) corner boxes, and of
+    `classes`, (K,) class ids from 1 (0 is background)."""
 
-    def __init__(self, id, extent, gt_boxes, gt_classes):
-        self.id = id
-        self.extent = extent
-        self.gt_boxes = check_boxes(gt_boxes, "ground-truth boxes")
-        self.gt_classes = np.asarray(gt_classes, dtype=np.int64)
-        if len(self.gt_classes) != len(self.gt_boxes):
+    def __init__(self, ids, extents, offsets, boxes, classes):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self.extents = np.asarray(extents, dtype=np.float64).reshape(-1, 2)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+        self.classes = np.asarray(classes, dtype=np.int64)
+        if not len(self.ids) == len(self.extents) == len(self.offsets) - 1 or not (
+                self.offsets[0] == 0 and self.offsets[-1] == len(self.boxes) == len(self.classes)):
             raise ValueError("mismatched ground-truth array lengths")
-        if np.any(self.gt_classes < 1):
-            raise ValueError("ground-truth class ids must be >= 1")
+        if fault := _first_fault(self.offsets, self.boxes, self.classes):
+            raise ValueError(fault[1])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """(n,) instances per scene."""
+        return np.diff(self.offsets)
+
+    def take(self, index) -> "SceneTable":
+        """The scenes at positions `index`, in that order."""
+        index = np.asarray(index, dtype=np.int64)
+        starts = self.offsets[index]
+        counts = self.offsets[index + 1] - starts
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        rows = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+        return SceneTable(self.ids[index], self.extents.take(index, axis=0), offsets,
+                          self.boxes.take(rows, axis=0), self.classes[rows])
+
+
+def _first_fault(offsets: np.ndarray, boxes: np.ndarray, classes: np.ndarray):
+    """(position, message) of the first scene with an invalid instance, or
+    None: an invalid box (`geometry.valid_boxes`), else a class below 1."""
+    bad_box = ~valid_boxes(boxes)
+    if (bad := bad_box | (classes < 1)).any():
+        i = int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1
+        return i, ("ground-truth boxes must be finite and non-degenerate"
+                   if bad_box[offsets[i]:offsets[i + 1]].any()
+                   else "ground-truth class ids must be >= 1")
+    return None
 
 
 class ProposalSet:
@@ -133,23 +170,30 @@ class ProposalSet:
                            self.features[rows])
 
 
-def generate_scene(config: SceneConfig, rng_seed: int) -> Scene:
-    """Draw a scene whose instance count follows the configured mixture."""
-    rng = np.random.default_rng(rng_seed)
+def generate_scenes(config: SceneConfig, rng_seeds: Sequence[int]) -> SceneTable:
+    """Scene i, with id i, drawn from its own `default_rng(rng_seeds[i])`: an
+    instance count from the configured mixture, then per instance four
+    uniforms (width, height, x1, y1) and a class."""
     counts = sorted(config.gt_count_weights)
     weights = np.array([config.gt_count_weights[c] for c in counts])
-    count = int(rng.choice(counts, p=weights / weights.sum()))
-    lo, hi = config.box_size_range
-    w_ext, h_ext = config.extent
-    boxes, classes = [], []
-    for _ in range(count):
-        bw = rng.uniform(lo, min(hi, w_ext))
-        bh = rng.uniform(lo, min(hi, h_ext))
-        x1 = rng.uniform(0.0, w_ext - bw)
-        y1 = rng.uniform(0.0, h_ext - bh)
-        classes.append(int(rng.integers(1, config.num_classes + 1)))
-        boxes.append((x1, y1, x1 + bw, y1 + bh))
-    return Scene(rng_seed & 0x7FFFFFFF, config.extent, boxes, classes)
+    cdf = (weights / weights.sum()).cumsum()  # as Generator.choice builds it
+    cdf /= cdf[-1]
+    n_inst, uniforms, classes = [], [], []
+    for seed in rng_seeds:
+        rng = np.random.default_rng(seed)
+        n_inst.append(counts[cdf.searchsorted(rng.random(), side="right")])
+        for _ in range(n_inst[-1]):
+            uniforms.append(rng.random(4))
+            classes.append(rng.integers(1, config.num_classes + 1))
+    u = np.reshape(uniforms, (-1, 4))
+    (lo, hi), extent = config.box_size_range, np.array(config.extent)
+    # width and height, then x1 and y1, each by Generator.uniform's own
+    # low + (high - low) * u, so that the bits match
+    size = lo + (np.minimum(hi, extent) - lo) * u[:, :2]
+    corner = (extent - size) * u[:, 2:]
+    return SceneTable(np.arange(len(n_inst)), np.tile(extent, (len(n_inst), 1)),
+                      np.cumsum([0, *n_inst]), np.hstack([corner, corner + size]),
+                      np.array(classes, dtype=np.int64))
 
 
 def quality_at(t: int, total_steps: int) -> float:
@@ -194,7 +238,7 @@ def _jitter_boxes(gt_boxes: np.ndarray, copies: int, sigma: np.ndarray,
 
 
 def generate_proposals(
-    scenes: Sequence[Scene],
+    scenes: SceneTable,
     qualities: Sequence[float],
     model: RpnQualityModel,
     rng_seeds: Sequence[int],
@@ -216,15 +260,15 @@ def generate_proposals(
         raise ValueError("need one quality and one seed per scene, for at least one scene")
     lo, hi = box_size_range
     n_bg = model.bg_per_scene
-    gt_counts = [len(scene.gt_classes) for scene in scenes]
-    fg_counts = [n * model.fg_per_gt for n in gt_counts]
-    sizes = [n + n_bg for n in fg_counts]
+    gt_counts = scenes.counts
+    fg_counts = gt_counts * model.fg_per_gt
+    sizes = fg_counts + n_bg
     sigmas, normals, uniforms, noise = [], [], [], []
-    for scene, q, seed, n_fg in zip(scenes, qualities, rng_seeds, fg_counts):
+    for (w_ext, h_ext), q, seed, n_fg in zip(scenes.extents.tolist(), qualities, rng_seeds,
+                                             fg_counts.tolist()):
         if not 0.0 <= q <= 1.0:
             raise ValueError("quality must lie in [0, 1]")
         rng = np.random.default_rng(seed)
-        w_ext, h_ext = scene.extent
         sigmas.append(model.sigma(q))
         normals.append(rng.normal(0.0, 1.0, size=(n_fg, 4)) if n_fg else np.zeros((0, 4)))
         uniforms.append((rng.uniform(lo, min(hi, w_ext), size=n_bg),
@@ -233,13 +277,11 @@ def generate_proposals(
                          rng.uniform(0.0, 1.0, size=n_bg)))
         noise.append(feat.noise(rng, n_fg + n_bg, num_classes))
 
-    gt_boxes = np.concatenate([scene.gt_boxes for scene in scenes])
-    gt_classes = np.concatenate([scene.gt_classes for scene in scenes])
+    gt_boxes, gt_classes = scenes.boxes, scenes.classes
     fg = _jitter_boxes(gt_boxes, model.fg_per_gt, np.repeat(sigmas, gt_counts),
                        np.concatenate(normals))
     bw, bh, ux, uy = map(np.concatenate, zip(*uniforms))
-    extents = np.repeat(np.array([scene.extent for scene in scenes], dtype=np.float64),
-                        n_bg, axis=0)
+    extents = np.repeat(scenes.extents, n_bg, axis=0)
     bx = ux * (extents[:, 0] - bw)
     by = uy * (extents[:, 1] - bh)
     bg = np.stack([bx, by, bx + bw, by + bh], axis=1)
@@ -250,10 +292,10 @@ def generate_proposals(
     # One IoU pass per ground-truth column, each row against its own scene.
     # A scene with fewer instances gets all-zero boxes in the later columns:
     # a degenerate box at the origin has IoU exactly 0 with every valid box.
-    padded = np.zeros((len(scenes), max(gt_counts), 4))
-    for i, scene in enumerate(scenes):
-        padded[i, :gt_counts[i]] = scene.gt_boxes
-    first_gt = np.cumsum(gt_counts) - gt_counts
+    first_gt = scenes.offsets[:-1]
+    padded = np.zeros((len(scenes), gt_counts.max(), 4))
+    inst_scene = np.repeat(np.arange(len(scenes)), gt_counts)
+    padded[inst_scene, np.arange(len(gt_classes)) - first_gt[inst_scene]] = gt_boxes
     ious = np.empty((len(boxes), padded.shape[1]))
     for k in range(padded.shape[1]):
         ious[:, k] = iou(boxes, np.repeat(padded[:, k], sizes, axis=0))
@@ -268,61 +310,95 @@ def generate_proposals(
 
 
 def generate_dataset(config: SceneConfig, n_scenes: int, base_seed: int,
-                     tag: str = "scene") -> list[Scene]:
-    """Scenes with per-scene derived seeds; embarrassingly parallel by design."""
-    scenes = []
-    for i in range(n_scenes):
-        seed = int(np.random.default_rng(derive_seed(base_seed, tag, i)).integers(0, 2**63))
-        scenes.append(generate_scene(config, seed))
-        scenes[-1].id = i
-    return scenes
+                     tag: str = "scene") -> SceneTable:
+    """Scenes 0, 1, ..., each from a seed derived from (base_seed, tag, its id)."""
+    return generate_scenes(config, [
+        int(np.random.default_rng(derive_seed(base_seed, tag, i)).integers(0, 2**63))
+        for i in range(n_scenes)])
 
 
 # --- line-delimited dataset serialization ----------------------------------
 
-def save_dataset(scenes: Iterable[Scene], path) -> None:
+def save_dataset(scenes: SceneTable, path) -> None:
     """One record per scene: a header line, then one line per instance.
 
     Floats are written with `repr` so the round trip is lossless.
     """
-    lines = []
-    for scene in scenes:
-        lines.append(f"scene {scene.id} {scene.extent[0]!r} {scene.extent[1]!r} "
-                     f"{len(scene.gt_classes)}")
-        # .tolist() gives Python scalars, whose repr is the bare number
-        for cls, box in zip(scene.gt_classes.tolist(), scene.gt_boxes.tolist()):
-            lines.append(f"inst {cls} " + " ".join(map(repr, box)))
-    with atomic_write(path) as fh:
-        fh.write("".join(line + "\n" for line in lines))
+    # .tolist() gives Python scalars, whose repr is the bare number
+    heads = [f"scene {i} {w!r} {h!r} {n}\n" for i, (w, h), n in
+             zip(scenes.ids.tolist(), scenes.extents.tolist(), scenes.counts.tolist())]
+    insts = [f"inst {c} {x1!r} {y1!r} {x2!r} {y2!r}\n" for c, (x1, y1, x2, y2) in
+             zip(scenes.classes.tolist(), scenes.boxes.tolist())]
+    with atomic_write(path) as fh:  # each header goes before its scene's first instance
+        fh.write("".join(np.insert(np.array(insts, dtype=object), scenes.offsets[:-1], heads)))
 
 
-def _fields(lines: list[str], i: int, kind: str, n: int) -> list[str]:
-    if i >= len(lines):
-        raise ValueError("file ends inside a scene record")
-    parts = lines[i].split()
-    if len(parts) != n or parts[0] != kind:
-        raise ValueError(f"expected a {kind!r} line of {n} fields, got {lines[i]!r}")
-    return parts
+def _expected(kind: str, n: int, line: str) -> str:
+    return f"expected a {kind!r} line of {n} fields, got {line!r}"
 
 
-def load_dataset(path) -> list[Scene]:
-    """Inverse of :func:`save_dataset`; a short or malformed record raises
-    ValueError naming its line."""
-    lines = Path(path).read_text().splitlines()
-    scenes = []
-    i = 0
+def _columns(lines: list[str], rows: list[int], kind: str, types: tuple,
+             faults: list) -> list[np.ndarray]:
+    """Fields 1, 2, ... of lines `rows`, each to be a `kind` line of
+    1 + len(types) fields, as one array per type (int or float, each value
+    parsed as Python parses it). The arrays stop before the first line that is
+    no such line or has a field that does not parse, and that line adds (its
+    index, the error) to `faults`."""
+    dtype = np.dtype([(f"f{c}", t) for c, t in enumerate(types)])
+    done = 0  # position in `rows` of the line being read; no line's fields outlive it
+
+    def records(rows):
+        nonlocal done
+        for done, i in enumerate(rows):
+            f = lines[i].split()
+            if len(f) != len(dtype) + 1 or f[0] != kind:
+                raise ValueError(_expected(kind, len(dtype) + 1, lines[i]))
+            yield tuple([t(v) for t, v in zip(types, f[1:])])
+
     try:
-        while i < len(lines):
-            head = _fields(lines, i, "scene", 5)
-            boxes, classes = [], []
-            for _ in range(int(head[4])):
-                i += 1
-                p = _fields(lines, i, "inst", 6)
-                classes.append(int(p[1]))
-                boxes.append([float(v) for v in p[2:]])
-            scenes.append(Scene(int(head[1]), (float(head[2]), float(head[3])),
-                                boxes, classes))
-            i += 1
-    except ValueError as exc:
-        raise ValueError(f"line {i + 1}: {exc}") from exc
-    return scenes
+        table = np.fromiter(records(rows), dtype, count=len(rows))
+    except (ValueError, OverflowError) as exc:
+        faults.append((rows[done], str(exc)))
+        table = np.fromiter(records(rows[:done]), dtype, count=done)
+    return [np.array(table[name]) for name in dtype.names]
+
+
+def load_dataset(path) -> SceneTable:
+    """Inverse of :func:`save_dataset`. The first fault in line order raises
+    ValueError naming its line: the line where a record is cut short or
+    malformed, or for an invalid instance the last line of its scene record."""
+    lines = Path(path).read_text().splitlines()
+    faults = []  # (line index, message)
+    heads = np.flatnonzero([len(f) == 5 and f[0] == "scene" for f in map(str.split, lines)])
+    ids, widths, heights, counts = _columns(lines, heads.tolist(), "scene",
+                                            (int, float, float, int), faults)
+    faults += [(i, f"negative instance count {n}")
+               for i, n in zip(heads.tolist(), counts.tolist()) if n < 0]
+    # Where each header must be, given the counts before it: the first header
+    # elsewhere ends the records that can be read, as does a header that does
+    # not parse or the end of the file.
+    want = np.concatenate([[0], np.cumsum(np.maximum(counts, 0) + 1)])
+    have = np.append(heads, len(lines))[:len(want)]
+    end = have[-1]
+    if (want != have).any():
+        j = np.argmax(want != have)
+        kind, n, end = ("scene", 5, want[j]) if want[j] < have[j] else ("inst", 6, have[j])
+        faults = [f for f in faults if f[0] < end]
+        faults.append((end, _expected(kind, n, lines[end]) if end < len(lines)
+                       else "file ends inside a scene record"))
+    rows = np.setdiff1d(np.arange(end), heads, assume_unique=True).tolist()
+    classes, *coords = _columns(lines, rows, "inst", (int, float, float, float, float), faults)
+    # the records that end before the first fault
+    n = int(np.searchsorted(want[1:] - 1, min(faults)[0] if faults else end))
+    offsets = want[:n + 1] - np.arange(n + 1)
+    boxes, classes = np.stack(coords, axis=1)[:offsets[-1]], classes[:offsets[-1]]
+    try:
+        table = SceneTable(ids[:n], np.stack([widths[:n], heights[:n]], axis=1), offsets,
+                           boxes, classes)
+    except ValueError:
+        i, message = _first_fault(offsets, boxes, classes)
+        faults.append((want[i + 1] - 1, message))
+    if faults:
+        line, message = min(faults)
+        raise ValueError(f"line {line + 1}: {message}")
+    return table

@@ -5,6 +5,7 @@ detlab used before evaluation moved onto arrays, kept unchanged so that
 `Detection`, `nms`, `_ap_from_matches`, `_eval_class_threshold`, `_ap_over`
 and `compute_ap` are the old implementation verbatim; `detections_for` is the
 old per-scene candidate extraction (score floor, NMS, `max_detections` cap).
+They read the scenes of a `SceneTable` one `scene_oracle.Scene` at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from detlab.geometry import iou_matrix
 from detlab.metrics import DEFAULT_BUCKETS, DEFAULT_IOU_THRESHOLDS, APResult
-from detlab.synthdata import Scene
+from detlab.synthdata import SceneTable
+from scene_oracle import Scene, scenes_of
 from test_geometry import Box
 
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
@@ -136,12 +138,13 @@ def _ap_over(detections: Sequence[Detection], scenes: Sequence[Scene],
 
 def compute_ap(
     detections: Sequence[Detection],
-    scenes: Sequence[Scene],
+    table: SceneTable,
     iou_thresholds: Sequence[float] = DEFAULT_IOU_THRESHOLDS,
     buckets: Sequence[tuple[str, int, Optional[int]]] = DEFAULT_BUCKETS,
 ) -> APResult:
     """COCO-style AP: averaged over classes then IoU thresholds, plus AP over
     scene subsets bucketed by ground-truth count. Detections must be NMS'd."""
+    scenes = scenes_of(table)
     per_threshold = _ap_over(detections, scenes, iou_thresholds)
     mean_ap = float(np.mean(list(per_threshold.values())))
     per_bucket: dict[str, float] = {}

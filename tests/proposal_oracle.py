@@ -4,7 +4,8 @@ each pool was built alone, kept unchanged so that the block path in
 
 `ProposalSet`, `label_arrays`, `proposal_features`, `_jitter_boxes` and
 `generate_proposals` are the old implementation verbatim: one pool per call,
-one `iou_matrix` per pool, and `np.argmax` for the max-IoU ground truth.
+one `iou_matrix` per pool, and `np.argmax` for the max-IoU ground truth. Its
+scene is one `scene_oracle.Scene` of a table.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from detlab.geometry import encode_deltas_array, iou_matrix
-from detlab.synthdata import POS_IOU_THRESHOLD, FeatureModel, RpnQualityModel, Scene, SceneConfig
+from detlab.synthdata import POS_IOU_THRESHOLD, FeatureModel, RpnQualityModel, SceneConfig
+from scene_oracle import Scene
 
 
 class ProposalSet:

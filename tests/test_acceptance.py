@@ -23,7 +23,8 @@ from detlab.prm import ensemble_scores, select_regression
 from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
 from detlab.sampler import SamplingPolicy, sample
 from detlab.seeding import derive_seed
-from detlab.synthdata import Scene, generate_proposals, generate_scene
+from detlab.synthdata import generate_proposals, generate_scenes
+from scene_oracle import scene_table, scenes_of
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
 SEEDS = (11, 23, 37, 53, 71)
@@ -277,11 +278,11 @@ class TestExactContracts:
         report("07 summed-gradient norm triangle inequality", ok)
 
     def test_08_evaluation_contracts(self):
-        scenes = [
-            Scene(0, (100.0, 100.0), [(5, 5, 20, 20), (40, 40, 70, 60)], [1, 2]),
-            Scene(1, (100.0, 100.0), [(10, 30, 25, 55)], [3]),
-        ]
-        gts = [(i, box, c) for i, s in enumerate(scenes)
+        scenes = scene_table([
+            ([(5, 5, 20, 20), (40, 40, 70, 60)], [1, 2]),
+            ([(10, 30, 25, 55)], [3]),
+        ])
+        gts = [(i, box, c) for i, s in enumerate(scenes_of(scenes))
                for box, c in zip(s.gt_boxes, s.gt_classes)]
         dets = Detections([i for i, _, _ in gts], [c for _, _, c in gts],
                           [0.9] * len(gts), [box for _, box, _ in gts])
@@ -343,14 +344,14 @@ class TestBehavioral:
         for seed in SEEDS:
             run = desk_runs[("baseline", seed)]
             cfg = run.config
-            scenes = [generate_scene(cfg.scene, derive_seed(seed, "shape", i))
-                      for i in range(500)]
+            scenes = generate_scenes(cfg.scene, [derive_seed(seed, "shape", i)
+                                                 for i in range(500)])
             pools = generate_proposals(
                 scenes, [1.0] * 500, cfg.rpn,
                 [derive_seed(seed, "shapeprop", i) for i in range(500)],
                 feat=cfg.feat, num_classes=cfg.scene.num_classes,
                 box_size_range=cfg.scene.box_size_range)
-            gt_counts = [len(scene.gt_classes) for scene in scenes]
+            gt_counts = scenes.counts
             pos_counts = [int(np.sum(pools.pool(i).classes > 0)) for i in range(500)]
             rhos.append(scipy_stats.spearmanr(gt_counts, pos_counts).statistic)
         rho = float(np.median(rhos))

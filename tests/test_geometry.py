@@ -13,7 +13,7 @@ from detlab.geometry import (
     iou_matrix,
     label_arrays,
 )
-from detlab.synthdata import Scene
+from scene_oracle import scene_table
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def boxes(min_size=0.5, max_size=50.0):
 
 
 class TestBox:
-    """Box validity is defined once, by check_boxes, for detections and scenes."""
+    """Box validity is defined once, by valid_boxes, for detections and scenes."""
 
     def test_rejects_degenerate(self):
         np.testing.assert_array_equal(check_boxes([1, 2, 4, 6], "boxes"), [[1, 2, 4, 6]])
@@ -58,13 +58,13 @@ class TestBox:
             with pytest.raises(ValueError, match="detection boxes must be finite"):
                 check_boxes([[0, 0, 1, 1], bad], "detection boxes")
             with pytest.raises(ValueError, match="ground-truth boxes must be finite"):
-                Scene(0, (100.0, 100.0), [bad], [1])
+                scene_table([([bad], [1])])
 
     def test_scene_rejects_background_class_and_length_mismatch(self):
         with pytest.raises(ValueError, match="class ids must be >= 1"):
-            Scene(0, (100.0, 100.0), [[0, 0, 1, 1]], [0])
+            scene_table([([[0, 0, 1, 1]], [0])])
         with pytest.raises(ValueError, match="mismatched"):
-            Scene(0, (100.0, 100.0), [[0, 0, 1, 1]], [1, 2])
+            scene_table([([[0, 0, 1, 1]], [1, 2])])
 
 
 def iou(a: Box, b: Box) -> float:

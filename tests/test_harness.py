@@ -386,6 +386,7 @@ class TestCli:
         (TINY + "[train]\nlearning_rate = inf\n", "learning rate must be positive and finite"),
         (TINY + "[train]\ndecay_points = nan\n", "decay_points must be finite"),
         (TINY + "[train]\ndecay_points = 0.5, inf\n", "decay_points must be finite"),
+        (TINY + "[train]\ndecay_points = 8, 11\n", "decay_points must be finite and lie in [0, 1]"),
         (TINY + "[train]\ncls_weight = nan\n", "cls_weight must be finite and >= 0"),
         (TINY + "[train]\ncls_weight = inf\n", "cls_weight must be finite and >= 0"),
         (TINY + "[train]\nreg_weight = -1\n", "reg_weight must be finite and >= 0"),
@@ -404,12 +405,18 @@ class TestCli:
          + "[scene]\ngt_count_weights = 0:0, 2:0.5, 3:0.5\n[rpn]\nbg_per_scene = 16\n"
          "fg_per_gt = 4\n",
          "batch_size 25 exceeds the smallest proposal pool, 24 proposals"),
+        (TINY + "[scene]\ngt_count_weights = 1: nan, 2: 1.0\n",
+         "gt_count_weights must be finite and >= 0"),
+        (TINY + "[scene]\ngt_count_weights = 1: -0.5, 2: 1.5\n",
+         "gt_count_weights must be finite and >= 0"),
     ], ids=["num_classes", "jitter", "learning_rate", "decay_factor", "lambda0",
             "steps", "train_scenes", "eval_scenes", "lambda0-nan", "lambda0-inf",
             "learning_rate-nan", "learning_rate-inf", "decay_points-nan", "decay_points-inf",
+            "decay_points-above-1",
             "cls_weight-nan", "cls_weight-inf", "reg_weight-negative", "nms_threshold-0", "nms_threshold-1",
             "noise_sigma", "noise_dims", "hidden", "max_detections", "score_floor-nan",
-            "score_floor-1", "score_floor-negative", "batch_size", "batch_size-gt-counts"])
+            "score_floor-1", "score_floor-negative", "batch_size", "batch_size-gt-counts",
+            "gt_count_weights-nan", "gt_count_weights-negative"])
     def test_invalid_value_exits_1_before_any_work(self, tmp_path, capsys, doc, message):
         bad = tmp_path / "bad.cfg"
         bad.write_text(doc)
@@ -579,6 +586,29 @@ class TestCli:
         last = head + int(lines[head].split()[4]) + 1  # the record's last line, 1-based
         assert str(cache) in err
         assert f"line {last}: ground-truth boxes must be finite and non-degenerate" in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        (1, "0", "ground-truth class ids must be >= 1"),
+        (3, "nan", "ground-truth boxes must be finite and non-degenerate"),
+    ], ids=["class-0", "nan-coordinate"])
+    def test_invalid_cache_instance_names_file_and_record_end(self, tmp_path, capsys, field,
+                                                             value, message):
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "data"
+        assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
+        (cache,) = out.glob("dataset_train_*.txt")
+        lines = cache.read_text().splitlines()
+        heads = [i for i, line in enumerate(lines)
+                 if line.startswith("scene ") and int(line.split()[4]) >= 2]
+        head = heads[1]  # a record after the first one with two or more instances
+        p = lines[head + 1].split()  # the record's first instance
+        p[field] = value
+        lines[head + 1] = " ".join(p)
+        cache.write_text("\n".join(lines) + "\n")
+        assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        last = head + int(lines[head].split()[4]) + 1  # the record's last line, 1-based
+        assert f"corrupt scene cache {cache}: line {last}: {message}" in err
 
     def test_sweep_exit_code_names_failed_runs(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)

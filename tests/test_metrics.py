@@ -21,17 +21,18 @@ from detlab.metrics import (
     score_gap_stats,
 )
 from detlab.net import softmax
-from detlab.synthdata import ProposalSet, Scene
+from detlab.synthdata import ProposalSet
 
 import ap_oracle
 import train_step_oracle
+from scene_oracle import scene_table, scenes_of
 from test_geometry import Box, iou
 
 
-def scene(sid, boxes_classes):
-    """A scene from (Box, class) pairs."""
-    return Scene(sid, (100.0, 100.0), [b.as_array() for b, _ in boxes_classes],
-                 [c for _, c in boxes_classes])
+def table(*scenes):
+    """A scene table whose scene i has the (Box, class) pairs scenes[i]."""
+    return scene_table([([b.as_array() for b, _ in pairs], [c for _, c in pairs])
+                        for pairs in scenes])
 
 
 def dets(*rows):
@@ -204,11 +205,11 @@ class TestNms:
 
 class TestComputeAp:
     def perfect_case(self):
-        scenes = [
-            scene(0, [(Box(0, 0, 10, 10), 1), (Box(30, 30, 40, 45), 2)]),
-            scene(1, [(Box(5, 5, 20, 20), 3)]),
-        ]
-        return dets(*[(s.id, Box(*b), c, 1.0) for s in scenes
+        scenes = table(
+            [(Box(0, 0, 10, 10), 1), (Box(30, 30, 40, 45), 2)],
+            [(Box(5, 5, 20, 20), 3)],
+        )
+        return dets(*[(s.id, Box(*b), c, 1.0) for s in scenes_of(scenes)
                       for b, c in zip(s.gt_boxes.tolist(), s.gt_classes.tolist())]), scenes
 
     def test_perfect_detections(self):
@@ -222,7 +223,7 @@ class TestComputeAp:
         assert compute_ap(dets(), scenes, buckets=()).mean_ap == 0.0
 
     def test_fp_above_tp_hand_case(self):
-        scenes = [scene(0, [(Box(0, 0, 10, 10), 1)])]
+        scenes = table([(Box(0, 0, 10, 10), 1)])
         detections = dets(
             (0, Box(0, 0, 10, 10), 1, 0.9),  # TP
             (0, Box(50, 50, 60, 60), 1, 0.95),  # FP, higher score
@@ -232,13 +233,13 @@ class TestComputeAp:
         assert result.per_threshold[0.5] == pytest.approx(0.5)
 
     def test_iou_at_threshold_is_a_match(self):
-        scenes = [scene(0, [(Box(0, 0, 10, 10), 1)])]
+        scenes = table([(Box(0, 0, 10, 10), 1)])
         half = dets((0, Box(0, 0, 10, 5), 1, 0.9))  # IoU exactly 0.5
         result = compute_ap(half, scenes, iou_thresholds=[0.5, 0.55], buckets=())
         assert result.per_threshold == {0.5: 1.0, 0.55: 0.0}
 
     def test_iou_tie_goes_to_lowest_instance(self):
-        scenes = [scene(0, [(Box(0, 0, 10, 10), 1), (Box(5, 0, 15, 10), 1)])]
+        scenes = table([(Box(0, 0, 10, 10), 1), (Box(5, 0, 15, 10), 1)])
         detections = dets(
             (0, Box(2.5, 0, 12.5, 10), 1, 0.9),  # IoU 0.6 with both: takes the first
             (0, Box(0, 0, 10, 10), 1, 0.8),  # so this one is left with IoU 1/3
@@ -249,7 +250,7 @@ class TestComputeAp:
                                               iou_thresholds=[0.5], buckets=())
 
     def test_adding_top_scoring_tp_never_decreases_ap(self):
-        scenes = [scene(0, [(Box(0, 0, 10, 10), 1), (Box(40, 40, 55, 55), 1)])]
+        scenes = table([(Box(0, 0, 10, 10), 1), (Box(40, 40, 55, 55), 1)])
         rows = [
             (0, Box(1, 0, 10, 10), 1, 0.7),
             (0, Box(70, 70, 80, 80), 1, 0.6),
@@ -269,19 +270,19 @@ class TestComputeAp:
                 x, y = rng.uniform(0, 80, size=2)
                 w = rng.uniform(5, 15)
                 boxes.append((Box(x, y, x + w, y + w), int(rng.integers(1, 3))))
-            scenes.append(scene(sid, boxes))
+            scenes.append(boxes)
             for b, c in boxes:
                 jx = rng.uniform(-2, 2)
                 rows.append((sid, Box(b.x1 + jx, b.y1, b.x2 + jx, b.y2),
                              c, float(rng.uniform(0.2, 1.0))))
-        result = compute_ap(dets(*rows), scenes, buckets=())
+        result = compute_ap(dets(*rows), table(*scenes), buckets=())
         assert result.per_threshold[0.75] <= result.per_threshold[0.5]
 
     def test_buckets_partition_scenes(self):
-        scenes = [
-            scene(0, [(Box(0, 0, 10, 10), 1)]),
-            scene(1, [(Box(10 * i, 0, 10 * i + 8, 8), 1) for i in range(9)]),
-        ]
+        scenes = table(
+            [(Box(0, 0, 10, 10), 1)],
+            [(Box(10 * i, 0, 10 * i + 8, 8), 1) for i in range(9)],
+        )
         result = compute_ap(dets((0, Box(0, 0, 10, 10), 1, 0.9)), scenes)
         assert result.per_bucket["1_3"] == 1.0
         assert result.per_bucket["8_inf"] == 0.0
@@ -291,13 +292,13 @@ class TestComputeAp:
             scenes, detections = random_case(np.random.default_rng(seed))
             result = compute_ap(detections, scenes)
             for name, lo, hi in DEFAULT_BUCKETS:
-                idx = [i for i, s in enumerate(scenes)
-                       if len(s.gt_classes) >= lo and (hi is None or len(s.gt_classes) <= hi)]
+                idx = [i for i, n in enumerate(scenes.counts.tolist())
+                       if n >= lo and (hi is None or n <= hi)]
                 remap = np.full(len(scenes), -1)
                 remap[idx] = np.arange(len(idx))
                 sub = take(detections, np.isin(detections.scenes, idx))
                 sub = Detections(remap[sub.scenes], sub.classes, sub.scores, sub.boxes)
-                alone = compute_ap(sub, [scenes[i] for i in idx], buckets=())
+                alone = compute_ap(sub, scenes.take(idx), buckets=())
                 assert result.per_bucket[name] == alone.mean_ap
 
     def test_rejects_unknown_scene_index(self):
@@ -328,7 +329,7 @@ def random_case(rng, n_scenes=None):
             x, y = grid(rng.uniform(0, 40, size=2))
             w, h = grid(rng.uniform(4, 15, size=2))
             insts.append((Box(x, y, x + w, y + h), 1 if one_class else int(rng.integers(1, 4))))
-        scenes.append(scene(sid, insts))
+        scenes.append(insts)
         for _ in range(rng.integers(0, 15)):
             if insts and rng.random() < 0.7:
                 b, c = insts[rng.integers(len(insts))]
@@ -344,7 +345,7 @@ def random_case(rng, n_scenes=None):
             score = (float(rng.choice([0.3, 0.5, 0.9])) if rng.random() < 0.5
                      else float(rng.uniform(0.05, 1.0)))
             rows.append((sid, box, c, score))
-    return scenes, take(dets(*rows), rng.permutation(len(rows)))  # rows not in scene order
+    return table(*scenes), take(dets(*rows), rng.permutation(len(rows)))  # rows not in scene order
 
 
 def oracle_rows(detections):
@@ -375,7 +376,7 @@ class TestMatchesOracle:
         for seed in range(200):
             scenes, detections = random_case(np.random.default_rng(seed))
             most = max([most] + [np.bincount(s.gt_classes).max()
-                                 for s in scenes if len(s.gt_classes)])
+                                 for s in scenes_of(scenes) if len(s.gt_classes)])
             thresholds = (0.3, 0.5, 0.75, 0.9) if seed % 2 else DEFAULT_IOU_THRESHOLDS
             result = compute_ap(detections, scenes, iou_thresholds=thresholds)
             expected = ap_oracle.compute_ap(oracle_rows(detections), scenes,
@@ -399,7 +400,8 @@ class TestMatchesOracle:
             rng = np.random.default_rng(seed)
             scenes, detections = random_case(rng)
             rows = [(s, Box(*b), c, p) for s, c, p, b in as_tuples(detections)]
-            for s in scenes:  # near misses: each ground truth shifted by 0.4-0.9 of its width
+            # near misses: each ground truth shifted by 0.4-0.9 of its width
+            for s in scenes_of(scenes):
                 for b, c in zip(s.gt_boxes.tolist(), s.gt_classes.tolist()):
                     for f in rng.choice([0.4, 0.5, 0.6, 0.75, 0.9], size=3):
                         shift = f * (b[2] - b[0])
@@ -408,8 +410,9 @@ class TestMatchesOracle:
             detections = take(dets(*rows), rng.permutation(len(rows)))
             thresholds = (0.3, 0.5, 0.75, 0.9) if seed % 2 else DEFAULT_IOU_THRESHOLDS
             self.assert_equals_oracle(detections, scenes, thresholds)
-            best = [max([iou(Box(*b), Box(*g)) for g, gc in zip(scenes[s].gt_boxes.tolist(),
-                                                               scenes[s].gt_classes.tolist())
+            per_scene = scenes_of(scenes)
+            best = [max([iou(Box(*b), Box(*g)) for g, gc in zip(per_scene[s].gt_boxes.tolist(),
+                                                               per_scene[s].gt_classes.tolist())
                          if gc == c], default=0.0)
                     for s, c, b in zip(detections.scenes, detections.classes,
                                        detections.boxes.tolist())]
@@ -418,8 +421,8 @@ class TestMatchesOracle:
         assert live < 0.4 * total, (live, total)
 
     def test_no_detection_reaches_the_lowest_threshold(self):
-        scenes = [scene(0, [(Box(0, 0, 10, 10), 1), (Box(20, 0, 30, 10), 2)]),
-                  scene(1, [(Box(0, 0, 10, 10), 1)])]
+        scenes = table([(Box(0, 0, 10, 10), 1), (Box(20, 0, 30, 10), 2)],
+                       [(Box(0, 0, 10, 10), 1)])
         detections = dets(
             (0, Box(6, 0, 16, 10), 1, 0.9),  # IoU 0.25
             (0, Box(0, 0, 10, 10), 2, 0.8),  # another class's box
@@ -432,7 +435,7 @@ class TestMatchesOracle:
             assert set(result.per_bucket.values()) == {0.0}
 
     def test_live_row_ranked_after_dead_rows(self):
-        scenes = [scene(0, [(Box(0, 0, 10, 10), 1), (Box(20, 0, 30, 10), 1)])]
+        scenes = table([(Box(0, 0, 10, 10), 1), (Box(20, 0, 30, 10), 1)])
         detections = dets(
             (0, Box(6, 0, 16, 10), 1, 0.9),  # IoU 0.25: dead
             (0, Box(50, 50, 60, 60), 1, 0.8),  # IoU 0: dead
@@ -459,7 +462,7 @@ class TestMatchesOracle:
             rng = np.random.default_rng(seed)
             scenes, _ = random_case(rng, n_scenes=5)
             outputs, theirs = [], [[], [], []]  # per scene (scores, boxes); per output
-            for s in scenes:
+            for s in scenes_of(scenes):
                 n = int(rng.choice([0, 1, 2, 12, 25, 40]))
                 x, y = rng.uniform(0, 40, size=(2, 3, n))
                 w, h = rng.uniform(4, 15, size=(2, 3, n))

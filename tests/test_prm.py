@@ -20,7 +20,7 @@ from detlab.rga import AnnealSchedule
 from detlab.sampler import SamplingPolicy, sample
 from detlab.seeding import derive_seed
 from detlab.synthdata import (ProposalSet, RpnQualityModel, SceneConfig, generate_proposals,
-                               generate_scene)
+                               generate_scenes)
 
 import train_step_oracle
 
@@ -29,8 +29,8 @@ FEATURE_DIM = C + 8
 
 
 def make_pool(seed=0, q=0.8, gt_count=4):
-    scene = generate_scene(SceneConfig(gt_count_weights={gt_count: 1.0}), seed)
-    return generate_proposals([scene], [q], RpnQualityModel(), [seed + 1], num_classes=C)
+    scene = generate_scenes(SceneConfig(gt_count_weights={gt_count: 1.0}), [seed])
+    return generate_proposals(scene, [q], RpnQualityModel(), [seed + 1], num_classes=C)
 
 
 def policy(ratio=(1, 3), mode="soft", batch=32):
@@ -178,7 +178,7 @@ class TestPredict:
         # each row's outputs do not depend on the other rows, so evaluation may
         # predict a POOL_BLOCK of pools at once
         config = SceneConfig()
-        scenes = [generate_scene(config, 40 + i) for i in range(POOL_BLOCK)]
+        scenes = generate_scenes(config, [40 + i for i in range(POOL_BLOCK)])
         block = generate_proposals(scenes, [1.0] * POOL_BLOCK, RpnQualityModel(),
                                    [90 + i for i in range(POOL_BLOCK)], num_classes=C)
         model = self.model(n_heads, seed=7)

@@ -12,34 +12,35 @@ from detlab.synthdata import (
     POS_IOU_THRESHOLD,
     FeatureModel,
     RpnQualityModel,
-    Scene,
     SceneConfig,
     generate_dataset,
     generate_proposals,
-    generate_scene,
+    generate_scenes,
     load_dataset,
     proposal_features,
     quality_at,
     save_dataset,
 )
 import proposal_oracle
+import scene_oracle
+from scene_oracle import scene_table, scenes_of
 from test_harness import DESK_CFG
 
 
 class TestSceneGeneration:
     def test_fixed_count(self):
         cfg = SceneConfig(gt_count_weights={3: 1.0})
-        scene = generate_scene(cfg, 42)
-        assert scene.gt_boxes.shape == (3, 4) and scene.gt_classes.shape == (3,)
+        scenes = generate_scenes(cfg, [42])
+        assert scenes.boxes.shape == (3, 4) and scenes.classes.shape == (3,)
         w, h = cfg.extent
-        x1, y1, x2, y2 = scene.gt_boxes.T
+        x1, y1, x2, y2 = scenes.boxes.T
         assert np.all((0 <= x1) & (x1 < x2) & (x2 <= w))
         assert np.all((0 <= y1) & (y1 < y2) & (y2 <= h))
-        assert np.all((1 <= scene.gt_classes) & (scene.gt_classes <= cfg.num_classes))
+        assert np.all((1 <= scenes.classes) & (scenes.classes <= cfg.num_classes))
 
     def test_deterministic(self):
         cfg = SceneConfig()
-        assert_same_scenes([generate_scene(cfg, 9)], [generate_scene(cfg, 9)])
+        assert_same_scenes(generate_scenes(cfg, [9]), generate_scenes(cfg, [9]))
 
     def test_rejects_oversized_boxes(self):
         with pytest.raises(ValueError):
@@ -47,11 +48,27 @@ class TestSceneGeneration:
 
     def test_mixture_frequencies(self):
         cfg = SceneConfig(gt_count_weights={1: 0.5, 8: 0.5})
-        counts = [len(generate_scene(cfg, derive_seed("mix", i)).gt_classes)
-                  for i in range(10000)]
+        counts = generate_scenes(cfg, [derive_seed("mix", i) for i in range(10000)]).counts
         frac_one = np.mean([c == 1 for c in counts])
         assert abs(frac_one - 0.5) < 0.02
-        assert set(counts) == {1, 8}
+        assert set(counts.tolist()) == {1, 8}
+
+    @pytest.mark.parametrize("config", [
+        SceneConfig(gt_count_weights={0: 0.3, 1: 0.2, 4: 0.5}),
+        SceneConfig(gt_count_weights={2: 0.0, 3: 0.6, 7: 0.4, 9: 0.0}),
+        SceneConfig(extent=(40.0, 120.0), box_size_range=(8.0, 60.0)),
+        SceneConfig(num_classes=1),
+    ], ids=["zero-instance-count", "zero-weight", "non-square-clipped", "one-class"])
+    def test_table_equals_per_scene_generation(self, config):
+        # the non-square extent clips the widest box to the scene's 40-wide extent
+        seeds = [derive_seed("scene-oracle", i) for i in range(600)]
+        alone = [scene_oracle.generate_scene(config, seed) for seed in seeds]
+        expected = scene_table([(s.gt_boxes, s.gt_classes) for s in alone],
+                               extent=config.extent)
+        table = generate_scenes(config, seeds)
+        assert_same_scenes(table, expected)
+        drawn = set(table.counts.tolist())
+        assert drawn == {c for c, w in config.gt_count_weights.items() if w > 0}
 
 
 class TestQuality:
@@ -66,17 +83,16 @@ class TestQuality:
 
 
 def assert_same_scenes(a, b):
-    """Equal ids and extents, and exactly equal ground-truth arrays."""
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert (x.id, x.extent) == (y.id, y.extent)
-        np.testing.assert_array_equal(x.gt_boxes, y.gt_boxes, strict=True)
-        np.testing.assert_array_equal(x.gt_classes, y.gt_classes, strict=True)
+    """Two scene tables equal array for array, dtypes included."""
+    for name in ("ids", "extents", "offsets", "boxes", "classes"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), strict=True,
+                                      err_msg=name)
 
 
 def best_matches(scene, pool):
     """`label_arrays`' best IoU and matched instance (-1 for background) of
-    each proposal in `pool`, as `generate_proposals` labeled it."""
+    each proposal in `pool`, as `generate_proposals` labeled it, for one
+    `scene_oracle.Scene`."""
     classes, max_ious, nearest, _ = label_arrays(
         iou_matrix(pool.boxes, scene.gt_boxes), pool.boxes, scene.gt_boxes, scene.gt_classes,
         POS_IOU_THRESHOLD)
@@ -85,45 +101,45 @@ def best_matches(scene, pool):
 
 def _scene(n=2, cls=2):
     boxes = [(10 + 30 * i, 10, 30 + 30 * i, 30) for i in range(n)]
-    return Scene(1, (100.0, 100.0), boxes, [cls] * n)
+    return scene_table([(boxes, [cls] * n)], ids=[1])
 
 
 class TestProposals:
     def test_perfect_quality_zero_jitter(self):
         model = RpnQualityModel(jitter_start=0.6, jitter_end=0.0)
-        pool = generate_proposals([_scene()], [1.0], model, [5], num_classes=3)
-        max_ious, matched = best_matches(_scene(), pool)
+        pool = generate_proposals(_scene(), [1.0], model, [5], num_classes=3)
+        max_ious, matched = best_matches(scenes_of(_scene())[0], pool)
         # every instance keeps at least one exact copy
-        for g in range(len(_scene().gt_classes)):
+        for g in range(len(_scene().classes)):
             exact = (matched == g) & (max_ious == 1.0)
             assert exact.any()
 
     def test_zero_gt_scene(self):
-        scene = Scene(2, (100.0, 100.0), [], [])
+        scene = scene_table([([], [])], ids=[2])
         model = RpnQualityModel()
-        pool = generate_proposals([scene], [0.5], model, [3], num_classes=3)
+        pool = generate_proposals(scene, [0.5], model, [3], num_classes=3)
         assert len(pool) == model.bg_per_scene
         assert (pool.classes == 0).all()
 
     def test_deterministic(self):
         model = RpnQualityModel()
-        a = generate_proposals([_scene()], [0.3], model, [7], num_classes=3)
-        b = generate_proposals([_scene()], [0.3], model, [7], num_classes=3)
+        a = generate_proposals(_scene(), [0.3], model, [7], num_classes=3)
+        b = generate_proposals(_scene(), [0.3], model, [7], num_classes=3)
         np.testing.assert_array_equal(a.boxes, b.boxes)
         np.testing.assert_array_equal(a.features, b.features)
         with pytest.raises(TypeError):  # feature width never follows the scene's classes
-            generate_proposals([_scene()], [0.3], model, [7])
+            generate_proposals(_scene(), [0.3], model, [7])
 
     def test_low_quality_means_low_overlap(self):
         # default starting jitter leaves the mean per-instance best IoU below 0.5
         model = RpnQualityModel()
-        scenes = [generate_scene(SceneConfig(gt_count_weights={2: 1.0}), derive_seed("lowq", i))
-                  for i in range(1000)]
+        scenes = generate_scenes(SceneConfig(gt_count_weights={2: 1.0}),
+                                 [derive_seed("lowq", i) for i in range(1000)])
         pools = generate_proposals(scenes, [0.0] * 1000, model,
                                    [derive_seed("lowq-p", i) for i in range(1000)],
                                    num_classes=3)
         best = []
-        for i, scene in enumerate(scenes):
+        for i, scene in enumerate(scenes_of(scenes)):
             max_ious, matched = best_matches(scene, pools.pool(i))
             for g in range(2):
                 mask = matched == g
@@ -132,7 +148,7 @@ class TestProposals:
 
     def test_positive_count_increases_with_quality(self):
         model = RpnQualityModel()
-        scenes = [generate_scene(SceneConfig(), derive_seed("shortage", i)) for i in range(300)]
+        scenes = generate_scenes(SceneConfig(), [derive_seed("shortage", i) for i in range(300)])
         means = []
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
             pools = generate_proposals(scenes, [q] * 300, model,
@@ -143,11 +159,11 @@ class TestProposals:
 
     def test_gt_count_correlates_with_positives_at_full_quality(self):
         model = RpnQualityModel()
-        scenes = [generate_scene(SceneConfig(), derive_seed("corr", i)) for i in range(2000)]
+        scenes = generate_scenes(SceneConfig(), [derive_seed("corr", i) for i in range(2000)])
         pools = generate_proposals(scenes, [1.0] * 2000, model,
                                    [derive_seed("corr-p", i) for i in range(2000)],
                                    num_classes=3)
-        gt_counts = [len(scene.gt_classes) for scene in scenes]
+        gt_counts = scenes.counts
         pos_counts = [int((pools.pool(i).classes > 0).sum()) for i in range(2000)]
         rho = stats.spearmanr(gt_counts, pos_counts).statistic
         assert rho > 0.5
@@ -162,15 +178,16 @@ def oracle_scenes(n, kind):
         seed = derive_seed("oracle", n, kind, i)
         which = (kind + i) % 4
         if which == 1:
-            scenes.append(Scene(i, (100.0, 100.0), [], []))
+            scenes.append(([], []))
             continue
-        scene = generate_scene(SceneConfig(gt_count_weights={12: 1.0} if which == 2
-                                           else DEFAULT_GT_COUNT_WEIGHTS), seed)
+        scene = generate_scenes(SceneConfig(gt_count_weights={12: 1.0} if which == 2
+                                            else DEFAULT_GT_COUNT_WEIGHTS), [seed])
+        boxes, classes = scene.boxes, scene.classes
         if which == 3:
-            scene = Scene(i, scene.extent, np.concatenate([scene.gt_boxes[:1], scene.gt_boxes]),
-                          np.concatenate([[scene.gt_classes[0] % 3 + 1], scene.gt_classes]))
-        scenes.append(scene)
-    return scenes
+            boxes = np.concatenate([boxes[:1], boxes])
+            classes = np.concatenate([[classes[0] % 3 + 1], classes])
+        scenes.append((boxes, classes))
+    return scene_table(scenes)
 
 
 class TestMatchesOracle:
@@ -189,7 +206,7 @@ class TestMatchesOracle:
                                    box_size_range=(8.0, 30.0))
         alone = [proposal_oracle.generate_proposals(scene, q, model, seed, feat, num_classes=3,
                                                     box_size_range=(8.0, 30.0))
-                 for scene, q, seed in zip(scenes, qualities, seeds)]
+                 for scene, q, seed in zip(scenes_of(scenes), qualities, seeds)]
         assert len(block.offsets) == n + 1
         assert len(block) == sum(len(pool) for pool in alone)
         np.testing.assert_array_equal(np.diff(block.offsets), [len(pool) for pool in alone])
@@ -201,12 +218,12 @@ class TestMatchesOracle:
 
     def test_ties_go_to_the_lowest_instance(self):
         # an exact copy of a repeated instance takes the first one's class
-        scene = oracle_scenes(1, 3)[0]
-        pool = generate_proposals([scene], [1.0], RpnQualityModel(jitter_end=0.0), [1],
+        scene = oracle_scenes(1, 3)
+        pool = generate_proposals(scene, [1.0], RpnQualityModel(jitter_end=0.0), [1],
                                   num_classes=3)
-        copies = np.all(pool.boxes == scene.gt_boxes[0], axis=1)
-        assert copies.any() and (pool.classes[copies] == scene.gt_classes[0]).all()
-        assert scene.gt_classes[1] != scene.gt_classes[0]
+        copies = np.all(pool.boxes == scene.boxes[0], axis=1)
+        assert copies.any() and (pool.classes[copies] == scene.classes[0]).all()
+        assert scene.classes[1] != scene.classes[0]
 
 
 class TestFeatures:
@@ -239,10 +256,19 @@ class TestFeatures:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        scenes = generate_dataset(SceneConfig(), 5, 123)
-        scenes.append(Scene(5, (100.0, 100.0), [], []))
+        drawn = generate_dataset(SceneConfig(), 5, 123)
+        scenes = scene_table([(s.gt_boxes, s.gt_classes) for s in scenes_of(drawn)] + [([], [])])
         path = tmp_path / "data.txt"
         save_dataset(scenes, path)
+        assert_same_scenes(load_dataset(path), scenes)
+
+    def test_empty_record_between_two_round_trips(self, tmp_path):
+        drawn = scenes_of(generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 2, 9))
+        scenes = scene_table([(drawn[0].gt_boxes, drawn[0].gt_classes), ([], []),
+                              (drawn[1].gt_boxes, drawn[1].gt_classes)], ids=[4, 0, 7])
+        path = tmp_path / "data.txt"
+        save_dataset(scenes, path)
+        assert path.read_text().splitlines()[4] == "scene 0 100.0 100.0 0"
         assert_same_scenes(load_dataset(path), scenes)
 
     @pytest.mark.parametrize("tag, n, sha256", [
@@ -276,4 +302,4 @@ class TestSerialization:
 
     def test_dataset_scene_ids_are_indices(self):
         scenes = generate_dataset(SceneConfig(), 4, 55)
-        assert [s.id for s in scenes] == [0, 1, 2, 3]
+        assert scenes.ids.tolist() == [0, 1, 2, 3]
