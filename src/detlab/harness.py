@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import MODES, ConfigError, ExperimentConfig
 from .files import atomic_write
+from .geometry import valid_boxes
 from .metrics import (
     APResult,
     Detections,
@@ -106,7 +107,7 @@ def _block_detections(cfg: ExperimentConfig, model: PrmModel, block: ProposalSet
     groups = (scene * n_out + out) * n_cols + classes  # (scene, output, class)
     at = out * n_rows + rows  # the candidate's row among all O * N (output, row) pairs
     scores, boxes = scores.take(at * n_cols + classes), boxes.reshape(-1, 4).take(at, axis=0)
-    good = np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > boxes[:, :2]).all(axis=1)
+    good = valid_boxes(boxes)
     if not good.all():  # only diverged training gives such candidates
         k = np.argmin(good)  # the first output with one, in its first scene
         pool = block.pool(scene[k] - index.start)

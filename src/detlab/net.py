@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,18 +46,12 @@ class HeadParams:
 @dataclass
 class Gradients:
     """Arrays mirroring the backbone and the heads exactly; `heads` is one
-    head or a stack of heads. `flat`, if given, is the one vector whose views
-    the arrays are, laid out as `flatten` lays out the parameters."""
+    head or a stack of heads. `flat` is the one vector whose views the arrays
+    are, laid out as `flatten` lays out the parameters."""
 
     backbone: BackboneParams
     heads: HeadParams
-    flat: Optional[np.ndarray] = None
-
-    def vector(self) -> np.ndarray:
-        """Every gradient in one vector, in the order of `flatten`."""
-        if self.flat is not None:
-            return self.flat
-        return np.concatenate([a.ravel() for a in self.backbone.arrays() + self.heads.arrays()])
+    flat: np.ndarray
 
     def at(self, i: int) -> "Gradients":
         """Index i of the leading axis of every array, of a stack of gradients."""
@@ -87,9 +81,6 @@ class TrainConfig:
         for name in ("cls_weight", "reg_weight"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
-
-    def lr_at(self, t: int) -> float:
-        return self.lr_schedule([t])[0]
 
     def lr_schedule(self, steps) -> list[float]:
         """The learning rate at each of `steps`, decayed once for every decay
@@ -263,48 +254,40 @@ def loss_weights(targets, pos_mask, multiplicities, num_outputs: int,
     )
 
 
-def backward(cache: ForwardCache, targets, reg_targets, pos_mask,
-             multiplicities=None, cls_weight: float = 1.0, reg_weight: float = 1.0,
-             probs=None, weights: Optional[LossWeights] = None,
-             out: Optional[tuple[BackboneParams, HeadParams]] = None
-             ) -> tuple[BackboneParams, HeadParams]:
-    """Analytic gradients of cls_weight*cls_loss + reg_weight*reg_loss.
+def backward(cache: ForwardCache, reg_targets, probs: np.ndarray, weights: LossWeights,
+             out: tuple[BackboneParams, HeadParams]) -> tuple[BackboneParams, HeadParams]:
+    """Analytic gradients of cls_weight*cls_loss + reg_weight*reg_loss, written
+    into the arrays of `out` (backbone gradients, head gradients, shaped like
+    the parameters) and returned as those very arrays.
 
-    Returns (backbone gradients, head gradients) shaped like the parameters.
-    For H stacked heads the batches come as one (H, B) table (targets,
-    multiplicities, positive mask; the cache's arrays and `reg_targets` with
+    `probs` is the softmax of `cache.logits` and `weights` the batch's
+    `loss_weights`, which carry its targets, positive mask, multiplicities and
+    the two loss weights. For H stacked heads the batches come as one (H, B)
+    table (the cache's arrays, `reg_targets`, `probs` and `weights` with
     trailing feature axes), and the backbone gradients are each head's
     contribution, (H, D, hidden) and (H, hidden). Rows of multiplicity 0 pad
-    shorter batches and add nothing. `probs` is the softmax of
-    `cache.logits` and `weights` the batch's `loss_weights`, if the caller
-    has taken them (the targets, mask, multiplicities and loss weights are
-    then not read). Given `out`, the gradients are written into its arrays.
+    shorter batches and add nothing.
     """
-    p = softmax(cache.logits) if probs is None else probs
-    w = weights if weights is not None else loss_weights(
-        targets, pos_mask, multiplicities, p.shape[-1], cls_weight, reg_weight)
-    o_backbone, o_head = out if out is not None else (BackboneParams(None, None),
-                                                      HeadParams(*[None] * 6))
-    d_logits = (p - w.onehot) * w.cls
+    backbone, head = out
+    d_logits = (probs - weights.onehot) * weights.cls
     diff = cache.deltas - np.asarray(reg_targets, dtype=np.float64)
-    d_deltas = np.where(w.reg_mask, _smooth_l1_grad(diff) * w.reg_scale * w.reg_m, 0.0)
+    d_deltas = np.where(weights.reg_mask,
+                        _smooth_l1_grad(diff) * weights.reg_scale * weights.reg_m, 0.0)
 
-    head = cache.head
     s, h, x = cache.shared, cache.hidden, cache.x
-    g_w_cls = np.matmul(_t(s), d_logits, out=o_head.w_cls)
-    g_b_cls = np.add.reduce(d_logits, axis=-2, out=o_head.b_cls)
-    g_w_reg = np.matmul(_t(s), d_deltas, out=o_head.w_reg)
-    g_b_reg = np.add.reduce(d_deltas, axis=-2, out=o_head.b_reg)
-    d_s = d_logits @ _t(head.w_cls) + d_deltas @ _t(head.w_reg)
+    np.matmul(_t(s), d_logits, out=head.w_cls)
+    np.add.reduce(d_logits, axis=-2, out=head.b_cls)
+    np.matmul(_t(s), d_deltas, out=head.w_reg)
+    np.add.reduce(d_deltas, axis=-2, out=head.b_reg)
+    d_s = d_logits @ _t(cache.head.w_cls) + d_deltas @ _t(cache.head.w_reg)
     d_a2 = d_s * (1.0 - s * s)
-    g_w_shared = np.matmul(_t(h), d_a2, out=o_head.w_shared)
-    g_b_shared = np.add.reduce(d_a2, axis=-2, out=o_head.b_shared)
-    d_h = d_a2 @ _t(head.w_shared)
+    np.matmul(_t(h), d_a2, out=head.w_shared)
+    np.add.reduce(d_a2, axis=-2, out=head.b_shared)
+    d_h = d_a2 @ _t(cache.head.w_shared)
     d_a1 = d_h * (1.0 - h * h)
-    g_backbone = BackboneParams(w=np.matmul(_t(x), d_a1, out=o_backbone.w),
-                                b=np.add.reduce(d_a1, axis=-2, out=o_backbone.b))
-    g_head = HeadParams(g_w_shared, g_b_shared, g_w_cls, g_b_cls, g_w_reg, g_b_reg)
-    return g_backbone, g_head
+    np.matmul(_t(x), d_a1, out=backbone.w)
+    np.add.reduce(d_a1, axis=-2, out=backbone.b)
+    return out
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -313,13 +296,12 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 
 def sgd_step(params: np.ndarray, grads: Gradients, t: int, config: TrainConfig,
-             lr: Optional[float] = None) -> None:
+             lr: float) -> None:
     """In-place update of the parameter vector that `flatten` lays out, with
-    the step-decayed learning rate; `lr` is config.lr_at(t), if the caller
-    has taken it."""
+    step t's learning rate `lr` (its `config.lr_schedule` entry)."""
     if t >= config.total_steps:
         raise ValueError(f"step {t} beyond schedule of {config.total_steps}")
-    params -= (config.lr_at(t) if lr is None else lr) * grads.vector()
+    params -= lr * grads.flat
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -126,7 +126,7 @@ class BlockArrays:
     mults: np.ndarray  # (S, B) head 0's batch multiplicities, 0 past its batch
     fg_means: np.ndarray  # (S, H) each head's mean max foreground probability over the pool
     lam: np.ndarray  # (S,) the annealing factor
-    scaled: Optional[Gradients] = None  # the current step's annealed gradients
+    scaled: Gradients  # the current step's annealed gradients
 
     @classmethod
     def empty(cls, model: PrmModel, inputs: BlockInputs):
@@ -175,17 +175,16 @@ def prm_train_step(model: PrmModel, block: ProposalSet, inputs: BlockInputs, t: 
     batch = net.ForwardCache(model.heads, inputs.features[i, :, :width],
                              cache.hidden.take(rows, axis=0), shared, batch_logits, batch_deltas)
     grads = out.grads.at(i)
-    net.backward(batch, inputs.targets[i, :, :width], inputs.reg_targets[i, :, :width], None,
-                 probs=batch_probs,
-                 weights=net.LossWeights(*(a[i, :, :width] for a in inputs.weights)),
-                 out=(BackboneParams(out.grad_w[i], out.grad_b[i]), grads.heads))
+    net.backward(batch, inputs.reg_targets[i, :, :width], batch_probs,
+                 net.LossWeights(*(a[i, :, :width] for a in inputs.weights)),
+                 (BackboneParams(out.grad_w[i], out.grad_b[i]), grads.heads))
     np.add.reduce(out.grad_w[i], axis=0, out=grads.backbone.w)
     np.add.reduce(out.grad_b[i], axis=0, out=grads.backbone.b)
     out.logits[i, :width] = batch_logits[0]
     out.fg_means[i] = mean_fg_scores(probs)
 
     if schedule is not None:
-        grads = apply_rga(grads, inputs.lam[i], out=out.scaled)
+        grads = apply_rga(grads, inputs.lam[i], out.scaled)
     net.sgd_step(model.params, grads, t, config, inputs.lr[i])
 
 

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .net import Gradients, views
+from .net import Gradients
 
 
 @dataclass(frozen=True)
@@ -38,18 +37,15 @@ def anneal_factor(t: int, sched: AnnealSchedule) -> float:
     return sched.lambda0 - (sched.lambda0 - 1.0) * t / sched.total_steps
 
 
-def apply_rga(grads: Gradients, lam: float, out: Optional[Gradients] = None) -> Gradients:
+def apply_rga(grads: Gradients, lam: float, out: Gradients) -> Gradients:
     """Scale every head-parameter gradient by `lam`; backbone gradients pass
-    through unchanged (same arrays). The result has a flat vector of its own,
-    a copy of the backbone part and the head part times `lam` in one multiply;
-    it is written into `out` (arrays that are views of `out.flat`), if given.
-    The input is left untouched."""
+    through unchanged (same arrays). The result is written into `out.flat`, a
+    copy of the backbone part and the head part times `lam` in one multiply,
+    and carries `out`'s head arrays (views of `out.flat`). The input is left
+    untouched."""
     if lam < 1.0:
         raise ValueError(f"magnification {lam} violates the schedule (must be >= 1)")
-    n, flat = grads.backbone.w.size + grads.backbone.b.size, grads.vector()
-    if out is None:
-        scaled = np.empty_like(flat)
-        out = Gradients(*views(scaled, grads.backbone, grads.heads), scaled)
-    out.flat[:n] = flat[:n]
-    np.multiply(flat[n:], lam, out=out.flat[n:])
+    n = grads.backbone.w.size + grads.backbone.b.size
+    out.flat[:n] = grads.flat[:n]
+    np.multiply(grads.flat[n:], lam, out=out.flat[n:])
     return Gradients(backbone=grads.backbone, heads=out.heads, flat=out.flat)

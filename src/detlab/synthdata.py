@@ -47,6 +47,9 @@ class SceneConfig:
             raise ValueError(f"gt_count_weights must sum to 1, got {total}")
         if any(c < 0 for c in self.gt_count_weights):
             raise ValueError("gt counts must be non-negative")
+        if not all(0.0 < e < np.inf for e in self.extent):
+            raise ValueError(f"scene extent_w and extent_h must be finite and > 0, got "
+                             f"{self.extent}")
         lo, hi = self.box_size_range
         if not (0 < lo <= hi):
             raise ValueError("invalid box size range")
@@ -64,6 +67,8 @@ class RpnQualityModel:
     bg_per_scene: int = 56
 
     def __post_init__(self):
+        if not self.jitter_start < np.inf:
+            raise ValueError(f"jitter_start must be finite, got {self.jitter_start}")
         if not (self.jitter_start >= self.jitter_end >= 0.0):
             raise ValueError("jitter must be non-negative and non-increasing")
         if self.fg_per_gt < 1 or self.bg_per_scene < 1:

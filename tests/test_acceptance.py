@@ -18,13 +18,14 @@ from detlab import net
 from detlab.config import MODES, load_config, parse_config
 from detlab.harness import run_experiment
 from detlab.metrics import Detections, compute_ap, nms
-from detlab.net import Gradients, load_params
+from detlab.net import load_params
 from detlab.prm import ensemble_scores, select_regression
 from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
 from detlab.sampler import SamplingPolicy, sample
 from detlab.seeding import derive_seed
 from detlab.synthdata import generate_proposals, generate_scenes
 from scene_oracle import scene_table, scenes_of
+from step_forms import backward_of, flat_gradients, unwritten_like
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
 SEEDS = (11, 23, 37, 53, 71)
@@ -146,12 +147,12 @@ class TestExactContracts:
 
     def test_02_rga_scales_heads_only(self):
         rng = np.random.default_rng(0)
-        grads = Gradients(
-            backbone=net.init_backbone(6, 4, rng),
-            heads=net.stack_heads([net.init_head(4, 3, rng) for _ in range(2)]),
+        grads = flat_gradients(
+            net.init_backbone(6, 4, rng),
+            net.stack_heads([net.init_head(4, 3, rng) for _ in range(2)]),
         )
         lam = 4.25
-        out = apply_rga(grads, lam)
+        out = apply_rga(grads, lam, unwritten_like(grads))
         ok = all(
             np.abs(b / lam - a).max() <= 1e-12 * np.abs(a).max()
             for a, b in zip(grads.heads.arrays(), out.heads.arrays())
@@ -233,7 +234,7 @@ class TestExactContracts:
                 )
 
             _, _, cache = net.forward(backbone, head, x)
-            grad_bb, grad_head = net.backward(
+            grad_bb, grad_head = backward_of(
                 cache, targets, reg_targets, pos_mask, mults
             )
             analytic = grad_bb.arrays() + grad_head.arrays()

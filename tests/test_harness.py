@@ -409,6 +409,9 @@ class TestCli:
          "gt_count_weights must be finite and >= 0"),
         (TINY + "[scene]\ngt_count_weights = 1: -0.5, 2: 1.5\n",
          "gt_count_weights must be finite and >= 0"),
+        (TINY + "[scene]\nextent_w = nan\n", "scene extent_w and extent_h must be finite and > 0"),
+        (TINY + "[scene]\nextent_h = inf\n", "scene extent_w and extent_h must be finite and > 0"),
+        (TINY + "[rpn]\njitter_start = inf\n", "jitter_start must be finite, got inf"),
     ], ids=["num_classes", "jitter", "learning_rate", "decay_factor", "lambda0",
             "steps", "train_scenes", "eval_scenes", "lambda0-nan", "lambda0-inf",
             "learning_rate-nan", "learning_rate-inf", "decay_points-nan", "decay_points-inf",
@@ -416,7 +419,8 @@ class TestCli:
             "cls_weight-nan", "cls_weight-inf", "reg_weight-negative", "nms_threshold-0", "nms_threshold-1",
             "noise_sigma", "noise_dims", "hidden", "max_detections", "score_floor-nan",
             "score_floor-1", "score_floor-negative", "batch_size", "batch_size-gt-counts",
-            "gt_count_weights-nan", "gt_count_weights-negative"])
+            "gt_count_weights-nan", "gt_count_weights-negative", "extent-nan", "extent-inf",
+            "jitter_start-inf"])
     def test_invalid_value_exits_1_before_any_work(self, tmp_path, capsys, doc, message):
         bad = tmp_path / "bad.cfg"
         bad.write_text(doc)

@@ -6,7 +6,6 @@ import pytest
 from detlab.net import (
     BackboneParams,
     ForwardCache,
-    Gradients,
     HeadParams,
     TrainConfig,
     _smooth_l1_grad,
@@ -18,6 +17,7 @@ from detlab.net import (
     init_backbone,
     init_head,
     load_params,
+    loss_weights,
     reg_loss,
     save_params,
     sgd_step,
@@ -26,6 +26,7 @@ from detlab.net import (
     total_loss,
 )
 from detlab.prm import mean_fg_scores
+from step_forms import backward_of, flat_gradients, unwritten_like
 
 
 def zeros_like_backbone(p):
@@ -155,7 +156,7 @@ class TestBackward:
         backbone, head = tiny_model(d, h, c, seed=seed)
         x, targets, reg_targets, pos, mults = random_batch(n, d, c, seed=seed + 100)
         _, _, cache = forward(backbone, head, x)
-        g_backbone, g_head = backward(cache, targets, reg_targets, pos, mults)
+        g_backbone, g_head = backward_of(cache, targets, reg_targets, pos, mults)
         numeric = numeric_grads(backbone, head, x, targets, reg_targets, pos, mults)
         analytic = g_backbone.arrays() + g_head.arrays()
         for a, n_grad in zip(analytic, numeric):
@@ -167,9 +168,9 @@ class TestBackward:
         backbone, head = tiny_model()
         x, targets, reg_targets, pos, mults = random_batch(5, 4, 2, seed=3)
         _, _, cache = forward(backbone, head, x)
-        g1_b, g1_h = backward(cache, targets, reg_targets, pos, mults)
-        g2_b, g2_h = backward(cache, targets, reg_targets, pos, mults,
-                              cls_weight=2.0, reg_weight=2.0)
+        g1_b, g1_h = backward_of(cache, targets, reg_targets, pos, mults)
+        g2_b, g2_h = backward_of(cache, targets, reg_targets, pos, mults,
+                                 cls_weight=2.0, reg_weight=2.0)
         for a, b in zip(g1_b.arrays() + g1_h.arrays(), g2_b.arrays() + g2_h.arrays()):
             np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
 
@@ -181,7 +182,7 @@ class TestBackward:
         x = np.ones((3, 2))
         targets = np.zeros(3, dtype=int)
         _, _, cache = forward(backbone, head, x)
-        g_b, g_h = backward(cache, targets, np.zeros((3, 4)), np.zeros(3, bool))
+        g_b, g_h = backward_of(cache, targets, np.zeros((3, 4)), np.zeros(3, bool))
         for arr in g_b.arrays() + g_h.arrays():
             assert np.abs(arr).max() < 1e-8
 
@@ -194,14 +195,35 @@ class TestBackward:
         pos = targets > 0
         mults = np.array([3, 1, 2, 1])
         _, _, cache = forward(backbone, head, x)
-        weighted = backward(cache, targets, reg_targets, pos, mults)
+        weighted = backward_of(cache, targets, reg_targets, pos, mults)
 
         rep = np.repeat(np.arange(4), mults)
         _, _, cache2 = forward(backbone, head, x[rep])
-        expanded = backward(cache2, targets[rep], reg_targets[rep], pos[rep], None)
+        expanded = backward_of(cache2, targets[rep], reg_targets[rep], pos[rep], None)
         for a, b in zip(weighted[0].arrays() + weighted[1].arrays(),
                         expanded[0].arrays() + expanded[1].arrays()):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
+    def test_writes_into_out_and_returns_its_arrays(self):
+        # as prm_train_step passes them: the backbone's at one step of (S, ·)
+        # stacks, the head's views of one vector, all NaN until written
+        backbone, head = tiny_model()
+        x, targets, reg_targets, pos, mults = random_batch(5, 4, 2, seed=3)
+        _, _, cache = forward(backbone, head, x)
+        grad_w = np.full((2,) + backbone.w.shape, np.nan)
+        grad_b = np.full((2,) + backbone.b.shape, np.nan)
+        out = (BackboneParams(grad_w[1], grad_b[1]),
+               unwritten_like(flat_gradients(backbone, head)).heads)
+        probs = softmax(cache.logits)
+        got = backward(cache, reg_targets, probs,
+                       loss_weights(targets, pos, mults, probs.shape[-1]), out)
+        arrays = out[0].arrays() + out[1].arrays()
+        assert all(a is b for a, b in zip(got[0].arrays() + got[1].arrays(), arrays,
+                                          strict=True))
+        assert np.isnan(grad_w[0]).all() and np.isnan(grad_b[0]).all()
+        want_b, want_h = backward_of(cache, targets, reg_targets, pos, mults)
+        for a, b in zip(arrays, want_b.arrays() + want_h.arrays(), strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestStackedHeads:
@@ -241,11 +263,12 @@ class TestStackedHeads:
         at = (np.arange(3)[:, None], rows)
         batch = ForwardCache(stack, x[rows], cache.hidden[rows], cache.shared[at],
                              logits[at], deltas[at])
-        g_backbone, g_heads = backward(batch, classes[rows], reg_targets[rows],
-                                       classes[rows] > 0, mults)
+        g_backbone, g_heads = backward_of(batch, classes[rows], reg_targets[rows],
+                                          classes[rows] > 0, mults)
         for i, (head, (idx, m)) in enumerate(zip(heads, batches)):
             _, _, one = forward(backbone, head, x[idx])
-            want_b, want_h = backward(one, classes[idx], reg_targets[idx], classes[idx] > 0, m)
+            want_b, want_h = backward_of(one, classes[idx], reg_targets[idx], classes[idx] > 0,
+                                         m)
             got = [g_backbone.w[i], g_backbone.b[i], *(a[i] for a in g_heads.arrays())]
             for a, b in zip(got, want_b.arrays() + want_h.arrays(), strict=True):
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
@@ -259,9 +282,8 @@ class TestSgd:
     def test_zero_grad_no_change(self):
         params, backbone, head = flatten(*tiny_model())
         before = params.copy()
-        grads = Gradients(backbone=zeros_like_backbone(backbone),
-                          heads=zeros_like_head(head))
-        sgd_step(params, grads, 0, self.cfg())
+        grads = flat_gradients(zeros_like_backbone(backbone), zeros_like_head(head))
+        sgd_step(params, grads, 0, self.cfg(), 0.02)
         np.testing.assert_array_equal(params, before)
 
     def test_hand_update(self):
@@ -269,36 +291,35 @@ class TestSgd:
             BackboneParams(w=np.array([[1.0]]), b=np.array([0.0])),
             HeadParams(np.ones((1, 1)), np.zeros(1), np.ones((1, 1)),
                        np.zeros(1), np.ones((1, 4)), np.zeros(4)))
-        g = Gradients(
-            backbone=BackboneParams(w=np.array([[0.5]]), b=np.array([0.0])),
-            heads=zeros_like_head(head),
-        )
-        sgd_step(params, g, 0, self.cfg())
+        g = flat_gradients(BackboneParams(w=np.array([[0.5]]), b=np.array([0.0])),
+                           zeros_like_head(head))
+        sgd_step(params, g, 0, self.cfg(), 0.02)
         assert backbone.w[0, 0] == pytest.approx(0.99, abs=1e-15)
 
     def test_flat_gradients_update_each_array_bit_for_bit(self):
         backbone, head = tiny_model(seed=3)
         rng = np.random.default_rng(4)
-        grads = Gradients(BackboneParams(*(rng.normal(size=a.shape) for a in backbone.arrays())),
-                          HeadParams(*(rng.normal(size=a.shape) for a in head.arrays())))
-        flat, flat_backbone, flat_heads = flatten(grads.backbone, grads.heads)
-        # per-array gradients, and views of one vector with the rate given
-        for g, lr in ((grads, None), (Gradients(flat_backbone, flat_heads, flat), 0.002)):
-            params, p_backbone, p_head = flatten(backbone, head)
-            sgd_step(params, g, 900, self.cfg(), lr=lr)
-            for param, before, grad in zip(p_backbone.arrays() + p_head.arrays(),
-                                           backbone.arrays() + head.arrays(),
-                                           grads.backbone.arrays() + grads.heads.arrays()):
-                assert param.tobytes() == (before - self.cfg().lr_at(900) * grad).tobytes()
+        grads = flat_gradients(
+            BackboneParams(*(rng.normal(size=a.shape) for a in backbone.arrays())),
+            HeadParams(*(rng.normal(size=a.shape) for a in head.arrays())))
+        params, p_backbone, p_head = flatten(backbone, head)
+        lr = self.cfg().lr_schedule([900])[0]
+        sgd_step(params, grads, 900, self.cfg(), lr)
+        for param, before, grad in zip(p_backbone.arrays() + p_head.arrays(),
+                                       backbone.arrays() + head.arrays(),
+                                       grads.backbone.arrays() + grads.heads.arrays()):
+            assert param.tobytes() == (before - lr * grad).tobytes()
 
     def test_decay_points(self):
         cfg = self.cfg(total=1200)
-        assert cfg.lr_at(0) == 0.02
         first_decay = math.floor(8 * 1200 / 12)
-        assert cfg.lr_at(first_decay - 1) == 0.02
-        assert cfg.lr_at(first_decay) == pytest.approx(0.002)
         second_decay = math.floor(11 * 1200 / 12)
-        assert cfg.lr_at(second_decay) == pytest.approx(0.0002)
+        at_0, before_first, at_first, at_second = cfg.lr_schedule(
+            [0, first_decay - 1, first_decay, second_decay])
+        assert at_0 == 0.02
+        assert before_first == 0.02
+        assert at_first == pytest.approx(0.002)
+        assert at_second == pytest.approx(0.0002)
 
     @pytest.mark.parametrize("points", [(8 / 12, 11 / 12), (0.5, 0.25, 0.5), (), (0.0, 1.0)])
     def test_schedule_counts_the_points_passed(self, points):
@@ -307,14 +328,13 @@ class TestSgd:
         steps = range(120)
         want = [0.3 * 0.5 ** sum(1 for f in points if t >= math.floor(f * 120)) for t in steps]
         assert cfg.lr_schedule(steps) == want
-        assert [cfg.lr_at(t) for t in steps] == want
+        assert [cfg.lr_schedule([t])[0] for t in steps] == want
 
     def test_step_beyond_schedule(self):
         params, backbone, head = flatten(*tiny_model())
-        grads = Gradients(backbone=zeros_like_backbone(backbone),
-                          heads=zeros_like_head(head))
+        grads = flat_gradients(zeros_like_backbone(backbone), zeros_like_head(head))
         with pytest.raises(ValueError, match="beyond schedule"):
-            sgd_step(params, grads, 1200, self.cfg(total=1200))
+            sgd_step(params, grads, 1200, self.cfg(total=1200), 0.02)
 
 
 def reference_softmax(logits):

@@ -23,6 +23,7 @@ from detlab.synthdata import (ProposalSet, RpnQualityModel, SceneConfig, generat
                                generate_scenes)
 
 import train_step_oracle
+from step_forms import unwritten_like
 
 C = 3
 FEATURE_DIM = C + 8
@@ -268,9 +269,13 @@ def block_arrays(steps=4, heads=2, width=6, seed=0):
     grad_w, grad_b = rng.normal(size=(steps, heads, 3, 2)), rng.normal(size=(steps, heads, 2))
     targets = rng.integers(0, C + 1, size=(steps, width))
     targets[:, :2] = [1, 0]  # a positive and a background in every batch
-    sums = Gradients(BackboneParams(grad_w.sum(axis=1), grad_b.sum(axis=1)), heads=None)
+    model = init_model(3, 2, C, [policy()] * heads, seed)
+    flat = np.zeros((steps, model.params.size))  # the head gradients are not summarized
+    sums = Gradients(*net.views(flat, model.backbone, model.heads), flat)
+    sums.backbone.w[:], sums.backbone.b[:] = grad_w.sum(axis=1), grad_b.sum(axis=1)
     return BlockArrays(grad_w, grad_b, sums, rng.normal(size=(steps, width, C + 1)), targets,
-                       np.ones((steps, width)), rng.uniform(size=(steps, heads)), np.ones(steps))
+                       np.ones((steps, width)), rng.uniform(size=(steps, heads)), np.ones(steps),
+                       unwritten_like(sums.at(0)))
 
 
 class TestSummarizeBlock:

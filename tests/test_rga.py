@@ -2,24 +2,25 @@ import numpy as np
 import pytest
 
 from detlab import net
-from detlab.net import Gradients, TrainConfig, sgd_step, stack_heads
+from detlab.net import TrainConfig, sgd_step, stack_heads
 from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
+from step_forms import flat_gradients, unwritten_like
 
 
-def random_grads(seed=0, heads=None, flat=False):
-    """Gradients of one head, or of a stack of `heads` heads; with `flat`,
-    as views of one vector."""
+def random_grads(seed=0, heads=None):
+    """Gradients of one head, or of a stack of `heads` heads, as views of one
+    vector."""
     rng = np.random.default_rng(seed)
     backbone = net.init_backbone(4, 3, rng)
     if heads is None:
-        grads = Gradients(backbone=backbone, heads=net.init_head(3, 2, rng))
-    else:
-        grads = Gradients(backbone=backbone,
-                          heads=stack_heads([net.init_head(3, 2, rng) for _ in range(heads)]))
-    if flat:
-        vector, backbone, heads = net.flatten(grads.backbone, grads.heads)
-        grads = Gradients(backbone, heads, vector)
-    return grads
+        return flat_gradients(backbone, net.init_head(3, 2, rng))
+    return flat_gradients(backbone,
+                          stack_heads([net.init_head(3, 2, rng) for _ in range(heads)]))
+
+
+def rga(grads, lam):
+    """`apply_rga` into a new `out`."""
+    return apply_rga(grads, lam, unwritten_like(grads))
 
 
 class TestSchedule:
@@ -57,7 +58,7 @@ class TestConstantMode:
     def test_lambda0_one_is_identity(self):
         sched = AnnealSchedule(1.0, 1000, constant=True)
         grads = random_grads()
-        out = apply_rga(grads, anneal_factor(300, sched))
+        out = rga(grads, anneal_factor(300, sched))
         for a, b in zip(out.heads.arrays(), grads.heads.arrays()):
             np.testing.assert_array_equal(a, b)
 
@@ -68,39 +69,38 @@ class TestConstantMode:
 
 class TestApply:
     def test_identity_at_one(self):
-        for flat in (False, True):
-            grads = random_grads(flat=flat)
-            out = apply_rga(grads, 1.0)
-            for a, b in zip(out.heads.arrays(), grads.heads.arrays()):
-                np.testing.assert_array_equal(a, b)
-            assert out.backbone is grads.backbone
+        grads = random_grads()
+        out = rga(grads, 1.0)
+        for a, b in zip(out.heads.arrays(), grads.heads.arrays()):
+            np.testing.assert_array_equal(a, b)
+        assert out.backbone is grads.backbone
 
     def test_scales_heads_only(self):
-        for flat in (False, True):
-            grads = random_grads(seed=2, heads=2, flat=flat)
-            before = grads.vector().copy()
-            out = apply_rga(grads, 7.0)
-            assert grads.vector().tobytes() == before.tobytes()  # the input is left untouched
-            for a, b in zip(grads.heads.arrays(), out.heads.arrays()):
-                assert a.shape[0] == 2
-                np.testing.assert_allclose(b, 7.0 * a, rtol=1e-12)
-            for a, b in zip(grads.backbone.arrays(), out.backbone.arrays()):
-                assert a is b
+        grads = random_grads(seed=2, heads=2)
+        before = grads.flat.copy()
+        out = rga(grads, 7.0)
+        assert grads.flat.tobytes() == before.tobytes()  # the input is left untouched
+        for a, b in zip(grads.heads.arrays(), out.heads.arrays()):
+            assert a.shape[0] == 2
+            np.testing.assert_allclose(b, 7.0 * a, rtol=1e-12)
+        for a, b in zip(grads.backbone.arrays(), out.backbone.arrays()):
+            assert a is b
 
     def test_writes_into_out(self):
-        grads = random_grads(seed=3, heads=2, flat=True)
-        buffer = random_grads(seed=4, heads=2, flat=True)
-        got = apply_rga(grads, 3.5, out=buffer)
+        grads = random_grads(seed=3, heads=2)
+        buffer = random_grads(seed=4, heads=2)
+        got = apply_rga(grads, 3.5, buffer)
         assert got.flat is buffer.flat
         assert all(a is b for a, b in zip(got.heads.arrays(), buffer.heads.arrays()))
         assert all(a is b for a, b in zip(got.backbone.arrays(), grads.backbone.arrays()))
-        # the same bits as from separate arrays
-        assert got.vector().tobytes() == apply_rga(random_grads(seed=3, heads=2),
-                                                   3.5).vector().tobytes()
+        # the same bits as scaling each head array on its own
+        want = [a.ravel() for a in grads.backbone.arrays()]
+        want += [(3.5 * a).ravel() for a in grads.heads.arrays()]
+        assert got.flat.tobytes() == np.concatenate(want).tobytes()
 
     def test_rejects_shrinking(self):
         with pytest.raises(ValueError):
-            apply_rga(random_grads(), 0.5)
+            rga(random_grads(), 0.5)
 
 
 class TestUpdateEquivalence:
@@ -118,7 +118,7 @@ class TestUpdateEquivalence:
         backbone_b = net.BackboneParams(backbone_a.w.copy(), backbone_a.b.copy())
         head_b = net.HeadParams(*[a.copy() for a in head_a.arrays()])
 
-        sgd_step(params, apply_rga(grads, lam), 0, cfg)
+        sgd_step(params, rga(grads, lam), 0, cfg, cfg.lr_schedule([0])[0])
 
         for param, grad in zip(backbone_b.arrays(), grads.backbone.arrays()):
             param -= alpha * grad

@@ -9,9 +9,11 @@ builds that step's statistics one head at a time. `GradNormRecord`,
 `HeadBatchStats`, `_frobenius`, `_flat`, `proposal_accuracy` and
 `prm_train_step` are the old implementation verbatim, except that the model
 keeps its heads as one stack, each head's negatives are counted from its
-batch, and the per-head gradients are stacked for the library's `apply_rga`
-and `sgd_step` (which updates the model's one parameter vector), so detlab's
-phased block training can be checked against it for exact equality.
+batch, the per-head gradients are stacked for the library's `apply_rga`
+and `sgd_step` (which updates the model's one parameter vector), and
+`backward`, `apply_rga` and `sgd_step` take their arguments in the one form
+the library passes them (`step_forms`), so detlab's phased block training can
+be checked against it for exact equality.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from detlab import net
-from detlab.net import BackboneParams, Gradients, HeadParams, TrainConfig
+from detlab.net import BackboneParams, HeadParams, TrainConfig
 from detlab.prm import PrmModel, batch_seed
 from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
 from detlab.sampler import sample
 from detlab.synthdata import ProposalSet
+from step_forms import backward_of, flat_gradients, unwritten_like
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def prm_train_step(
         loss = net.total_loss(logits, deltas, targets, reg_targets, pos_mask,
                               batch.multiplicities, config.cls_weight,
                               config.reg_weight)
-        g_backbone, g_head = net.backward(
+        g_backbone, g_head = backward_of(
             cache, targets, reg_targets, pos_mask, batch.multiplicities,
             config.cls_weight, config.reg_weight,
         )
@@ -150,8 +153,8 @@ def prm_train_step(
         cosine=cosine,
     )
 
-    grads = Gradients(backbone=summed, heads=net.stack_heads(head_grads))
+    grads = flat_gradients(summed, net.stack_heads(head_grads))
     if schedule is not None:
-        grads = apply_rga(grads, lam)
-    net.sgd_step(model.params, grads, t, config)
+        grads = apply_rga(grads, lam, unwritten_like(grads))
+    net.sgd_step(model.params, grads, t, config, config.lr_schedule([t])[0])
     return record, stats, lam
