@@ -7,6 +7,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import net
 from .config import MODES, ConfigError, load_config, parse_ratio
 from .harness import (
     SWEEP_AXES,
@@ -60,10 +61,8 @@ def cmd_eval(args) -> int:
     cfg = _load(args)
     out_dir = Path(cfg.out)
     checkpoint = Path(args.checkpoint or out_dir / "checkpoint.npz")
-    from .net import load_params
-
-    # a missing file raises FileNotFoundError naming it
-    backbone, heads, ratios = load_params(checkpoint)
+    # a missing file raises FileNotFoundError naming it, and a damaged one ValueError
+    backbone, heads, ratios = net.load_params(checkpoint)
     check_head_layout(checkpoint, backbone, heads, ratios, cfg)
     model = PrmModel(backbone=backbone, heads=heads, policies=cfg.policies)
     scenes = _dataset(cfg, out_dir, "eval", cfg.eval_scenes)

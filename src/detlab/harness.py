@@ -249,15 +249,12 @@ def check_head_layout(checkpoint: Path, backbone: net.BackboneParams, heads: net
 def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> SceneTable:
     """Generate or reuse the cached scene file for this config."""
     key = derive_seed(cfg.scene.__repr__(), cfg.seed, tag, n) % 10**10
-    path = out_dir / f"dataset_{tag}_{key}.txt"
+    path = out_dir / f"dataset_{tag}_{key}.npz"
     if not path.exists():
         scenes = generate_dataset(cfg.scene, n, cfg.seed, tag=tag)
         save_dataset(scenes, path)
         return scenes
-    try:
-        scenes = load_dataset(path)
-    except ValueError as exc:
-        raise ValueError(f"corrupt scene cache {path}: {exc}") from exc
+    scenes = load_dataset(path)  # a fault raises ValueError naming the file
     if len(scenes) != n:
         raise ValueError(f"scene cache {path} holds {len(scenes)} scenes, expected {n}")
     return scenes

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .files import atomic_write
+from .files import read_arrays, write_arrays
 
 INIT_SCALE = 0.1
 SMOOTH_L1_BETA = 1.0
@@ -317,19 +317,18 @@ def save_params(path, backbone: BackboneParams, heads: HeadParams, ratios) -> No
     for i in range(n_heads):
         for name, arr in zip(HEAD_KEYS, heads.arrays()):
             arrays[f"head{i}/{name}"] = arr[i]
-    with atomic_write(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    write_arrays(path, arrays)
 
 
 def load_params(path) -> tuple[BackboneParams, HeadParams, np.ndarray]:
     """The backbone, the stack of heads and their (pos, neg) sampling ratios."""
-    with np.load(path) as data:
-        if "ratios" not in data:
-            raise ValueError(f"checkpoint {path} records no head ratios; retrain it")
-        backbone = BackboneParams(w=data["backbone/w"], b=data["backbone/b"])
-        heads = [HeadParams(*[data[f"head{i}/{name}"] for name in HEAD_KEYS])
-                 for i in range(int(data["num_heads"]))]
-        if len({tuple(a.shape for a in h.arrays()) for h in heads}) != 1:
-            kind = "heads of different shapes" if heads else "no heads"
-            raise ValueError(f"checkpoint {path} holds {kind}")
-        return backbone, stack_heads(heads), data["ratios"]
+    data = read_arrays(path)
+    if "ratios" not in data:
+        raise ValueError(f"checkpoint {path} records no head ratios; retrain it")
+    backbone = BackboneParams(w=data["backbone/w"], b=data["backbone/b"])
+    heads = [HeadParams(*[data[f"head{i}/{name}"] for name in HEAD_KEYS])
+             for i in range(int(data["num_heads"]))]
+    if len({tuple(a.shape for a in h.arrays()) for h in heads}) != 1:
+        kind = "heads of different shapes" if heads else "no heads"
+        raise ValueError(f"checkpoint {path} holds {kind}")
+    return backbone, stack_heads(heads), data["ratios"]

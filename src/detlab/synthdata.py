@@ -9,12 +9,11 @@ by a configurable mixture over ground-truth counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .files import atomic_write
+from .files import read_arrays, write_arrays
 from .geometry import iou, iou_matrix, label_arrays, valid_boxes  # iou_matrix: perfbench patches it here
 from .seeding import derive_seed
 
@@ -109,16 +108,22 @@ class SceneTable:
     `classes`, (K,) class ids from 1 (0 is background)."""
 
     def __init__(self, ids, extents, offsets, boxes, classes):
-        self.ids = np.asarray(ids, dtype=np.int64)
+        self.ids = np.asarray(ids, dtype=np.int64).reshape(-1)
         self.extents = np.asarray(extents, dtype=np.float64).reshape(-1, 2)
-        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
         self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-        self.classes = np.asarray(classes, dtype=np.int64)
+        self.classes = np.asarray(classes, dtype=np.int64).reshape(-1)
         if not len(self.ids) == len(self.extents) == len(self.offsets) - 1 or not (
-                self.offsets[0] == 0 and self.offsets[-1] == len(self.boxes) == len(self.classes)):
+                self.offsets[0] == 0 and self.offsets[-1] == len(self.boxes) == len(self.classes)
+                and (np.diff(self.offsets) >= 0).all()):
             raise ValueError("mismatched ground-truth array lengths")
-        if fault := _first_fault(self.offsets, self.boxes, self.classes):
-            raise ValueError(fault[1])
+        bad_box = ~valid_boxes(self.boxes)
+        if (bad := bad_box | (self.classes < 1)).any():
+            i = int(np.searchsorted(self.offsets, np.argmax(bad), side="right")) - 1
+            raise ValueError(f"scene {self.ids[i]}: " + (
+                "ground-truth boxes must be finite and non-degenerate"
+                if bad_box[self.offsets[i]:self.offsets[i + 1]].any()
+                else "ground-truth class ids must be >= 1"))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -137,18 +142,6 @@ class SceneTable:
         rows = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
         return SceneTable(self.ids[index], self.extents.take(index, axis=0), offsets,
                           self.boxes.take(rows, axis=0), self.classes[rows])
-
-
-def _first_fault(offsets: np.ndarray, boxes: np.ndarray, classes: np.ndarray):
-    """(position, message) of the first scene with an invalid instance, or
-    None: an invalid box (`geometry.valid_boxes`), else a class below 1."""
-    bad_box = ~valid_boxes(boxes)
-    if (bad := bad_box | (classes < 1)).any():
-        i = int(np.searchsorted(offsets, np.argmax(bad), side="right")) - 1
-        return i, ("ground-truth boxes must be finite and non-degenerate"
-                   if bad_box[offsets[i]:offsets[i + 1]].any()
-                   else "ground-truth class ids must be >= 1")
-    return None
 
 
 class ProposalSet:
@@ -322,88 +315,21 @@ def generate_dataset(config: SceneConfig, n_scenes: int, base_seed: int,
         for i in range(n_scenes)])
 
 
-# --- line-delimited dataset serialization ----------------------------------
+# --- scene cache -------------------------------------------------------------
+
+SCENE_ARRAYS = ("ids", "extents", "offsets", "boxes", "classes")  # SceneTable's arguments
+
 
 def save_dataset(scenes: SceneTable, path) -> None:
-    """One record per scene: a header line, then one line per instance.
-
-    Floats are written with `repr` so the round trip is lossless.
-    """
-    # .tolist() gives Python scalars, whose repr is the bare number
-    heads = [f"scene {i} {w!r} {h!r} {n}\n" for i, (w, h), n in
-             zip(scenes.ids.tolist(), scenes.extents.tolist(), scenes.counts.tolist())]
-    insts = [f"inst {c} {x1!r} {y1!r} {x2!r} {y2!r}\n" for c, (x1, y1, x2, y2) in
-             zip(scenes.classes.tolist(), scenes.boxes.tolist())]
-    with atomic_write(path) as fh:  # each header goes before its scene's first instance
-        fh.write("".join(np.insert(np.array(insts, dtype=object), scenes.offsets[:-1], heads)))
-
-
-def _expected(kind: str, n: int, line: str) -> str:
-    return f"expected a {kind!r} line of {n} fields, got {line!r}"
-
-
-def _columns(lines: list[str], rows: list[int], kind: str, types: tuple,
-             faults: list) -> list[np.ndarray]:
-    """Fields 1, 2, ... of lines `rows`, each to be a `kind` line of
-    1 + len(types) fields, as one array per type (int or float, each value
-    parsed as Python parses it). The arrays stop before the first line that is
-    no such line or has a field that does not parse, and that line adds (its
-    index, the error) to `faults`."""
-    dtype = np.dtype([(f"f{c}", t) for c, t in enumerate(types)])
-    done = 0  # position in `rows` of the line being read; no line's fields outlive it
-
-    def records(rows):
-        nonlocal done
-        for done, i in enumerate(rows):
-            f = lines[i].split()
-            if len(f) != len(dtype) + 1 or f[0] != kind:
-                raise ValueError(_expected(kind, len(dtype) + 1, lines[i]))
-            yield tuple([t(v) for t, v in zip(types, f[1:])])
-
-    try:
-        table = np.fromiter(records(rows), dtype, count=len(rows))
-    except (ValueError, OverflowError) as exc:
-        faults.append((rows[done], str(exc)))
-        table = np.fromiter(records(rows[:done]), dtype, count=done)
-    return [np.array(table[name]) for name in dtype.names]
+    """Writes the table's five arrays as one `.npz` file (`files.write_arrays`)."""
+    write_arrays(path, {name: getattr(scenes, name) for name in SCENE_ARRAYS})
 
 
 def load_dataset(path) -> SceneTable:
-    """Inverse of :func:`save_dataset`. The first fault in line order raises
-    ValueError naming its line: the line where a record is cut short or
-    malformed, or for an invalid instance the last line of its scene record."""
-    lines = Path(path).read_text().splitlines()
-    faults = []  # (line index, message)
-    heads = np.flatnonzero([len(f) == 5 and f[0] == "scene" for f in map(str.split, lines)])
-    ids, widths, heights, counts = _columns(lines, heads.tolist(), "scene",
-                                            (int, float, float, int), faults)
-    faults += [(i, f"negative instance count {n}")
-               for i, n in zip(heads.tolist(), counts.tolist()) if n < 0]
-    # Where each header must be, given the counts before it: the first header
-    # elsewhere ends the records that can be read, as does a header that does
-    # not parse or the end of the file.
-    want = np.concatenate([[0], np.cumsum(np.maximum(counts, 0) + 1)])
-    have = np.append(heads, len(lines))[:len(want)]
-    end = have[-1]
-    if (want != have).any():
-        j = np.argmax(want != have)
-        kind, n, end = ("scene", 5, want[j]) if want[j] < have[j] else ("inst", 6, have[j])
-        faults = [f for f in faults if f[0] < end]
-        faults.append((end, _expected(kind, n, lines[end]) if end < len(lines)
-                       else "file ends inside a scene record"))
-    rows = np.setdiff1d(np.arange(end), heads, assume_unique=True).tolist()
-    classes, *coords = _columns(lines, rows, "inst", (int, float, float, float, float), faults)
-    # the records that end before the first fault
-    n = int(np.searchsorted(want[1:] - 1, min(faults)[0] if faults else end))
-    offsets = want[:n + 1] - np.arange(n + 1)
-    boxes, classes = np.stack(coords, axis=1)[:offsets[-1]], classes[:offsets[-1]]
+    """Inverse of :func:`save_dataset`; every fault raises ValueError naming the file."""
+    arrays = read_arrays(path)
+    columns = [arrays[name] for name in SCENE_ARRAYS]
     try:
-        table = SceneTable(ids[:n], np.stack([widths[:n], heights[:n]], axis=1), offsets,
-                           boxes, classes)
-    except ValueError:
-        i, message = _first_fault(offsets, boxes, classes)
-        faults.append((want[i + 1] - 1, message))
-    if faults:
-        line, message = min(faults)
-        raise ValueError(f"line {line + 1}: {message}")
-    return table
+        return SceneTable(*columns)
+    except ValueError as exc:
+        raise ValueError(f"corrupt scene cache {path}: {exc}") from exc

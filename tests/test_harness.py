@@ -12,11 +12,12 @@ import pytest
 from detlab import cli, harness
 from detlab.cli import main as cli_main
 from detlab.config import MODES, SCHEMA, ConfigError, ExperimentConfig, load_config, parse_config
-from detlab.files import atomic_write
+from detlab.files import atomic_write, write_arrays
 from detlab.harness import axis_cells, run_experiment, sweep
 from detlab.metrics import MetricsLog
 from detlab.net import init_backbone, init_head, save_params, stack_heads
 from detlab.seeding import derive_seed
+from detlab.synthdata import SCENE_ARRAYS, load_dataset, save_dataset
 
 TINY = """
 [scene]
@@ -342,6 +343,35 @@ class TestSweep:
             axis_cells("mode", ["rga+prn"])
 
 
+def flat_box(boxes, classes, row):
+    boxes[row, 2] = boxes[row, 0]  # x2 = x1
+
+
+def zero_class(boxes, classes, row):
+    classes[row] = 0
+
+
+def nan_y1(boxes, classes, row):
+    boxes[row, 1] = np.nan
+
+
+def rewrite_arrays(path, changes: dict):
+    """Rewrites the `.npz` file at `path` with `changes`, where None drops an array."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files} | changes
+    np.savez(path, **{key: a for key, a in arrays.items() if a is not None})
+
+
+class Tripwire:
+    """An object whose unpickling creates the file at `path`."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return Path.touch, (self.path,)
+
+
 class TestCli:
     def write_cfg(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -359,8 +389,17 @@ class TestCli:
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "data"
         assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert list(out.glob("dataset_train_*.txt"))
-        assert list(out.glob("dataset_eval_*.txt"))
+        assert list(out.glob("dataset_train_*.npz"))
+        assert list(out.glob("dataset_eval_*.npz"))
+
+    def test_text_cache_of_older_versions_is_ignored(self, tmp_path):
+        out, cache = self.cached(tmp_path, "train")
+        data = cache.read_bytes()
+        cache.with_suffix(".txt").write_text("scene 0 100.0 100.0 1\n")  # as older detlab wrote
+        cache.unlink()
+        assert cli_main(["gen-data", "--config", str(tmp_path / "exp.cfg"),
+                         "--out", str(out)]) == 0
+        assert cache.read_bytes() == data
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -519,7 +558,8 @@ class TestCli:
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
-        caches = sorted(p.name for p in out.glob("dataset_*.txt"))
+        caches = sorted(p.name for p in out.glob("dataset_*.npz"))
+        assert len(caches) == 2
         diverging = tmp_path / "diverging.cfg"
         diverging.write_text(TINY + "[train]\nlearning_rate = 1e200\n")
         capsys.readouterr()
@@ -527,7 +567,7 @@ class TestCli:
         assert "error: training diverged" in capsys.readouterr().err
         for name in ("eval_summary.json", "eval_report.txt", "manifest.json", "timings.json"):
             assert not (out / name).exists(), name
-        assert sorted(p.name for p in out.glob("dataset_*.txt")) == caches
+        assert sorted(p.name for p in out.glob("dataset_*.npz")) == caches
         assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -551,68 +591,93 @@ class TestCli:
         assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "no run artifacts at" in capsys.readouterr().err
 
-    def test_truncated_cache_rejected(self, tmp_path, capsys):
-        cfg_path = self.write_cfg(tmp_path)
+    def cached(self, tmp_path, tag):
+        """A tiny config's `gen-data` directory and its `tag` scene cache."""
         out = tmp_path / "data"
-        assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
-        (cache,) = out.glob("dataset_train_*.txt")
-        lines = cache.read_text().splitlines()
-        cut = [i for i, line in enumerate(lines) if line.startswith("scene ")][10]
-        cache.write_text("\n".join(lines[:cut]) + "\n")  # 10 whole scenes of 20
-        assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
+        assert cli_main(["gen-data", "--config", str(self.write_cfg(tmp_path)),
+                         "--out", str(out)]) == 0
+        (cache,) = out.glob(f"dataset_{tag}_*.npz")
+        return out, cache
+
+    def rerun_fails(self, tmp_path, out, capsys):
+        """The error text of a `gen-data` rerun on `out` that exits 2."""
+        capsys.readouterr()
+        assert cli_main(["gen-data", "--config", str(tmp_path / "exp.cfg"),
+                         "--out", str(out)]) == 2
+        return capsys.readouterr().err
+
+    def test_truncated_cache_rejected(self, tmp_path, capsys):
+        out, cache = self.cached(tmp_path, "train")
+        save_dataset(load_dataset(cache).take(range(10)), cache)  # 10 whole scenes of 20
+        err = self.rerun_fails(tmp_path, out, capsys)
         assert str(cache) in err and "holds 10 scenes, expected 20" in err
 
     def test_corrupt_cache_names_file(self, tmp_path, capsys):
-        cfg_path = self.write_cfg(tmp_path)
-        out = tmp_path / "data"
-        assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
-        (cache,) = out.glob("dataset_eval_*.txt")
-        lines = cache.read_text().splitlines()
-        cache.write_text("\n".join(lines[:-1] + ["inst 1 0.0 0.0"]) + "\n")
-        assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert str(cache) in err and "line " in err
+        out, cache = self.cached(tmp_path, "eval")
+        data = cache.read_bytes()
+        cache.write_bytes(data[:len(data) // 2])
+        err = self.rerun_fails(tmp_path, out, capsys)
+        assert f"error: unreadable array file {cache}: File is not a zip file" in err
+
+    def spoil_instance(self, cache, spoil):
+        """Rewrites `cache` after `spoil(boxes, classes, row)` changes its
+        arrays at the first instance of the second scene with two or more
+        instances; returns that scene's id."""
+        scenes = load_dataset(cache)
+        arrays = {name: getattr(scenes, name).copy() for name in SCENE_ARRAYS}
+        scene = np.flatnonzero(scenes.counts >= 2)[1]
+        spoil(arrays["boxes"], arrays["classes"], scenes.offsets[scene])
+        write_arrays(cache, arrays)
+        return scenes.ids[scene]
 
     def test_degenerate_cache_box_names_file_and_record(self, tmp_path, capsys):
-        cfg_path = self.write_cfg(tmp_path)
-        out = tmp_path / "data"
-        assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
-        (cache,) = out.glob("dataset_eval_*.txt")
-        lines = cache.read_text().splitlines()
-        head = next(i for i, line in enumerate(lines)
-                    if line.startswith("scene ") and int(line.split()[4]) >= 2)
-        p = lines[head + 1].split()  # the record's first instance gets x2 = x1
-        lines[head + 1] = " ".join(p[:4] + [p[2]] + p[5:])
-        cache.write_text("\n".join(lines) + "\n")
-        assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        last = head + int(lines[head].split()[4]) + 1  # the record's last line, 1-based
-        assert str(cache) in err
-        assert f"line {last}: ground-truth boxes must be finite and non-degenerate" in err
+        out, cache = self.cached(tmp_path, "eval")
+        scene_id = self.spoil_instance(cache, flat_box)
+        err = self.rerun_fails(tmp_path, out, capsys)
+        assert (f"corrupt scene cache {cache}: scene {scene_id}: ground-truth boxes must be "
+                f"finite and non-degenerate") in err
 
-    @pytest.mark.parametrize("field, value, message", [
-        (1, "0", "ground-truth class ids must be >= 1"),
-        (3, "nan", "ground-truth boxes must be finite and non-degenerate"),
+    @pytest.mark.parametrize("spoil, message", [
+        (zero_class, "ground-truth class ids must be >= 1"),
+        (nan_y1, "ground-truth boxes must be finite and non-degenerate"),
     ], ids=["class-0", "nan-coordinate"])
-    def test_invalid_cache_instance_names_file_and_record_end(self, tmp_path, capsys, field,
-                                                             value, message):
+    def test_invalid_cache_instance_names_file_and_record_end(self, tmp_path, capsys, spoil,
+                                                             message):
+        out, cache = self.cached(tmp_path, "train")
+        scene_id = self.spoil_instance(cache, spoil)
+        err = self.rerun_fails(tmp_path, out, capsys)
+        assert f"corrupt scene cache {cache}: scene {scene_id}: {message}" in err
+
+    def test_object_array_cache_is_refused_unpickled(self, tmp_path, capsys):
+        out, cache = self.cached(tmp_path, "eval")
+        marker = tmp_path / "unpickled"
+        rewrite_arrays(cache, {"ids": np.array([Tripwire(marker)], dtype=object)})
+        err = self.rerun_fails(tmp_path, out, capsys)
+        assert f"error: unreadable array file {cache}: Object arrays cannot be loaded" in err
+        assert not marker.exists()
+        with np.load(cache, allow_pickle=True) as data:  # the payload works when unpickled
+            assert data["ids"].tolist() == [None] and marker.exists()
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda path: path.write_bytes(path.read_bytes()[:500]),
+         "unreadable array file {}: File is not a zip file"),
+        (lambda path: path.write_bytes(b""), "unreadable array file {}: File is not a zip file"),
+        (lambda path: path.write_text("backbone/w 1 2 3\n"),
+         "unreadable array file {}: File is not a zip file"),
+        (lambda path: rewrite_arrays(path, {"backbone/w": None}),
+         "array file {} holds no array 'backbone/w'"),
+        (lambda path: rewrite_arrays(path, {"ratios": np.array([{}], dtype=object)}),
+         "unreadable array file {}: Object arrays cannot be loaded"),
+    ], ids=["truncated", "empty", "text", "missing-array", "object-array"])
+    def test_eval_names_damaged_checkpoint(self, tmp_path, capsys, spoil, message):
         cfg_path = self.write_cfg(tmp_path)
-        out = tmp_path / "data"
-        assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 0
-        (cache,) = out.glob("dataset_train_*.txt")
-        lines = cache.read_text().splitlines()
-        heads = [i for i, line in enumerate(lines)
-                 if line.startswith("scene ") and int(line.split()[4]) >= 2]
-        head = heads[1]  # a record after the first one with two or more instances
-        p = lines[head + 1].split()  # the record's first instance
-        p[field] = value
-        lines[head + 1] = " ".join(p)
-        cache.write_text("\n".join(lines) + "\n")
-        assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        last = head + int(lines[head].split()[4]) + 1  # the record's last line, 1-based
-        assert f"corrupt scene cache {cache}: line {last}: {message}" in err
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        checkpoint = out / "checkpoint.npz"
+        spoil(checkpoint)
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"error: {message.format(checkpoint)}" in capsys.readouterr().err
 
     def test_sweep_exit_code_names_failed_runs(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)
@@ -735,9 +800,7 @@ class TestCli:
         out = tmp_path / "run"
         assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
         checkpoint = out / "checkpoint.npz"
-        with np.load(checkpoint) as data:
-            arrays = {k: data[k] for k in data.files if k != "ratios"}
-        np.savez(checkpoint, **arrays)
+        rewrite_arrays(checkpoint, {"ratios": None})
         capsys.readouterr()
         assert cli_main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -1,15 +1,18 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from detlab.config import load_config
+from detlab.files import write_arrays
 from detlab.geometry import iou_matrix, label_arrays
 from detlab.seeding import derive_seed
 from detlab.synthdata import (
     DEFAULT_GT_COUNT_WEIGHTS,
     POS_IOU_THRESHOLD,
+    SCENE_ARRAYS,
     FeatureModel,
     RpnQualityModel,
     SceneConfig,
@@ -258,7 +261,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         drawn = generate_dataset(SceneConfig(), 5, 123)
         scenes = scene_table([(s.gt_boxes, s.gt_classes) for s in scenes_of(drawn)] + [([], [])])
-        path = tmp_path / "data.txt"
+        path = tmp_path / "data.npz"
         save_dataset(scenes, path)
         assert_same_scenes(load_dataset(path), scenes)
 
@@ -266,38 +269,52 @@ class TestSerialization:
         drawn = scenes_of(generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 2, 9))
         scenes = scene_table([(drawn[0].gt_boxes, drawn[0].gt_classes), ([], []),
                               (drawn[1].gt_boxes, drawn[1].gt_classes)], ids=[4, 0, 7])
-        path = tmp_path / "data.txt"
+        path = tmp_path / "data.npz"
         save_dataset(scenes, path)
-        assert path.read_text().splitlines()[4] == "scene 0 100.0 100.0 0"
         assert_same_scenes(load_dataset(path), scenes)
 
     @pytest.mark.parametrize("tag, n, sha256", [
-        ("train", 2000, "eae26a11377897f9dbc364c72622ed69be0d6a222f9ec634ba17609806cb4801"),
-        ("eval", 500, "6dd0526d40052f6688a4418d0a998a0313edba5c43e674eaa0f26eca771be7d9"),
-    ])
+        ("train", 2000, "f82bc9c7e557d789276b37b600d47742271541f02a3992f6f649a611351ac9bf"),
+        ("eval", 500, "af51b59111146f29f7b95d0417f45f2810519b09efd411c7a8dc0b9540f015ec"),
+    ], ids=["train-2000", "eval-500"])
     def test_desk_cache_bytes_are_pinned(self, tmp_path, tag, n, sha256):
-        # the dataset_<tag>_*.txt file that `detlab train --config configs/desk.cfg
-        # --seed 7` writes
+        # the dataset_<tag>_*.npz file that `detlab train --config configs/desk.cfg
+        # --seed 7` writes; zip entries carry a fixed timestamp, so the bytes are
+        # those of the arrays alone
         scene_cfg = load_config(DESK_CFG, seed=7).scene
-        path = tmp_path / "data.txt"
-        save_dataset(generate_dataset(scene_cfg, n, 7, tag=tag), path)
+        path = tmp_path / "data.npz"
+        scenes = generate_dataset(scene_cfg, n, 7, tag=tag)
+        save_dataset(scenes, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+        assert_same_scenes(load_dataset(path), scenes)
 
-    def test_short_record_names_line(self, tmp_path):
-        path = tmp_path / "data.txt"
-        save_dataset(generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 2, 9), path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:6]) + "\n")  # second scene loses an instance
-        with pytest.raises(ValueError, match="line 7: file ends"):
+    def test_missing_array_names_file_and_array(self, tmp_path):
+        path = tmp_path / "data.npz"
+        scenes = generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 2, 9)
+        write_arrays(path, {name: getattr(scenes, name) for name in SCENE_ARRAYS
+                            if name != "offsets"})
+        with pytest.raises(ValueError, match=f"array file {re.escape(str(path))} holds no "
+                                             f"array 'offsets'"):
             load_dataset(path)
 
-    def test_malformed_record_names_line(self, tmp_path):
-        path = tmp_path / "data.txt"
-        save_dataset(generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 2, 9), path)
-        lines = path.read_text().splitlines()
-        lines[2] = "inst 1 0.0 0.0"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="line 3: expected"):
+    @pytest.mark.parametrize("name", SCENE_ARRAYS)
+    def test_mismatched_lengths_name_file(self, tmp_path, name):
+        path = tmp_path / "data.npz"
+        scenes = generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 2, 9)
+        arrays = {n: getattr(scenes, n) for n in SCENE_ARRAYS}
+        arrays[name] = arrays[name][:-1]  # one scene or instance short
+        write_arrays(path, arrays)
+        with pytest.raises(ValueError, match=f"corrupt scene cache {re.escape(str(path))}: "
+                                             f"mismatched ground-truth array lengths"):
+            load_dataset(path)
+
+    def test_decreasing_offsets_rejected(self, tmp_path):
+        path = tmp_path / "data.npz"
+        scenes = generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 3, 9)
+        arrays = {n: getattr(scenes, n) for n in SCENE_ARRAYS}
+        arrays["offsets"] = np.array([0, 5, 4, 9])  # scene 1 would hold -1 instances
+        write_arrays(path, arrays)
+        with pytest.raises(ValueError, match="mismatched ground-truth array lengths"):
             load_dataset(path)
 
     def test_dataset_scene_ids_are_indices(self):
