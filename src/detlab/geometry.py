@@ -11,7 +11,9 @@ LOG_SIZE_CLAMP = 4.0
 def valid_boxes(boxes: np.ndarray) -> np.ndarray:
     """(N,) mask of the boxes of an (N, 4) corner array that are finite with
     x1 < x2 and y1 < y2."""
-    return np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > boxes[:, :2]).all(axis=1)
+    x1, y1, x2, y2 = boxes.T  # column by column: a row reduction over 4 is slower
+    return (np.isfinite(x1) & np.isfinite(y1) & np.isfinite(x2) & np.isfinite(y2)
+            & (x2 > x1) & (y2 > y1))
 
 
 def check_boxes(boxes, what: str) -> np.ndarray:

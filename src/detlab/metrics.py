@@ -16,7 +16,7 @@ from .synthdata import SceneTable
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 DEFAULT_BUCKETS = (("1_3", 1, 3), ("8_inf", 8, None))
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
-PAIR_CHUNK = 1 << 14  # pairs whose IoUs nms takes at once: bounds its memory on a block
+PAIR_CHUNK = 1 << 14  # about as many pairs as nms builds and tests at once: bounds its memory
 
 
 class Detections:
@@ -82,14 +82,22 @@ def nms(boxes: np.ndarray, scores: np.ndarray, groups: np.ndarray,
     order = np.lexsort((-np.asarray(scores, dtype=np.float64), groups))  # stable
     boxes = check_boxes(boxes, "detection boxes").take(order, axis=0)
     groups = np.asarray(groups)[order]
-    # every pair (i, j) of sorted rows i < j in one group, j-major
+    # every pair (i, j) of sorted rows i < j in one group, j-major, built and
+    # tested a chunk of rows at a time; a chunk starts at the first row whose
+    # pairs begin at or past a multiple of PAIR_CHUNK, and only its hits are kept
     first = np.searchsorted(groups, groups)
     n_before = np.arange(len(order)) - first
-    j = np.repeat(np.arange(len(order)), n_before)
-    i = np.repeat(first - np.cumsum(n_before) + n_before, n_before) + np.arange(len(j))
-    hit = [iou(*boxes.take([i[s:s + PAIR_CHUNK], j[s:s + PAIR_CHUNK]], axis=0)) >= iou_threshold
-           for s in range(0, len(j), PAIR_CHUNK)]
-    i, j = np.compress(np.concatenate([np.zeros(0, dtype=bool), *hit]), [i, j], axis=1)
+    start = np.cumsum(n_before) - n_before
+    cuts = np.unique(np.append(np.searchsorted(start, np.arange(0, n_before.sum(), PAIR_CHUNK)),
+                               len(order)))
+    hits = [np.zeros((2, 0), dtype=np.int64)]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        n = n_before[a:b]
+        j = np.repeat(np.arange(a, b), n)
+        i = np.repeat(first[a:b] - start[a:b], n) + np.arange(start[a], start[a] + len(j))
+        pairs = np.stack([i, j])
+        hits.append(pairs[:, iou(*boxes.take(pairs, axis=0)) >= iou_threshold])
+    i, j = np.concatenate(hits, axis=1)
     # greedy NMS is the one fixed point of "j is kept iff no kept i < j suppresses it"
     keep, kept = None, np.ones(len(order), dtype=bool)
     while not np.array_equal(keep, kept):
@@ -100,11 +108,15 @@ def nms(boxes: np.ndarray, scores: np.ndarray, groups: np.ndarray,
 
 def _ap(is_tp: np.ndarray, n_gt: int) -> float:
     """101-point interpolated AP from true-positive flags in ranking order."""
-    if n_gt == 0 or len(is_tp) == 0:
+    # recall rises, and the precision envelope can change, only at a true
+    # positive, and every recall point is first reached at one; the envelope
+    # at rank 0 is its value at the first true positive, so both are read there
+    ranks = np.flatnonzero(is_tp)
+    if n_gt == 0 or len(ranks) == 0:
         return 0.0
-    tp = np.cumsum(is_tp)
+    tp = np.arange(1, len(ranks) + 1)
     recall = tp / n_gt
-    precision = tp / np.arange(1, len(tp) + 1)
+    precision = tp / (ranks + 1)
     # precision envelope, then sample at the fixed recall grid
     precision = np.maximum.accumulate(precision[::-1])[::-1]
     idx = np.searchsorted(recall, RECALL_POINTS, side="left")

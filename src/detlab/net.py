@@ -325,9 +325,12 @@ def load_params(path) -> tuple[BackboneParams, HeadParams, np.ndarray]:
     data = read_arrays(path)
     if "ratios" not in data:
         raise ValueError(f"checkpoint {path} records no head ratios; retrain it")
+    num_heads = data["num_heads"]
+    if num_heads.ndim or not np.issubdtype(num_heads.dtype, np.integer):
+        raise ValueError(f"checkpoint {path}: array 'num_heads' is not an integer scalar")
     backbone = BackboneParams(w=data["backbone/w"], b=data["backbone/b"])
     heads = [HeadParams(*[data[f"head{i}/{name}"] for name in HEAD_KEYS])
-             for i in range(int(data["num_heads"]))]
+             for i in range(int(num_heads))]
     if len({tuple(a.shape for a in h.arrays()) for h in heads}) != 1:
         kind = "heads of different shapes" if heads else "no heads"
         raise ValueError(f"checkpoint {path} holds {kind}")

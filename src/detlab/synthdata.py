@@ -329,6 +329,11 @@ def load_dataset(path) -> SceneTable:
     """Inverse of :func:`save_dataset`; every fault raises ValueError naming the file."""
     arrays = read_arrays(path)
     columns = [arrays[name] for name in SCENE_ARRAYS]
+    # SceneTable casts unsafely, so float classes would load truncated, uint64 ids wrapped
+    if bad := [name for name in ("ids", "offsets", "classes")
+               if not np.can_cast(arrays[name].dtype, np.int64)]:
+        raise ValueError(f"corrupt scene cache {path}: array {bad[0]!r} is "
+                         f"{arrays[bad[0]].dtype}, which does not cast safely to int64")
     try:
         return SceneTable(*columns)
     except ValueError as exc:

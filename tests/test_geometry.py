@@ -12,6 +12,7 @@ from detlab.geometry import (
     encode_deltas_array,
     iou_matrix,
     label_arrays,
+    valid_boxes,
 )
 from scene_oracle import scene_table
 
@@ -59,6 +60,21 @@ class TestBox:
                 check_boxes([[0, 0, 1, 1], bad], "detection boxes")
             with pytest.raises(ValueError, match="ground-truth boxes must be finite"):
                 scene_table([([bad], [1])])
+
+    def test_valid_boxes_equals_the_row_reduction(self):
+        def row_reduction(boxes):  # the form valid_boxes had before it worked by column
+            return np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > boxes[:, :2]).all(axis=1)
+
+        rows = [[0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 1], [0, 1, 1, 0]]
+        for col in range(4):
+            for value in (np.inf, -np.inf, np.nan):
+                rows.append([0, 0, 1, 1])
+                rows[-1][col] = value
+        boxes = np.concatenate([np.array(rows, dtype=np.float64),
+                                np.random.default_rng(5).integers(0, 3, size=(200, 4))])
+        np.testing.assert_array_equal(valid_boxes(boxes), row_reduction(boxes))
+        assert valid_boxes(boxes)[:6].tolist() == [True] + [False] * 5
+        assert valid_boxes(np.zeros((0, 4))).shape == (0,)
 
     def test_scene_rejects_background_class_and_length_mismatch(self):
         with pytest.raises(ValueError, match="class ids must be >= 1"):

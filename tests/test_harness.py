@@ -648,6 +648,14 @@ class TestCli:
         err = self.rerun_fails(tmp_path, out, capsys)
         assert f"corrupt scene cache {cache}: scene {scene_id}: {message}" in err
 
+    def test_float_cache_classes_named(self, tmp_path, capsys):
+        out, cache = self.cached(tmp_path, "train")
+        with np.load(cache) as data:
+            rewrite_arrays(cache, {"classes": data["classes"] + 0.7})
+        err = self.rerun_fails(tmp_path, out, capsys)
+        assert (f"error: corrupt scene cache {cache}: array 'classes' is float64, which does "
+                f"not cast safely to int64") in err
+
     def test_object_array_cache_is_refused_unpickled(self, tmp_path, capsys):
         out, cache = self.cached(tmp_path, "eval")
         marker = tmp_path / "unpickled"
@@ -668,7 +676,12 @@ class TestCli:
          "array file {} holds no array 'backbone/w'"),
         (lambda path: rewrite_arrays(path, {"ratios": np.array([{}], dtype=object)}),
          "unreadable array file {}: Object arrays cannot be loaded"),
-    ], ids=["truncated", "empty", "text", "missing-array", "object-array"])
+        (lambda path: rewrite_arrays(path, {"num_heads": np.array([1, 1])}),
+         "checkpoint {}: array 'num_heads' is not an integer scalar"),
+        (lambda path: rewrite_arrays(path, {"num_heads": np.array(1.0)}),
+         "checkpoint {}: array 'num_heads' is not an integer scalar"),
+    ], ids=["truncated", "empty", "text", "missing-array", "object-array", "num-heads-vector",
+            "num-heads-float"])
     def test_eval_names_damaged_checkpoint(self, tmp_path, capsys, spoil, message):
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "run"

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detlab import metrics
 from detlab.config import parse_config
 from detlab.harness import _block_detections
 from detlab.metrics import (
@@ -15,6 +17,7 @@ from detlab.metrics import (
     APResult,
     Detections,
     MetricsLog,
+    _ap,
     compute_ap,
     nms,
     proposal_accuracy,
@@ -190,6 +193,40 @@ class TestNms:
                        detections.scenes * 4 + detections.classes, thr)
             expected = ap_oracle.nms(oracle_rows(detections), thr)
             assert as_tuples(take(detections, kept)) == as_tuples(expected), trial
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_any_pair_chunk_keeps_the_same_rows(self, monkeypatch, chunk):
+        # chunks that cut groups apart, and a group of 12 rows whose last row
+        # alone has 11 pairs, more than any of these chunks
+        rng = np.random.default_rng(8)
+        cases = [dets(),
+                 dets(*[(s, Box(0, 0, 5, 5), 1 + s % 4, 0.5) for s in range(6)]),  # one-row groups
+                 dets(*[(0, Box(k, 0, k + 10, 10), 2, 1 - k / 16) for k in range(12)])]
+        cases += [random_case(rng, n_scenes=3)[1] for _ in range(40)]
+        default = [nms(d.boxes, d.scores, d.scenes * 5 + d.classes, 0.5) for d in cases]
+        monkeypatch.setattr(metrics, "PAIR_CHUNK", chunk)
+        for d, expected in zip(cases, default):
+            kept = nms(d.boxes, d.scores, d.scenes * 5 + d.classes, 0.5)
+            assert kept.tolist() == expected.tolist()
+            assert as_tuples(take(d, kept)) == as_tuples(ap_oracle.nms(oracle_rows(d), 0.5))
+
+    def test_peak_memory_is_bounded_by_the_chunk(self):
+        # 1,000 disjoint boxes in one group have 499,500 pairs, ~30 PAIR_CHUNKs:
+        # built at once, their two int64 indices alone would take 8 MB, about
+        # twice the bound
+        n = 1000
+        xy = np.stack(np.divmod(np.arange(n), 50), axis=1) * 2.0
+        args = np.concatenate([xy, xy + 1.0], axis=1), np.linspace(1, 0, n), np.zeros(n, int), 0.5
+        assert n * (n - 1) // 2 > 3 * PAIR_CHUNK
+        nms(*args)  # allocations made once per process are not the bound's
+        tracemalloc.start()
+        try:
+            kept = nms(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept.tolist() == list(range(n))
+        assert peak < 256 * PAIR_CHUNK
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
@@ -370,6 +407,20 @@ class TestMatchesOracle:
             kept = nms(detections.boxes, detections.scores, detections.classes, 0.5)
             expected = ap_oracle.nms(oracle_rows(detections), 0.5)
             assert as_tuples(take(detections, kept)) == as_tuples(expected)
+
+    def test_ap_equals_the_oracle_on_flag_vectors(self):
+        rng = np.random.default_rng(12)
+        cases = [(np.zeros(0, bool), 3), (np.zeros(7, bool), 3), (np.ones(7, bool), 7),
+                 (np.ones(5, bool), 0), (rng.random(9) < 0.5, 0), (np.ones(4, bool), 9)]
+        # ground-truth counts whose recalls k / n_gt land on the 101-point grid
+        for n_gt in (1, 2, 4, 5, 10, 20, 25, 50, 100):
+            for _ in range(20):
+                flags = np.zeros(int(rng.integers(0, 3 * n_gt + 4)), bool)
+                flags[:int(rng.integers(0, min(n_gt, len(flags)) + 1))] = True  # n_gt >= TPs
+                cases.append((rng.permutation(flags), n_gt))
+        for flags, n_gt in cases:
+            scored = [(-float(k), k, bool(f)) for k, f in enumerate(flags)]  # already ranked
+            assert repr(_ap(flags, n_gt)) == repr(ap_oracle._ap_from_matches(scored, n_gt))
 
     def test_compute_ap_is_equal_in_every_field(self):
         most = 0  # ground truths of one (scene, class)

@@ -308,6 +308,23 @@ class TestSerialization:
                                              f"mismatched ground-truth array lengths"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("name, dtype", [
+        ("ids", "float64"), ("offsets", "float64"), ("classes", "float64"), ("ids", "uint64"),
+    ])
+    def test_unsafe_integer_cast_names_file_and_array(self, tmp_path, name, dtype):
+        # a cast would load them changed: classes 1.7 as 1, an id 2**63 as -2**63
+        path = tmp_path / "data.npz"
+        scenes = generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 2, 9)
+        arrays = {n: getattr(scenes, n) for n in SCENE_ARRAYS}
+        arrays[name] = arrays[name].astype(dtype) + (0.7 if name == "classes" else 0)
+        if dtype == "uint64":
+            arrays[name][-1] = 2**63
+        write_arrays(path, arrays)
+        with pytest.raises(ValueError, match=f"corrupt scene cache {re.escape(str(path))}: "
+                                             f"array '{name}' is {dtype}, which does not cast "
+                                             f"safely to int64"):
+            load_dataset(path)
+
     def test_decreasing_offsets_rejected(self, tmp_path):
         path = tmp_path / "data.npz"
         scenes = generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 3, 9)
