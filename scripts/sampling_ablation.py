@@ -3,9 +3,9 @@
 Trains one single-head model per (sampling mode, ratio, seed) cell through
 `detlab.harness.sweep` and writes a median-AP table, sampling_ablation.csv,
 mirroring the hard-versus-soft comparison. Like `detlab sweep`, it exits 1
-with `config error:` before any work on a bad config or an unreadable
-`--ratios` or `--seeds` item, and exits 2 after writing both tables if any run
-failed, naming the failed cells and seeds on stderr.
+with `config error:` before any work on a bad config, an unreadable
+`--ratios` or `--seeds` item or a repeated seed, and exits 2 after writing
+both tables if any run failed, naming the failed cells and seeds on stderr.
 
 Usage:
     python scripts/sampling_ablation.py --config configs/desk.cfg \
@@ -36,14 +36,14 @@ def main(argv=None):
         seeds = [s for item in args.seeds for s in parse_list("--seeds", item, int)]
         if not (ratios and seeds):
             raise ConfigError("--ratios and --seeds need at least one item each")
+        names = {f"{p}:{n}": (p, n) for p, n in ratios}
+        cells = {f"{mode}_{name}": dict(ratios=(ratio,), sampling_mode=mode)
+                 for name, ratio in names.items() for mode in ("hard", "soft")}
+        sweep_rows = sweep(base, cells, seeds, args.out)  # a repeated seed is a ConfigError
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    names = {f"{p}:{n}": (p, n) for p, n in ratios}
-    cells = {f"{mode}_{name}": dict(ratios=(ratio,), sampling_mode=mode)
-             for name, ratio in names.items() for mode in ("hard", "soft")}
-    sweep_rows = sweep(base, cells, seeds, args.out)
     medians = {row["value"]: row["ap_mean"] for row in sweep_rows}
     rows = [{"ratio": name, "hard": medians[f"hard_{name}"],
              "soft": medians[f"soft_{name}"]} for name in names]

@@ -127,7 +127,10 @@ def _weights(value: str) -> dict[int, float]:
     out = {}
     for part in value.split(","):
         count, _, weight = part.partition(":")
-        out[int(count.strip())] = float(weight.strip())
+        n = int(count)
+        if n in out:
+            raise ValueError(f"count {n} is given twice")
+        out[n] = float(weight.strip())
     return out
 
 

@@ -275,7 +275,7 @@ def train_block(model: PrmModel, block: ProposalSet, steps: Sequence[int],
         for i, t in enumerate(steps):
             prm_train_step(model, block, inputs, t, config, schedule, arrays, i)
     with _timed(stages, "statistics"):
-        return summarize_block(arrays, steps)
+        return summarize_block(inputs, arrays, steps)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -348,11 +348,16 @@ def sweep(cfg: ExperimentConfig, cells: dict[str, dict], seeds: Sequence[int],
     overrides; per cell, medians of the AP metrics over the seeds that ran.
 
     A failing run is recorded with its error and skipped; the rest still run.
+    A repeated seed raises ConfigError before any run: it would run into the
+    same directory and count twice in the medians.
     """
     if not cells:
         raise ValueError("sweep needs at least one cell")
     if not seeds:
         raise ValueError("sweep needs at least one seed")
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise ConfigError(f"repeated sweep seeds {repeated}: each seed runs once per cell")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

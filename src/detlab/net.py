@@ -53,11 +53,6 @@ class Gradients:
     heads: HeadParams
     flat: np.ndarray
 
-    def at(self, i: int) -> "Gradients":
-        """Index i of the leading axis of every array, of a stack of gradients."""
-        return Gradients(BackboneParams(*(a[i] for a in self.backbone.arrays())),
-                         HeadParams(*(a[i] for a in self.heads.arrays())), self.flat[i])
-
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -117,27 +117,22 @@ def block_inputs(block: ProposalSet, batches: tuple[np.ndarray, np.ndarray, list
 
 @dataclass
 class BlockArrays:
-    """The raw arrays of a block of training steps, step i at index i."""
+    """What the training steps of a block write, step i at index i; the
+    gradient vectors are the current step's, reused by every step."""
     grad_w: np.ndarray  # (S, H, D, hidden) each head's backbone-gradient contribution
     grad_b: np.ndarray  # (S, H, hidden)
-    grads: Gradients  # (S, ·) the summed backbone and the head gradients, before annealing
-    logits: np.ndarray  # (S, B, C+1) head 0's batch logits
-    targets: np.ndarray  # (S, B) head 0's batch labels, -1 past its batch
-    mults: np.ndarray  # (S, B) head 0's batch multiplicities, 0 past its batch
+    logits: np.ndarray  # (S, W, C+1) head 0's batch logits, 0 past its batch
     fg_means: np.ndarray  # (S, H) each head's mean max foreground probability over the pool
-    lam: np.ndarray  # (S,) the annealing factor
-    scaled: Gradients  # the current step's annealed gradients
+    grads: Gradients  # the summed backbone and the head gradients, before annealing
+    scaled: Gradients  # the annealed gradients
 
     @classmethod
     def empty(cls, model: PrmModel, inputs: BlockInputs):
-        (n, heads, _), (d, hidden) = inputs.rows.shape, model.backbone.w.shape
-        grads, scaled = np.empty((n, model.params.size)), np.empty(model.params.size)
-        head0 = inputs.mults[:, 0]
+        (n, heads, width), (d, hidden) = inputs.rows.shape, model.backbone.w.shape
+        grads, scaled = np.empty(model.params.size), np.empty(model.params.size)
         return cls(np.empty((n, heads, d, hidden)), np.empty((n, heads, hidden)),
+                   np.zeros((n, width) + model.heads.w_cls.shape[-1:]), np.empty((n, heads)),
                    Gradients(*net.views(grads, model.backbone, model.heads), grads),
-                   np.zeros(head0.shape + model.heads.w_cls.shape[-1:]),
-                   np.where(head0 > 0, inputs.targets[:, 0], -1), head0,
-                   np.empty((n, heads)), np.array(inputs.lam),
                    Gradients(*net.views(scaled, model.backbone, model.heads), scaled))
 
 
@@ -174,7 +169,7 @@ def prm_train_step(model: PrmModel, block: ProposalSet, inputs: BlockInputs, t: 
         a.reshape(-1, a.shape[-1]).take(at, axis=0) for a in (cache.shared, logits, deltas, probs))
     batch = net.ForwardCache(model.heads, inputs.features[i, :, :width],
                              cache.hidden.take(rows, axis=0), shared, batch_logits, batch_deltas)
-    grads = out.grads.at(i)
+    grads = out.grads
     net.backward(batch, inputs.reg_targets[i, :, :width], batch_probs,
                  net.LossWeights(*(a[i, :, :width] for a in inputs.weights)),
                  (BackboneParams(out.grad_w[i], out.grad_b[i]), grads.heads))
@@ -193,17 +188,20 @@ def _norms(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(w * w, axis=(-2, -1)) + np.sum(b * b, axis=-1))
 
 
-def summarize_block(arrays: BlockArrays, steps: Sequence[int]
+def summarize_block(inputs: BlockInputs, arrays: BlockArrays, steps: Sequence[int]
                     ) -> tuple[dict[str, list], dict[str, list]]:
     """The block's metrics.csv and gradnorm.csv columns, {header: values per
-    step} in CSV order, from its raw arrays, each statistic computed for the
-    whole block at once.
+    step} in CSV order, from its inputs and raw arrays, each statistic
+    computed for the whole block at once.
 
     Raises FloatingPointError naming the first step whose summed backbone
     gradient norm or a mean foreground score is not finite.
     """
     a = arrays
-    head_norms, norm_sum = _norms(a.grad_w, a.grad_b), _norms(*a.grads.backbone.arrays())
+    # each step's summed backbone gradient, added over the heads in the order,
+    # so to the bits, of the sum its SGD step took
+    head_norms = _norms(a.grad_w, a.grad_b)
+    norm_sum = _norms(np.add.reduce(a.grad_w, axis=1), np.add.reduce(a.grad_b, axis=1))
     finite = np.isfinite(norm_sum) & np.isfinite(a.fg_means).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -221,13 +219,15 @@ def summarize_block(arrays: BlockArrays, steps: Sequence[int]
         valid = (n1 > 0) & (n2 > 0)
         cosine = np.divide(dot, n1 * n2, out=np.zeros_like(dot), where=valid)
         cosines = np.where(valid, cosine, None).tolist()
-    pos_acc, neg_acc = proposal_accuracy(a.logits, a.targets)
+    mults = inputs.mults[:, 0]  # head 0's batches, multiplicity 0 past each
+    targets = np.where(mults > 0, inputs.targets[:, 0], -1)
+    pos_acc, neg_acc = proposal_accuracy(a.logits, targets)
     # a batch holds each pool row at most once, with its multiplicity
-    positive = a.targets > 0
-    unique, effective = positive.sum(axis=1), (a.mults * positive).sum(axis=1).astype(np.int64)
+    positive = targets > 0
+    unique, effective = positive.sum(axis=1), (mults * positive).sum(axis=1).astype(np.int64)
     metrics = {"step": list(steps), "pos_count_unique": unique.tolist(),
                "pos_count_effective": effective.tolist(), "pos_acc": pos_acc,
-               "neg_acc": neg_acc, "lambda": a.lam.tolist()}
+               "neg_acc": neg_acc, "lambda": np.array(inputs.lam).tolist()}
     metrics.update((f"fg_score_h{i + 1}", v) for i, v in enumerate(a.fg_means.T.tolist()))
     gradnorm = {"step": list(steps)}
     gradnorm.update((f"norm_h{i + 1}", v) for i, v in enumerate(head_norms.T.tolist()))

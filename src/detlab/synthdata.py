@@ -36,6 +36,9 @@ class SceneConfig:
     box_size_range: tuple[float, float] = (8.0, 30.0)
 
     def __post_init__(self):
+        # ascending count, so equal weights give one repr, config hash and cache name
+        weights = dict(sorted(self.gt_count_weights.items()))
+        object.__setattr__(self, "gt_count_weights", weights)
         if self.num_classes < 1:
             raise ValueError("need at least one foreground class")
         if not all(0.0 <= w < np.inf for w in self.gt_count_weights.values()):

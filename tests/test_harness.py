@@ -162,6 +162,20 @@ class TestParseConfig:
         assert a.config_hash() != c.config_hash()
         assert a.config_hash() != d.config_hash()
 
+    def test_gt_count_weight_order_keeps_hash_and_cache(self, tmp_path):
+        texts = ("2:0.5, 1:0.5", "1:0.5, 2:0.5")
+        a, b = (parse_config(f"[scene]\ngt_count_weights = {t}\n", seed=1) for t in texts)
+        assert list(a.scene.gt_count_weights) == list(b.scene.gt_count_weights) == [1, 2]
+        assert a.config_hash() == b.config_hash()
+        caches = []
+        for i, text in enumerate(texts):
+            cfg_path = tmp_path / f"{i}.cfg"
+            cfg_path.write_text(TINY + f"[scene]\ngt_count_weights = {text}\n")
+            assert cli_main(["gen-data", "--config", str(cfg_path),
+                             "--out", str(tmp_path / str(i))]) == 0
+            caches.append(sorted(p.name for p in (tmp_path / str(i)).glob("dataset_*.npz")))
+        assert caches[0] == caches[1] and len(caches[0]) == 2
+
     @pytest.mark.parametrize("section,key", [(s, k) for s, keys in SCHEMA.items() for k in keys])
     def test_every_key_reaches_its_field(self, section, key):
         text, target, value = KEY_CASES[section, key]
@@ -448,6 +462,8 @@ class TestCli:
          "gt_count_weights must be finite and >= 0"),
         (TINY + "[scene]\ngt_count_weights = 1: -0.5, 2: 1.5\n",
          "gt_count_weights must be finite and >= 0"),
+        (TINY + "[scene]\ngt_count_weights = 1:0.3, 2:0.7, 1:0.3\n",
+         "line 19: bad value for 'gt_count_weights': count 1 is given twice"),
         (TINY + "[scene]\nextent_w = nan\n", "scene extent_w and extent_h must be finite and > 0"),
         (TINY + "[scene]\nextent_h = inf\n", "scene extent_w and extent_h must be finite and > 0"),
         (TINY + "[rpn]\njitter_start = inf\n", "jitter_start must be finite, got inf"),
@@ -458,7 +474,8 @@ class TestCli:
             "cls_weight-nan", "cls_weight-inf", "reg_weight-negative", "nms_threshold-0", "nms_threshold-1",
             "noise_sigma", "noise_dims", "hidden", "max_detections", "score_floor-nan",
             "score_floor-1", "score_floor-negative", "batch_size", "batch_size-gt-counts",
-            "gt_count_weights-nan", "gt_count_weights-negative", "extent-nan", "extent-inf",
+            "gt_count_weights-nan", "gt_count_weights-negative", "gt_count_weights-repeated",
+            "extent-nan", "extent-inf",
             "jitter_start-inf"])
     def test_invalid_value_exits_1_before_any_work(self, tmp_path, capsys, doc, message):
         bad = tmp_path / "bad.cfg"
@@ -714,7 +731,9 @@ class TestCli:
         (["--axis", "lambda0", "--values", "2", "--seeds", "x"],
          "bad --seeds 'x': invalid literal for int() with base 10: 'x'"),
         (["--axis", "mode", "--values", "foo", "--seeds", "3"], "unknown modes ['foo']"),
-    ], ids=["lambda0", "ratio-pair", "seeds", "mode"])
+        (["--axis", "lambda0", "--values", "2", "--seeds", "1,1,2"],
+         "repeated sweep seeds [1]: each seed runs once per cell"),
+    ], ids=["lambda0", "ratio-pair", "seeds", "mode", "seeds-repeated"])
     def test_sweep_flag_typo_exits_1_before_any_work(self, tmp_path, capsys, flags, message):
         out = tmp_path / "sweep"
         assert cli_main(["sweep", "--config", str(self.write_cfg(tmp_path)),
@@ -744,7 +763,8 @@ class TestCli:
     @pytest.mark.parametrize("flags,message", [
         (["--ratios", "1:1", "1:x"], "bad --ratios '1:x': ratio must match 'P:N', got '1:x'"),
         (["--seeds", "3", "x"], "bad --seeds 'x': invalid literal for int() with base 10: 'x'"),
-    ], ids=["ratios", "seeds"])
+        (["--seeds", "11", "11"], "repeated sweep seeds [11]: each seed runs once per cell"),
+    ], ids=["ratios", "seeds", "seeds-repeated"])
     def test_sampling_ablation_typo_exits_1_before_any_work(self, tmp_path, capsys, flags,
                                                              message):
         out = tmp_path / "ablation"

@@ -4,10 +4,11 @@ import pytest
 import detlab.prm as prm_mod
 from detlab import net
 from detlab.geometry import decode_deltas_array
-from detlab.net import BackboneParams, Gradients, HeadParams, TrainConfig, softmax
+from detlab.net import BackboneParams, HeadParams, TrainConfig, softmax
 from detlab.harness import POOL_BLOCK, train_block
 from detlab.prm import (
     BlockArrays,
+    BlockInputs,
     PrmModel,
     draw_batches,
     ensemble_scores,
@@ -23,7 +24,6 @@ from detlab.synthdata import (ProposalSet, RpnQualityModel, SceneConfig, generat
                                generate_scenes)
 
 import train_step_oracle
-from step_forms import unwritten_like
 
 C = 3
 FEATURE_DIM = C + 8
@@ -264,44 +264,49 @@ class TestDrawBatches:
 
 
 def block_arrays(steps=4, heads=2, width=6, seed=0):
-    """Random raw arrays of a block with every statistic defined."""
+    """Random inputs and raw arrays of a block with every statistic defined."""
     rng = np.random.default_rng(seed)
-    grad_w, grad_b = rng.normal(size=(steps, heads, 3, 2)), rng.normal(size=(steps, heads, 2))
-    targets = rng.integers(0, C + 1, size=(steps, width))
-    targets[:, :2] = [1, 0]  # a positive and a background in every batch
     model = init_model(3, 2, C, [policy()] * heads, seed)
-    flat = np.zeros((steps, model.params.size))  # the head gradients are not summarized
-    sums = Gradients(*net.views(flat, model.backbone, model.heads), flat)
-    sums.backbone.w[:], sums.backbone.b[:] = grad_w.sum(axis=1), grad_b.sum(axis=1)
-    return BlockArrays(grad_w, grad_b, sums, rng.normal(size=(steps, width, C + 1)), targets,
-                       np.ones((steps, width)), rng.uniform(size=(steps, heads)), np.ones(steps),
-                       unwritten_like(sums.at(0)))
+    targets = rng.integers(0, C + 1, size=(steps, heads, width))
+    targets[..., :2] = [1, 0]  # a positive and a background in every batch
+    rows, mults = np.zeros(targets.shape, dtype=np.int64), np.ones(targets.shape)
+    inputs = BlockInputs([width] * steps, rows, rows, targets, mults,
+                         rng.normal(size=(steps, heads, width, 3)),
+                         np.zeros((steps, heads, width, 4)),
+                         net.loss_weights(targets, targets > 0, mults, C + 1, 1.0, 1.0),
+                         [0.02] * steps, [1.0] * steps)
+    arrays = BlockArrays.empty(model, inputs)
+    arrays.grad_w[:], arrays.grad_b[:] = rng.normal(size=arrays.grad_w.shape), rng.normal(
+        size=arrays.grad_b.shape)
+    arrays.logits[:], arrays.fg_means[:] = rng.normal(size=arrays.logits.shape), rng.uniform(
+        size=arrays.fg_means.shape)
+    return inputs, arrays
 
 
 class TestSummarizeBlock:
     def test_head_without_positives_has_no_positive_accuracy(self):
-        arrays = block_arrays()
-        arrays.targets[2] = np.where(arrays.targets[2] > 0, 0, arrays.targets[2])
-        metrics, _ = summarize_block(arrays, range(10, 14))
+        inputs, arrays = block_arrays()
+        inputs.targets[2, 0] = np.where(inputs.targets[2, 0] > 0, 0, inputs.targets[2, 0])
+        metrics, _ = summarize_block(inputs, arrays, range(10, 14))
         assert [v is None for v in metrics["pos_acc"]] == [False, False, True, False]
         assert metrics["neg_acc"][2] is not None
 
     def test_zero_backbone_contribution_has_no_cosine(self):
         # pyproject turns warnings into errors, so a 0/0 would fail here
-        arrays = block_arrays()
+        inputs, arrays = block_arrays()
         arrays.grad_w[1, 1] = arrays.grad_b[1, 1] = 0.0
-        _, norms = summarize_block(arrays, range(10, 14))
+        _, norms = summarize_block(inputs, arrays, range(10, 14))
         assert [v is None for v in norms["cosine"]] == [False, True, False, False]
         assert norms["norm_h2"][1] == 0.0
 
     def test_non_finite_names_the_first_bad_step(self):
-        arrays = block_arrays()
+        inputs, arrays = block_arrays()
         arrays.fg_means[2, 1] = np.nan
-        arrays.grads.backbone.w[3, 0, 0] = np.inf
+        arrays.grad_w[3, 0, 0, 0] = np.inf
         with pytest.raises(FloatingPointError,
                            match=r"non-finite at step 12: backbone gradient norm [\d.]+, "
                                  r"mean foreground scores \([\d.]+, nan\)"):
-            summarize_block(arrays, range(10, 14))
+            summarize_block(inputs, arrays, range(10, 14))
 
 
 def copy_model(model):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detlab.sampler import SamplingPolicy, sample
+
+import sampler_oracle
 
 
 def pool(n_pos, n_neg):
@@ -131,3 +133,66 @@ class TestProperties:
         ].min() <= batch.multiplicities.max()  # all >= 1
         pos_mults = batch.multiplicities[: batch.pos_count_unique]
         assert pos_mults.max() - pos_mults.min() <= 1
+
+    @given(st.sampled_from([8, 16, 64]), st.sampled_from([(1, 1), (1, 3), (1, 9)]),
+           st.data(), st.integers(0, 1_000_000))
+    @settings(max_examples=80)
+    def test_hard_scarce_positives_take_the_rest_as_negatives(self, b, ratio, data, seed):
+        assume(b >= sum(ratio))
+        policy = SamplingPolicy("hard", ratio, b)
+        target = policy.pos_target
+        assume(target >= 2)  # a target of 1 has no scarce count
+        n_pos = data.draw(st.integers(1, target - 1))
+        n_neg = data.draw(st.integers(b - n_pos, b + 8))
+        batch = sample(pool(n_pos, n_neg), policy, seed)
+        negatives = batch.indices[batch.pos_count_unique:]
+        assert len(negatives) == len(np.unique(negatives)) == b - target
+        assert (batch.multiplicities[batch.pos_count_unique:] == 1).all()
+        pos_mults = batch.multiplicities[:batch.pos_count_unique]
+        assert pos_mults.sum() == batch.pos_count_effective == target
+        assert pos_mults.max() - pos_mults.min() <= 1
+
+
+class TestSoftTopUp:
+    def test_short_of_negatives_tops_up_with_positives(self):
+        batch = sample(pool(100, 10), SamplingPolicy("soft", (1, 3), 64), 0)
+        positives = batch.indices[:batch.pos_count_unique]
+        assert (batch.pos_count_unique, batch.pos_count_effective) == (54, 54)
+        assert len(np.unique(positives)) == 54 and (positives < 100).all()
+        assert sorted(batch.indices[54:].tolist()) == list(range(100, 110))
+        assert (batch.multiplicities == 1).all()
+        assert len(np.unique(batch.indices)) == len(batch.indices) == 64
+
+
+def oracle_grid(mode):
+    """Every valid policy of batch size 8, 16 or 64 at 1:1, 1:3 or 1:9, on
+    shuffled multi-class pools of 0..b+2 positives and negatives that can
+    fill a batch, each with its own seed."""
+    rng = np.random.default_rng(20)
+    for b in (8, 16, 64):
+        for ratio in ((1, 1), (1, 3), (1, 9)):
+            if b < sum(ratio):
+                continue
+            policy = SamplingPolicy(mode, ratio, b)
+            for n_pos in range(b + 3):
+                for n_neg in range(max(0, b - n_pos), b + 3):
+                    labels = np.concatenate([rng.integers(1, 4, n_pos), np.zeros(n_neg, np.int64)])
+                    yield policy, rng.permutation(labels), int(rng.integers(2**32))
+
+
+class TestMatchesOracle:
+    """The one draw path against the soft and hard paths it replaced, draw
+    for draw: the same bytes and dtypes, and counts that are Python ints."""
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_every_grid_draw_equals_the_oracle(self, mode):
+        draws = 0
+        for policy, classes, seed in oracle_grid(mode):
+            got, want = sample(classes, policy, seed), sampler_oracle.sample(classes, policy, seed)
+            for a, b in ((got.indices, want.indices), (got.multiplicities, want.multiplicities)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (policy, classes, seed)
+            for a, b in ((got.pos_count_unique, want.pos_count_unique),
+                         (got.pos_count_effective, want.pos_count_effective)):
+                assert type(a) is int and type(b) is int and a == b, (policy, classes, seed)
+            draws += 1
+        assert draws > 8000
