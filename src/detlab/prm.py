@@ -21,7 +21,7 @@ from .metrics import proposal_accuracy
 from .net import BackboneParams, Gradients, HeadParams, TrainConfig
 from .rga import AnnealSchedule, anneal_factor, apply_rga
 from .sampler import SamplingPolicy, sample
-from .seeding import derive_seed
+from .seeding import derive_seed, generators
 from .synthdata import ProposalSet
 
 
@@ -67,9 +67,9 @@ def draw_batches(block: ProposalSet, policies: Sequence[SamplingPolicy],
     rows past each batch up to the block's longest, and each step's width,
     its longest batch (hard sampling draws shorter ones). A batch depends on
     its pool's labels, policy, seed, step and head, never on the model."""
-    drawn = [[sample(block.classes[lo:hi], policy, batch_seed(base_seed, t, i))
-              for i, policy in enumerate(policies)]
-             for lo, hi, t in zip(block.offsets[:-1], block.offsets[1:], steps, strict=True)]
+    rngs = generators([batch_seed(base_seed, t, i) for t in steps for i in range(len(policies))])
+    drawn = [[sample(block.classes[lo:hi], policy, rng) for policy, rng in zip(policies, rngs)]
+             for lo, hi, _ in zip(block.offsets[:-1], block.offsets[1:], steps, strict=True)]
     lengths = np.array([[len(b.indices) for b in batches] for batches in drawn])
     filled = np.arange(lengths.max()) < lengths[..., None]  # (S, H, W), in batch order
     rows, mults = np.zeros(filled.shape, dtype=np.int64), np.zeros(filled.shape)

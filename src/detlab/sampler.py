@@ -58,8 +58,8 @@ def _pick(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
     return rng.choice(pool, size=k, replace=False)
 
 
-def sample(classes: np.ndarray, policy: SamplingPolicy, rng_seed: int) -> SampledBatch:
-    """Draws a batch from a pool given by its class array (0 = background).
+def sample(classes: np.ndarray, policy: SamplingPolicy, rng: np.random.Generator) -> SampledBatch:
+    """Draws a batch with `rng` from a pool given by its class array (0 = background).
 
     A hard policy repeats scarce positives so their effective count hits the
     target exactly. Copies are spread as evenly as possible (multiplicities
@@ -72,7 +72,6 @@ def sample(classes: np.ndarray, policy: SamplingPolicy, rng_seed: int) -> Sample
     if len(classes) < b:
         raise ValueError(f"pool of {len(classes)} proposals cannot fill a batch of {b}")
     pos, neg = np.flatnonzero(classes > 0), np.flatnonzero(classes == 0)
-    rng = np.random.default_rng(rng_seed)
     if policy.mode == "hard" and 0 < len(pos) < target:
         take_pos, effective = pos, target
     else:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .files import read_arrays, write_arrays
 from .geometry import iou, iou_matrix, label_arrays, valid_boxes  # iou_matrix: perfbench patches it here
-from .seeding import derive_seed
+from .seeding import derive_seed, generators
 
 POS_IOU_THRESHOLD = 0.5
 
@@ -172,24 +172,22 @@ class ProposalSet:
 
 
 def generate_scenes(config: SceneConfig, rng_seeds: Sequence[int]) -> SceneTable:
-    """Scene i, with id i, drawn from its own `default_rng(rng_seeds[i])`: an
-    instance count from the configured mixture, then per instance four
-    uniforms (width, height, x1, y1) and a class."""
+    """Scene i, with id i, drawn from its own `default_rng(rng_seeds[i])`
+    (`seeding.generators`): an instance count from the configured mixture,
+    then per instance four uniforms (width, height, x1, y1) and a class."""
     counts = sorted(config.gt_count_weights)
     weights = np.array([config.gt_count_weights[c] for c in counts])
     cdf = (weights / weights.sum()).cumsum()  # as Generator.choice builds it
     cdf /= cdf[-1]
     n_inst, uniforms, classes = [], [], []
-    for seed in rng_seeds:
-        rng = np.random.default_rng(seed)
+    for rng in generators(rng_seeds):
         n_inst.append(counts[cdf.searchsorted(rng.random(), side="right")])
         for _ in range(n_inst[-1]):
             uniforms.append(rng.random(4))
             classes.append(rng.integers(1, config.num_classes + 1))
     u = np.reshape(uniforms, (-1, 4))
     (lo, hi), extent = config.box_size_range, np.array(config.extent)
-    # width and height, then x1 and y1, each by Generator.uniform's own
-    # low + (high - low) * u, so that the bits match
+    # each of the four by Generator.uniform's own low + (high - low) * u, to the bit
     size = lo + (np.minimum(hi, extent) - lo) * u[:, :2]
     corner = (extent - size) * u[:, 2:]
     return SceneTable(np.arange(len(n_inst)), np.tile(extent, (len(n_inst), 1)),
@@ -254,7 +252,7 @@ def generate_proposals(
     labeled and featurized.
 
     Each pool draws from its own `default_rng(seed)` exactly as a pool built
-    alone would: the jitter, four background uniforms, then the feature noise.
+    alone would: the jitter, 4 * bg_per_scene background uniforms, then noise.
     The geometry then runs once over the block's rows.
     """
     if not len(scenes) == len(qualities) == len(rng_seeds) > 0:
@@ -265,27 +263,22 @@ def generate_proposals(
     fg_counts = gt_counts * model.fg_per_gt
     sizes = fg_counts + n_bg
     sigmas, normals, uniforms, noise = [], [], [], []
-    for (w_ext, h_ext), q, seed, n_fg in zip(scenes.extents.tolist(), qualities, rng_seeds,
-                                             fg_counts.tolist()):
+    for q, rng, n_fg in zip(qualities, generators(rng_seeds), fg_counts.tolist()):
         if not 0.0 <= q <= 1.0:
             raise ValueError("quality must lie in [0, 1]")
-        rng = np.random.default_rng(seed)
         sigmas.append(model.sigma(q))
         normals.append(rng.normal(0.0, 1.0, size=(n_fg, 4)) if n_fg else np.zeros((0, 4)))
-        uniforms.append((rng.uniform(lo, min(hi, w_ext), size=n_bg),
-                         rng.uniform(lo, min(hi, h_ext), size=n_bg),
-                         rng.uniform(0.0, 1.0, size=n_bg),
-                         rng.uniform(0.0, 1.0, size=n_bg)))
+        uniforms.append(rng.random(4 * n_bg))
         noise.append(feat.noise(rng, n_fg + n_bg, num_classes))
 
     gt_boxes, gt_classes = scenes.boxes, scenes.classes
     fg = _jitter_boxes(gt_boxes, model.fg_per_gt, np.repeat(sigmas, gt_counts),
                        np.concatenate(normals))
-    bw, bh, ux, uy = map(np.concatenate, zip(*uniforms))
-    extents = np.repeat(scenes.extents, n_bg, axis=0)
-    bx = ux * (extents[:, 0] - bw)
-    by = uy * (extents[:, 1] - bh)
-    bg = np.stack([bx, by, bx + bw, by + bh], axis=1)
+    u, extents = np.reshape(uniforms, (len(scenes), 4, n_bg)), scenes.extents[:, :, None]
+    # width and height by Generator.uniform's own low + (high - low) * u, to the bit
+    size = lo + (np.minimum(hi, extents) - lo) * u[:, :2]
+    corner = u[:, 2:] * (extents - size)
+    bg = np.concatenate([corner, corner + size], axis=1).transpose(0, 2, 1).reshape(-1, 4)
     fg_starts = np.cumsum([0, *fg_counts]).tolist()
     boxes = np.concatenate([part for i in range(len(scenes)) for part in (  # pool by pool,
         fg[fg_starts[i]:fg_starts[i + 1]], bg[i * n_bg:(i + 1) * n_bg])])  # fg then bg
@@ -313,9 +306,8 @@ def generate_proposals(
 def generate_dataset(config: SceneConfig, n_scenes: int, base_seed: int,
                      tag: str = "scene") -> SceneTable:
     """Scenes 0, 1, ..., each from a seed derived from (base_seed, tag, its id)."""
-    return generate_scenes(config, [
-        int(np.random.default_rng(derive_seed(base_seed, tag, i)).integers(0, 2**63))
-        for i in range(n_scenes)])
+    return generate_scenes(config, [int(rng.integers(0, 2**63)) for rng in generators(
+        [derive_seed(base_seed, tag, i) for i in range(n_scenes)])])
 
 
 # --- scene cache -------------------------------------------------------------

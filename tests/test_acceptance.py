@@ -187,7 +187,7 @@ class TestExactContracts:
             classes = np.concatenate(
                 [np.ones(n_pos, dtype=np.int64), np.zeros(512, dtype=np.int64)]
             )
-            batch = sample(classes, policy, rng_seed=n_pos)
+            batch = sample(classes, policy, np.random.default_rng(n_pos))
             ok = ok and batch.pos_count_unique == min(n_pos, 128)
             ok = ok and len(batch.indices) == 512
             ok = ok and np.all(batch.multiplicities == 1)
@@ -203,7 +203,7 @@ class TestExactContracts:
             classes = np.concatenate(
                 [np.ones(n_pos, dtype=np.int64), np.zeros(512, dtype=np.int64)]
             )
-            batch = sample(classes, policy, rng_seed=n_pos)
+            batch = sample(classes, policy, np.random.default_rng(n_pos))
             ok = ok and batch.pos_count_effective == 128
             pos_mults = batch.multiplicities[: batch.pos_count_unique]
             ok = ok and pos_mults.max() - pos_mults.min() <= 1

@@ -203,6 +203,21 @@ class TestRunExperiment:
         s2 = (r2.out_dir / "eval_summary.json").read_bytes()
         assert s1 == s2
 
+    @pytest.mark.parametrize("sampling", ["soft", "hard"])
+    @pytest.mark.parametrize("mode", ["baseline", "rga+prm"])
+    def test_bytes_do_not_depend_on_pool_block(self, tmp_path, monkeypatch, mode, sampling):
+        # pools, batches and their random streams are built one block at a time
+        def artifacts(block):
+            monkeypatch.setattr(harness, "POOL_BLOCK", block)
+            cfg = tiny_cfg(tmp_path / str(block), **MODES[mode], sampling_mode=sampling)
+            out = run_experiment(cfg).out_dir
+            return {name: (out / name).read_bytes() for name in
+                    ("metrics.csv", "gradnorm.csv", "eval_report.txt", "checkpoint.npz")}
+
+        want = artifacts(32)
+        for block in (1, 7, 64):
+            assert artifacts(block) == want, f"POOL_BLOCK = {block}"
+
     def test_reruns_write_identical_manifests(self, tmp_path):
         r1 = run_experiment(tiny_cfg(tmp_path / "a"))
         time.sleep(1.01)  # the second rerun starts at another wall-clock second

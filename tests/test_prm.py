@@ -252,7 +252,8 @@ class TestDrawBatches:
         rows, mults, widths = draw_batches(as_block(pools), policies, range(6), 3)
         assert rows.shape == mults.shape == (6, 2, max(widths))
         for t, pool in enumerate(pools):
-            batches = [sample(pool.classes, p, prm_mod.batch_seed(3, t, i))
+            batches = [sample(pool.classes, p,
+                              np.random.default_rng(prm_mod.batch_seed(3, t, i)))
                        for i, p in enumerate(policies)]
             assert widths[t] == max(len(b.indices) for b in batches)
             for h, b in enumerate(batches):
@@ -397,7 +398,8 @@ class TestTrainStepOracle:
         lengths, positives = [], []
         for t in range(ORACLE_STEPS):
             pool = pool_at(t)
-            batches = [sample(pool.classes, p, prm_mod.batch_seed(3, t, i))
+            batches = [sample(pool.classes, p,
+                              np.random.default_rng(prm_mod.batch_seed(3, t, i)))
                        for i, p in enumerate(policies)]
             lengths.append({len(b.indices) for b in batches})
             positives += [b.pos_count_unique for b in batches]

@@ -32,57 +32,57 @@ class TestPolicy:
 
 class TestSoft:
     def test_plenty_of_positives(self):
-        batch = sample(pool(200, 600), SOFT_512, 0)
+        batch = sample(pool(200, 600), SOFT_512, np.random.default_rng(0))
         assert batch.pos_count_effective == 128
         assert len(batch.indices) - batch.pos_count_unique == 384
         assert (batch.multiplicities == 1).all()
 
     def test_scarce_positives_all_used(self):
-        batch = sample(pool(40, 600), SOFT_512, 0)
+        batch = sample(pool(40, 600), SOFT_512, np.random.default_rng(0))
         assert batch.pos_count_unique == 40
         assert len(batch.indices) - batch.pos_count_unique == 472
 
     def test_zero_positives(self):
-        batch = sample(pool(0, 600), SOFT_512, 0)
+        batch = sample(pool(0, 600), SOFT_512, np.random.default_rng(0))
         assert batch.pos_count_effective == 0
         assert len(batch.indices) - batch.pos_count_unique == 512
 
     def test_pool_too_small(self):
         with pytest.raises(ValueError, match="pool of 110 proposals cannot fill a batch of 512"):
-            sample(pool(10, 100), SOFT_512, 0)
+            sample(pool(10, 100), SOFT_512, np.random.default_rng(0))
 
     def test_no_duplicate_indices(self):
-        batch = sample(pool(300, 700), SOFT_512, 3)
+        batch = sample(pool(300, 700), SOFT_512, np.random.default_rng(3))
         assert len(np.unique(batch.indices)) == len(batch.indices)
 
     def test_deterministic(self):
-        a = sample(pool(60, 700), SOFT_512, 5)
-        b = sample(pool(60, 700), SOFT_512, 5)
+        a = sample(pool(60, 700), SOFT_512, np.random.default_rng(5))
+        b = sample(pool(60, 700), SOFT_512, np.random.default_rng(5))
         np.testing.assert_array_equal(a.indices, b.indices)
 
 
 class TestHard:
     def test_single_positive_duplicated(self):
         policy = SamplingPolicy("hard", (1, 1), 8)
-        batch = sample(pool(1, 20), policy, 0)
+        batch = sample(pool(1, 20), policy, np.random.default_rng(0))
         assert batch.pos_count_unique == 1
         assert batch.pos_count_effective == 4
         assert len(batch.indices) - batch.pos_count_unique == 4
         assert batch.multiplicities[0] == 4
 
     def test_enough_positives_no_duplication(self):
-        batch = sample(pool(200, 600), HARD_512, 0)
+        batch = sample(pool(200, 600), HARD_512, np.random.default_rng(0))
         assert batch.pos_count_unique == 128
         assert (batch.multiplicities == 1).all()
 
     def test_zero_positive_fallback(self):
-        batch = sample(pool(0, 600), HARD_512, 0)
+        batch = sample(pool(0, 600), HARD_512, np.random.default_rng(0))
         assert batch.pos_count_effective == 0
         assert len(batch.indices) - batch.pos_count_unique == 512
 
     def test_even_distribution_extras_to_lowest(self):
         policy = SamplingPolicy("hard", (1, 1), 16)  # target 8
-        batch = sample(pool(3, 30), policy, 0)
+        batch = sample(pool(3, 30), policy, np.random.default_rng(0))
         mults = batch.multiplicities[:3]
         assert sorted(mults, reverse=True) == list(mults)
         assert mults.sum() == 8
@@ -91,16 +91,16 @@ class TestHard:
 
 class TestCounts:
     def test_soft_counts(self):
-        batch = sample(pool(40, 600), SOFT_512, 0)
+        batch = sample(pool(40, 600), SOFT_512, np.random.default_rng(0))
         assert (batch.pos_count_unique, batch.pos_count_effective) == (40, 40)
 
     def test_hard_counts(self):
         policy = SamplingPolicy("hard", (1, 1), 8)
-        batch = sample(pool(1, 20), policy, 0)
+        batch = sample(pool(1, 20), policy, np.random.default_rng(0))
         assert (batch.pos_count_unique, batch.pos_count_effective) == (1, 4)
 
     def test_all_negative(self):
-        batch = sample(pool(0, 600), SOFT_512, 0)
+        batch = sample(pool(0, 600), SOFT_512, np.random.default_rng(0))
         assert (batch.pos_count_unique, batch.pos_count_effective) == (0, 0)
 
 
@@ -110,7 +110,7 @@ class TestProperties:
     @settings(max_examples=120)
     def test_batch_size_conservation(self, n_pos, seed, mode):
         policy = SamplingPolicy(mode, (1, 3), 64)
-        batch = sample(pool(n_pos, 128), policy, seed)
+        batch = sample(pool(n_pos, 128), policy, np.random.default_rng(seed))
         assert batch.pos_count_effective + (len(batch.indices) - batch.pos_count_unique) == 64
         assert batch.multiplicities.sum() == 64
 
@@ -118,7 +118,7 @@ class TestProperties:
     @settings(max_examples=60)
     def test_soft_ceiling(self, n_pos, seed):
         policy = SamplingPolicy("soft", (1, 3), 64)
-        batch = sample(pool(n_pos, 128), policy, seed)
+        batch = sample(pool(n_pos, 128), policy, np.random.default_rng(seed))
         assert batch.pos_count_effective == min(n_pos, policy.pos_target)
         assert (batch.multiplicities == 1).all()
 
@@ -126,7 +126,7 @@ class TestProperties:
     @settings(max_examples=60)
     def test_hard_exactness(self, n_pos, seed):
         policy = SamplingPolicy("hard", (1, 3), 64)
-        batch = sample(pool(n_pos, 128), policy, seed)
+        batch = sample(pool(n_pos, 128), policy, np.random.default_rng(seed))
         assert batch.pos_count_effective == policy.pos_target
         assert batch.multiplicities.max() - batch.multiplicities[
             batch.multiplicities >= 1
@@ -144,7 +144,7 @@ class TestProperties:
         assume(target >= 2)  # a target of 1 has no scarce count
         n_pos = data.draw(st.integers(1, target - 1))
         n_neg = data.draw(st.integers(b - n_pos, b + 8))
-        batch = sample(pool(n_pos, n_neg), policy, seed)
+        batch = sample(pool(n_pos, n_neg), policy, np.random.default_rng(seed))
         negatives = batch.indices[batch.pos_count_unique:]
         assert len(negatives) == len(np.unique(negatives)) == b - target
         assert (batch.multiplicities[batch.pos_count_unique:] == 1).all()
@@ -155,7 +155,8 @@ class TestProperties:
 
 class TestSoftTopUp:
     def test_short_of_negatives_tops_up_with_positives(self):
-        batch = sample(pool(100, 10), SamplingPolicy("soft", (1, 3), 64), 0)
+        batch = sample(pool(100, 10), SamplingPolicy("soft", (1, 3), 64),
+                       np.random.default_rng(0))
         positives = batch.indices[:batch.pos_count_unique]
         assert (batch.pos_count_unique, batch.pos_count_effective) == (54, 54)
         assert len(np.unique(positives)) == 54 and (positives < 100).all()
@@ -188,7 +189,8 @@ class TestMatchesOracle:
     def test_every_grid_draw_equals_the_oracle(self, mode):
         draws = 0
         for policy, classes, seed in oracle_grid(mode):
-            got, want = sample(classes, policy, seed), sampler_oracle.sample(classes, policy, seed)
+            got = sample(classes, policy, np.random.default_rng(seed))
+            want = sampler_oracle.sample(classes, policy, seed)
             for a, b in ((got.indices, want.indices), (got.multiplicities, want.multiplicities)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (policy, classes, seed)
             for a, b in ((got.pos_count_unique, want.pos_count_unique),

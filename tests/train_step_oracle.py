@@ -104,7 +104,7 @@ def prm_train_step(
     for i, (head, policy, weight) in enumerate(
         zip(heads, model.policies, head_weights)
     ):
-        batch = sample(pool.classes, policy, batch_seed(base_seed, t, i))
+        batch = sample(pool.classes, policy, np.random.default_rng(batch_seed(base_seed, t, i)))
         x = pool.features[batch.indices]
         targets = pool.classes[batch.indices]
         reg_targets = pool.reg_targets[batch.indices]
