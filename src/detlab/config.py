@@ -93,10 +93,10 @@ class ExperimentConfig:
         return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     @property
-    def schedule(self) -> Optional[AnnealSchedule]:
-        """The head-gradient annealing, or None when it is off."""
+    def schedule(self) -> AnnealSchedule:
+        """The head-gradient annealing, a constant factor of 1 when it is off."""
         if not self.rga_enabled:
-            return None
+            return AnnealSchedule(1.0, self.total_steps, constant=True)
         return AnnealSchedule(self.lambda0, self.total_steps, constant=not self.anneal)
 
     def config_hash(self) -> str:

@@ -224,23 +224,23 @@ def _layout(ratios) -> str:
     return "+".join(f"{p}:{n}" for p, n in ratios)
 
 
-def _shapes(shapes) -> str:
-    return " ".join("x".join(map(str, shape)) for shape in shapes)
+def _shapes(backbone: net.BackboneParams, heads: net.HeadParams) -> str:
+    per_head = [a.shape[1:] for a in heads.arrays()] * len(heads.b_reg)
+    return " ".join("x".join(map(str, shape))
+                    for shape in [*(a.shape for a in backbone.arrays()), *per_head])
 
 
 def check_head_layout(checkpoint: Path, backbone: net.BackboneParams, heads: net.HeadParams,
                       ratios, cfg: ExperimentConfig) -> None:
     """Rejects a checkpoint whose heads were trained with other sampling
     ratios, in count or order, than the config gives, or whose parameter
-    shapes differ from the config's feature width, hidden size and classes."""
+    shapes differ from those of the model the config builds."""
     stored, wanted = _layout(ratios), _layout(cfg.ratios)
     if stored != wanted:
         raise ConfigError(f"checkpoint {checkpoint} has heads {stored}, the config has {wanted}")
     d, hidden, classes = cfg.feat.dim(cfg.scene.num_classes), cfg.hidden, cfg.scene.num_classes
-    head = [(hidden, hidden), (hidden,), (hidden, classes + 1), (classes + 1,), (hidden, 4), (4,)]
-    per_head = [a.shape[1:] for a in heads.arrays()] * len(heads.b_reg)
-    stored = _shapes([*(a.shape for a in backbone.arrays()), *per_head])
-    wanted = _shapes([(d, hidden), (hidden,), *head * len(cfg.ratios)])
+    model = init_model(d, hidden, classes, cfg.policies, cfg.seed)
+    stored, wanted = _shapes(backbone, heads), _shapes(model.backbone, model.heads)
     if stored != wanted:
         raise ConfigError(f"checkpoint {checkpoint} has parameter shapes {stored}, the config "
                           f"({d} features, hidden {hidden}, {classes} classes) has {wanted}")
@@ -261,7 +261,7 @@ def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> SceneTab
 
 
 def train_block(model: PrmModel, block: ProposalSet, steps: Sequence[int],
-                config: net.TrainConfig, schedule: Optional[AnnealSchedule], base_seed: int,
+                config: net.TrainConfig, schedule: AnnealSchedule, base_seed: int,
                 stages: dict[str, float]) -> tuple[dict[str, list], dict[str, list]]:
     """Trains step steps[i] on pool i of `block` in three phases, each timed
     in `stages`: draw every batch and gather its model-independent inputs,
@@ -272,10 +272,10 @@ def train_block(model: PrmModel, block: ProposalSet, steps: Sequence[int],
                               steps, config, schedule, model.heads.w_cls.shape[-1])
     with _timed(stages, "network"):
         arrays = BlockArrays.empty(model, inputs)
-        for i, t in enumerate(steps):
-            prm_train_step(model, block, inputs, t, config, schedule, arrays, i)
+        for i in range(len(steps)):
+            prm_train_step(model, block, inputs, config, arrays, i)
     with _timed(stages, "statistics"):
-        return summarize_block(inputs, arrays, steps)
+        return summarize_block(inputs, arrays)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:

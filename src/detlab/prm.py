@@ -11,7 +11,7 @@ heads are kept as one stack, so each network pass runs once for all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,8 +82,9 @@ def draw_batches(block: ProposalSet, policies: Sequence[SamplingPolicy],
 @dataclass
 class BlockInputs:
     """What the training steps of a block take that does not depend on the
-    model, as (S, H, W) batch tables from `draw_batches`; step i reads the
-    first widths[i] columns."""
+    model, as (S, H, W) batch tables from `draw_batches`; step i is step
+    number steps[i] and reads the first widths[i] columns."""
+    steps: Sequence[int]
     widths: list[int]
     rows: np.ndarray  # (S, H, W) pool rows
     at: np.ndarray  # (S, H, W) the same rows in the pool's stacked (H * P, ·) forward rows
@@ -93,12 +94,12 @@ class BlockInputs:
     reg_targets: np.ndarray  # (S, H, W, 4)
     weights: net.LossWeights  # of (S, H, W) tables
     lr: list[float]  # each step's learning rate
-    lam: list[float]  # each step's annealing factor, 1.0 without a schedule
+    lam: list[float]  # each step's annealing factor
 
 
 def block_inputs(block: ProposalSet, batches: tuple[np.ndarray, np.ndarray, list[int]],
-                 steps: Sequence[int], config: TrainConfig,
-                 schedule: Optional[AnnealSchedule], num_outputs: int) -> BlockInputs:
+                 steps: Sequence[int], config: TrainConfig, schedule: AnnealSchedule,
+                 num_outputs: int) -> BlockInputs:
     """Gathers the block's batches (`draw_batches` of `block` and `steps`)
     with their loss weights, learning rates and annealing factors, each for
     the whole block at once."""
@@ -107,12 +108,11 @@ def block_inputs(block: ProposalSet, batches: tuple[np.ndarray, np.ndarray, list
     in_block = starts + rows
     targets = block.classes[in_block]
     return BlockInputs(
-        widths, rows, np.arange(rows.shape[1])[:, None] * sizes + rows, targets, mults,
+        steps, widths, rows, np.arange(rows.shape[1])[:, None] * sizes + rows, targets, mults,
         block.features.take(in_block, axis=0), block.reg_targets.take(in_block, axis=0),
         net.loss_weights(targets, targets > 0, mults, num_outputs, config.cls_weight,
                          config.reg_weight),
-        config.lr_schedule(steps),
-        [anneal_factor(t, schedule) if schedule is not None else 1.0 for t in steps])
+        config.lr_schedule(steps), [anneal_factor(t, schedule) for t in steps])
 
 
 @dataclass
@@ -144,17 +144,16 @@ def mean_fg_scores(probs: np.ndarray) -> np.ndarray:
     return np.add.reduce(fg, axis=-1) / fg.shape[-1]
 
 
-def prm_train_step(model: PrmModel, block: ProposalSet, inputs: BlockInputs, t: int,
-                   config: TrainConfig, schedule: Optional[AnnealSchedule],
-                   out: BlockArrays, i: int) -> None:
+def prm_train_step(model: PrmModel, block: ProposalSet, inputs: BlockInputs,
+                   config: TrainConfig, out: BlockArrays, i: int) -> None:
     """One joint optimization step over all heads on pool i of `block` and
     step i of `inputs`; updates the model in place and keeps the step's raw
     arrays at index i of `out`.
 
     Per-head backbone contributions are kept before summation. Head
-    gradients are magnified by the annealing factor (if a schedule is given)
-    after backward and before the optimizer step, so backbone gradients
-    flowing from the heads stay unscaled.
+    gradients are magnified by the step's annealing factor (1 when annealing
+    is off) after backward and before the optimizer step, so backbone
+    gradients flowing from the heads stay unscaled.
     """
     width = inputs.widths[i]
     rows, at = inputs.rows[i, :, :width], inputs.at[i, :, :width]
@@ -178,9 +177,8 @@ def prm_train_step(model: PrmModel, block: ProposalSet, inputs: BlockInputs, t: 
     out.logits[i, :width] = batch_logits[0]
     out.fg_means[i] = mean_fg_scores(probs)
 
-    if schedule is not None:
-        grads = apply_rga(grads, inputs.lam[i], out.scaled)
-    net.sgd_step(model.params, grads, t, config, inputs.lr[i])
+    net.sgd_step(model.params, apply_rga(grads, inputs.lam[i], out.scaled), inputs.steps[i],
+                 config, inputs.lr[i])
 
 
 def _norms(w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,7 +186,7 @@ def _norms(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(w * w, axis=(-2, -1)) + np.sum(b * b, axis=-1))
 
 
-def summarize_block(inputs: BlockInputs, arrays: BlockArrays, steps: Sequence[int]
+def summarize_block(inputs: BlockInputs, arrays: BlockArrays
                     ) -> tuple[dict[str, list], dict[str, list]]:
     """The block's metrics.csv and gradnorm.csv columns, {header: values per
     step} in CSV order, from its inputs and raw arrays, each statistic
@@ -197,7 +195,7 @@ def summarize_block(inputs: BlockInputs, arrays: BlockArrays, steps: Sequence[in
     Raises FloatingPointError naming the first step whose summed backbone
     gradient norm or a mean foreground score is not finite.
     """
-    a = arrays
+    a, steps = arrays, inputs.steps
     # each step's summed backbone gradient, added over the heads in the order,
     # so to the bits, of the sum its SGD step took
     head_norms = _norms(a.grad_w, a.grad_b)

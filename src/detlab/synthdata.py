@@ -97,11 +97,8 @@ class FeatureModel:
         return num_classes + self.noise_dims
 
     def noise(self, rng: np.random.Generator, rows: int, num_classes: int) -> np.ndarray:
-        """(rows, dim) gaussian feature noise; nothing is drawn when noise_sigma is 0."""
-        shape = (rows, self.dim(num_classes))
-        if self.noise_sigma == 0:
-            return np.zeros(shape)
-        return rng.normal(0.0, self.noise_sigma, size=shape)
+        """(rows, dim) gaussian feature noise, +0.0 everywhere when noise_sigma is 0."""
+        return rng.normal(0.0, self.noise_sigma, size=(rows, self.dim(num_classes)))
 
 
 class SceneTable:
@@ -267,7 +264,7 @@ def generate_proposals(
         if not 0.0 <= q <= 1.0:
             raise ValueError("quality must lie in [0, 1]")
         sigmas.append(model.sigma(q))
-        normals.append(rng.normal(0.0, 1.0, size=(n_fg, 4)) if n_fg else np.zeros((0, 4)))
+        normals.append(rng.normal(0.0, 1.0, size=(n_fg, 4)))
         uniforms.append(rng.random(4 * n_bg))
         noise.append(feat.noise(rng, n_fg + n_bg, num_classes))
 

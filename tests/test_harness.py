@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import detlab.prm as prm_mod
 from detlab import cli, harness
 from detlab.cli import main as cli_main
 from detlab.config import MODES, SCHEMA, ConfigError, ExperimentConfig, load_config, parse_config
@@ -16,6 +17,7 @@ from detlab.files import atomic_write, write_arrays
 from detlab.harness import axis_cells, run_experiment, sweep
 from detlab.metrics import MetricsLog
 from detlab.net import init_backbone, init_head, save_params, stack_heads
+from detlab.rga import anneal_factor
 from detlab.seeding import derive_seed
 from detlab.synthdata import SCENE_ARRAYS, load_dataset, save_dataset
 
@@ -259,6 +261,26 @@ class TestRunExperiment:
             _, n1, n2, nsum, _ = line.split(",")
             assert float(nsum) <= float(n1) + float(n2) + 1e-9
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_anneals_each_step(self, tmp_path, monkeypatch, mode):
+        # annealing off is a factor of 1, applied like any other
+        factors = []
+        apply_rga = prm_mod.apply_rga
+
+        def counted(grads, lam, out):
+            factors.append(lam)
+            return apply_rga(grads, lam, out)
+
+        monkeypatch.setattr(prm_mod, "apply_rga", counted)
+        cfg = tiny_cfg(tmp_path, **MODES[mode])
+        result = run_experiment(cfg)
+        steps = cfg.total_steps
+        if cfg.rga_enabled:
+            assert factors == [7.0 - 6.0 * t / steps for t in range(steps)]
+        else:
+            assert factors == [1.0] * steps
+        assert result.metrics.columns["lambda"] == factors
+
     def test_metrics_columns(self, tmp_path):
         result = run_experiment(tiny_cfg(tmp_path))
         header = (result.out_dir / "metrics.csv").read_text().splitlines()[0]
@@ -429,6 +451,16 @@ class TestCli:
         assert cli_main(["gen-data", "--config", str(tmp_path / "exp.cfg"),
                          "--out", str(out)]) == 0
         assert cache.read_bytes() == data
+
+    @pytest.mark.parametrize("lambda0", ["0.5", "nan"])
+    def test_lambda0_is_not_read_with_annealing_off(self, tmp_path, lambda0):
+        # with annealing on, both values are config errors (exit 1)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY + f"[rga]\nenabled = false\nlambda0 = {lambda0}\n")
+        assert cli_main(["train", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "run")]) == 0
+        schedule = load_config(cfg_path).schedule
+        assert [anneal_factor(t, schedule) for t in (0, 20, 40)] == [1.0, 1.0, 1.0]
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

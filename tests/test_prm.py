@@ -49,10 +49,16 @@ def as_block(pools):
     return ProposalSet(*columns, offsets=np.cumsum([0] + [len(p) for p in pools]))
 
 
-def train(model, pools, cfg, schedule=None, base_seed=3):
-    """Steps 0, 1, ... on `pools` as one block: its metrics.csv and
-    gradnorm.csv columns."""
-    return train_block(model, as_block(pools), range(len(pools)), cfg, schedule, base_seed, {})
+def no_annealing(total):
+    """The schedule of a run with annealing off: a factor of 1 at every step."""
+    return AnnealSchedule(1.0, total, constant=True)
+
+
+def train(model, pools, cfg, base_seed=3):
+    """Steps 0, 1, ... on `pools` as one block, without annealing: its
+    metrics.csv and gradnorm.csv columns."""
+    return train_block(model, as_block(pools), range(len(pools)), cfg,
+                       no_annealing(cfg.total_steps), base_seed, {})
 
 
 def head(model, i):
@@ -271,7 +277,7 @@ def block_arrays(steps=4, heads=2, width=6, seed=0):
     targets = rng.integers(0, C + 1, size=(steps, heads, width))
     targets[..., :2] = [1, 0]  # a positive and a background in every batch
     rows, mults = np.zeros(targets.shape, dtype=np.int64), np.ones(targets.shape)
-    inputs = BlockInputs([width] * steps, rows, rows, targets, mults,
+    inputs = BlockInputs(range(10, 10 + steps), [width] * steps, rows, rows, targets, mults,
                          rng.normal(size=(steps, heads, width, 3)),
                          np.zeros((steps, heads, width, 4)),
                          net.loss_weights(targets, targets > 0, mults, C + 1, 1.0, 1.0),
@@ -288,7 +294,7 @@ class TestSummarizeBlock:
     def test_head_without_positives_has_no_positive_accuracy(self):
         inputs, arrays = block_arrays()
         inputs.targets[2, 0] = np.where(inputs.targets[2, 0] > 0, 0, inputs.targets[2, 0])
-        metrics, _ = summarize_block(inputs, arrays, range(10, 14))
+        metrics, _ = summarize_block(inputs, arrays)
         assert [v is None for v in metrics["pos_acc"]] == [False, False, True, False]
         assert metrics["neg_acc"][2] is not None
 
@@ -296,7 +302,7 @@ class TestSummarizeBlock:
         # pyproject turns warnings into errors, so a 0/0 would fail here
         inputs, arrays = block_arrays()
         arrays.grad_w[1, 1] = arrays.grad_b[1, 1] = 0.0
-        _, norms = summarize_block(inputs, arrays, range(10, 14))
+        _, norms = summarize_block(inputs, arrays)
         assert [v is None for v in norms["cosine"]] == [False, True, False, False]
         assert norms["norm_h2"][1] == 0.0
 
@@ -307,7 +313,7 @@ class TestSummarizeBlock:
         with pytest.raises(FloatingPointError,
                            match=r"non-finite at step 12: backbone gradient norm [\d.]+, "
                                  r"mean foreground scores \([\d.]+, nan\)"):
-            summarize_block(inputs, arrays, range(10, 14))
+            summarize_block(inputs, arrays)
 
 
 def copy_model(model):
@@ -363,12 +369,14 @@ class TestTrainStepOracle:
         model = init_model(FEATURE_DIM, 5, C, policies, 17)
         oracle = copy_model(model)
         cfg = train_cfg(total=ORACLE_STEPS)
+        # the oracle steps without annealing when given no schedule
         schedule = AnnealSchedule(lambda0=4.0, total_steps=ORACLE_STEPS) if annealed else None
         repeated = [False] * len(policies)
         for start in range(0, ORACLE_STEPS, ORACLE_BLOCK):
             steps = range(start, min(start + ORACLE_BLOCK, ORACLE_STEPS))
             pools = [pool_at(t) for t in steps]
-            metrics, norms = train_block(model, as_block(pools), steps, cfg, schedule, 3, {})
+            metrics, norms = train_block(model, as_block(pools), steps, cfg,
+                                         schedule or no_annealing(ORACLE_STEPS), 3, {})
             heads = [str(i + 1) for i in range(len(policies))]
             assert list(metrics) == ["step", "pos_count_unique", "pos_count_effective",
                                      "pos_acc", "neg_acc", "lambda",
