@@ -4,8 +4,9 @@ Trains one single-head model per (sampling mode, ratio, seed) cell through
 `detlab.harness.sweep` and writes a median-AP table, sampling_ablation.csv,
 mirroring the hard-versus-soft comparison. Like `detlab sweep`, it exits 1
 with `config error:` before any work on a bad config, an unreadable
-`--ratios` or `--seeds` item or a repeated seed, and exits 2 after writing
-both tables if any run failed, naming the failed cells and seeds on stderr.
+`--ratios` or `--seeds` item or a repeated ratio or seed, and exits 2 after
+writing both tables if any run failed, naming the failed cells and seeds on
+stderr.
 
 Usage:
     python scripts/sampling_ablation.py --config configs/desk.cfg \
@@ -20,7 +21,7 @@ from pathlib import Path
 from detlab.cli import parse_list
 from detlab.config import ConfigError, parse_ratio, load_config
 from detlab.files import atomic_write
-from detlab.harness import sweep, sweep_exit_code
+from detlab.harness import refuse_repeats, sweep, sweep_exit_code
 
 
 def main(argv=None):
@@ -36,9 +37,10 @@ def main(argv=None):
         seeds = [s for item in args.seeds for s in parse_list("--seeds", item, int)]
         if not (ratios and seeds):
             raise ConfigError("--ratios and --seeds need at least one item each")
-        names = {f"{p}:{n}": (p, n) for p, n in ratios}
+        names = [f"{p}:{n}" for p, n in ratios]
+        refuse_repeats(names, "ratios", "each ratio runs once")
         cells = {f"{mode}_{name}": dict(ratios=(ratio,), sampling_mode=mode)
-                 for name, ratio in names.items() for mode in ("hard", "soft")}
+                 for name, ratio in zip(names, ratios) for mode in ("hard", "soft")}
         sweep_rows = sweep(base, cells, seeds, args.out)  # a repeated seed is a ConfigError
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -46,10 +46,6 @@ class ExperimentConfig:
     anneal: bool = True
     learning_rate: float = TrainConfig.learning_rate
     total_steps: int = TrainConfig.total_steps
-    decay_points: tuple[float, ...] = TrainConfig.decay_points
-    decay_factor: float = TrainConfig.decay_factor
-    cls_weight: float = TrainConfig.cls_weight
-    reg_weight: float = TrainConfig.reg_weight
     hidden: int = 16
     train_scenes: int = 2000
     eval_scenes: int = 500
@@ -134,10 +130,6 @@ def _weights(value: str) -> dict[int, float]:
     return out
 
 
-def _tuple_of(parse):
-    return lambda value: tuple(parse(part) for part in value.split(","))
-
-
 # Every accepted key and its parser, by section. [scene], [rpn] and [features]
 # keys fill the field of that name on SceneConfig, RpnQualityModel and
 # FeatureModel (the scene's extent and box size range are set one end at a
@@ -148,10 +140,10 @@ SCHEMA = {
                   box_max=float, gt_count_weights=_weights),
     "rpn": dict(jitter_start=float, jitter_end=float, fg_per_gt=int, bg_per_scene=int),
     "features": dict(noise_dims=int, noise_sigma=float),
-    "sampling": dict(mode=str, ratios=_tuple_of(parse_ratio), batch_size=int),
+    "sampling": dict(mode=str, ratios=lambda v: tuple(map(parse_ratio, v.split(","))),
+                     batch_size=int),
     "rga": dict(enabled=_bool, lambda0=float, anneal=_bool),
-    "train": dict(learning_rate=float, steps=int, hidden=int, decay_points=_tuple_of(float),
-                  decay_factor=float, train_scenes=int, cls_weight=float, reg_weight=float),
+    "train": dict(learning_rate=float, steps=int, hidden=int, train_scenes=int),
     "eval": dict(scenes=int, nms_threshold=float, score_floor=float, max_detections=int),
     "run": dict(seed=int, out=str, mode=str),
 }

@@ -325,21 +325,26 @@ SWEEP_AXES = ("mode", "lambda0", "ratio-pair", "sampling-mode")
 AP_KEYS = ("ap_mean", "ap50", "ap75", "ap_bucket_1_3", "ap_bucket_8_inf")
 
 
+def refuse_repeats(items: Sequence, kind: str, rule: str) -> None:
+    """Raises ConfigError naming the items that `items` holds more than once."""
+    repeated = sorted({item for item in items if items.count(item) > 1})
+    if repeated:
+        raise ConfigError(f"repeated sweep {kind} {repeated}: {rule}")
+
+
 def axis_cells(axis: str, values: Sequence) -> dict[str, dict]:
-    """Named sweep cells along one axis: label -> config overrides."""
-    if axis == "mode":
-        unknown = [v for v in values if v not in MODES]
-        if unknown:
-            raise ConfigError(f"unknown modes {unknown}; expected some of {tuple(MODES)}")
-        return {v: MODES[v] for v in values}
-    if axis == "lambda0":
-        return {str(v): dict(rga_enabled=True, anneal=True, lambda0=float(v))
-                for v in values}
-    if axis == "ratio-pair":
-        return {_layout(v): dict(ratios=tuple(v)) for v in values}
-    if axis == "sampling-mode":
-        return {str(v): dict(sampling_mode=str(v)) for v in values}
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    """Named sweep cells along one axis: label -> config overrides. Values
+    that share a label (lambda0 7 and 7.0) raise ConfigError."""
+    if axis == "mode" and (unknown := [v for v in values if v not in MODES]):
+        raise ConfigError(f"unknown modes {unknown}; expected some of {tuple(MODES)}")
+    overrides = {"mode": MODES.get, "ratio-pair": lambda v: dict(ratios=tuple(v)),
+                 "lambda0": lambda v: dict(rga_enabled=True, anneal=True, lambda0=float(v)),
+                 "sampling-mode": lambda v: dict(sampling_mode=str(v))}
+    if axis not in overrides:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    labels = [_layout(v) if axis == "ratio-pair" else str(v) for v in values]
+    refuse_repeats(labels, "values", "each value runs once")
+    return {label: overrides[axis](v) for label, v in zip(labels, values)}
 
 
 def sweep(cfg: ExperimentConfig, cells: dict[str, dict], seeds: Sequence[int],
@@ -355,9 +360,7 @@ def sweep(cfg: ExperimentConfig, cells: dict[str, dict], seeds: Sequence[int],
         raise ValueError("sweep needs at least one cell")
     if not seeds:
         raise ValueError("sweep needs at least one seed")
-    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
-    if repeated:
-        raise ConfigError(f"repeated sweep seeds {repeated}: each seed runs once per cell")
+    refuse_repeats(seeds, "seeds", "each seed runs once per cell")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -54,34 +54,26 @@ class Gradients:
     flat: np.ndarray
 
 
+DECAY_POINTS = (8 / 12, 11 / 12)  # fractions of a run: Faster R-CNN's stepped decay
+DECAY_FACTOR = 0.1  # the learning rate's factor at each decay point
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.02
     total_steps: int = 3000
-    decay_points: tuple[float, ...] = (8 / 12, 11 / 12)  # fractions of total_steps
-    decay_factor: float = 0.1
-    cls_weight: float = 1.0
-    reg_weight: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning rate must be positive and finite")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
-        if not (0.0 < self.decay_factor < 1.0):
-            raise ValueError("decay factor must lie in (0, 1)")
-        if not all(0.0 <= f <= 1.0 for f in self.decay_points):  # fractions of total_steps
-            raise ValueError(f"decay_points must be finite and lie in [0, 1], got "
-                             f"{self.decay_points}")
-        for name in ("cls_weight", "reg_weight"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
 
     def lr_schedule(self, steps) -> list[float]:
         """The learning rate at each of `steps`, decayed once for every decay
         point at or before the step."""
-        starts = np.sort([math.floor(f * self.total_steps) for f in self.decay_points])
-        return [self.learning_rate * self.decay_factor ** passed
+        starts = [math.floor(f * self.total_steps) for f in DECAY_POINTS]
+        return [self.learning_rate * DECAY_FACTOR ** passed
                 for passed in np.searchsorted(starts, steps, side="right").tolist()]
 
 
@@ -213,11 +205,9 @@ def _mults(multiplicities, n) -> np.ndarray:
     return np.asarray(multiplicities, dtype=np.float64)
 
 
-def total_loss(logits, deltas, targets, reg_targets, pos_mask, multiplicities,
-               cls_weight=1.0, reg_weight=1.0) -> float:
-    return cls_weight * cls_loss(logits, targets, multiplicities) + reg_weight * reg_loss(
-        deltas, reg_targets, pos_mask, multiplicities
-    )
+def total_loss(logits, deltas, targets, reg_targets, pos_mask, multiplicities) -> float:
+    return cls_loss(logits, targets, multiplicities) + reg_loss(
+        deltas, reg_targets, pos_mask, multiplicities)
 
 
 class LossWeights(NamedTuple):
@@ -225,14 +215,13 @@ class LossWeights(NamedTuple):
     (..., B) batch tables."""
 
     onehot: np.ndarray  # (..., B, C+1) 1.0 in each row's class column
-    cls: np.ndarray  # (..., B, 1) cls_weight / sum(m) * m
+    cls: np.ndarray  # (..., B, 1) 1 / sum(m) * m
     reg_mask: np.ndarray  # (..., B, 1) the positives of nonzero multiplicity
-    reg_scale: np.ndarray  # (..., 1, 1) reg_weight / the positives' sum(m)
+    reg_scale: np.ndarray  # (..., 1, 1) 1 / the positives' sum(m)
     reg_m: np.ndarray  # (..., B, 1) m at the positives, 0 elsewhere
 
 
-def loss_weights(targets, pos_mask, multiplicities, num_outputs: int,
-                 cls_weight: float = 1.0, reg_weight: float = 1.0) -> LossWeights:
+def loss_weights(targets, pos_mask, multiplicities, num_outputs: int) -> LossWeights:
     """The loss weights of a batch, or of (..., B) tables of batches, whose
     logits have `num_outputs` columns."""
     targets = np.asarray(targets, dtype=np.int64)
@@ -241,27 +230,27 @@ def loss_weights(targets, pos_mask, multiplicities, num_outputs: int,
     pos_sum = pos_m.sum(axis=-1, keepdims=True)
     return LossWeights(
         onehot=(targets[..., None] == np.arange(num_outputs)).astype(np.float64),
-        cls=((cls_weight / m.sum(axis=-1, keepdims=True)) * m)[..., None],
+        cls=((1.0 / m.sum(axis=-1, keepdims=True)) * m)[..., None],
         reg_mask=(pos_m > 0)[..., None],
         # a batch without positives has no regression gradient (and no 0/0)
-        reg_scale=(reg_weight / np.where(pos_sum > 0, pos_sum, 1.0))[..., None],
+        reg_scale=(1.0 / np.where(pos_sum > 0, pos_sum, 1.0))[..., None],
         reg_m=pos_m[..., None],
     )
 
 
 def backward(cache: ForwardCache, reg_targets, probs: np.ndarray, weights: LossWeights,
              out: tuple[BackboneParams, HeadParams]) -> tuple[BackboneParams, HeadParams]:
-    """Analytic gradients of cls_weight*cls_loss + reg_weight*reg_loss, written
-    into the arrays of `out` (backbone gradients, head gradients, shaped like
-    the parameters) and returned as those very arrays.
+    """Analytic gradients of cls_loss + reg_loss, written into the arrays of
+    `out` (backbone gradients, head gradients, shaped like the parameters)
+    and returned as those very arrays.
 
     `probs` is the softmax of `cache.logits` and `weights` the batch's
-    `loss_weights`, which carry its targets, positive mask, multiplicities and
-    the two loss weights. For H stacked heads the batches come as one (H, B)
-    table (the cache's arrays, `reg_targets`, `probs` and `weights` with
-    trailing feature axes), and the backbone gradients are each head's
-    contribution, (H, D, hidden) and (H, hidden). Rows of multiplicity 0 pad
-    shorter batches and add nothing.
+    `loss_weights`, which carry its targets, positive mask and
+    multiplicities. For H stacked heads the batches come as one (H, B) table
+    (the cache's arrays, `reg_targets`, `probs` and `weights` with trailing
+    feature axes), and the backbone gradients are each head's contribution,
+    (H, D, hidden) and (H, hidden). Rows of multiplicity 0 pad shorter
+    batches and add nothing.
     """
     backbone, head = out
     d_logits = (probs - weights.onehot) * weights.cls
@@ -320,13 +309,15 @@ def load_params(path) -> tuple[BackboneParams, HeadParams, np.ndarray]:
     data = read_arrays(path)
     if "ratios" not in data:
         raise ValueError(f"checkpoint {path} records no head ratios; retrain it")
-    num_heads = data["num_heads"]
+    num_heads, ratios = data["num_heads"], data["ratios"]
     if num_heads.ndim or not np.issubdtype(num_heads.dtype, np.integer):
         raise ValueError(f"checkpoint {path}: array 'num_heads' is not an integer scalar")
+    if ratios.shape != (int(num_heads), 2) or not np.issubdtype(ratios.dtype, np.integer):
+        raise ValueError(f"checkpoint {path}: array 'ratios' is not a (num_heads, 2) integer array")
     backbone = BackboneParams(w=data["backbone/w"], b=data["backbone/b"])
     heads = [HeadParams(*[data[f"head{i}/{name}"] for name in HEAD_KEYS])
              for i in range(int(num_heads))]
     if len({tuple(a.shape for a in h.arrays()) for h in heads}) != 1:
         kind = "heads of different shapes" if heads else "no heads"
         raise ValueError(f"checkpoint {path} holds {kind}")
-    return backbone, stack_heads(heads), data["ratios"]
+    return backbone, stack_heads(heads), ratios

@@ -110,8 +110,7 @@ def block_inputs(block: ProposalSet, batches: tuple[np.ndarray, np.ndarray, list
     return BlockInputs(
         steps, widths, rows, np.arange(rows.shape[1])[:, None] * sizes + rows, targets, mults,
         block.features.take(in_block, axis=0), block.reg_targets.take(in_block, axis=0),
-        net.loss_weights(targets, targets > 0, mults, num_outputs, config.cls_weight,
-                         config.reg_weight),
+        net.loss_weights(targets, targets > 0, mults, num_outputs),
         config.lr_schedule(steps), [anneal_factor(t, schedule) for t in steps])
 
 

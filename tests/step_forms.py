@@ -24,14 +24,12 @@ def unwritten_like(grads: Gradients) -> Gradients:
     return Gradients(*net.views(flat, grads.backbone, grads.heads), flat)
 
 
-def backward_of(cache: net.ForwardCache, targets, reg_targets, pos_mask, multiplicities=None,
-                cls_weight: float = 1.0, reg_weight: float = 1.0
+def backward_of(cache: net.ForwardCache, targets, reg_targets, pos_mask, multiplicities=None
                 ) -> tuple[BackboneParams, HeadParams]:
     """`net.backward` of a batch, one head's or an (H, B) table of stacked
     heads' batches, as the views of one new vector per head (per batch)."""
     probs = net.softmax(cache.logits)
-    weights = net.loss_weights(targets, pos_mask, multiplicities, probs.shape[-1],
-                               cls_weight, reg_weight)
+    weights = net.loss_weights(targets, pos_mask, multiplicities, probs.shape[-1])
     lead = probs.shape[:-2]  # (H,) for stacked heads, () for one head
     backbone = BackboneParams(np.empty(cache.x.shape[-1:] + cache.hidden.shape[-1:]),
                               np.empty(cache.hidden.shape[-1:]))

@@ -46,10 +46,10 @@ DESK_CFG = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
 # config_hash() of configs/desk.cfg at seed 7 per mode, with soft and with
 # hard sampling; manifest.json records this hash, so it must not drift.
 DESK_HASHES = {
-    "baseline": ("af4774899ef9230f", "33ff32057b1bc68c"),
-    "rga": ("77859134d4325398", "fad9230f03f21439"),
-    "prm": ("359fa79be1725b44", "8073c6bf2268a8e8"),
-    "rga+prm": ("727798cf3931345b", "ac2d9971191a6489"),
+    "baseline": ("53a9e713fc5421f0", "266451307550c9ee"),
+    "rga": ("d7d3aaf90f5278e6", "6662688dbce27f51"),
+    "prm": ("65aa5be58c25c87b", "a1c0ca24e905bb79"),
+    "rga+prm": ("2ddbe1d121f007dc", "ba77b52e2d967a63"),
 }
 
 # A valid non-default value for every config key, the field it must set
@@ -76,11 +76,7 @@ KEY_CASES = {
     ("train", "learning_rate"): ("0.1", "learning_rate", 0.1),
     ("train", "steps"): ("100", "total_steps", 100),
     ("train", "hidden"): ("8", "hidden", 8),
-    ("train", "decay_points"): ("0.5, 0.75", "decay_points", (0.5, 0.75)),
-    ("train", "decay_factor"): ("0.5", "decay_factor", 0.5),
     ("train", "train_scenes"): ("100", "train_scenes", 100),
-    ("train", "cls_weight"): ("2", "cls_weight", 2.0),
-    ("train", "reg_weight"): ("3", "reg_weight", 3.0),
     ("eval", "scenes"): ("50", "eval_scenes", 50),
     ("eval", "nms_threshold"): ("0.6", "nms_threshold", 0.6),
     ("eval", "score_floor"): ("0.1", "score_floor", 0.1),
@@ -473,7 +469,8 @@ class TestCli:
         (TINY + "[rpn]\njitter_start = 0.01\njitter_end = 0.5\n",
          "jitter must be non-negative and non-increasing"),
         (TINY + "[train]\nlearning_rate = -1\n", "learning rate must be positive"),
-        (TINY + "[train]\ndecay_factor = 1.5\n", "decay factor must lie in (0, 1)"),
+        (TINY + "[train]\ndecay_factor = 1.5\n",  # loss weights and decay are fixed
+         "line 19: unknown key 'decay_factor' in section [train]"),
         (TINY + "[rga]\nenabled = true\nlambda0 = 0.5\n", "initial magnification must be >= 1"),
         (TINY.replace("steps = 40", "steps = 0"), "total_steps must be >= 1"),
         (TINY.replace("train_scenes = 20", "train_scenes = 0"), "train_scenes must be >= 1"),
@@ -484,12 +481,18 @@ class TestCli:
          "initial magnification must be >= 1 and finite"),
         (TINY + "[train]\nlearning_rate = nan\n", "learning rate must be positive and finite"),
         (TINY + "[train]\nlearning_rate = inf\n", "learning rate must be positive and finite"),
-        (TINY + "[train]\ndecay_points = nan\n", "decay_points must be finite"),
-        (TINY + "[train]\ndecay_points = 0.5, inf\n", "decay_points must be finite"),
-        (TINY + "[train]\ndecay_points = 8, 11\n", "decay_points must be finite and lie in [0, 1]"),
-        (TINY + "[train]\ncls_weight = nan\n", "cls_weight must be finite and >= 0"),
-        (TINY + "[train]\ncls_weight = inf\n", "cls_weight must be finite and >= 0"),
-        (TINY + "[train]\nreg_weight = -1\n", "reg_weight must be finite and >= 0"),
+        (TINY + "[train]\ndecay_points = nan\n",
+         "line 19: unknown key 'decay_points' in section [train]"),
+        (TINY + "[train]\ndecay_points = 0.5, inf\n",
+         "line 19: unknown key 'decay_points' in section [train]"),
+        (TINY + "[train]\ndecay_points = 8, 11\n",
+         "line 19: unknown key 'decay_points' in section [train]"),
+        (TINY + "[train]\ncls_weight = nan\n",
+         "line 19: unknown key 'cls_weight' in section [train]"),
+        (TINY + "[train]\ncls_weight = inf\n",
+         "line 19: unknown key 'cls_weight' in section [train]"),
+        (TINY + "[train]\nreg_weight = -1\n",
+         "line 19: unknown key 'reg_weight' in section [train]"),
         (TINY + "[eval]\nnms_threshold = 0\n", "nms_threshold must lie in (0, 1)"),
         (TINY + "[eval]\nnms_threshold = 1.0\n", "nms_threshold must lie in (0, 1)"),
         (TINY + "[features]\nnoise_sigma = -0.1\n", "noise_sigma must be finite and >= 0"),
@@ -744,8 +747,13 @@ class TestCli:
          "checkpoint {}: array 'num_heads' is not an integer scalar"),
         (lambda path: rewrite_arrays(path, {"num_heads": np.array(1.0)}),
          "checkpoint {}: array 'num_heads' is not an integer scalar"),
+        *((lambda path, r=ratios: rewrite_arrays(path, {"ratios": r}),
+           "checkpoint {}: array 'ratios' is not a (num_heads, 2) integer array")
+          for ratios in (np.array([1, 3]), np.array([[1, 3, 5]]), np.array("1:3"),
+                         np.array([[1.0, 3.0]]), np.array([[1, 3], [1, 3]]))),
     ], ids=["truncated", "empty", "text", "missing-array", "object-array", "num-heads-vector",
-            "num-heads-float"])
+            "num-heads-float", "ratios-vector", "ratios-3-columns", "ratios-text",
+            "ratios-float", "ratios-2-rows"])
     def test_eval_names_damaged_checkpoint(self, tmp_path, capsys, spoil, message):
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "run"
@@ -780,7 +788,12 @@ class TestCli:
         (["--axis", "mode", "--values", "foo", "--seeds", "3"], "unknown modes ['foo']"),
         (["--axis", "lambda0", "--values", "2", "--seeds", "1,1,2"],
          "repeated sweep seeds [1]: each seed runs once per cell"),
-    ], ids=["lambda0", "ratio-pair", "seeds", "mode", "seeds-repeated"])
+        (["--axis", "lambda0", "--values", "7,7.0", "--seeds", "1"],
+         "repeated sweep values ['7.0']: each value runs once"),
+        (["--axis", "mode", "--values", "prm,baseline,prm", "--seeds", "1"],
+         "repeated sweep values ['prm']: each value runs once"),
+    ], ids=["lambda0", "ratio-pair", "seeds", "mode", "seeds-repeated", "lambda0-repeated",
+            "mode-repeated"])
     def test_sweep_flag_typo_exits_1_before_any_work(self, tmp_path, capsys, flags, message):
         out = tmp_path / "sweep"
         assert cli_main(["sweep", "--config", str(self.write_cfg(tmp_path)),
@@ -811,7 +824,8 @@ class TestCli:
         (["--ratios", "1:1", "1:x"], "bad --ratios '1:x': ratio must match 'P:N', got '1:x'"),
         (["--seeds", "3", "x"], "bad --seeds 'x': invalid literal for int() with base 10: 'x'"),
         (["--seeds", "11", "11"], "repeated sweep seeds [11]: each seed runs once per cell"),
-    ], ids=["ratios", "seeds", "seeds-repeated"])
+        (["--ratios", "1:1", "1:3,1:1"], "repeated sweep ratios ['1:1']: each ratio runs once"),
+    ], ids=["ratios", "seeds", "seeds-repeated", "ratios-repeated"])
     def test_sampling_ablation_typo_exits_1_before_any_work(self, tmp_path, capsys, flags,
                                                              message):
         out = tmp_path / "ablation"

@@ -164,16 +164,6 @@ class TestBackward:
             rel = np.abs(a - n_grad) / denom
             assert rel.max() < 1e-4
 
-    def test_loss_scaling_linearity(self):
-        backbone, head = tiny_model()
-        x, targets, reg_targets, pos, mults = random_batch(5, 4, 2, seed=3)
-        _, _, cache = forward(backbone, head, x)
-        g1_b, g1_h = backward_of(cache, targets, reg_targets, pos, mults)
-        g2_b, g2_h = backward_of(cache, targets, reg_targets, pos, mults,
-                                 cls_weight=2.0, reg_weight=2.0)
-        for a, b in zip(g1_b.arrays() + g1_h.arrays(), g2_b.arrays() + g2_h.arrays()):
-            np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
-
     def test_saturated_correct_gives_tiny_cls_grads(self):
         backbone = BackboneParams(w=np.zeros((2, 2)), b=np.zeros(2))
         head = HeadParams(np.zeros((2, 2)), np.zeros(2),
@@ -321,12 +311,13 @@ class TestSgd:
         assert at_first == pytest.approx(0.002)
         assert at_second == pytest.approx(0.0002)
 
-    @pytest.mark.parametrize("points", [(8 / 12, 11 / 12), (0.5, 0.25, 0.5), (), (0.0, 1.0)])
-    def test_schedule_counts_the_points_passed(self, points):
-        cfg = TrainConfig(learning_rate=0.3, total_steps=120, decay_points=points,
-                          decay_factor=0.5)
-        steps = range(120)
-        want = [0.3 * 0.5 ** sum(1 for f in points if t >= math.floor(f * 120)) for t in steps]
+    @pytest.mark.parametrize("total", [1, 12, 121, 3000])
+    def test_schedule_counts_the_points_passed(self, total):
+        cfg = TrainConfig(learning_rate=0.3, total_steps=total)
+        steps = range(total)
+        # Faster R-CNN's recipe: x0.1 at 8/12 and at 11/12 of the run
+        want = [0.3 * 0.1 ** sum(1 for f in (8 / 12, 11 / 12) if t >= math.floor(f * total))
+                for t in steps]
         assert cfg.lr_schedule(steps) == want
         assert [cfg.lr_schedule([t])[0] for t in steps] == want
 

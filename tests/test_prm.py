@@ -280,7 +280,7 @@ def block_arrays(steps=4, heads=2, width=6, seed=0):
     inputs = BlockInputs(range(10, 10 + steps), [width] * steps, rows, rows, targets, mults,
                          rng.normal(size=(steps, heads, width, 3)),
                          np.zeros((steps, heads, width, 4)),
-                         net.loss_weights(targets, targets > 0, mults, C + 1, 1.0, 1.0),
+                         net.loss_weights(targets, targets > 0, mults, C + 1),
                          [0.02] * steps, [1.0] * steps)
     arrays = BlockArrays.empty(model, inputs)
     arrays.grad_w[:], arrays.grad_b[:] = rng.normal(size=arrays.grad_w.shape), rng.normal(

@@ -12,8 +12,9 @@ keeps its heads as one stack, each head's negatives are counted from its
 batch, the per-head gradients are stacked for the library's `apply_rga`
 and `sgd_step` (which updates the model's one parameter vector), and
 `backward`, `apply_rga` and `sgd_step` take their arguments in the one form
-the library passes them (`step_forms`), so detlab's phased block training can
-be checked against it for exact equality.
+the library passes them (`step_forms`) without the loss weights, which are
+fixed at 1, so detlab's phased block training can be checked against it for
+exact equality.
 """
 
 from __future__ import annotations
@@ -111,11 +112,9 @@ def prm_train_step(
         pos_mask = targets > 0
         logits, deltas, cache = net.forward(model.backbone, head, x)
         loss = net.total_loss(logits, deltas, targets, reg_targets, pos_mask,
-                              batch.multiplicities, config.cls_weight,
-                              config.reg_weight)
+                              batch.multiplicities)
         g_backbone, g_head = backward_of(
             cache, targets, reg_targets, pos_mask, batch.multiplicities,
-            config.cls_weight, config.reg_weight,
         )
         if weight != 1.0:
             g_backbone = BackboneParams(*[weight * a for a in g_backbone.arrays()])
