@@ -111,6 +111,16 @@ def cmd_report(args) -> int:
     summary_path = out_dir / "eval_summary.json"
     if not summary_path.exists():
         raise FileNotFoundError(f"no run artifacts at {out_dir}")
+    wanted = f"mode {cfg.mode}, seed {cfg.seed}, config hash {cfg.config_hash()}"
+    manifest_path = out_dir / "manifest.json"
+    if not manifest_path.exists():
+        raise ConfigError(f"{out_dir} has no manifest.json to show that its results are of the "
+                          f"config's run ({wanted})")
+    manifest = json.loads(manifest_path.read_text())
+    if manifest.get("config_hash") != cfg.config_hash():
+        raise ConfigError(f"{out_dir} holds the run of mode {manifest.get('mode')}, seed "
+                          f"{manifest.get('seed')}, config hash {manifest.get('config_hash')}; "
+                          f"the config has {wanted}")
     print(summary_path.read_text(), end="")
     return 0
 

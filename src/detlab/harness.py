@@ -11,7 +11,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,10 +28,10 @@ from .metrics import (
     score_gap_stats,
 )
 from . import net
-from .prm import (BlockArrays, PrmModel, block_inputs, draw_batches, init_model, prm_predict,
-                  prm_train_step, summarize_block)
+from .prm import (BlockArrays, PrmModel, batch_generators, block_inputs, draw_batches,
+                  init_model, prm_predict, prm_train_step, summarize_block)
 from .rga import AnnealSchedule
-from .seeding import derive_seed
+from .seeding import derive_seed, generators
 from .synthdata import (
     ProposalSet,
     SceneTable,
@@ -80,16 +80,19 @@ def _timed(stages: dict[str, float], name: str):
 def _pool_blocks(cfg: ExperimentConfig, scenes: SceneTable, qualities: Sequence[float],
                  seed_tags: Sequence[tuple], stages: dict[str, float]):
     """Yields (index, block) per POOL_BLOCK of positions: pool i of the block
-    holds scene index[i]'s proposals at its quality, seeded by its tag. The
-    caller's loop variable and this generator hold a block until the next one
-    is built, so at most two (~0.6 MB each at desk scale) are alive at once."""
+    holds scene index[i]'s proposals at its quality, seeded by its tag, all
+    tags in one seeding pass. The caller's loop variable and this generator
+    hold a block until the next one is built, so at most two (~0.6 MB each
+    at desk scale) are alive at once."""
+    with _timed(stages, "proposals"):
+        rngs = generators([derive_seed(cfg.seed, *tag) for tag in seed_tags])
     for start in range(0, len(scenes), POOL_BLOCK):
         index = range(start, min(start + POOL_BLOCK, len(scenes)))
         with _timed(stages, "proposals"):
             block = generate_proposals(
-                scenes.take(index), [qualities[i] for i in index], cfg.rpn,
-                [derive_seed(cfg.seed, *seed_tags[i]) for i in index], feat=cfg.feat,
-                num_classes=cfg.scene.num_classes, box_size_range=cfg.scene.box_size_range)
+                scenes.take(index), qualities[index.start:index.stop], cfg.rpn, rngs,
+                feat=cfg.feat, num_classes=cfg.scene.num_classes,
+                box_size_range=cfg.scene.box_size_range)
         yield index, block
 
 
@@ -261,19 +264,22 @@ def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> SceneTab
 
 
 def train_block(model: PrmModel, block: ProposalSet, steps: Sequence[int],
-                config: net.TrainConfig, schedule: AnnealSchedule, base_seed: int,
-                stages: dict[str, float]) -> tuple[dict[str, list], dict[str, list]]:
+                config: net.TrainConfig, schedule: AnnealSchedule,
+                rngs: Iterator[np.random.Generator], stages: dict[str, float]
+                ) -> tuple[dict[str, list], dict[str, list]]:
     """Trains step steps[i] on pool i of `block` in three phases, each timed
-    in `stages`: draw every batch and gather its model-independent inputs,
-    run the network steps, then compute the block's log columns (which
-    raises if training went non-finite)."""
+    in `stages`: draw every batch from the batch streams `rngs`
+    (`prm.batch_generators`) and gather its model-independent inputs, run
+    the network steps, then compute the block's log columns (which raises if
+    training went non-finite)."""
     with _timed(stages, "sampling"):
-        inputs = block_inputs(block, draw_batches(block, model.policies, steps, base_seed),
+        inputs = block_inputs(block, draw_batches(block, model.policies, steps, rngs),
                               steps, config, schedule, model.heads.w_cls.shape[-1])
     with _timed(stages, "network"):
+        net.check_features(model.backbone, block.features)
         arrays = BlockArrays.empty(model, inputs)
         for i in range(len(steps)):
-            prm_train_step(model, block, inputs, config, arrays, i)
+            prm_train_step(model, block, inputs, arrays, i)
     with _timed(stages, "statistics"):
         return summarize_block(inputs, arrays)
 
@@ -294,10 +300,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                        cfg.policies, cfg.seed)
     log, gradnorm = MetricsLog(), MetricsLog()
     every = range(cfg.total_steps)
+    with _timed(stages, "sampling"):
+        batch_rngs = batch_generators(cfg.seed, every, len(cfg.policies))
     for steps, block in _pool_blocks(cfg, train_scenes.take(np.remainder(every, len(train_scenes))),
                                      [quality_at(t, cfg.total_steps) for t in every],
                                      [("prop", t) for t in every], stages):
-        metrics, norms = train_block(model, block, steps, cfg.train, cfg.schedule, cfg.seed,
+        metrics, norms = train_block(model, block, steps, cfg.train, cfg.schedule, batch_rngs,
                                      stages)
         log.extend(metrics)
         gradnorm.extend(norms)

@@ -7,7 +7,6 @@ tanh (not ReLU) keeps every loss smooth so finite-difference checks are clean.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -17,7 +16,7 @@ import numpy as np
 from .files import read_arrays, write_arrays
 
 INIT_SCALE = 0.1
-SMOOTH_L1_BETA = 1.0
+SMOOTH_L1_BETA = 1.0  # _smooth_l1_grad leaves out its division by this 1.0
 
 
 @dataclass
@@ -71,7 +70,9 @@ class TrainConfig:
 
     def lr_schedule(self, steps) -> list[float]:
         """The learning rate at each of `steps`, decayed once for every decay
-        point at or before the step."""
+        point at or before the step; ValueError for a step outside the run."""
+        if bad := [t for t in steps if not 0 <= t < self.total_steps]:
+            raise ValueError(f"step {bad[0]} beyond schedule of {self.total_steps}")
         starts = [math.floor(f * self.total_steps) for f in DECAY_POINTS]
         return [self.learning_rate * DECAY_FACTOR ** passed
                 for passed in np.searchsorted(starts, steps, side="right").tolist()]
@@ -119,43 +120,41 @@ def flatten(backbone: BackboneParams, heads: HeadParams
     return (flat, *views(flat, backbone, heads))
 
 
-@dataclass
-class ForwardCache:
-    head: HeadParams
-    x: np.ndarray
-    hidden: np.ndarray
-    shared: np.ndarray
-    logits: np.ndarray
-    deltas: np.ndarray
-
-
 def forward(backbone: BackboneParams, heads: HeadParams, features: np.ndarray):
-    """Returns (logits, deltas, cache); logits are pre-softmax scores.
+    """Returns (logits, deltas, (hidden, shared)); logits are pre-softmax
+    scores, and hidden and shared the two tanh layers' outputs, which
+    `backward` takes at a batch's rows.
 
     `heads` is one head, or H heads stacked along a leading axis of each
-    array. The backbone runs once over the features and every head with one
-    broadcast matmul per layer, so stacked heads give (H, N, C+1) logits and
-    (H, N, 4) deltas, each head's slice equal to its own forward.
+    array. The backbone runs once over the (N, D) features and every
+    head with one broadcast matmul per layer, so stacked heads give
+    (H, N, C+1) logits and (H, N, 4) deltas, each head's slice equal to its
+    own forward. Features of another width make the first matmul raise
+    ValueError; `check_features` names the shapes, once per block of pools.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != backbone.w.shape[0]:
-        raise ValueError(
-            f"feature batch of shape {x.shape} incompatible with backbone {backbone.w.shape}"
-        )
-    h = np.tanh(x @ backbone.w + backbone.b)
+    h = np.tanh(features @ backbone.w + backbone.b)
     s = np.tanh(h @ heads.w_shared + heads.b_shared[..., None, :])
     logits = s @ heads.w_cls + heads.b_cls[..., None, :]
     deltas = s @ heads.w_reg + heads.b_reg[..., None, :]
-    cache = ForwardCache(heads, x, h, s, logits, deltas)
-    return logits, deltas, cache
+    return logits, deltas, (h, s)
+
+
+def check_features(backbone: BackboneParams, features: np.ndarray) -> None:
+    """Raises ValueError unless `features` is an (N, D) table for the
+    backbone's D inputs."""
+    if features.ndim != 2 or features.shape[1] != backbone.w.shape[0]:
+        raise ValueError(f"feature batch of shape {features.shape} incompatible with "
+                         f"backbone {backbone.w.shape}")
 
 
 def class_max(a: np.ndarray, start: int = 0) -> np.ndarray:
     """The maximum over the last axis from column `start` on. A chain of
     np.maximum over the few class columns gives the bits of `.max(axis=-1)`
     (a maximum does not depend on the order), in a fraction of its time."""
-    columns = (a[..., j] for j in range(start, a.shape[-1]))
-    return functools.reduce(np.maximum, columns)
+    m = a[..., start]
+    for j in range(start + 1, a.shape[-1]):
+        m = np.maximum(m, a[..., j])
+    return m
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -181,10 +180,10 @@ def _smooth_l1(x: np.ndarray) -> np.ndarray:
 
 
 def _smooth_l1_grad(x: np.ndarray) -> np.ndarray:
-    # x / beta clipped to [-1, 1]: the ramp below beta, sign(x) from beta on
-    g = x / SMOOTH_L1_BETA
-    np.maximum(g, -1.0, out=g)
-    return np.minimum(g, 1.0, out=g)
+    """x / beta clipped to [-1, 1], in place: the ramp below beta, sign(x)
+    from beta on. beta is 1, so the division is left out."""
+    np.maximum(x, -1.0, out=x)
+    return np.minimum(x, 1.0, out=x)
 
 
 def reg_loss(deltas, targets, pos_mask, multiplicities=None) -> float:
@@ -238,53 +237,47 @@ def loss_weights(targets, pos_mask, multiplicities, num_outputs: int) -> LossWei
     )
 
 
-def backward(cache: ForwardCache, reg_targets, probs: np.ndarray, weights: LossWeights,
-             out: tuple[BackboneParams, HeadParams]) -> tuple[BackboneParams, HeadParams]:
+def backward(heads: HeadParams, reg_targets: np.ndarray, probs: np.ndarray,
+             deltas: np.ndarray, x: np.ndarray, hidden: np.ndarray, shared: np.ndarray,
+             weights: LossWeights, out: tuple[BackboneParams, HeadParams]
+             ) -> tuple[BackboneParams, HeadParams]:
     """Analytic gradients of cls_loss + reg_loss, written into the arrays of
     `out` (backbone gradients, head gradients, shaped like the parameters)
     and returned as those very arrays.
 
-    `probs` is the softmax of `cache.logits` and `weights` the batch's
-    `loss_weights`, which carry its targets, positive mask and
-    multiplicities. For H stacked heads the batches come as one (H, B) table
-    (the cache's arrays, `reg_targets`, `probs` and `weights` with trailing
-    feature axes), and the backbone gradients are each head's contribution,
-    (H, D, hidden) and (H, hidden). Rows of multiplicity 0 pad shorter
-    batches and add nothing.
+    The batch comes as its rows of the forward pass of `heads`: the softmax
+    `probs` of its logits, its `deltas`, features `x` and the `forward`
+    layers `hidden` and `shared`. `weights` is its `loss_weights`, which
+    carry its targets, positive mask and multiplicities. For H stacked heads
+    the batches come as one (H, B) table (each array with trailing feature
+    axes, `x` and `hidden` too), and the backbone gradients are each head's
+    contribution, (H, D, hidden) and (H, hidden). Rows of multiplicity 0 pad
+    shorter batches and add nothing.
     """
     backbone, head = out
     d_logits = (probs - weights.onehot) * weights.cls
-    diff = cache.deltas - np.asarray(reg_targets, dtype=np.float64)
-    d_deltas = np.where(weights.reg_mask,
-                        _smooth_l1_grad(diff) * weights.reg_scale * weights.reg_m, 0.0)
+    d_deltas = np.where(weights.reg_mask, _smooth_l1_grad(deltas - reg_targets)
+                        * weights.reg_scale * weights.reg_m, 0.0)
 
-    s, h, x = cache.shared, cache.hidden, cache.x
-    np.matmul(_t(s), d_logits, out=head.w_cls)
+    s_t = shared.swapaxes(-1, -2)
+    np.matmul(s_t, d_logits, out=head.w_cls)
     np.add.reduce(d_logits, axis=-2, out=head.b_cls)
-    np.matmul(_t(s), d_deltas, out=head.w_reg)
+    np.matmul(s_t, d_deltas, out=head.w_reg)
     np.add.reduce(d_deltas, axis=-2, out=head.b_reg)
-    d_s = d_logits @ _t(cache.head.w_cls) + d_deltas @ _t(cache.head.w_reg)
-    d_a2 = d_s * (1.0 - s * s)
-    np.matmul(_t(h), d_a2, out=head.w_shared)
+    d_s = d_logits @ heads.w_cls.swapaxes(-1, -2) + d_deltas @ heads.w_reg.swapaxes(-1, -2)
+    d_a2 = d_s * (1.0 - shared * shared)
+    np.matmul(hidden.swapaxes(-1, -2), d_a2, out=head.w_shared)
     np.add.reduce(d_a2, axis=-2, out=head.b_shared)
-    d_h = d_a2 @ _t(cache.head.w_shared)
-    d_a1 = d_h * (1.0 - h * h)
-    np.matmul(_t(x), d_a1, out=backbone.w)
+    d_h = d_a2 @ heads.w_shared.swapaxes(-1, -2)
+    d_a1 = d_h * (1.0 - hidden * hidden)
+    np.matmul(x.swapaxes(-1, -2), d_a1, out=backbone.w)
     np.add.reduce(d_a1, axis=-2, out=backbone.b)
     return out
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    """The transpose of each matrix in a stack (of one matrix, `a.T`)."""
-    return a.swapaxes(-1, -2)
-
-
-def sgd_step(params: np.ndarray, grads: Gradients, t: int, config: TrainConfig,
-             lr: float) -> None:
+def sgd_step(params: np.ndarray, grads: Gradients, lr: float) -> None:
     """In-place update of the parameter vector that `flatten` lays out, with
-    step t's learning rate `lr` (its `config.lr_schedule` entry)."""
-    if t >= config.total_steps:
-        raise ValueError(f"step {t} beyond schedule of {config.total_steps}")
+    the step's learning rate `lr` (its `TrainConfig.lr_schedule` entry)."""
     params -= lr * grads.flat
 
 

@@ -11,7 +11,7 @@ heads are kept as one stack, so each network pass runs once for all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,17 +60,30 @@ def batch_seed(base_seed: int, t: int, head_index: int) -> int:
     return derive_seed(base_seed, "batch", t, head_index)
 
 
+def batch_generators(base_seed: int, steps: Sequence[int], n_heads: int
+                     ) -> Iterator[np.random.Generator]:
+    """The batch streams of `steps`, step by step and head by head, from one
+    seeding pass: the order in which `draw_batches` takes them."""
+    return generators([batch_seed(base_seed, t, i) for t in steps for i in range(n_heads)])
+
+
 def draw_batches(block: ProposalSet, policies: Sequence[SamplingPolicy],
-                 steps: Sequence[int], base_seed: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The batches of step steps[i] from pool i of `block`: (S, H, W) tables
-    of pool rows and of their multiplicities, padded with multiplicity-0
-    rows past each batch up to the block's longest, and each step's width,
-    its longest batch (hard sampling draws shorter ones). A batch depends on
-    its pool's labels, policy, seed, step and head, never on the model."""
-    rngs = generators([batch_seed(base_seed, t, i) for t in steps for i in range(len(policies))])
+                 steps: Sequence[int], rngs: Iterator[np.random.Generator]
+                 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The batches of step steps[i] from pool i of `block`, each drawn with
+    the next generator of `rngs` (`batch_generators`): (S, H, W) tables of
+    pool rows and of their multiplicities, padded with multiplicity-0 rows
+    past each batch up to the block's longest, and each step's width, its
+    longest batch (hard sampling draws shorter ones). A batch depends on its
+    pool's labels, policy and stream, never on the model."""
+    offsets = block.offsets.tolist()
+    # zip takes a policy before a generator, so it stops without taking one
     drawn = [[sample(block.classes[lo:hi], policy, rng) for policy, rng in zip(policies, rngs)]
-             for lo, hi, _ in zip(block.offsets[:-1], block.offsets[1:], steps, strict=True)]
+             for lo, hi, _ in zip(offsets[:-1], offsets[1:], steps, strict=True)]
     lengths = np.array([[len(b.indices) for b in batches] for batches in drawn])
+    if lengths.shape != (len(steps), len(policies)):
+        raise ValueError(f"{lengths.size} batch streams for {len(steps)} steps of "
+                         f"{len(policies)} heads")
     filled = np.arange(lengths.max()) < lengths[..., None]  # (S, H, W), in batch order
     rows, mults = np.zeros(filled.shape, dtype=np.int64), np.zeros(filled.shape)
     rows[filled] = np.concatenate([b.indices for batches in drawn for b in batches])
@@ -79,22 +92,32 @@ def draw_batches(block: ProposalSet, policies: Sequence[SamplingPolicy],
     return rows, mults, widths
 
 
+class StepBatch(NamedTuple):
+    """One step's batches, each head's cut to the step's width: views of the
+    block's (S, H, W) tables."""
+
+    rows: np.ndarray  # (H, w) pool rows
+    at: np.ndarray  # (H, w) the same rows in the pool's stacked (H * P, ·) forward rows
+    features: np.ndarray  # (H, w, D)
+    reg_targets: np.ndarray  # (H, w, 4)
+    weights: net.LossWeights  # of (H, w) tables
+
+
 @dataclass
 class BlockInputs:
     """What the training steps of a block take that does not depend on the
-    model, as (S, H, W) batch tables from `draw_batches`; step i is step
-    number steps[i] and reads the first widths[i] columns."""
+    model: step i is step number steps[i] on pool i, at rows
+    offsets[i]:offsets[i + 1] of the block, with batches[i], learning rate
+    lr[i] and annealing factor lam[i]. `rows`, `targets` and `mults` are
+    the (S, H, W) batch tables of `draw_batches` that the statistics read."""
     steps: Sequence[int]
-    widths: list[int]
+    offsets: list[int]
+    batches: list[StepBatch]
     rows: np.ndarray  # (S, H, W) pool rows
-    at: np.ndarray  # (S, H, W) the same rows in the pool's stacked (H * P, ·) forward rows
     targets: np.ndarray  # (S, H, W)
     mults: np.ndarray  # (S, H, W)
-    features: np.ndarray  # (S, H, W, D)
-    reg_targets: np.ndarray  # (S, H, W, 4)
-    weights: net.LossWeights  # of (S, H, W) tables
-    lr: list[float]  # each step's learning rate
-    lam: list[float]  # each step's annealing factor
+    lr: list[float]
+    lam: list[float]
 
 
 def block_inputs(block: ProposalSet, batches: tuple[np.ndarray, np.ndarray, list[int]],
@@ -102,87 +125,97 @@ def block_inputs(block: ProposalSet, batches: tuple[np.ndarray, np.ndarray, list
                  num_outputs: int) -> BlockInputs:
     """Gathers the block's batches (`draw_batches` of `block` and `steps`)
     with their loss weights, learning rates and annealing factors, each for
-    the whole block at once."""
+    the whole block at once; ValueError for a step outside the run."""
     rows, mults, widths = batches
     starts, sizes = block.offsets[:-1, None, None], np.diff(block.offsets)[:, None, None]
     in_block = starts + rows
     targets = block.classes[in_block]
-    return BlockInputs(
-        steps, widths, rows, np.arange(rows.shape[1])[:, None] * sizes + rows, targets, mults,
-        block.features.take(in_block, axis=0), block.reg_targets.take(in_block, axis=0),
-        net.loss_weights(targets, targets > 0, mults, num_outputs),
-        config.lr_schedule(steps), [anneal_factor(t, schedule) for t in steps])
+    tables = (rows, np.arange(rows.shape[1])[:, None] * sizes + rows,
+              block.features.take(in_block, axis=0), block.reg_targets.take(in_block, axis=0),
+              *net.loss_weights(targets, targets > 0, mults, num_outputs))
+    step_batches = []
+    for w, *step in zip(widths, *tables, strict=True):
+        if w < rows.shape[-1]:  # a hard batch shorter than the block's widest
+            step = [a[:, :w] for a in step]
+        step_batches.append(StepBatch(*step[:4], net.LossWeights(*step[4:])))
+    return BlockInputs(steps, block.offsets.tolist(), step_batches, rows, targets, mults,
+                       config.lr_schedule(steps), [anneal_factor(t, schedule) for t in steps])
 
 
 @dataclass
 class BlockArrays:
-    """What the training steps of a block write, step i at index i; the
-    gradient vectors are the current step's, reused by every step."""
+    """What the training steps of a block write, step i at index i or at its
+    pool's rows; the gradient vectors are the current step's, reused by
+    every step."""
     grad_w: np.ndarray  # (S, H, D, hidden) each head's backbone-gradient contribution
     grad_b: np.ndarray  # (S, H, hidden)
-    logits: np.ndarray  # (S, W, C+1) head 0's batch logits, 0 past its batch
-    fg_means: np.ndarray  # (S, H) each head's mean max foreground probability over the pool
+    logits: np.ndarray  # (R, C+1) head 0's logits at each of the block's R pool rows
+    probs: np.ndarray  # (H, R, C+1) each head's class probabilities at the pool rows
     grads: Gradients  # the summed backbone and the head gradients, before annealing
     scaled: Gradients  # the annealed gradients
+    out: list[tuple[BackboneParams, HeadParams]]  # step i's `backward` output arrays
 
     @classmethod
     def empty(cls, model: PrmModel, inputs: BlockInputs):
-        (n, heads, width), (d, hidden) = inputs.rows.shape, model.backbone.w.shape
-        grads, scaled = np.empty(model.params.size), np.empty(model.params.size)
-        return cls(np.empty((n, heads, d, hidden)), np.empty((n, heads, hidden)),
-                   np.zeros((n, width) + model.heads.w_cls.shape[-1:]), np.empty((n, heads)),
-                   Gradients(*net.views(grads, model.backbone, model.heads), grads),
-                   Gradients(*net.views(scaled, model.backbone, model.heads), scaled))
-
-
-def mean_fg_scores(probs: np.ndarray) -> np.ndarray:
-    """Each head's mean over the rows of their largest foreground probability,
-    (..., N, C+1) -> (...,); add.reduce and a division give the bits of
-    `.mean(axis=-1)` without its wrapper."""
-    fg = net.class_max(probs, 1)
-    return np.add.reduce(fg, axis=-1) / fg.shape[-1]
+        (n, heads, _), (d, hidden) = inputs.rows.shape, model.backbone.w.shape
+        grads, scaled = (Gradients(*net.views(flat, model.backbone, model.heads), flat)
+                         for flat in (np.empty(model.params.size), np.empty(model.params.size)))
+        grad_w, grad_b = np.empty((n, heads, d, hidden)), np.empty((n, heads, hidden))
+        rows, outputs = inputs.offsets[-1], model.heads.w_cls.shape[-1]
+        return cls(grad_w, grad_b, np.empty((rows, outputs)), np.empty((heads, rows, outputs)),
+                   grads, scaled,
+                   [(BackboneParams(w, b), grads.heads) for w, b in zip(grad_w, grad_b)])
 
 
 def prm_train_step(model: PrmModel, block: ProposalSet, inputs: BlockInputs,
-                   config: TrainConfig, out: BlockArrays, i: int) -> None:
+                   out: BlockArrays, i: int) -> None:
     """One joint optimization step over all heads on pool i of `block` and
     step i of `inputs`; updates the model in place and keeps the step's raw
-    arrays at index i of `out`.
+    arrays in `out`.
 
     Per-head backbone contributions are kept before summation. Head
     gradients are magnified by the step's annealing factor (1 when annealing
     is off) after backward and before the optimizer step, so backbone
     gradients flowing from the heads stay unscaled.
     """
-    width = inputs.widths[i]
-    rows, at = inputs.rows[i, :, :width], inputs.at[i, :, :width]
+    lo, hi = inputs.offsets[i], inputs.offsets[i + 1]
+    rows, at, features, reg_targets, weights = inputs.batches[i]
 
     # One forward over the pool serves every head, the pool statistics and
     # the batches (each row's outputs do not depend on the other rows), and
     # one softmax serves both the foreground scores and the gradient.
-    pool = block.features[block.offsets[i]:block.offsets[i + 1]]
-    logits, deltas, cache = net.forward(model.backbone, model.heads, pool)
+    logits, deltas, (hidden, shared) = net.forward(model.backbone, model.heads,
+                                                   block.features[lo:hi])
     probs = net.softmax(logits)
-    shared, batch_logits, batch_deltas, batch_probs = (
-        a.reshape(-1, a.shape[-1]).take(at, axis=0) for a in (cache.shared, logits, deltas, probs))
-    batch = net.ForwardCache(model.heads, inputs.features[i, :, :width],
-                             cache.hidden.take(rows, axis=0), shared, batch_logits, batch_deltas)
+    out.logits[lo:hi] = logits[0]
+    out.probs[:, lo:hi] = probs
+    # each head's batch rows, `at` indexing the (H * P, ·) stack of its pool rows
+    contribution, _ = net.backward(
+        model.heads, reg_targets, probs.reshape(-1, probs.shape[-1]).take(at, axis=0),
+        deltas.reshape(-1, deltas.shape[-1]).take(at, axis=0), features,
+        hidden.take(rows, axis=0), shared.reshape(-1, shared.shape[-1]).take(at, axis=0),
+        weights, out.out[i])
     grads = out.grads
-    net.backward(batch, inputs.reg_targets[i, :, :width], batch_probs,
-                 net.LossWeights(*(a[i, :, :width] for a in inputs.weights)),
-                 (BackboneParams(out.grad_w[i], out.grad_b[i]), grads.heads))
-    np.add.reduce(out.grad_w[i], axis=0, out=grads.backbone.w)
-    np.add.reduce(out.grad_b[i], axis=0, out=grads.backbone.b)
-    out.logits[i, :width] = batch_logits[0]
-    out.fg_means[i] = mean_fg_scores(probs)
+    np.add.reduce(contribution.w, axis=0, out=grads.backbone.w)
+    np.add.reduce(contribution.b, axis=0, out=grads.backbone.b)
+    net.sgd_step(model.params, apply_rga(grads, inputs.lam[i], out.scaled), inputs.lr[i])
 
-    net.sgd_step(model.params, apply_rga(grads, inputs.lam[i], out.scaled), inputs.steps[i],
-                 config, inputs.lr[i])
+
+def mean_fg_scores(probs: np.ndarray, offsets: Sequence[int]) -> np.ndarray:
+    """Each head's mean over each pool's rows of their largest foreground
+    probability, (..., R, C+1) -> (S, ...) for pools at rows
+    offsets[i]:offsets[i + 1]. One add.reduce per pool and a division give
+    the bits of `.mean(axis=-1)` of that pool alone, without its wrapper
+    (add.reduceat sums in another order)."""
+    fg = net.class_max(probs, 1)
+    sums = np.stack([np.add.reduce(fg[..., lo:hi], axis=-1)
+                     for lo, hi in zip(offsets[:-1], offsets[1:])])
+    return sums / np.diff(offsets).reshape((-1,) + (1,) * (sums.ndim - 1))
 
 
 def _norms(w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The Frobenius norm of each (w, b) pair in a stack."""
-    return np.sqrt(np.sum(w * w, axis=(-2, -1)) + np.sum(b * b, axis=-1))
+    return np.sqrt(np.add.reduce(w * w, axis=(-2, -1)) + np.add.reduce(b * b, axis=-1))
 
 
 def summarize_block(inputs: BlockInputs, arrays: BlockArrays
@@ -195,16 +228,17 @@ def summarize_block(inputs: BlockInputs, arrays: BlockArrays
     gradient norm or a mean foreground score is not finite.
     """
     a, steps = arrays, inputs.steps
+    fg_means = mean_fg_scores(a.probs, inputs.offsets)
     # each step's summed backbone gradient, added over the heads in the order,
     # so to the bits, of the sum its SGD step took
     head_norms = _norms(a.grad_w, a.grad_b)
     norm_sum = _norms(np.add.reduce(a.grad_w, axis=1), np.add.reduce(a.grad_b, axis=1))
-    finite = np.isfinite(norm_sum) & np.isfinite(a.fg_means).all(axis=1)
+    finite = np.isfinite(norm_sum) & np.isfinite(fg_means).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
         raise FloatingPointError(
             f"training went non-finite at step {steps[i]}: backbone gradient norm "
-            f"{norm_sum[i].item()!r}, mean foreground scores {tuple(a.fg_means[i].tolist())!r}")
+            f"{norm_sum[i].item()!r}, mean foreground scores {tuple(fg_means[i].tolist())!r}")
     cosines = [None] * len(steps)  # between the first two heads' contributions
     if a.grad_w.shape[1] >= 2:
         flat = np.concatenate([a.grad_w[:, :2].reshape(len(steps), 2, -1), a.grad_b[:, :2]],
@@ -218,14 +252,15 @@ def summarize_block(inputs: BlockInputs, arrays: BlockArrays
         cosines = np.where(valid, cosine, None).tolist()
     mults = inputs.mults[:, 0]  # head 0's batches, multiplicity 0 past each
     targets = np.where(mults > 0, inputs.targets[:, 0], -1)
-    pos_acc, neg_acc = proposal_accuracy(a.logits, targets)
+    logits = a.logits.take(np.array(inputs.offsets[:-1])[:, None] + inputs.rows[:, 0], axis=0)
+    pos_acc, neg_acc = proposal_accuracy(logits, targets)
     # a batch holds each pool row at most once, with its multiplicity
     positive = targets > 0
     unique, effective = positive.sum(axis=1), (mults * positive).sum(axis=1).astype(np.int64)
     metrics = {"step": list(steps), "pos_count_unique": unique.tolist(),
                "pos_count_effective": effective.tolist(), "pos_acc": pos_acc,
                "neg_acc": neg_acc, "lambda": np.array(inputs.lam).tolist()}
-    metrics.update((f"fg_score_h{i + 1}", v) for i, v in enumerate(a.fg_means.T.tolist()))
+    metrics.update((f"fg_score_h{i + 1}", v) for i, v in enumerate(fg_means.T.tolist()))
     gradnorm = {"step": list(steps)}
     gradnorm.update((f"norm_h{i + 1}", v) for i, v in enumerate(head_norms.T.tolist()))
     gradnorm.update(norm_sum=norm_sum.tolist(), cosine=cosines)
@@ -257,6 +292,7 @@ def prm_predict(model: PrmModel, proposals: ProposalSet) -> tuple[np.ndarray, np
     """Each row's scored outputs on a pool or a block of pools, stacked as
     (O, N, C+1) scores and (O, N, 4) boxes: the ensemble first (softmax of the
     mean logits, the selected head's boxes), then each head if there are several."""
+    net.check_features(model.backbone, proposals.features)
     logits, deltas, _ = net.forward(model.backbone, model.heads, proposals.features)
     boxes = np.stack([decode_deltas_array(proposals.boxes, d) for d in deltas])
     if len(model.policies) > 1:

@@ -39,13 +39,12 @@ def anneal_factor(t: int, sched: AnnealSchedule) -> float:
 
 def apply_rga(grads: Gradients, lam: float, out: Gradients) -> Gradients:
     """Scale every head-parameter gradient by `lam`; backbone gradients pass
-    through unchanged (same arrays). The result is written into `out.flat`, a
-    copy of the backbone part and the head part times `lam` in one multiply,
-    and carries `out`'s head arrays (views of `out.flat`). The input is left
-    untouched."""
+    through unchanged. The result is `out`: its vector `out.flat` gets a copy
+    of the backbone part and the head part times `lam` in one multiply. The
+    input is left untouched."""
     if lam < 1.0:
         raise ValueError(f"magnification {lam} violates the schedule (must be >= 1)")
     n = grads.backbone.w.size + grads.backbone.b.size
     out.flat[:n] = grads.flat[:n]
     np.multiply(grads.flat[n:], lam, out=out.flat[n:])
-    return Gradients(backbone=grads.backbone, heads=out.heads, flat=out.flat)
+    return out

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +35,7 @@ class SamplingPolicy:
         if self.pos_target < 1:
             raise ValueError("positive target must be >= 1")
 
-    @property
+    @cached_property
     def pos_target(self) -> int:
         p, n = self.ratio
         return math.floor(self.batch_size * p / (p + n))
@@ -44,18 +46,11 @@ class SamplingPolicy:
         return p / (p + n)
 
 
-@dataclass(frozen=True)
-class SampledBatch:
-    indices: np.ndarray  # indices into the proposal pool
+class SampledBatch(NamedTuple):
+    indices: np.ndarray  # int64 indices into the proposal pool
     multiplicities: np.ndarray  # same length, all >= 1
     pos_count_unique: int
     pos_count_effective: int
-
-
-def _pick(rng: np.random.Generator, pool: np.ndarray, k: int) -> np.ndarray:
-    if k >= len(pool):
-        return pool.copy()
-    return rng.choice(pool, size=k, replace=False)
 
 
 def sample(classes: np.ndarray, policy: SamplingPolicy, rng: np.random.Generator) -> SampledBatch:
@@ -71,20 +66,24 @@ def sample(classes: np.ndarray, policy: SamplingPolicy, rng: np.random.Generator
     b, target = policy.batch_size, policy.pos_target
     if len(classes) < b:
         raise ValueError(f"pool of {len(classes)} proposals cannot fill a batch of {b}")
-    pos, neg = np.flatnonzero(classes > 0), np.flatnonzero(classes == 0)
+    pos, neg = (classes > 0).nonzero()[0], (classes == 0).nonzero()[0]  # ascending int64
+    # each draw takes k of its candidates without replacement, or all of them
     if policy.mode == "hard" and 0 < len(pos) < target:
         take_pos, effective = pos, target
     else:
-        take_pos = _pick(rng, pos, min(len(pos), target))
-        effective = len(take_pos)
-    take_neg = _pick(rng, neg, min(b - effective, len(neg)))
-    if effective + len(take_neg) < b:
+        effective = min(len(pos), target)
+        take_pos = rng.choice(pos, size=effective, replace=False) if effective < len(pos) else pos
+    k = min(b - effective, len(neg))
+    take_neg = rng.choice(neg, size=k, replace=False) if k < len(neg) else neg
+    if effective + k < b:
         # only drawn positives get here: repeating them needs P < target, and
         # P + N >= b leaves more than b - target negatives
         remaining = np.setdiff1d(pos, take_pos, assume_unique=True)
-        take_pos = np.concatenate([take_pos, _pick(rng, remaining, b - effective - len(take_neg))])
+        k = b - effective - k
+        more = rng.choice(remaining, size=k, replace=False) if k < len(remaining) else remaining
+        take_pos = np.concatenate([take_pos, more])
         effective = len(take_pos)
-    indices = np.concatenate([take_pos, take_neg]).astype(np.int64)
+    indices = np.concatenate([take_pos, take_neg])
     multiplicities = np.ones(len(indices), dtype=np.int64)
     if effective > len(take_pos):
         base, extra = divmod(effective, len(take_pos))

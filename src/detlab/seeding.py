@@ -36,15 +36,23 @@ def _hashmix(value: np.ndarray, consts: np.ndarray, calls: np.ndarray) -> np.nda
     return value ^ value >> XSHIFT
 
 
-def _pcg64_states(seeds: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """(state, inc) of `np.random.PCG64(seed)` for each seed, all hashed at once."""
+def _state_words(seeds: Sequence[int]) -> np.ndarray:
+    """The four little-endian uint64 words that `SeedSequence` gives
+    `np.random.PCG64(seed)` for each seed, (N, 4), all hashed at once."""
     words = np.array(seeds, dtype=np.uint64) >> np.array([[0], [32]], dtype=np.uint64)
     pool = _hashmix(np.concatenate([words, 0 * words]).astype(np.uint32), HASH_A, np.arange(4))
     for calls in _CROSS:  # rows: word s, then the others from s + 1 on (mod 4)
         mixed = MIX_MULT_L * pool[1:] - MIX_MULT_R * _hashmix(pool[0], HASH_A, calls)
         pool = np.concatenate([mixed ^ mixed >> XSHIFT, pool[:1]])  # word s + 1 first
     w = _hashmix(np.concatenate([pool, pool]), HASH_B, np.arange(8)).astype(np.uint64)
-    for w0, w1, w2, w3 in zip(*(w[0::2] | w[1::2] << 32).tolist()):  # 4 little-endian uint64
+    return (w[0::2] | w[1::2] << 32).T
+
+
+def _pcg64_states(seeds: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(state, inc) of `np.random.PCG64(seed)` for each seed. A run's pass
+    lasts the run, so while it runs it holds each seed's words as one uint64
+    row, made Python ints one seed at a time."""
+    for w0, w1, w2, w3 in map(np.ndarray.tolist, _state_words(seeds)):
         inc = (w2 << 65 | w3 << 1 | 1) % 2**128  # (w2 << 64 | w3) << 1 | 1
         yield (((w0 << 64 | w1) + inc) * PCG64_MULT + inc) % 2**128, inc
 

@@ -9,7 +9,7 @@ by a configurable mixture over ground-truth counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -76,7 +76,8 @@ class RpnQualityModel:
         if self.fg_per_gt < 1 or self.bg_per_scene < 1:
             raise ValueError("proposal counts must be >= 1")
 
-    def sigma(self, q: float) -> float:
+    def sigma(self, q):
+        """The jitter at quality q, a float or an array of them."""
         return self.jitter_start + q * (self.jitter_end - self.jitter_start)
 
 
@@ -237,7 +238,7 @@ def generate_proposals(
     scenes: SceneTable,
     qualities: Sequence[float],
     model: RpnQualityModel,
-    rng_seeds: Sequence[int],
+    rngs: Iterable[np.random.Generator],
     feat: FeatureModel = FeatureModel(),
     *,
     num_classes: int,
@@ -245,31 +246,35 @@ def generate_proposals(
     pos_threshold: float = POS_IOU_THRESHOLD,
 ) -> ProposalSet:
     """A block of simulated proposal pools, one per scene at its quality and
-    seed: jittered copies of each instance plus uniform background boxes,
-    labeled and featurized.
+    generator: jittered copies of each instance plus uniform background
+    boxes, labeled and featurized.
 
-    Each pool draws from its own `default_rng(seed)` exactly as a pool built
-    alone would: the jitter, 4 * bg_per_scene background uniforms, then noise.
-    The geometry then runs once over the block's rows.
+    Pool i draws from the i-th generator taken from `rngs` (say, a
+    `seeding.generators` pass, which may hold the next blocks' too) exactly
+    as a pool built alone would: the jitter, 4 * bg_per_scene background
+    uniforms, then noise. The geometry then runs once over the block's rows.
     """
-    if not len(scenes) == len(qualities) == len(rng_seeds) > 0:
-        raise ValueError("need one quality and one seed per scene, for at least one scene")
+    q = np.asarray(qualities, dtype=np.float64)
+    if not len(scenes) == len(q) > 0:
+        raise ValueError("need one quality per scene, for at least one scene")
+    if not ((q >= 0.0) & (q <= 1.0)).all():
+        raise ValueError("quality must lie in [0, 1]")
     lo, hi = box_size_range
     n_bg = model.bg_per_scene
     gt_counts = scenes.counts
     fg_counts = gt_counts * model.fg_per_gt
     sizes = fg_counts + n_bg
-    sigmas, normals, uniforms, noise = [], [], [], []
-    for q, rng, n_fg in zip(qualities, generators(rng_seeds), fg_counts.tolist()):
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quality must lie in [0, 1]")
-        sigmas.append(model.sigma(q))
+    normals, uniforms, noise = [], [], []
+    # zip takes a count before a generator, so it stops without taking one
+    for n_fg, rng in zip(fg_counts.tolist(), rngs):
         normals.append(rng.normal(0.0, 1.0, size=(n_fg, 4)))
         uniforms.append(rng.random(4 * n_bg))
         noise.append(feat.noise(rng, n_fg + n_bg, num_classes))
+    if len(noise) < len(scenes):
+        raise ValueError(f"{len(noise)} generators for {len(scenes)} scenes")
 
     gt_boxes, gt_classes = scenes.boxes, scenes.classes
-    fg = _jitter_boxes(gt_boxes, model.fg_per_gt, np.repeat(sigmas, gt_counts),
+    fg = _jitter_boxes(gt_boxes, model.fg_per_gt, np.repeat(model.sigma(q), gt_counts),
                        np.concatenate(normals))
     u, extents = np.reshape(uniforms, (len(scenes), 4, n_bg)), scenes.extents[:, :, None]
     # width and height by Generator.uniform's own low + (high - low) * u, to the bit

@@ -1,6 +1,7 @@
 """The training step's arguments in the one form `prm_train_step` passes them:
-`net.backward` given the batch's softmax, `net.loss_weights` and arrays to
-write into, `apply_rga` an `out`, and `Gradients` views of one flat vector.
+`net.backward` given the batch's rows of a forward pass, their softmax,
+`net.loss_weights` and arrays to write into, `apply_rga` an `out`, and
+`Gradients` views of one flat vector.
 
 Output arrays start as NaN, so an entry that a step leaves unwritten shows.
 """
@@ -24,16 +25,19 @@ def unwritten_like(grads: Gradients) -> Gradients:
     return Gradients(*net.views(flat, grads.backbone, grads.heads), flat)
 
 
-def backward_of(cache: net.ForwardCache, targets, reg_targets, pos_mask, multiplicities=None
-                ) -> tuple[BackboneParams, HeadParams]:
+def backward_of(heads: HeadParams, x, outputs, targets, reg_targets, pos_mask,
+                multiplicities=None) -> tuple[BackboneParams, HeadParams]:
     """`net.backward` of a batch, one head's or an (H, B) table of stacked
-    heads' batches, as the views of one new vector per head (per batch)."""
-    probs = net.softmax(cache.logits)
+    heads' batches, given the `heads`, the batch's features `x` and its rows
+    of `net.forward`'s `(logits, deltas, (hidden, shared))`, as the views of
+    one new vector per head (per batch)."""
+    logits, deltas, (hidden, shared) = outputs
+    probs = net.softmax(logits)
     weights = net.loss_weights(targets, pos_mask, multiplicities, probs.shape[-1])
     lead = probs.shape[:-2]  # (H,) for stacked heads, () for one head
-    backbone = BackboneParams(np.empty(cache.x.shape[-1:] + cache.hidden.shape[-1:]),
-                              np.empty(cache.hidden.shape[-1:]))
-    head = HeadParams(*(np.empty(a.shape[len(lead):]) for a in cache.head.arrays()))
+    backbone = BackboneParams(np.empty(x.shape[-1:] + hidden.shape[-1:]),
+                              np.empty(hidden.shape[-1:]))
+    head = HeadParams(*(np.empty(a.shape[len(lead):]) for a in heads.arrays()))
     size = sum(a.size for a in backbone.arrays() + head.arrays())
     out = net.views(np.full(lead + (size,), np.nan), backbone, head)
-    return net.backward(cache, reg_targets, probs, weights, out)
+    return net.backward(heads, reg_targets, probs, deltas, x, hidden, shared, weights, out)

@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import re
+import sys
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import detlab.prm as prm_mod
-from detlab import cli, harness
+from detlab import cli, harness, seeding
 from detlab.cli import main as cli_main
 from detlab.config import MODES, SCHEMA, ConfigError, ExperimentConfig, load_config, parse_config
 from detlab.files import atomic_write, write_arrays
@@ -18,7 +19,6 @@ from detlab.harness import axis_cells, run_experiment, sweep
 from detlab.metrics import MetricsLog
 from detlab.net import init_backbone, init_head, save_params, stack_heads
 from detlab.rga import anneal_factor
-from detlab.seeding import derive_seed
 from detlab.synthdata import SCENE_ARRAYS, load_dataset, save_dataset
 
 TINY = """
@@ -215,6 +215,27 @@ class TestRunExperiment:
         want = artifacts(32)
         for block in (1, 7, 64):
             assert artifacts(block) == want, f"POOL_BLOCK = {block}"
+
+    @pytest.mark.parametrize("mode", ["baseline", "rga+prm"])
+    def test_one_seeding_pass_per_stream(self, tmp_path, monkeypatch, mode):
+        # once the scene caches exist, a run seeds its batches, its training
+        # pools and its evaluation pools in one pass each, whatever the block
+        cfg = tiny_cfg(tmp_path, **MODES[mode])
+        run_experiment(cfg)  # writes the scene caches
+        generators, passes = seeding.generators, []
+
+        def counted(seeds):
+            passes.append(len(seeds))
+            return generators(seeds)
+
+        for module in [m for name, m in sys.modules.items()
+                       if name.startswith("detlab") and hasattr(m, "generators")]:
+            monkeypatch.setattr(module, "generators", counted)
+        for block in (1, 7, 32):
+            monkeypatch.setattr(harness, "POOL_BLOCK", block)
+            passes.clear()
+            run_experiment(cfg)
+            assert passes == [40 * len(cfg.ratios), 40, 20], f"POOL_BLOCK = {block}"
 
     def test_reruns_write_identical_manifests(self, tmp_path):
         r1 = run_experiment(tiny_cfg(tmp_path / "a"))
@@ -432,6 +453,33 @@ class TestCli:
         assert cli_main(["report", "--config", str(cfg_path), "--out", out]) == 0
         assert "ap_mean" in capsys.readouterr().out
 
+    def test_report_refuses_the_run_of_another_config(self, tmp_path, capsys):
+        cfg_path = self.write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        assert cli_main(["train", "--config", str(cfg_path), "--out", out]) == 0
+        capsys.readouterr()
+        assert cli_main(["report", "--config", str(cfg_path), "--out", out,
+                         "--mode", "rga+prm", "--seed", "11"]) == 1
+        captured = capsys.readouterr()
+        ran, asked = (load_config(cfg_path, seed=seed, mode=mode, out=out).config_hash()
+                      for seed, mode in ((None, None), (11, "rga+prm")))
+        assert captured.out == ""
+        assert (f"config error: {out} holds the run of mode baseline, seed 3, config hash {ran}; "
+                f"the config has mode rga+prm, seed 11, config hash {asked}") in captured.err
+
+    def test_report_refuses_a_run_without_manifest(self, tmp_path, capsys):
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        (out / "manifest.json").unlink()
+        capsys.readouterr()
+        assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        digest = load_config(cfg_path, out=str(out)).config_hash()
+        assert captured.out == ""
+        assert (f"config error: {out} has no manifest.json to show that its results are of the "
+                f"config's run (mode baseline, seed 3, config hash {digest})") in captured.err
+
     def test_gen_data(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "data"
@@ -547,13 +595,13 @@ class TestCli:
     def test_non_finite_training_exits_2_naming_the_step(self, tmp_path, capsys,
                                                           monkeypatch):
         generate_proposals = harness.generate_proposals
-        step_3 = derive_seed(3, "prop", 3)  # the TINY config's seed is 3
+        blocks = []
 
-        def poisoned(scenes, qualities, model, rng_seeds, *args, **kwargs):
-            block = generate_proposals(scenes, qualities, model, rng_seeds, *args, **kwargs)
-            if step_3 in rng_seeds:
-                block.pool(rng_seeds.index(step_3)).features[0, 0] = np.nan
-            return block
+        def poisoned(*args, **kwargs):
+            blocks.append(generate_proposals(*args, **kwargs))
+            if len(blocks) == 1:  # the first training block, of steps 0 to 31
+                blocks[0].pool(3).features[0, 0] = np.nan
+            return blocks[-1]
 
         monkeypatch.setattr(harness, "generate_proposals", poisoned)
         cfg_path = self.write_cfg(tmp_path)

@@ -5,7 +5,6 @@ import pytest
 
 from detlab.net import (
     BackboneParams,
-    ForwardCache,
     HeadParams,
     TrainConfig,
     _smooth_l1_grad,
@@ -155,8 +154,8 @@ class TestBackward:
         c = int(rng.integers(1, 4))
         backbone, head = tiny_model(d, h, c, seed=seed)
         x, targets, reg_targets, pos, mults = random_batch(n, d, c, seed=seed + 100)
-        _, _, cache = forward(backbone, head, x)
-        g_backbone, g_head = backward_of(cache, targets, reg_targets, pos, mults)
+        g_backbone, g_head = backward_of(head, x, forward(backbone, head, x), targets,
+                                         reg_targets, pos, mults)
         numeric = numeric_grads(backbone, head, x, targets, reg_targets, pos, mults)
         analytic = g_backbone.arrays() + g_head.arrays()
         for a, n_grad in zip(analytic, numeric):
@@ -171,8 +170,8 @@ class TestBackward:
                           np.array([50.0, -50.0]), np.zeros((2, 4)), np.zeros(4))
         x = np.ones((3, 2))
         targets = np.zeros(3, dtype=int)
-        _, _, cache = forward(backbone, head, x)
-        g_b, g_h = backward_of(cache, targets, np.zeros((3, 4)), np.zeros(3, bool))
+        g_b, g_h = backward_of(head, x, forward(backbone, head, x), targets, np.zeros((3, 4)),
+                               np.zeros(3, bool))
         for arr in g_b.arrays() + g_h.arrays():
             assert np.abs(arr).max() < 1e-8
 
@@ -184,12 +183,12 @@ class TestBackward:
         reg_targets = rng.normal(size=(4, 4))
         pos = targets > 0
         mults = np.array([3, 1, 2, 1])
-        _, _, cache = forward(backbone, head, x)
-        weighted = backward_of(cache, targets, reg_targets, pos, mults)
+        weighted = backward_of(head, x, forward(backbone, head, x), targets, reg_targets, pos,
+                               mults)
 
         rep = np.repeat(np.arange(4), mults)
-        _, _, cache2 = forward(backbone, head, x[rep])
-        expanded = backward_of(cache2, targets[rep], reg_targets[rep], pos[rep], None)
+        expanded = backward_of(head, x[rep], forward(backbone, head, x[rep]), targets[rep],
+                               reg_targets[rep], pos[rep], None)
         for a, b in zip(weighted[0].arrays() + weighted[1].arrays(),
                         expanded[0].arrays() + expanded[1].arrays()):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
@@ -199,19 +198,19 @@ class TestBackward:
         # stacks, the head's views of one vector, all NaN until written
         backbone, head = tiny_model()
         x, targets, reg_targets, pos, mults = random_batch(5, 4, 2, seed=3)
-        _, _, cache = forward(backbone, head, x)
+        outputs = logits, deltas, (hidden, shared) = forward(backbone, head, x)
         grad_w = np.full((2,) + backbone.w.shape, np.nan)
         grad_b = np.full((2,) + backbone.b.shape, np.nan)
         out = (BackboneParams(grad_w[1], grad_b[1]),
                unwritten_like(flat_gradients(backbone, head)).heads)
-        probs = softmax(cache.logits)
-        got = backward(cache, reg_targets, probs,
+        probs = softmax(logits)
+        got = backward(head, reg_targets, probs, deltas, x, hidden, shared,
                        loss_weights(targets, pos, mults, probs.shape[-1]), out)
         arrays = out[0].arrays() + out[1].arrays()
         assert all(a is b for a, b in zip(got[0].arrays() + got[1].arrays(), arrays,
                                           strict=True))
         assert np.isnan(grad_w[0]).all() and np.isnan(grad_b[0]).all()
-        want_b, want_h = backward_of(cache, targets, reg_targets, pos, mults)
+        want_b, want_h = backward_of(head, x, outputs, targets, reg_targets, pos, mults)
         for a, b in zip(arrays, want_b.arrays() + want_h.arrays(), strict=True):
             assert a.tobytes() == b.tobytes()
 
@@ -249,16 +248,14 @@ class TestStackedHeads:
         mults = np.zeros((3, 6))
         for i, (idx, m) in enumerate(batches):
             rows[i, :len(idx)], mults[i, :len(idx)] = idx, m
-        logits, deltas, cache = forward(backbone, stack, x)
+        logits, deltas, (hidden, shared) = forward(backbone, stack, x)
         at = (np.arange(3)[:, None], rows)
-        batch = ForwardCache(stack, x[rows], cache.hidden[rows], cache.shared[at],
-                             logits[at], deltas[at])
-        g_backbone, g_heads = backward_of(batch, classes[rows], reg_targets[rows],
+        batch = logits[at], deltas[at], (hidden[rows], shared[at])
+        g_backbone, g_heads = backward_of(stack, x[rows], batch, classes[rows], reg_targets[rows],
                                           classes[rows] > 0, mults)
         for i, (head, (idx, m)) in enumerate(zip(heads, batches)):
-            _, _, one = forward(backbone, head, x[idx])
-            want_b, want_h = backward_of(one, classes[idx], reg_targets[idx], classes[idx] > 0,
-                                         m)
+            want_b, want_h = backward_of(head, x[idx], forward(backbone, head, x[idx]),
+                                         classes[idx], reg_targets[idx], classes[idx] > 0, m)
             got = [g_backbone.w[i], g_backbone.b[i], *(a[i] for a in g_heads.arrays())]
             for a, b in zip(got, want_b.arrays() + want_h.arrays(), strict=True):
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
@@ -273,7 +270,7 @@ class TestSgd:
         params, backbone, head = flatten(*tiny_model())
         before = params.copy()
         grads = flat_gradients(zeros_like_backbone(backbone), zeros_like_head(head))
-        sgd_step(params, grads, 0, self.cfg(), 0.02)
+        sgd_step(params, grads, 0.02)
         np.testing.assert_array_equal(params, before)
 
     def test_hand_update(self):
@@ -283,7 +280,7 @@ class TestSgd:
                        np.zeros(1), np.ones((1, 4)), np.zeros(4)))
         g = flat_gradients(BackboneParams(w=np.array([[0.5]]), b=np.array([0.0])),
                            zeros_like_head(head))
-        sgd_step(params, g, 0, self.cfg(), 0.02)
+        sgd_step(params, g, 0.02)
         assert backbone.w[0, 0] == pytest.approx(0.99, abs=1e-15)
 
     def test_flat_gradients_update_each_array_bit_for_bit(self):
@@ -294,7 +291,7 @@ class TestSgd:
             HeadParams(*(rng.normal(size=a.shape) for a in head.arrays())))
         params, p_backbone, p_head = flatten(backbone, head)
         lr = self.cfg().lr_schedule([900])[0]
-        sgd_step(params, grads, 900, self.cfg(), lr)
+        sgd_step(params, grads, lr)
         for param, before, grad in zip(p_backbone.arrays() + p_head.arrays(),
                                        backbone.arrays() + head.arrays(),
                                        grads.backbone.arrays() + grads.heads.arrays()):
@@ -322,10 +319,9 @@ class TestSgd:
         assert [cfg.lr_schedule([t])[0] for t in steps] == want
 
     def test_step_beyond_schedule(self):
-        params, backbone, head = flatten(*tiny_model())
-        grads = flat_gradients(zeros_like_backbone(backbone), zeros_like_head(head))
-        with pytest.raises(ValueError, match="beyond schedule"):
-            sgd_step(params, grads, 1200, self.cfg(total=1200), 0.02)
+        # a block's steps are checked once, where their learning rates are read
+        with pytest.raises(ValueError, match="step 1200 beyond schedule"):
+            self.cfg(total=1200).lr_schedule([1198, 1199, 1200])
 
 
 def reference_softmax(logits):
@@ -366,8 +362,11 @@ class TestClassMaxima:
     @pytest.mark.parametrize("case", logit_cases())
     def test_mean_foreground_scores_equal_the_max_formula(self, case):
         for a in (logit_cases()[case], reference_softmax(logit_cases()[case])):
-            assert (mean_fg_scores(a).tobytes()
-                    == a[..., 1:].max(axis=-1).mean(axis=-1).tobytes())
+            # one pool of every row, and two pools split at row 3
+            for offsets in ([0, a.shape[-2]], [0, 3, a.shape[-2]]):
+                want = [a[..., lo:hi, 1:].max(axis=-1).mean(axis=-1)
+                        for lo, hi in zip(offsets[:-1], offsets[1:])]
+                assert mean_fg_scores(a, offsets).tobytes() == np.stack(want).tobytes()
 
     def test_smooth_l1_gradient_equals_the_branch_formula(self):
         x = np.concatenate([np.random.default_rng(5).normal(size=200) * 2,

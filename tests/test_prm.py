@@ -10,6 +10,8 @@ from detlab.prm import (
     BlockArrays,
     BlockInputs,
     PrmModel,
+    StepBatch,
+    batch_generators,
     draw_batches,
     ensemble_scores,
     init_model,
@@ -19,7 +21,7 @@ from detlab.prm import (
 )
 from detlab.rga import AnnealSchedule
 from detlab.sampler import SamplingPolicy, sample
-from detlab.seeding import derive_seed
+from detlab.seeding import derive_seed, generators
 from detlab.synthdata import (ProposalSet, RpnQualityModel, SceneConfig, generate_proposals,
                                generate_scenes)
 
@@ -31,7 +33,8 @@ FEATURE_DIM = C + 8
 
 def make_pool(seed=0, q=0.8, gt_count=4):
     scene = generate_scenes(SceneConfig(gt_count_weights={gt_count: 1.0}), [seed])
-    return generate_proposals(scene, [q], RpnQualityModel(), [seed + 1], num_classes=C)
+    return generate_proposals(scene, [q], RpnQualityModel(), generators([seed + 1]),
+                              num_classes=C)
 
 
 def policy(ratio=(1, 3), mode="soft", batch=32):
@@ -57,8 +60,9 @@ def no_annealing(total):
 def train(model, pools, cfg, base_seed=3):
     """Steps 0, 1, ... on `pools` as one block, without annealing: its
     metrics.csv and gradnorm.csv columns."""
-    return train_block(model, as_block(pools), range(len(pools)), cfg,
-                       no_annealing(cfg.total_steps), base_seed, {})
+    steps = range(len(pools))
+    return train_block(model, as_block(pools), steps, cfg, no_annealing(cfg.total_steps),
+                       batch_generators(base_seed, steps, len(model.policies)), {})
 
 
 def head(model, i):
@@ -187,7 +191,8 @@ class TestPredict:
         config = SceneConfig()
         scenes = generate_scenes(config, [40 + i for i in range(POOL_BLOCK)])
         block = generate_proposals(scenes, [1.0] * POOL_BLOCK, RpnQualityModel(),
-                                   [90 + i for i in range(POOL_BLOCK)], num_classes=C)
+                                   generators([90 + i for i in range(POOL_BLOCK)]),
+                                   num_classes=C)
         model = self.model(n_heads, seed=7)
         together = prm_predict(model, block)
         apart = [prm_predict(model, block.pool(i)) for i in range(POOL_BLOCK)]
@@ -255,7 +260,8 @@ class TestDrawBatches:
     def test_tables_hold_each_heads_draw_padded(self):
         policies, _, pool_at = ORACLE_CASES["two-hard-heads"]
         pools = [pool_at(t) for t in range(6)]
-        rows, mults, widths = draw_batches(as_block(pools), policies, range(6), 3)
+        rows, mults, widths = draw_batches(as_block(pools), policies, range(6),
+                                           batch_generators(3, range(6), len(policies)))
         assert rows.shape == mults.shape == (6, 2, max(widths))
         for t, pool in enumerate(pools):
             batches = [sample(pool.classes, p,
@@ -270,23 +276,27 @@ class TestDrawBatches:
         assert len(set(widths)) > 1
 
 
-def block_arrays(steps=4, heads=2, width=6, seed=0):
-    """Random inputs and raw arrays of a block with every statistic defined."""
+def block_arrays(steps=4, heads=2, width=6, pool=5, seed=0):
+    """Random inputs and raw arrays of a block of pools of `pool` rows with
+    every statistic defined."""
     rng = np.random.default_rng(seed)
     model = init_model(3, 2, C, [policy()] * heads, seed)
     targets = rng.integers(0, C + 1, size=(steps, heads, width))
     targets[..., :2] = [1, 0]  # a positive and a background in every batch
-    rows, mults = np.zeros(targets.shape, dtype=np.int64), np.ones(targets.shape)
-    inputs = BlockInputs(range(10, 10 + steps), [width] * steps, rows, rows, targets, mults,
-                         rng.normal(size=(steps, heads, width, 3)),
-                         np.zeros((steps, heads, width, 4)),
-                         net.loss_weights(targets, targets > 0, mults, C + 1),
-                         [0.02] * steps, [1.0] * steps)
+    rows = np.zeros(targets.shape, dtype=np.int64)
+    rows[:] = np.arange(width) % pool
+    mults = np.ones(targets.shape)
+    weights = net.loss_weights(targets, targets > 0, mults, C + 1)
+    batches = [StepBatch(r, r, rng.normal(size=(heads, width, 3)), np.zeros((heads, width, 4)),
+                         net.LossWeights(*(a[i] for a in weights)))
+               for i, r in enumerate(rows)]
+    inputs = BlockInputs(range(10, 10 + steps), list(range(0, pool * steps + 1, pool)), batches,
+                         rows, targets, mults, [0.02] * steps, [1.0] * steps)
     arrays = BlockArrays.empty(model, inputs)
     arrays.grad_w[:], arrays.grad_b[:] = rng.normal(size=arrays.grad_w.shape), rng.normal(
         size=arrays.grad_b.shape)
-    arrays.logits[:], arrays.fg_means[:] = rng.normal(size=arrays.logits.shape), rng.uniform(
-        size=arrays.fg_means.shape)
+    arrays.logits[:], arrays.probs[:] = rng.normal(size=arrays.logits.shape), rng.uniform(
+        size=arrays.probs.shape)
     return inputs, arrays
 
 
@@ -308,7 +318,7 @@ class TestSummarizeBlock:
 
     def test_non_finite_names_the_first_bad_step(self):
         inputs, arrays = block_arrays()
-        arrays.fg_means[2, 1] = np.nan
+        arrays.probs[1, 10, 2] = np.nan  # a row of step 12's pool
         arrays.grad_w[3, 0, 0, 0] = np.inf
         with pytest.raises(FloatingPointError,
                            match=r"non-finite at step 12: backbone gradient norm [\d.]+, "
@@ -376,7 +386,8 @@ class TestTrainStepOracle:
             steps = range(start, min(start + ORACLE_BLOCK, ORACLE_STEPS))
             pools = [pool_at(t) for t in steps]
             metrics, norms = train_block(model, as_block(pools), steps, cfg,
-                                         schedule or no_annealing(ORACLE_STEPS), 3, {})
+                                         schedule or no_annealing(ORACLE_STEPS),
+                                         batch_generators(3, steps, len(policies)), {})
             heads = [str(i + 1) for i in range(len(policies))]
             assert list(metrics) == ["step", "pos_count_unique", "pos_count_effective",
                                      "pos_acc", "neg_acc", "lambda",

@@ -71,9 +71,7 @@ class TestApply:
     def test_identity_at_one(self):
         grads = random_grads()
         out = rga(grads, 1.0)
-        for a, b in zip(out.heads.arrays(), grads.heads.arrays()):
-            np.testing.assert_array_equal(a, b)
-        assert out.backbone is grads.backbone
+        assert out.flat.tobytes() == grads.flat.tobytes()
 
     def test_scales_heads_only(self):
         grads = random_grads(seed=2, heads=2)
@@ -84,15 +82,13 @@ class TestApply:
             assert a.shape[0] == 2
             np.testing.assert_allclose(b, 7.0 * a, rtol=1e-12)
         for a, b in zip(grads.backbone.arrays(), out.backbone.arrays()):
-            assert a is b
+            assert a.tobytes() == b.tobytes()
 
     def test_writes_into_out(self):
         grads = random_grads(seed=3, heads=2)
         buffer = random_grads(seed=4, heads=2)
         got = apply_rga(grads, 3.5, buffer)
-        assert got.flat is buffer.flat
-        assert all(a is b for a, b in zip(got.heads.arrays(), buffer.heads.arrays()))
-        assert all(a is b for a, b in zip(got.backbone.arrays(), grads.backbone.arrays()))
+        assert got is buffer
         # the same bits as scaling each head array on its own
         want = [a.ravel() for a in grads.backbone.arrays()]
         want += [(3.5 * a).ravel() for a in grads.heads.arrays()]
@@ -118,7 +114,7 @@ class TestUpdateEquivalence:
         backbone_b = net.BackboneParams(backbone_a.w.copy(), backbone_a.b.copy())
         head_b = net.HeadParams(*[a.copy() for a in head_a.arrays()])
 
-        sgd_step(params, rga(grads, lam), 0, cfg, cfg.lr_schedule([0])[0])
+        sgd_step(params, rga(grads, lam), cfg.lr_schedule([0])[0])
 
         for param, grad in zip(backbone_b.arrays(), grads.backbone.arrays()):
             param -= alpha * grad

@@ -8,7 +8,7 @@ from scipy import stats
 from detlab.config import load_config
 from detlab.files import write_arrays
 from detlab.geometry import iou_matrix, label_arrays
-from detlab.seeding import derive_seed
+from detlab.seeding import derive_seed, generators
 from detlab.synthdata import (
     DEFAULT_GT_COUNT_WEIGHTS,
     POS_IOU_THRESHOLD,
@@ -110,7 +110,7 @@ def _scene(n=2, cls=2):
 class TestProposals:
     def test_perfect_quality_zero_jitter(self):
         model = RpnQualityModel(jitter_start=0.6, jitter_end=0.0)
-        pool = generate_proposals(_scene(), [1.0], model, [5], num_classes=3)
+        pool = generate_proposals(_scene(), [1.0], model, generators([5]), num_classes=3)
         max_ious, matched = best_matches(scenes_of(_scene())[0], pool)
         # every instance keeps at least one exact copy
         for g in range(len(_scene().classes)):
@@ -120,18 +120,18 @@ class TestProposals:
     def test_zero_gt_scene(self):
         scene = scene_table([([], [])], ids=[2])
         model = RpnQualityModel()
-        pool = generate_proposals(scene, [0.5], model, [3], num_classes=3)
+        pool = generate_proposals(scene, [0.5], model, generators([3]), num_classes=3)
         assert len(pool) == model.bg_per_scene
         assert (pool.classes == 0).all()
 
     def test_deterministic(self):
         model = RpnQualityModel()
-        a = generate_proposals(_scene(), [0.3], model, [7], num_classes=3)
-        b = generate_proposals(_scene(), [0.3], model, [7], num_classes=3)
+        a = generate_proposals(_scene(), [0.3], model, generators([7]), num_classes=3)
+        b = generate_proposals(_scene(), [0.3], model, generators([7]), num_classes=3)
         np.testing.assert_array_equal(a.boxes, b.boxes)
         np.testing.assert_array_equal(a.features, b.features)
         with pytest.raises(TypeError):  # feature width never follows the scene's classes
-            generate_proposals(_scene(), [0.3], model, [7])
+            generate_proposals(_scene(), [0.3], model, generators([7]))
 
     def test_low_quality_means_low_overlap(self):
         # default starting jitter leaves the mean per-instance best IoU below 0.5
@@ -139,7 +139,7 @@ class TestProposals:
         scenes = generate_scenes(SceneConfig(gt_count_weights={2: 1.0}),
                                  [derive_seed("lowq", i) for i in range(1000)])
         pools = generate_proposals(scenes, [0.0] * 1000, model,
-                                   [derive_seed("lowq-p", i) for i in range(1000)],
+                                   generators([derive_seed("lowq-p", i) for i in range(1000)]),
                                    num_classes=3)
         best = []
         for i, scene in enumerate(scenes_of(scenes)):
@@ -155,7 +155,8 @@ class TestProposals:
         means = []
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
             pools = generate_proposals(scenes, [q] * 300, model,
-                                       [derive_seed("shortage-p", q, i) for i in range(300)],
+                                       generators([derive_seed("shortage-p", q, i)
+                                                   for i in range(300)]),
                                        num_classes=3)
             means.append(np.mean([int((pools.pool(i).classes > 0).sum()) for i in range(300)]))
         assert all(a < b for a, b in zip(means, means[1:]))
@@ -164,7 +165,7 @@ class TestProposals:
         model = RpnQualityModel()
         scenes = generate_scenes(SceneConfig(), [derive_seed("corr", i) for i in range(2000)])
         pools = generate_proposals(scenes, [1.0] * 2000, model,
-                                   [derive_seed("corr-p", i) for i in range(2000)],
+                                   generators([derive_seed("corr-p", i) for i in range(2000)]),
                                    num_classes=3)
         gt_counts = scenes.counts
         pos_counts = [int((pools.pool(i).classes > 0).sum()) for i in range(2000)]
@@ -205,25 +206,30 @@ class TestMatchesOracle:
         seeds = [derive_seed("oracle-p", n, kind, i) for i in range(n)]
         model = RpnQualityModel(jitter_end=0.15)
         feat = FeatureModel(noise_sigma=noise_sigma)
-        block = generate_proposals(scenes, qualities, model, seeds, feat, num_classes=3,
-                                   box_size_range=(8.0, 30.0))
+        block = generate_proposals(scenes, qualities, model, generators(seeds), feat,
+                                   num_classes=3, box_size_range=(8.0, 30.0))
         alone = [proposal_oracle.generate_proposals(scene, q, model, seed, feat, num_classes=3,
                                                     box_size_range=(8.0, 30.0))
                  for scene, q, seed in zip(scenes_of(scenes), qualities, seeds)]
         assert len(block.offsets) == n + 1
         assert len(block) == sum(len(pool) for pool in alone)
         np.testing.assert_array_equal(np.diff(block.offsets), [len(pool) for pool in alone])
+        # and as blocks of at most 2 pools taking their generators from one pass
+        rngs = generators(seeds)
+        halves = [generate_proposals(scenes.take(range(lo, min(lo + 2, n))), qualities[lo:lo + 2],
+                                     model, rngs, feat, num_classes=3, box_size_range=(8.0, 30.0))
+                  for lo in range(0, n, 2)]
         for i, expected in enumerate(alone):
-            got = block.pool(i)
-            for name in ("boxes", "classes", "reg_targets", "features"):
-                np.testing.assert_array_equal(getattr(got, name), getattr(expected, name),
-                                              strict=True, err_msg=f"pool {i} {name}")
+            for got in (block.pool(i), halves[i // 2].pool(i % 2)):
+                for name in ("boxes", "classes", "reg_targets", "features"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(expected, name),
+                                                  strict=True, err_msg=f"pool {i} {name}")
 
     def test_ties_go_to_the_lowest_instance(self):
         # an exact copy of a repeated instance takes the first one's class
         scene = oracle_scenes(1, 3)
-        pool = generate_proposals(scene, [1.0], RpnQualityModel(jitter_end=0.0), [1],
-                                  num_classes=3)
+        pool = generate_proposals(scene, [1.0], RpnQualityModel(jitter_end=0.0),
+                                  generators([1]), num_classes=3)
         copies = np.all(pool.boxes == scene.boxes[0], axis=1)
         assert copies.any() and (pool.classes[copies] == scene.classes[0]).all()
         assert scene.classes[1] != scene.classes[0]

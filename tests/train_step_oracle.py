@@ -110,11 +110,11 @@ def prm_train_step(
         targets = pool.classes[batch.indices]
         reg_targets = pool.reg_targets[batch.indices]
         pos_mask = targets > 0
-        logits, deltas, cache = net.forward(model.backbone, head, x)
+        outputs = logits, deltas, _ = net.forward(model.backbone, head, x)
         loss = net.total_loss(logits, deltas, targets, reg_targets, pos_mask,
                               batch.multiplicities)
         g_backbone, g_head = backward_of(
-            cache, targets, reg_targets, pos_mask, batch.multiplicities,
+            head, x, outputs, targets, reg_targets, pos_mask, batch.multiplicities,
         )
         if weight != 1.0:
             g_backbone = BackboneParams(*[weight * a for a in g_backbone.arrays()])
@@ -155,5 +155,5 @@ def prm_train_step(
     grads = flat_gradients(summed, net.stack_heads(head_grads))
     if schedule is not None:
         grads = apply_rga(grads, lam, unwritten_like(grads))
-    net.sgd_step(model.params, grads, t, config, config.lr_schedule([t])[0])
+    net.sgd_step(model.params, grads, config.lr_schedule([t])[0])
     return record, stats, lam
