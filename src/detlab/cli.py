@@ -20,6 +20,7 @@ from .harness import (
     write_eval_report,
     write_eval_summary,
     _dataset,
+    _write_json,
 )
 from .prm import PrmModel
 from .sampler import SAMPLING_MODES
@@ -68,6 +69,10 @@ def cmd_eval(args) -> int:
     scenes = _dataset(cfg, out_dir, "eval", cfg.eval_scenes)
     for name in ("eval_report.txt", "eval_summary.json"):  # a failed eval leaves neither
         (out_dir / name).unlink(missing_ok=True)
+    # manifest.json names this evaluation's config before its outputs exist
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+    _write_json(manifest_path, {**manifest, "eval_config_hash": cfg.config_hash()})
     result = evaluate_model(model, scenes, cfg)
     write_eval_report(result, out_dir / "eval_report.txt")
     write_eval_summary(result, cfg, out_dir / "eval_summary.json")
@@ -121,6 +126,9 @@ def cmd_report(args) -> int:
         raise ConfigError(f"{out_dir} holds the run of mode {manifest.get('mode')}, seed "
                           f"{manifest.get('seed')}, config hash {manifest.get('config_hash')}; "
                           f"the config has {wanted}")
+    if manifest.get("eval_config_hash") != cfg.config_hash():
+        raise ConfigError(f"{out_dir} holds an evaluation under config hash "
+                          f"{manifest.get('eval_config_hash')}; the config has {wanted}")
     print(summary_path.read_text(), end="")
     return 0
 

@@ -4,12 +4,12 @@ strict validation, mode presets as defaults, and a content hash for manifests.""
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .net import TrainConfig
-from .rga import AnnealSchedule
+from .rga import anneal_factors
 from .sampler import SamplingPolicy
 from .synthdata import FeatureModel, RpnQualityModel, SceneConfig
 
@@ -33,7 +33,9 @@ class ConfigError(ValueError):
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """One experiment, checked whole on every construction. Each default is
-    declared once: here, or on the model or `TrainConfig` field it comes from."""
+    declared once: here, or on the scene, rpn or feature model field it comes
+    from. A run's learning rates (`net.lr_schedule`) and annealing factors
+    (`lambdas`) are functions of these fields, built once per run."""
 
     scene: SceneConfig = field(default_factory=SceneConfig)
     rpn: RpnQualityModel = field(default_factory=RpnQualityModel)
@@ -44,8 +46,8 @@ class ExperimentConfig:
     rga_enabled: bool = MODES["baseline"]["rga_enabled"]
     lambda0: float = 7.0
     anneal: bool = True
-    learning_rate: float = TrainConfig.learning_rate
-    total_steps: int = TrainConfig.total_steps
+    learning_rate: float = 0.02
+    total_steps: int = 3000
     hidden: int = 16
     train_scenes: int = 2000
     eval_scenes: int = 500
@@ -63,7 +65,13 @@ class ExperimentConfig:
             raise ValueError("nms_threshold must lie in (0, 1)")
         if not 0.0 <= self.score_floor < 1.0:
             raise ValueError("score_floor must lie in [0, 1)")
-        self.train, self.policies, self.schedule  # what a run builds, so each value is checked
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be positive and finite")
+        if self.total_steps < 1:
+            raise ValueError("total_steps must be >= 1")
+        if self.rga_enabled and not 1.0 <= self.lambda0 < math.inf:
+            raise ValueError("initial magnification must be >= 1 and finite")
+        self.policies  # what a run builds, so each value is checked
         fewest = min(n for n, w in self.scene.gt_count_weights.items() if w > 0)
         smallest = self.rpn.bg_per_scene + self.rpn.fg_per_gt * fewest
         if self.batch_size > smallest:
@@ -84,16 +92,12 @@ class ExperimentConfig:
             for r in self.ratios
         ]
 
-    @property
-    def train(self) -> TrainConfig:
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
-
-    @property
-    def schedule(self) -> AnnealSchedule:
-        """The head-gradient annealing, a constant factor of 1 when it is off."""
+    def lambdas(self, steps) -> list[float]:
+        """The head-gradient magnification at each of `steps`: a constant
+        factor of 1 when annealing is off."""
         if not self.rga_enabled:
-            return AnnealSchedule(1.0, self.total_steps, constant=True)
-        return AnnealSchedule(self.lambda0, self.total_steps, constant=not self.anneal)
+            return anneal_factors(1.0, self.total_steps, steps, constant=True)
+        return anneal_factors(self.lambda0, self.total_steps, steps, constant=not self.anneal)
 
     def config_hash(self) -> str:
         """Hash over every field but the output path, with the derived mode

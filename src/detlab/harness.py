@@ -30,7 +30,6 @@ from .metrics import (
 from . import net
 from .prm import (BlockArrays, PrmModel, batch_generators, block_inputs, draw_batches,
                   init_model, prm_predict, prm_train_step, summarize_block)
-from .rga import AnnealSchedule
 from .seeding import derive_seed, generators
 from .synthdata import (
     ProposalSet,
@@ -264,17 +263,16 @@ def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> SceneTab
 
 
 def train_block(model: PrmModel, block: ProposalSet, steps: Sequence[int],
-                config: net.TrainConfig, schedule: AnnealSchedule,
-                rngs: Iterator[np.random.Generator], stages: dict[str, float]
-                ) -> tuple[dict[str, list], dict[str, list]]:
-    """Trains step steps[i] on pool i of `block` in three phases, each timed
-    in `stages`: draw every batch from the batch streams `rngs`
-    (`prm.batch_generators`) and gather its model-independent inputs, run
-    the network steps, then compute the block's log columns (which raises if
-    training went non-finite)."""
+                lr: list[float], lam: list[float], rngs: Iterator[np.random.Generator],
+                stages: dict[str, float]) -> tuple[dict[str, list], dict[str, list]]:
+    """Trains step steps[i] on pool i of `block` at learning rate lr[i] and
+    annealing factor lam[i], in three phases, each timed in `stages`: draw
+    every batch from the batch streams `rngs` (`prm.batch_generators`) and
+    gather its model-independent inputs, run the network steps, then compute
+    the block's log columns (which raises if training went non-finite)."""
     with _timed(stages, "sampling"):
         inputs = block_inputs(block, draw_batches(block, model.policies, steps, rngs),
-                              steps, config, schedule, model.heads.w_cls.shape[-1])
+                              steps, lr, lam, model.heads.w_cls.shape[-1])
     with _timed(stages, "network"):
         net.check_features(model.backbone, block.features)
         arrays = BlockArrays.empty(model, inputs)
@@ -302,11 +300,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     every = range(cfg.total_steps)
     with _timed(stages, "sampling"):
         batch_rngs = batch_generators(cfg.seed, every, len(cfg.policies))
+        lrs, lams = net.lr_schedule(cfg.learning_rate, cfg.total_steps, every), cfg.lambdas(every)
     for steps, block in _pool_blocks(cfg, train_scenes.take(np.remainder(every, len(train_scenes))),
                                      [quality_at(t, cfg.total_steps) for t in every],
                                      [("prop", t) for t in every], stages):
-        metrics, norms = train_block(model, block, steps, cfg.train, cfg.schedule, batch_rngs,
-                                     stages)
+        at = slice(steps.start, steps.stop)
+        metrics, norms = train_block(model, block, steps, lrs[at], lams[at], batch_rngs, stages)
         log.extend(metrics)
         gradnorm.extend(norms)
 
@@ -317,8 +316,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     write_eval_report(result, out_dir / "eval_report.txt")
     summary = write_eval_summary(result, cfg, out_dir / "eval_summary.json")
     # manifest.json is byte-identical on reruns; what varies goes to timings.json
-    _write_json(out_dir / "manifest.json",
-                {"config_hash": cfg.config_hash(), "seed": cfg.seed, "mode": cfg.mode})
+    digest = cfg.config_hash()  # `detlab eval` rewrites eval_config_hash
+    _write_json(out_dir / "manifest.json", {"config_hash": digest, "eval_config_hash": digest,
+                                            "seed": cfg.seed, "mode": cfg.mode})
     _write_json(out_dir / "timings.json", {
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "stages": {name: round(seconds, 6) for name, seconds in stages.items()},

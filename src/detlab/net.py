@@ -57,25 +57,15 @@ DECAY_POINTS = (8 / 12, 11 / 12)  # fractions of a run: Faster R-CNN's stepped d
 DECAY_FACTOR = 0.1  # the learning rate's factor at each decay point
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.02
-    total_steps: int = 3000
-
-    def __post_init__(self):
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError("learning rate must be positive and finite")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-
-    def lr_schedule(self, steps) -> list[float]:
-        """The learning rate at each of `steps`, decayed once for every decay
-        point at or before the step; ValueError for a step outside the run."""
-        if bad := [t for t in steps if not 0 <= t < self.total_steps]:
-            raise ValueError(f"step {bad[0]} beyond schedule of {self.total_steps}")
-        starts = [math.floor(f * self.total_steps) for f in DECAY_POINTS]
-        return [self.learning_rate * DECAY_FACTOR ** passed
-                for passed in np.searchsorted(starts, steps, side="right").tolist()]
+def lr_schedule(learning_rate: float, total_steps: int, steps) -> list[float]:
+    """The learning rate at each of `steps` of a `total_steps` run, decayed
+    once for every decay point at or before the step; ValueError for a step
+    outside the run."""
+    if bad := [t for t in steps if not 0 <= t < total_steps]:
+        raise ValueError(f"step {bad[0]} beyond schedule of {total_steps}")
+    starts = [math.floor(f * total_steps) for f in DECAY_POINTS]
+    return [learning_rate * DECAY_FACTOR ** passed
+            for passed in np.searchsorted(starts, steps, side="right").tolist()]
 
 
 def init_backbone(feature_dim: int, hidden: int, rng: np.random.Generator) -> BackboneParams:
@@ -277,7 +267,7 @@ def backward(heads: HeadParams, reg_targets: np.ndarray, probs: np.ndarray,
 
 def sgd_step(params: np.ndarray, grads: Gradients, lr: float) -> None:
     """In-place update of the parameter vector that `flatten` lays out, with
-    the step's learning rate `lr` (its `TrainConfig.lr_schedule` entry)."""
+    the step's learning rate `lr` (its `lr_schedule` entry)."""
     params -= lr * grads.flat
 
 

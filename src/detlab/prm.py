@@ -18,8 +18,8 @@ import numpy as np
 from . import net
 from .geometry import decode_deltas_array
 from .metrics import proposal_accuracy
-from .net import BackboneParams, Gradients, HeadParams, TrainConfig
-from .rga import AnnealSchedule, anneal_factor, apply_rga
+from .net import BackboneParams, Gradients, HeadParams
+from .rga import apply_rga
 from .sampler import SamplingPolicy, sample
 from .seeding import derive_seed, generators
 from .synthdata import ProposalSet
@@ -121,11 +121,11 @@ class BlockInputs:
 
 
 def block_inputs(block: ProposalSet, batches: tuple[np.ndarray, np.ndarray, list[int]],
-                 steps: Sequence[int], config: TrainConfig, schedule: AnnealSchedule,
+                 steps: Sequence[int], lr: list[float], lam: list[float],
                  num_outputs: int) -> BlockInputs:
     """Gathers the block's batches (`draw_batches` of `block` and `steps`)
-    with their loss weights, learning rates and annealing factors, each for
-    the whole block at once; ValueError for a step outside the run."""
+    with their loss weights, each for the whole block at once, beside the
+    steps' learning rates `lr` and annealing factors `lam`."""
     rows, mults, widths = batches
     starts, sizes = block.offsets[:-1, None, None], np.diff(block.offsets)[:, None, None]
     in_block = starts + rows
@@ -138,8 +138,7 @@ def block_inputs(block: ProposalSet, batches: tuple[np.ndarray, np.ndarray, list
         if w < rows.shape[-1]:  # a hard batch shorter than the block's widest
             step = [a[:, :w] for a in step]
         step_batches.append(StepBatch(*step[:4], net.LossWeights(*step[4:])))
-    return BlockInputs(steps, block.offsets.tolist(), step_batches, rows, targets, mults,
-                       config.lr_schedule(steps), [anneal_factor(t, schedule) for t in steps])
+    return BlockInputs(steps, block.offsets.tolist(), step_batches, rows, targets, mults, lr, lam)
 
 
 @dataclass

@@ -7,34 +7,20 @@ A constant-factor variant supports ablations against the annealed schedule.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .net import Gradients
 
 
-@dataclass(frozen=True)
-class AnnealSchedule:
-    lambda0: float
-    total_steps: int
-    constant: bool = False
-
-    def __post_init__(self):
-        if not 1.0 <= self.lambda0 < math.inf:
-            raise ValueError("initial magnification must be >= 1 and finite")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-
-
-def anneal_factor(t: int, sched: AnnealSchedule) -> float:
-    """Magnification at optimization step t: lambda0 at 0, decaying linearly to 1."""
-    if not (0 <= t <= sched.total_steps):
-        raise ValueError(f"step {t} outside [0, {sched.total_steps}]")
-    if sched.constant:
-        return sched.lambda0
-    return sched.lambda0 - (sched.lambda0 - 1.0) * t / sched.total_steps
+def anneal_factors(lambda0: float, total_steps: int, steps, constant: bool = False) -> list[float]:
+    """The magnification at each of `steps` of a `total_steps` run: lambda0
+    at step 0, decaying linearly to 1 at the end, or lambda0 throughout if
+    `constant`; ValueError for a step outside the run."""
+    if bad := [t for t in steps if not 0 <= t <= total_steps]:
+        raise ValueError(f"step {bad[0]} outside [0, {total_steps}]")
+    if constant:
+        return [lambda0] * len(steps)
+    return [lambda0 - (lambda0 - 1.0) * t / total_steps for t in steps]
 
 
 def apply_rga(grads: Gradients, lam: float, out: Gradients) -> Gradients:

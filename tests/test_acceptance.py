@@ -3,10 +3,13 @@
 The exact contracts are deterministic and fast. The behavioral checks train a
 small matrix of runs (7 variants x 5 seeds) on the default desk-scale config
 and compare seed medians, so this module takes several minutes end to end.
-Each check prints a single PASS/FAIL line.
+Each check prints a single PASS/FAIL line. Each behavioral check also records
+its per-seed values, its statistics and their distance to each threshold in
+one JSON file beside the matrix's runs, and prints that file's path.
 """
 
 import hashlib
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from detlab.harness import run_experiment
 from detlab.metrics import Detections, compute_ap, nms
 from detlab.net import load_params
 from detlab.prm import ensemble_scores, select_regression
-from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
+from detlab.rga import anneal_factors, apply_rga
 from detlab.sampler import SamplingPolicy, sample
 from detlab.seeding import derive_seed, generators
 from detlab.synthdata import generate_proposals, generate_scenes
@@ -59,6 +62,30 @@ def desk_runs(tmp_path_factory):
             cfg = replace(base, out=str(root / f"{name}_s{seed}"), **overrides)
             runs[(name, seed)] = run_experiment(cfg)
     return runs
+
+
+def per_seed(**series):
+    """{seed: {name: value}} from lists of per-seed values in SEEDS order."""
+    return {str(seed): {name: float(values[i]) for name, values in series.items()}
+            for i, seed in enumerate(SEEDS)}
+
+
+def bound(value, relation, threshold):
+    """A statistic against its threshold; `margin` is the distance to the
+    threshold, positive on the passing side."""
+    margin = value - threshold if relation.startswith(">") else threshold - value
+    return {"value": value, "relation": relation, "threshold": threshold, "margin": margin}
+
+
+def record_evidence(runs, check, seeds, **statistics):
+    """Adds one check's per-seed values and statistics to the evidence file in
+    the matrix's directory and prints the file's path. Observational only:
+    the checks' asserts read none of it."""
+    path = next(iter(runs.values())).out_dir.parent / "acceptance_evidence.json"
+    evidence = json.loads(path.read_text()) if path.exists() else {}
+    evidence[check] = {"per_seed": seeds, "statistics": statistics}
+    path.write_text(json.dumps(evidence, indent=2, sort_keys=True) + "\n")
+    print(f"acceptance evidence: {path}")
 
 
 def median_over_seeds(runs, name, fn):
@@ -139,10 +166,8 @@ class TestExactContracts:
     def test_01_anneal_schedule_endpoints(self):
         ok = True
         for lam0 in (3.0, 5.0, 7.0, 9.0):
-            sched = AnnealSchedule(lam0, 3000)
-            ok = ok and anneal_factor(0, sched) == lam0
-            ok = ok and anneal_factor(3000, sched) == 1.0
-        ok = ok and anneal_factor(1500, AnnealSchedule(7.0, 3000)) == 4.0
+            ok = ok and anneal_factors(lam0, 3000, [0, 3000]) == [lam0, 1.0]
+        ok = ok and anneal_factors(7.0, 3000, [1500]) == [4.0]
         report("01 anneal schedule endpoints and midpoint", ok)
 
     def test_02_rga_scales_heads_only(self):
@@ -336,6 +361,8 @@ class TestBehavioral:
                 smoothed, np.arange(len(smoothed))).statistic)
         frac = float(np.median(early_fracs))
         rho = float(np.median(rhos))
+        record_evidence(desk_runs, "09", per_seed(early_frac=early_fracs, spearman=rhos),
+                        early_frac=bound(frac, "<", 0.5), spearman=bound(rho, ">", 0.8))
         report("09 early positives scarce, count grows with step",
                frac < 0.5 and rho > 0.8,
                f"early frac {frac:.3f}, spearman {rho:.3f}")
@@ -356,6 +383,7 @@ class TestBehavioral:
             pos_counts = [int(np.sum(pools.pool(i).classes > 0)) for i in range(500)]
             rhos.append(scipy_stats.spearmanr(gt_counts, pos_counts).statistic)
         rho = float(np.median(rhos))
+        record_evidence(desk_runs, "10", per_seed(spearman=rhos), spearman=bound(rho, ">", 0.5))
         report("10 per-scene gt count vs positive proposals", rho > 0.5,
                f"spearman {rho:.3f}")
 
@@ -373,6 +401,8 @@ class TestBehavioral:
             neg_diffs.append(abs(rga_neg[-tail:].mean() - base_neg[-tail:].mean()))
         margin = float(np.median(margins))
         neg_diff = float(np.median(neg_diffs))
+        record_evidence(desk_runs, "11", per_seed(margin=margins, neg_acc_diff=neg_diffs),
+                        margin=bound(margin, ">", 0), neg_acc_diff=bound(neg_diff, "<", 0.02))
         report("11 annealed magnification lifts early positive accuracy",
                margin > 0 and neg_diff < 0.02,
                f"margin {margin:+.4f}, final neg-acc diff {neg_diff:.4f}")
@@ -384,6 +414,12 @@ class TestBehavioral:
         ok = (med["rga"] >= med["baseline"]
               and med["rga_prm"] >= med["rga"]
               and med["soft11"] >= med["hard11"])
+        record_evidence(
+            desk_runs, "12",
+            per_seed(**{name: [desk_runs[(name, seed)].summary["ap_mean"] for seed in SEEDS]
+                        for name in med}),
+            **{f"{hi}_ge_{lo}": bound(med[hi], ">=", med[lo])
+               for hi, lo in (("rga", "baseline"), ("rga_prm", "rga"), ("soft11", "hard11"))})
         report("12 AP orderings across variants", ok,
                ", ".join(f"{k} {v:.4f}" for k, v in med.items()))
 
@@ -396,6 +432,8 @@ class TestBehavioral:
             fracs.append(stats.frac_large_gap)
         gap = float(np.median(gaps))
         frac = float(np.median(fracs))
+        record_evidence(desk_runs, "13", per_seed(mean_score_gap=gaps, frac_large_gap=fracs),
+                        mean_score_gap=bound(gap, ">", 0))
         report("13 1:1 head outscores 1:9 head on foreground", gap > 0,
                f"mean-score gap {gap:+.4f}, frac large gap {frac:.3f}")
 
@@ -415,6 +453,12 @@ class TestBehavioral:
         hi = float(np.median(hi_gaps))
         lo = float(np.median(lo_gaps))
         floor = float(np.median(floor_margins))
+        record_evidence(desk_runs, "14",
+                        per_seed(gap_hi=hi_gaps, gap_lo=lo_gaps,
+                                 floor_margin_1_3=floor_margins[0::2],
+                                 floor_margin_8_inf=floor_margins[1::2]),
+                        gap_hi=bound(hi, ">", 0), gap_lo=bound(lo, "<", hi),
+                        ensemble_margin=bound(floor, ">=", 0))
         report("14 crowded-scene tradeoff and ensemble floor",
                hi > 0 and lo < hi and floor >= 0,
                f"gap hi {hi:+.4f}, gap lo {lo:+.4f}, ensemble margin {floor:+.4f}")

@@ -18,7 +18,6 @@ from detlab.files import atomic_write, write_arrays
 from detlab.harness import axis_cells, run_experiment, sweep
 from detlab.metrics import MetricsLog
 from detlab.net import init_backbone, init_head, save_params, stack_heads
-from detlab.rga import anneal_factor
 from detlab.synthdata import SCENE_ARRAYS, load_dataset, save_dataset
 
 TINY = """
@@ -467,6 +466,50 @@ class TestCli:
         assert (f"config error: {out} holds the run of mode baseline, seed 3, config hash {ran}; "
                 f"the config has mode rga+prm, seed 11, config hash {asked}") in captured.err
 
+    def test_report_refuses_an_evaluation_under_another_config(self, tmp_path, capsys):
+        cfg_path = self.write_cfg(tmp_path)
+        other = tmp_path / "nms.cfg"
+        other.write_text(TINY + "[eval]\nnms_threshold = 0.3\n")
+        out = str(tmp_path / "run")
+        assert cli_main(["train", "--config", str(cfg_path), "--out", out]) == 0
+        trained = json.loads((Path(out) / "manifest.json").read_text())
+        assert cli_main(["eval", "--config", str(other), "--out", out]) == 0
+        ran, evaluated = (load_config(p, out=out).config_hash() for p in (cfg_path, other))
+        # only the evaluation's hash changes
+        assert json.loads((Path(out) / "manifest.json").read_text()) == dict(
+            trained, eval_config_hash=evaluated)
+        capsys.readouterr()
+        assert cli_main(["report", "--config", str(cfg_path), "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"config error: {out} holds an evaluation under config hash {evaluated}; the "
+                f"config has mode baseline, seed 3, config hash {ran}") in captured.err
+
+    def test_eval_under_the_same_config_still_reports(self, tmp_path, capsys):
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        trained = (out / "manifest.json").read_bytes()
+        assert cli_main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out / "manifest.json").read_bytes() == trained
+        capsys.readouterr()
+        assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (out / "eval_summary.json").read_text()
+
+    def test_eval_without_a_run_records_only_its_config(self, tmp_path, capsys):
+        cfg_path = self.write_cfg(tmp_path)
+        run, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+        assert cli_main(["gen-data", "--config", str(cfg_path), "--out", str(elsewhere)]) == 0
+        assert cli_main(["eval", "--config", str(cfg_path), "--out", str(elsewhere),
+                         "--checkpoint", str(run / "checkpoint.npz")]) == 0
+        digest = load_config(cfg_path).config_hash()
+        manifest = json.loads((elsewhere / "manifest.json").read_text())
+        assert manifest == {"eval_config_hash": digest}
+        capsys.readouterr()  # no training run is recorded there, so report refuses it
+        assert cli_main(["report", "--config", str(cfg_path), "--out", str(elsewhere)]) == 1
+        assert "holds the run of mode None" in capsys.readouterr().err
+
     def test_report_refuses_a_run_without_manifest(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "run"
@@ -503,8 +546,23 @@ class TestCli:
         cfg_path.write_text(TINY + f"[rga]\nenabled = false\nlambda0 = {lambda0}\n")
         assert cli_main(["train", "--config", str(cfg_path),
                          "--out", str(tmp_path / "run")]) == 0
-        schedule = load_config(cfg_path).schedule
-        assert [anneal_factor(t, schedule) for t in (0, 20, 40)] == [1.0, 1.0, 1.0]
+        assert load_config(cfg_path).lambdas([0, 20, 40]) == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("mode,rga,want", [
+        ("rga", "anneal = false", lambda t: 7.0),
+        ("rga", "anneal = true", lambda t: 7.0 - (7.0 - 1.0) * t / 40),
+        ("baseline", "lambda0 = 0.5", lambda t: 1.0),
+    ], ids=["rga-constant", "rga-annealed", "baseline"])
+    def test_lambda_column_follows_the_annealing_switch(self, tmp_path, mode, rga, want):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY + f"[rga]\n{rga}\n")
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--mode", mode,
+                         "--out", str(out)]) == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["step"]) for row in rows] == list(range(40))
+        assert [float(row["lambda"]) for row in rows] == [want(t) for t in range(40)]
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

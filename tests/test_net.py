@@ -6,7 +6,6 @@ import pytest
 from detlab.net import (
     BackboneParams,
     HeadParams,
-    TrainConfig,
     _smooth_l1_grad,
     backward,
     class_max,
@@ -17,6 +16,7 @@ from detlab.net import (
     init_head,
     load_params,
     loss_weights,
+    lr_schedule,
     reg_loss,
     save_params,
     sgd_step,
@@ -263,8 +263,8 @@ class TestStackedHeads:
 
 
 class TestSgd:
-    def cfg(self, total=1200):
-        return TrainConfig(learning_rate=0.02, total_steps=total)
+    def lrs(self, steps, total=1200):
+        return lr_schedule(0.02, total, steps)
 
     def test_zero_grad_no_change(self):
         params, backbone, head = flatten(*tiny_model())
@@ -290,7 +290,7 @@ class TestSgd:
             BackboneParams(*(rng.normal(size=a.shape) for a in backbone.arrays())),
             HeadParams(*(rng.normal(size=a.shape) for a in head.arrays())))
         params, p_backbone, p_head = flatten(backbone, head)
-        lr = self.cfg().lr_schedule([900])[0]
+        lr = self.lrs([900])[0]
         sgd_step(params, grads, lr)
         for param, before, grad in zip(p_backbone.arrays() + p_head.arrays(),
                                        backbone.arrays() + head.arrays(),
@@ -298,11 +298,10 @@ class TestSgd:
             assert param.tobytes() == (before - lr * grad).tobytes()
 
     def test_decay_points(self):
-        cfg = self.cfg(total=1200)
         first_decay = math.floor(8 * 1200 / 12)
         second_decay = math.floor(11 * 1200 / 12)
-        at_0, before_first, at_first, at_second = cfg.lr_schedule(
-            [0, first_decay - 1, first_decay, second_decay])
+        at_0, before_first, at_first, at_second = self.lrs(
+            [0, first_decay - 1, first_decay, second_decay], total=1200)
         assert at_0 == 0.02
         assert before_first == 0.02
         assert at_first == pytest.approx(0.002)
@@ -310,18 +309,17 @@ class TestSgd:
 
     @pytest.mark.parametrize("total", [1, 12, 121, 3000])
     def test_schedule_counts_the_points_passed(self, total):
-        cfg = TrainConfig(learning_rate=0.3, total_steps=total)
         steps = range(total)
         # Faster R-CNN's recipe: x0.1 at 8/12 and at 11/12 of the run
         want = [0.3 * 0.1 ** sum(1 for f in (8 / 12, 11 / 12) if t >= math.floor(f * total))
                 for t in steps]
-        assert cfg.lr_schedule(steps) == want
-        assert [cfg.lr_schedule([t])[0] for t in steps] == want
+        assert lr_schedule(0.3, total, steps) == want
+        assert [lr_schedule(0.3, total, [t])[0] for t in steps] == want
 
     def test_step_beyond_schedule(self):
         # a block's steps are checked once, where their learning rates are read
         with pytest.raises(ValueError, match="step 1200 beyond schedule"):
-            self.cfg(total=1200).lr_schedule([1198, 1199, 1200])
+            self.lrs([1198, 1199, 1200], total=1200)
 
 
 def reference_softmax(logits):

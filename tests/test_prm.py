@@ -4,7 +4,7 @@ import pytest
 import detlab.prm as prm_mod
 from detlab import net
 from detlab.geometry import decode_deltas_array
-from detlab.net import BackboneParams, HeadParams, TrainConfig, softmax
+from detlab.net import BackboneParams, HeadParams, lr_schedule, softmax
 from detlab.harness import POOL_BLOCK, train_block
 from detlab.prm import (
     BlockArrays,
@@ -19,7 +19,7 @@ from detlab.prm import (
     select_regression,
     summarize_block,
 )
-from detlab.rga import AnnealSchedule
+from detlab.rga import anneal_factors
 from detlab.sampler import SamplingPolicy, sample
 from detlab.seeding import derive_seed, generators
 from detlab.synthdata import (ProposalSet, RpnQualityModel, SceneConfig, generate_proposals,
@@ -41,10 +41,6 @@ def policy(ratio=(1, 3), mode="soft", batch=32):
     return SamplingPolicy(mode=mode, ratio=ratio, batch_size=batch)
 
 
-def train_cfg(total=100):
-    return TrainConfig(learning_rate=0.02, total_steps=total)
-
-
 def as_block(pools):
     """The pools as one block, pool i at rows offsets[i]:offsets[i + 1]."""
     columns = [np.concatenate([getattr(p, k) for p in pools])
@@ -52,16 +48,12 @@ def as_block(pools):
     return ProposalSet(*columns, offsets=np.cumsum([0] + [len(p) for p in pools]))
 
 
-def no_annealing(total):
-    """The schedule of a run with annealing off: a factor of 1 at every step."""
-    return AnnealSchedule(1.0, total, constant=True)
-
-
-def train(model, pools, cfg, base_seed=3):
-    """Steps 0, 1, ... on `pools` as one block, without annealing: its
-    metrics.csv and gradnorm.csv columns."""
+def train(model, pools, total=100, base_seed=3):
+    """Steps 0, 1, ... of a `total`-step run on `pools` as one block, without
+    annealing: its metrics.csv and gradnorm.csv columns."""
     steps = range(len(pools))
-    return train_block(model, as_block(pools), steps, cfg, no_annealing(cfg.total_steps),
+    return train_block(model, as_block(pools), steps, lr_schedule(0.02, total, steps),
+                       [1.0] * len(steps),
                        batch_generators(base_seed, steps, len(model.policies)), {})
 
 
@@ -205,7 +197,7 @@ class TestTrainStep:
         model = init_model(FEATURE_DIM, 5, C,
                            [policy((1, 1)), policy((1, 9))], 1)
         pools = [make_pool(seed=200 + t, q=t / 50) for t in range(50)]
-        _, norms = train(model, pools, train_cfg())
+        _, norms = train(model, pools)
         for n1, n2, norm_sum in zip(norms["norm_h1"], norms["norm_h2"], norms["norm_sum"],
                                     strict=True):
             assert norm_sum <= n1 + n2 + 1e-9
@@ -220,7 +212,7 @@ class TestTrainStep:
             heads=net.stack_heads([head(base, 0), head(base, 0)]),
             policies=[policy((1, 3)), policy((1, 3))],
         )
-        _, norms = train(model, [make_pool(seed=9)], train_cfg(), base_seed=11)
+        _, norms = train(model, [make_pool(seed=9)], base_seed=11)
         (n1,), (n2,), (norm_sum,), (cosine,) = (norms[k] for k in ("norm_h1", "norm_h2",
                                                                    "norm_sum", "cosine"))
         assert n1 == pytest.approx(n2, rel=1e-12)
@@ -231,7 +223,7 @@ class TestTrainStep:
         model = init_model(FEATURE_DIM, 5, C,
                            [policy((1, 1)), policy((1, 9))], 2)
         pools = [make_pool(seed=300 + t, q=t / 200) for t in range(200)]
-        _, norms = train(model, pools, train_cfg(total=200), base_seed=13)
+        _, norms = train(model, pools, total=200, base_seed=13)
         cosines = [c for c in norms["cosine"] if c is not None]
         assert np.median(cosines) < 1 - 1e-6
 
@@ -239,7 +231,7 @@ class TestTrainStep:
         results = []
         for _ in range(2):
             model = init_model(FEATURE_DIM, 5, C, [policy((1, 3))], 4)
-            train(model, [make_pool(seed=400 + t) for t in range(5)], train_cfg(), base_seed=5)
+            train(model, [make_pool(seed=400 + t) for t in range(5)], base_seed=5)
             results.append(np.concatenate(
                 [a.ravel() for a in model.backbone.arrays() + model.heads.arrays()]))
         np.testing.assert_array_equal(results[0], results[1])
@@ -251,7 +243,7 @@ class TestTrainStep:
         assert all(np.shares_memory(a, model.params) for a in arrays)
         np.testing.assert_array_equal(model.params, np.concatenate([a.ravel() for a in arrays]))
         before = model.params.copy()
-        train(model, [make_pool(seed=410)], train_cfg())
+        train(model, [make_pool(seed=410)])
         assert not np.array_equal(model.params, before)
         np.testing.assert_array_equal(model.params, np.concatenate([a.ravel() for a in arrays]))
 
@@ -378,15 +370,16 @@ class TestTrainStepOracle:
         policies, annealed, pool_at = ORACLE_CASES[case]
         model = init_model(FEATURE_DIM, 5, C, policies, 17)
         oracle = copy_model(model)
-        cfg = train_cfg(total=ORACLE_STEPS)
-        # the oracle steps without annealing when given no schedule
-        schedule = AnnealSchedule(lambda0=4.0, total_steps=ORACLE_STEPS) if annealed else None
+        # the oracle steps without annealing when given no lambda0
+        lambda0 = 4.0 if annealed else None
         repeated = [False] * len(policies)
         for start in range(0, ORACLE_STEPS, ORACLE_BLOCK):
             steps = range(start, min(start + ORACLE_BLOCK, ORACLE_STEPS))
             pools = [pool_at(t) for t in steps]
-            metrics, norms = train_block(model, as_block(pools), steps, cfg,
-                                         schedule or no_annealing(ORACLE_STEPS),
+            lams = (anneal_factors(lambda0, ORACLE_STEPS, steps) if annealed
+                    else [1.0] * len(steps))
+            metrics, norms = train_block(model, as_block(pools), steps,
+                                         lr_schedule(0.02, ORACLE_STEPS, steps), lams,
                                          batch_generators(3, steps, len(policies)), {})
             heads = [str(i + 1) for i in range(len(policies))]
             assert list(metrics) == ["step", "pos_count_unique", "pos_count_effective",
@@ -397,7 +390,7 @@ class TestTrainStepOracle:
             records = zip(*norms.values(), strict=True)
             for t, pool, row, record in zip(steps, pools, rows, records, strict=True):
                 want_record, want_stats, want_lam = train_step_oracle.prm_train_step(
-                    oracle, pool, t, cfg, schedule, 3)
+                    oracle, pool, t, 0.02, ORACLE_STEPS, lambda0, 3)
                 head0 = want_stats[0]
                 assert record == (want_record.step, *want_record.head_norms,
                                   want_record.norm_sum, want_record.cosine), f"step {t}"
@@ -441,6 +434,6 @@ class TestTrainStepOracle:
         policies, _, _ = ORACLE_CASES["three-heads-annealed"]
         model = init_model(FEATURE_DIM, 5, C, policies, 17)
         pools = [oracle_pool(t) for t in range(5)]
-        train(model, pools, train_cfg(total=5))
+        train(model, pools, total=5)
         # once over each pool, for all three heads
         assert calls == [(len(pool), 3) for pool in pools]

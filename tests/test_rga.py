@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from detlab import net
-from detlab.net import TrainConfig, sgd_step, stack_heads
-from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
+from detlab.net import lr_schedule, sgd_step, stack_heads
+from detlab.rga import anneal_factors, apply_rga
 from step_forms import flat_gradients, unwritten_like
 
 
@@ -25,46 +25,38 @@ def rga(grads, lam):
 
 class TestSchedule:
     def test_start_is_lambda0(self):
-        assert anneal_factor(0, AnnealSchedule(7.0, 1000)) == 7.0
+        assert anneal_factors(7.0, 1000, [0]) == [7.0]
 
     def test_end_is_one(self):
         for lam0 in (1.0, 3.0, 7.0, 9.5):
-            assert anneal_factor(1000, AnnealSchedule(lam0, 1000)) == 1.0
+            assert anneal_factors(lam0, 1000, [1000]) == [1.0]
 
     def test_midpoint(self):
-        assert anneal_factor(500, AnnealSchedule(7.0, 1000)) == 4.0
+        assert anneal_factors(7.0, 1000, [500]) == [4.0]
 
     def test_linearity(self):
-        sched = AnnealSchedule(5.0, 1000)
         for t1, t2 in ((0, 1000), (100, 300), (250, 750)):
-            mid = anneal_factor((t1 + t2) // 2, sched)
-            assert anneal_factor(t1, sched) + anneal_factor(t2, sched) == pytest.approx(
-                2 * mid, abs=1e-12)
+            at_1, at_2, mid = anneal_factors(5.0, 1000, [t1, t2, (t1 + t2) // 2])
+            assert at_1 + at_2 == pytest.approx(2 * mid, abs=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            anneal_factor(1001, AnnealSchedule(7.0, 1000))
-
-    def test_invalid_lambda0(self):
-        with pytest.raises(ValueError):
-            AnnealSchedule(0.5, 1000)
+            anneal_factors(7.0, 1000, [1001])
 
 
 class TestConstantMode:
     def test_constant_at_end(self):
-        sched = AnnealSchedule(7.0, 1000, constant=True)
-        assert anneal_factor(1000, sched) == 7.0
+        assert anneal_factors(7.0, 1000, [1000], constant=True) == [7.0]
 
     def test_lambda0_one_is_identity(self):
-        sched = AnnealSchedule(1.0, 1000, constant=True)
         grads = random_grads()
-        out = rga(grads, anneal_factor(300, sched))
+        out = rga(grads, anneal_factors(1.0, 1000, [300], constant=True)[0])
         for a, b in zip(out.heads.arrays(), grads.heads.arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_differs_from_annealed_at_midpoint(self):
-        assert anneal_factor(500, AnnealSchedule(7.0, 1000, constant=True)) == 7.0
-        assert anneal_factor(500, AnnealSchedule(7.0, 1000)) == 4.0
+        assert anneal_factors(7.0, 1000, [500], constant=True) == [7.0]
+        assert anneal_factors(7.0, 1000, [500]) == [4.0]
 
 
 class TestApply:
@@ -105,7 +97,6 @@ class TestUpdateEquivalence:
         backbone lr alpha applied separately."""
         lam = 3.5
         alpha = 0.01
-        cfg = TrainConfig(learning_rate=alpha, total_steps=100)
         grads = random_grads(seed=5)
 
         rng = np.random.default_rng(9)
@@ -114,7 +105,7 @@ class TestUpdateEquivalence:
         backbone_b = net.BackboneParams(backbone_a.w.copy(), backbone_a.b.copy())
         head_b = net.HeadParams(*[a.copy() for a in head_a.arrays()])
 
-        sgd_step(params, rga(grads, lam), cfg.lr_schedule([0])[0])
+        sgd_step(params, rga(grads, lam), lr_schedule(alpha, 100, [0])[0])
 
         for param, grad in zip(backbone_b.arrays(), grads.backbone.arrays()):
             param -= alpha * grad

@@ -25,9 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from detlab import net
-from detlab.net import BackboneParams, HeadParams, TrainConfig
+from detlab.net import BackboneParams, HeadParams, lr_schedule
 from detlab.prm import PrmModel, batch_seed
-from detlab.rga import AnnealSchedule, anneal_factor, apply_rga
+from detlab.rga import anneal_factors, apply_rga
 from detlab.sampler import sample
 from detlab.synthdata import ProposalSet
 from step_forms import backward_of, flat_gradients, unwritten_like
@@ -81,15 +81,16 @@ def prm_train_step(
     model: PrmModel,
     pool: ProposalSet,
     t: int,
-    config: TrainConfig,
-    schedule: Optional[AnnealSchedule],
+    learning_rate: float,
+    total_steps: int,
+    lambda0: Optional[float],
     base_seed: int,
     head_weights: Optional[Sequence[float]] = None,
 ) -> tuple[GradNormRecord, list[HeadBatchStats], float]:
     """One joint optimization step over all heads; updates the model in place.
 
     Per-head backbone contributions are recorded before summation. Head
-    gradients are magnified by the annealing factor (if a schedule is given)
+    gradients are magnified by the annealing factor (if a lambda0 is given)
     after backward and before the optimizer step, so backbone gradients
     flowing from the heads stay unscaled.
     """
@@ -97,7 +98,7 @@ def prm_train_step(
              for i in range(len(model.policies))]
     if head_weights is None:
         head_weights = [1.0] * len(heads)
-    lam = anneal_factor(t, schedule) if schedule is not None else 1.0
+    lam = anneal_factors(lambda0, total_steps, [t])[0] if lambda0 is not None else 1.0
 
     backbone_contribs: list[BackboneParams] = []
     head_grads: list[HeadParams] = []
@@ -153,7 +154,7 @@ def prm_train_step(
     )
 
     grads = flat_gradients(summed, net.stack_heads(head_grads))
-    if schedule is not None:
+    if lambda0 is not None:
         grads = apply_rga(grads, lam, unwritten_like(grads))
-    net.sgd_step(model.params, grads, config.lr_schedule([t])[0])
+    net.sgd_step(model.params, grads, lr_schedule(learning_rate, total_steps, [t])[0])
     return record, stats, lam
