@@ -3,8 +3,9 @@
 Trains one single-head model per (sampling mode, ratio, seed) cell through
 `detlab.harness.sweep` and writes a median-AP table, sampling_ablation.csv,
 mirroring the hard-versus-soft comparison. Like `detlab sweep`, it exits 1
-with `config error:` before any work on a bad config, an unreadable
-`--ratios` or `--seeds` item or a repeated ratio or seed, and exits 2 after
+with `config error:` before any work on a bad config or cell (a ratio whose
+unit exceeds the batch), an unreadable `--ratios` or `--seeds` item or a
+repeated ratio or seed, and exits 2 after
 writing both tables if any run failed, naming the failed cells and seeds on
 stderr.
 

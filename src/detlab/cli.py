@@ -65,6 +65,7 @@ def cmd_eval(args) -> int:
     # a missing file raises FileNotFoundError naming it, and a damaged one ValueError
     backbone, heads, ratios = net.load_params(checkpoint)
     check_head_layout(checkpoint, backbone, heads, ratios, cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)
     model = PrmModel(backbone=backbone, heads=heads, policies=cfg.policies)
     scenes = _dataset(cfg, out_dir, "eval", cfg.eval_scenes)
     for name in ("eval_report.txt", "eval_summary.json"):  # a failed eval leaves neither
@@ -123,12 +124,14 @@ def cmd_report(args) -> int:
                           f"config's run ({wanted})")
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("config_hash") != cfg.config_hash():
-        raise ConfigError(f"{out_dir} holds the run of mode {manifest.get('mode')}, seed "
-                          f"{manifest.get('seed')}, config hash {manifest.get('config_hash')}; "
-                          f"the config has {wanted}")
+        ran = "records no training run" if "config_hash" not in manifest else (
+            f"holds the run of mode {manifest.get('mode')}, seed {manifest.get('seed')}, "
+            f"config hash {manifest['config_hash']}")
+        raise ConfigError(f"{out_dir} {ran}; the config has {wanted}")
     if manifest.get("eval_config_hash") != cfg.config_hash():
-        raise ConfigError(f"{out_dir} holds an evaluation under config hash "
-                          f"{manifest.get('eval_config_hash')}; the config has {wanted}")
+        under = ("a config it does not record" if "eval_config_hash" not in manifest
+                 else f"config hash {manifest['eval_config_hash']}")
+        raise ConfigError(f"{out_dir} holds an evaluation under {under}; the config has {wanted}")
     print(summary_path.read_text(), end="")
     return 0
 

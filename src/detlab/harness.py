@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import MODES, ConfigError, ExperimentConfig
+from .config import FEATURES, MODES, SCENE, ConfigError, ExperimentConfig
 from .files import atomic_write
 from .geometry import valid_boxes
 from .metrics import (
@@ -60,6 +60,8 @@ class RunResult:
     out_dir: Path
 
 
+NMS_THRESHOLD, SCORE_FLOOR, MAX_DETECTIONS = 0.5, 0.05, 100  # the paper's evaluation protocol
+
 # Proposal pools are built this many at a time: each generate_proposals call
 # labels and featurizes a block of pools in one pass over their rows. Larger
 # blocks save little more time and hold more memory.
@@ -90,20 +92,19 @@ def _pool_blocks(cfg: ExperimentConfig, scenes: SceneTable, qualities: Sequence[
         with _timed(stages, "proposals"):
             block = generate_proposals(
                 scenes.take(index), qualities[index.start:index.stop], cfg.rpn, rngs,
-                feat=cfg.feat, num_classes=cfg.scene.num_classes,
-                box_size_range=cfg.scene.box_size_range)
+                feat=FEATURES, num_classes=SCENE.num_classes,
+                box_size_range=SCENE.box_size_range)
         yield index, block
 
 
-def _block_detections(cfg: ExperimentConfig, model: PrmModel, block: ProposalSet,
-                      index: range, scenes: SceneTable, scores: np.ndarray,
-                      boxes: np.ndarray) -> list[tuple]:
+def _block_detections(model: PrmModel, block: ProposalSet, index: range,
+                      scenes: SceneTable, scores: np.ndarray, boxes: np.ndarray) -> list[tuple]:
     """Each output's (scene, class, score, box) detection columns in a block
     whose pool i is scene index[i], from its (O, N, C+1) scores and (O, N, 4)
     boxes: the candidates at or above the score floor after one NMS keyed by
-    (scene, output, class), capped at `max_detections` per (scene, output)."""
+    (scene, output, class), capped at MAX_DETECTIONS per (scene, output)."""
     n_out, n_rows, n_cols = scores.shape
-    out, rows, classes = np.nonzero(scores[:, :, 1:] >= cfg.score_floor)
+    out, rows, classes = np.nonzero(scores[:, :, 1:] >= SCORE_FLOOR)
     classes += 1
     scene = np.repeat(index, np.diff(block.offsets))[rows]
     groups = (scene * n_out + out) * n_cols + classes  # (scene, output, class)
@@ -118,13 +119,13 @@ def _block_detections(cfg: ExperimentConfig, model: PrmModel, block: ProposalSet
             f"training diverged: {f'head {out[k]}' if out[k] else 'the ensemble'} gives "
             f"degenerate or non-finite boxes in scene {scenes.ids[scene[k]]}, where the "
             f"largest |delta| is {np.abs(deltas).max():.3g}")
-    keep = nms(boxes, scores, groups, cfg.nms_threshold)  # groups ascending
+    keep = nms(boxes, scores, groups, NMS_THRESHOLD)  # groups ascending
     segment = groups[keep] // n_cols  # (scene, output)
     first = np.searchsorted(segment, segment)
-    over = np.searchsorted(segment, segment, side="right") - first > cfg.max_detections
+    over = np.searchsorted(segment, segment, side="right") - first > MAX_DETECTIONS
     # a segment over the cap keeps its highest scores, ties in NMS order
     keep = keep[np.lexsort((np.where(over, -scores[keep], 0.0), segment))]
-    keep = keep[np.arange(len(keep)) - first < cfg.max_detections]
+    keep = keep[np.arange(len(keep)) - first < MAX_DETECTIONS]
     return [(scene[kept], classes[kept], scores[kept], boxes.take(kept, axis=0))
             for kept in (keep[out[keep] == o] for o in range(n_out))]
 
@@ -140,26 +141,26 @@ def evaluate_model(model: PrmModel, scenes: SceneTable, cfg: ExperimentConfig,
                                      [("evalprop", i) for i in scenes.ids.tolist()], stages):
         with _timed(stages, "evaluation"):
             scores, boxes = prm_predict(model, block)  # the ensemble, then each head
-            found.append(_block_detections(cfg, model, block, index, scenes, scores, boxes))
+            found.append(_block_detections(model, block, index, scenes, scores, boxes))
             fg_scores.append(net.class_max(scores, 1))
     with _timed(stages, "evaluation"):
         ensemble_ap, *heads_ap = [compute_ap(Detections(*map(np.concatenate, zip(*d))), scenes)
                                   for d in zip(*found)]
         fg = np.concatenate(fg_scores, axis=1)
         stats = score_gap_stats(fg[1:]) if len(model.policies) > 1 else None
-        health = _health(sum(len(d[0][0]) for d in found), fg.mean(axis=1), cfg.score_floor)
+        health = _health(sum(len(d[0][0]) for d in found), fg.mean(axis=1))
     return EvalResult(ensemble=ensemble_ap, heads=heads_ap, score_stats=stats, health=health)
 
 
-def _health(kept: int, mean_fg: np.ndarray, score_floor: float) -> str:
+def _health(kept: int, mean_fg: np.ndarray) -> str:
     """"ok", or each sign of a collapsed model: an ensemble that keeps no
     detection, or every output's mean foreground score below the floor."""
     causes = []
     if kept == 0:
         causes.append("the ensemble kept no detection")
-    if (mean_fg < score_floor).all():
+    if (mean_fg < SCORE_FLOOR).all():
         causes.append(f"every output's mean foreground score is below the score floor "
-                      f"{score_floor}: {', '.join(f'{v:.3g}' for v in mean_fg)}")
+                      f"{SCORE_FLOOR}: {', '.join(f'{v:.3g}' for v in mean_fg)}")
     return "collapsed: " + "; ".join(causes) if causes else "ok"
 
 
@@ -240,7 +241,7 @@ def check_head_layout(checkpoint: Path, backbone: net.BackboneParams, heads: net
     stored, wanted = _layout(ratios), _layout(cfg.ratios)
     if stored != wanted:
         raise ConfigError(f"checkpoint {checkpoint} has heads {stored}, the config has {wanted}")
-    d, hidden, classes = cfg.feat.dim(cfg.scene.num_classes), cfg.hidden, cfg.scene.num_classes
+    d, hidden, classes = FEATURES.dim(SCENE.num_classes), cfg.hidden, SCENE.num_classes
     model = init_model(d, hidden, classes, cfg.policies, cfg.seed)
     stored, wanted = _shapes(backbone, heads), _shapes(model.backbone, model.heads)
     if stored != wanted:
@@ -250,10 +251,10 @@ def check_head_layout(checkpoint: Path, backbone: net.BackboneParams, heads: net
 
 def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> SceneTable:
     """Generate or reuse the cached scene file for this config."""
-    key = derive_seed(cfg.scene.__repr__(), cfg.seed, tag, n) % 10**10
+    key = derive_seed(SCENE.__repr__(), cfg.seed, tag, n) % 10**10
     path = out_dir / f"dataset_{tag}_{key}.npz"
     if not path.exists():
-        scenes = generate_dataset(cfg.scene, n, cfg.seed, tag=tag)
+        scenes = generate_dataset(SCENE, n, cfg.seed, tag=tag)
         save_dataset(scenes, path)
         return scenes
     scenes = load_dataset(path)  # a fault raises ValueError naming the file
@@ -294,7 +295,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         train_scenes = _dataset(cfg, out_dir, "train", cfg.train_scenes)
         eval_scenes = _dataset(cfg, out_dir, "eval", cfg.eval_scenes)
 
-    model = init_model(cfg.feat.dim(cfg.scene.num_classes), cfg.hidden, cfg.scene.num_classes,
+    model = init_model(FEATURES.dim(SCENE.num_classes), cfg.hidden, SCENE.num_classes,
                        cfg.policies, cfg.seed)
     log, gradnorm = MetricsLog(), MetricsLog()
     every = range(cfg.total_steps)
@@ -360,9 +361,10 @@ def sweep(cfg: ExperimentConfig, cells: dict[str, dict], seeds: Sequence[int],
     """Runs every (cell, seed) pair, a cell being a label and its config
     overrides; per cell, medians of the AP metrics over the seeds that ran.
 
-    A failing run is recorded with its error and skipped; the rest still run.
-    A repeated seed raises ConfigError before any run: it would run into the
-    same directory and count twice in the medians.
+    Every pair's config is built before the first run, so an invalid one (or
+    a repeated seed, which would run into the same directory and count twice
+    in the medians) raises ConfigError before any work. A run that fails is
+    recorded with its error and skipped; the rest still run.
     """
     if not cells:
         raise ValueError("sweep needs at least one cell")
@@ -370,17 +372,22 @@ def sweep(cfg: ExperimentConfig, cells: dict[str, dict], seeds: Sequence[int],
         raise ValueError("sweep needs at least one seed")
     refuse_repeats(seeds, "seeds", "each seed runs once per cell")
     out_dir = Path(out_dir)
+    runs = {}
+    for label, overrides in cells.items():
+        try:
+            runs[label] = [replace(cfg, **overrides, seed=seed, out=str(
+                out_dir / label.replace(":", "-") / f"seed{seed}")) for seed in seeds]
+        except ValueError as exc:
+            raise ConfigError(f"sweep cell {label}: {exc}") from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for label, overrides in cells.items():
+    for label, cell_cfgs in runs.items():
         summaries, errors = [], []
-        for seed in seeds:
-            cell_dir = out_dir / label.replace(":", "-") / f"seed{seed}"
+        for cell_cfg in cell_cfgs:
             try:
-                cell_cfg = replace(cfg, **overrides, seed=seed, out=str(cell_dir))
                 summaries.append(run_experiment(cell_cfg).summary)
             except Exception as exc:
-                errors.append(f"seed {seed}: {type(exc).__name__}: {exc}")
+                errors.append(f"seed {cell_cfg.seed}: {type(exc).__name__}: {exc}")
         row = {"value": label, "n_seeds": len(seeds), "n_failed": len(errors),
                "errors": "; ".join(errors)}
         for key in AP_KEYS:

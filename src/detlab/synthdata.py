@@ -3,7 +3,7 @@
 Early in training the simulated proposal source is noisy (large jitter), so few
 proposals overlap any object well enough to count as positive; as quality rises
 the jitter shrinks and positives become plentiful. Scene difficulty is driven
-by a configurable mixture over ground-truth counts.
+by a mixture over ground-truth counts (`SceneConfig.gt_count_weights`).
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ class SceneConfig:
     box_size_range: tuple[float, float] = (8.0, 30.0)
 
     def __post_init__(self):
-        # ascending count, so equal weights give one repr, config hash and cache name
-        weights = dict(sorted(self.gt_count_weights.items()))
-        object.__setattr__(self, "gt_count_weights", weights)
         if self.num_classes < 1:
             raise ValueError("need at least one foreground class")
         if not all(0.0 <= w < np.inf for w in self.gt_count_weights.values()):
@@ -50,8 +47,7 @@ class SceneConfig:
         if any(c < 0 for c in self.gt_count_weights):
             raise ValueError("gt counts must be non-negative")
         if not all(0.0 < e < np.inf for e in self.extent):
-            raise ValueError(f"scene extent_w and extent_h must be finite and > 0, got "
-                             f"{self.extent}")
+            raise ValueError(f"scene extent must be finite and > 0, got {self.extent}")
         lo, hi = self.box_size_range
         if not (0 < lo <= hi):
             raise ValueError("invalid box size range")

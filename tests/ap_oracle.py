@@ -4,7 +4,7 @@ detlab used before evaluation moved onto arrays, kept unchanged so that
 
 `Detection`, `nms`, `_ap_from_matches`, `_eval_class_threshold`, `_ap_over`
 and `compute_ap` are the old implementation verbatim; `detections_for` is the
-old per-scene candidate extraction (score floor, NMS, `max_detections` cap).
+old per-scene candidate extraction (score floor, NMS, detection cap).
 They read the scenes of a `SceneTable` one `scene_oracle.Scene` at a time.
 """
 
@@ -159,15 +159,16 @@ def compute_ap(
 
 
 
-def detections_for(cfg, scene: Scene, scores: np.ndarray,
-                   boxes: np.ndarray) -> list[Detection]:
+def detections_for(scene: Scene, scores: np.ndarray, boxes: np.ndarray, *,
+                   num_classes: int, score_floor: float, nms_threshold: float,
+                   max_detections: int) -> list[Detection]:
     dets = []
-    for c in range(1, cfg.scene.num_classes + 1):
-        keep = scores[:, c] >= cfg.score_floor
+    for c in range(1, num_classes + 1):
+        keep = scores[:, c] >= score_floor
         for i in np.flatnonzero(keep):
             dets.append(Detection(scene_id=scene.id, box=Box(*map(float, boxes[i])),
                                   class_id=c, score=float(scores[i, c])))
-    dets = nms(dets, cfg.nms_threshold)
-    if len(dets) > cfg.max_detections:
-        dets = sorted(dets, key=lambda d: -d.score)[: cfg.max_detections]
+    dets = nms(dets, nms_threshold)
+    if len(dets) > max_detections:
+        dets = sorted(dets, key=lambda d: -d.score)[:max_detections]
     return dets

@@ -18,7 +18,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from detlab import net
-from detlab.config import MODES, load_config, parse_config
+from detlab.config import FEATURES, MODES, SCENE, load_config, parse_config
 from detlab.harness import run_experiment
 from detlab.metrics import Detections, compute_ap, nms
 from detlab.net import load_params
@@ -371,14 +371,12 @@ class TestBehavioral:
         rhos = []
         for seed in SEEDS:
             run = desk_runs[("baseline", seed)]
-            cfg = run.config
-            scenes = generate_scenes(cfg.scene, [derive_seed(seed, "shape", i)
-                                                 for i in range(500)])
+            scenes = generate_scenes(SCENE, [derive_seed(seed, "shape", i) for i in range(500)])
             pools = generate_proposals(
-                scenes, [1.0] * 500, cfg.rpn,
+                scenes, [1.0] * 500, run.config.rpn,
                 generators([derive_seed(seed, "shapeprop", i) for i in range(500)]),
-                feat=cfg.feat, num_classes=cfg.scene.num_classes,
-                box_size_range=cfg.scene.box_size_range)
+                feat=FEATURES, num_classes=SCENE.num_classes,
+                box_size_range=SCENE.box_size_range)
             gt_counts = scenes.counts
             pos_counts = [int(np.sum(pools.pool(i).classes > 0)) for i in range(500)]
             rhos.append(scipy_stats.spearmanr(gt_counts, pos_counts).statistic)

@@ -13,7 +13,8 @@ import pytest
 import detlab.prm as prm_mod
 from detlab import cli, harness, seeding
 from detlab.cli import main as cli_main
-from detlab.config import MODES, SCHEMA, ConfigError, ExperimentConfig, load_config, parse_config
+from detlab.config import (FEATURES, MODES, SCENE, SCHEMA, ConfigError, load_config,
+                           parse_config)
 from detlab.files import atomic_write, write_arrays
 from detlab.harness import axis_cells, run_experiment, sweep
 from detlab.metrics import MetricsLog
@@ -21,9 +22,6 @@ from detlab.net import init_backbone, init_head, save_params, stack_heads
 from detlab.synthdata import SCENE_ARRAYS, load_dataset, save_dataset
 
 TINY = """
-[scene]
-num_classes = 3
-
 [sampling]
 batch_size = 32
 
@@ -43,29 +41,20 @@ seed = 3
 DESK_CFG = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
 
 # config_hash() of configs/desk.cfg at seed 7 per mode, with soft and with
-# hard sampling; manifest.json records this hash, so it must not drift.
+# hard sampling; manifest.json records this hash, so it must not drift. It
+# covers every ExperimentConfig field but `out`, so it changed when the scene,
+# proposal, feature and evaluation values became constants, not config keys.
 DESK_HASHES = {
-    "baseline": ("53a9e713fc5421f0", "266451307550c9ee"),
-    "rga": ("d7d3aaf90f5278e6", "6662688dbce27f51"),
-    "prm": ("65aa5be58c25c87b", "a1c0ca24e905bb79"),
-    "rga+prm": ("2ddbe1d121f007dc", "ba77b52e2d967a63"),
+    "baseline": ("94618343fd588959", "f166d1199c52000d"),
+    "rga": ("893f5b19edcdbe92", "f3b839dc5413b215"),
+    "prm": ("356f2605fc575aef", "098e3c3f76b3f1c3"),
+    "rga+prm": ("90625ff8a05e17cd", "dda8d7d519d97d66"),
 }
 
-# A valid non-default value for every config key, the field it must set
-# (`model.field` for the scene, rpn and feature models) and that field's value.
+# A valid non-default value for every config key, the field it must set and
+# that field's value.
 KEY_CASES = {
-    ("scene", "extent_w"): ("120", "scene.extent", (120.0, 100.0)),
-    ("scene", "extent_h"): ("90", "scene.extent", (100.0, 90.0)),
-    ("scene", "num_classes"): ("4", "scene.num_classes", 4),
-    ("scene", "box_min"): ("6", "scene.box_size_range", (6.0, 30.0)),
-    ("scene", "box_max"): ("25", "scene.box_size_range", (8.0, 25.0)),
-    ("scene", "gt_count_weights"): ("1:0.5, 2:0.5", "scene.gt_count_weights", {1: 0.5, 2: 0.5}),
-    ("rpn", "jitter_start"): ("0.7", "rpn.jitter_start", 0.7),
-    ("rpn", "jitter_end"): ("0.1", "rpn.jitter_end", 0.1),
-    ("rpn", "fg_per_gt"): ("10", "rpn.fg_per_gt", 10),
-    ("rpn", "bg_per_scene"): ("60", "rpn.bg_per_scene", 60),
-    ("features", "noise_dims"): ("4", "feat.noise_dims", 4),
-    ("features", "noise_sigma"): ("0.5", "feat.noise_sigma", 0.5),
+    ("rpn", "jitter_end"): ("0.1", "jitter_end", 0.1),
     ("sampling", "mode"): ("hard", "sampling_mode", "hard"),
     ("sampling", "ratios"): ("1:9, 1:1", "ratios", ((1, 9), (1, 1))),
     ("sampling", "batch_size"): ("48", "batch_size", 48),
@@ -77,30 +66,36 @@ KEY_CASES = {
     ("train", "hidden"): ("8", "hidden", 8),
     ("train", "train_scenes"): ("100", "train_scenes", 100),
     ("eval", "scenes"): ("50", "eval_scenes", 50),
-    ("eval", "nms_threshold"): ("0.6", "nms_threshold", 0.6),
-    ("eval", "score_floor"): ("0.1", "score_floor", 0.1),
-    ("eval", "max_detections"): ("50", "max_detections", 50),
     ("run", "seed"): ("2", "seed", 2),
     ("run", "out"): ("elsewhere", "out", "elsewhere"),
     ("run", "mode"): ("rga", "rga_enabled", True),
+}
+
+# The keys of the fixed synthetic world and evaluation protocol, now constants
+# (`config.SCENE`, `config.FEATURES`, `RpnQualityModel`'s defaults and
+# `harness.NMS_THRESHOLD`, `SCORE_FLOOR` and `MAX_DETECTIONS`), each with a value
+# it once took.
+REMOVED_KEYS = {
+    ("scene", "extent_w"): "120",
+    ("scene", "extent_h"): "90",
+    ("scene", "num_classes"): "4",
+    ("scene", "box_min"): "6",
+    ("scene", "box_max"): "25",
+    ("scene", "gt_count_weights"): "1:0.5, 2:0.5",
+    ("rpn", "jitter_start"): "0.7",
+    ("rpn", "fg_per_gt"): "10",
+    ("rpn", "bg_per_scene"): "60",
+    ("features", "noise_dims"): "4",
+    ("features", "noise_sigma"): "0.5",
+    ("eval", "nms_threshold"): "0.6",
+    ("eval", "score_floor"): "0.1",
+    ("eval", "max_detections"): "50",
 }
 
 
 def tiny_cfg(tmp_path, **overrides):
     cfg = parse_config(TINY, out=str(tmp_path / "run"))
     return replace(cfg, **overrides)
-
-
-def flat_fields(cfg: ExperimentConfig) -> dict:
-    """The config's fields, with the scene, rpn and feature models' fields
-    spelled `model.field`."""
-    flat = {}
-    for name, value in asdict(cfg).items():
-        if name in ("scene", "rpn", "feat"):
-            flat.update({f"{name}.{key}": v for key, v in value.items()})
-        else:
-            flat[name] = value
-    return flat
 
 
 class TestParseConfig:
@@ -159,26 +154,17 @@ class TestParseConfig:
         assert a.config_hash() != c.config_hash()
         assert a.config_hash() != d.config_hash()
 
-    def test_gt_count_weight_order_keeps_hash_and_cache(self, tmp_path):
-        texts = ("2:0.5, 1:0.5", "1:0.5, 2:0.5")
-        a, b = (parse_config(f"[scene]\ngt_count_weights = {t}\n", seed=1) for t in texts)
-        assert list(a.scene.gt_count_weights) == list(b.scene.gt_count_weights) == [1, 2]
-        assert a.config_hash() == b.config_hash()
-        caches = []
-        for i, text in enumerate(texts):
-            cfg_path = tmp_path / f"{i}.cfg"
-            cfg_path.write_text(TINY + f"[scene]\ngt_count_weights = {text}\n")
-            assert cli_main(["gen-data", "--config", str(cfg_path),
-                             "--out", str(tmp_path / str(i))]) == 0
-            caches.append(sorted(p.name for p in (tmp_path / str(i)).glob("dataset_*.npz")))
-        assert caches[0] == caches[1] and len(caches[0]) == 2
+    def test_key_cases_cover_the_schema(self):
+        assert set(KEY_CASES) == {(s, k) for s, keys in SCHEMA.items() for k in keys}
+        assert not set(KEY_CASES) & set(REMOVED_KEYS)
+        assert sum(map(len, SCHEMA.values())) == 15
 
     @pytest.mark.parametrize("section,key", [(s, k) for s, keys in SCHEMA.items() for k in keys])
     def test_every_key_reaches_its_field(self, section, key):
         text, target, value = KEY_CASES[section, key]
         base = parse_config("", seed=1)
         cfg = parse_config(f"[{section}]\n{key} = {text}\n", seed=None if key == "seed" else 1)
-        a, b = flat_fields(base), flat_fields(cfg)
+        a, b = asdict(base), asdict(cfg)
         assert {name: b[name] for name in a if a[name] != b[name]} == {target: value}
         assert (cfg.config_hash() == base.config_hash()) == (key == "out")
 
@@ -382,18 +368,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(tiny_cfg(tmp_path), axis_cells("lambda0", []), [3], tmp_path / "sweep")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_cell_does_not_stop_sweep(self, tmp_path):
-        cfg = tiny_cfg(tmp_path / "base")
-        # second value asks for an impossible batch and must fail alone
-        rows = sweep(cfg, axis_cells("ratio-pair", [((1, 1), (1, 9)), ((1, 39), (1, 9))]),
-                     [3], tmp_path / "sweep")
-        assert rows[0]["n_failed"] == 0 and rows[0]["errors"] == ""
-        assert rows[1]["n_failed"] == 1
-        assert rows[1]["errors"] == (
-            "seed 3: ValueError: batch size smaller than one ratio unit")
+        # at this learning rate the one-head run diverges and fails, while the
+        # two-head run collapses and completes
+        cfg = tiny_cfg(tmp_path / "base", learning_rate=1e200)
+        rows = sweep(cfg, axis_cells("mode", ["baseline", "rga+prm"]), [3], tmp_path / "sweep")
+        assert rows[0]["n_failed"] == 1
+        assert rows[0]["errors"].startswith("seed 3: FloatingPointError: training diverged: ")
+        assert rows[1]["n_failed"] == 0 and rows[1]["errors"] == ""
         with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
             written = list(csv.DictReader(fh))
-        assert written[1]["errors"] == rows[1]["errors"]
+        assert written[0]["errors"] == rows[0]["errors"]
 
     def test_lambda0_cell_keeps_head_layout(self, tmp_path):
         # annealing a two-head base gives two-head rga+prm runs, labelled so
@@ -468,8 +454,8 @@ class TestCli:
 
     def test_report_refuses_an_evaluation_under_another_config(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)
-        other = tmp_path / "nms.cfg"
-        other.write_text(TINY + "[eval]\nnms_threshold = 0.3\n")
+        other = tmp_path / "scenes.cfg"
+        other.write_text(TINY.replace("[eval]\nscenes = 20", "[eval]\nscenes = 10"))
         out = str(tmp_path / "run")
         assert cli_main(["train", "--config", str(cfg_path), "--out", out]) == 0
         trained = json.loads((Path(out) / "manifest.json").read_text())
@@ -508,7 +494,37 @@ class TestCli:
         assert manifest == {"eval_config_hash": digest}
         capsys.readouterr()  # no training run is recorded there, so report refuses it
         assert cli_main(["report", "--config", str(cfg_path), "--out", str(elsewhere)]) == 1
-        assert "holds the run of mode None" in capsys.readouterr().err
+        assert (f"config error: {elsewhere} records no training run; the config has mode "
+                f"baseline, seed 3, config hash {digest}\n" in capsys.readouterr().err)
+
+    def test_eval_creates_its_out_directory(self, tmp_path, capsys):
+        cfg_path = self.write_cfg(tmp_path)
+        run, fresh = tmp_path / "run", tmp_path / "new" / "eval"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", str(cfg_path), "--out", str(fresh),
+                         "--checkpoint", str(run / "checkpoint.npz")]) == 0
+        assert (fresh / "eval_report.txt").read_bytes() == (run / "eval_report.txt").read_bytes()
+        assert capsys.readouterr().out == (fresh / "eval_report.txt").read_text()
+
+    @pytest.mark.parametrize("dropped,message", [
+        ("config_hash", "{} records no training run"),
+        ("eval_config_hash", "{} holds an evaluation under a config it does not record"),
+    ], ids=["no-run", "no-eval-hash"])
+    def test_report_names_what_the_manifest_does_not_record(self, tmp_path, capsys, dropped,
+                                                            message):
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = out / "manifest.json"
+        recorded = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({k: v for k, v in recorded.items() if k != dropped}))
+        capsys.readouterr()
+        assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"config error: {message.format(out)}; the config has mode baseline, "
+                f"seed 3, config hash {recorded['config_hash']}\n") in captured.err
 
     def test_report_refuses_a_run_without_manifest(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)
@@ -570,13 +586,11 @@ class TestCli:
         assert cli_main(["train", "--config", str(bad)]) == 1
 
     @pytest.mark.parametrize("doc,message", [
-        (TINY.replace("num_classes = 3", "num_classes = 0"),
-         "need at least one foreground class"),
-        (TINY + "[rpn]\njitter_start = 0.01\njitter_end = 0.5\n",
-         "jitter must be non-negative and non-increasing"),
+        (TINY + "[scene]\nnum_classes = 0\n", "line 15: unknown section [scene]"),
+        (TINY + "[rpn]\njitter_end = 0.7\n", "jitter must be non-negative and non-increasing"),
         (TINY + "[train]\nlearning_rate = -1\n", "learning rate must be positive"),
         (TINY + "[train]\ndecay_factor = 1.5\n",  # loss weights and decay are fixed
-         "line 19: unknown key 'decay_factor' in section [train]"),
+         "line 16: unknown key 'decay_factor' in section [train]"),
         (TINY + "[rga]\nenabled = true\nlambda0 = 0.5\n", "initial magnification must be >= 1"),
         (TINY.replace("steps = 40", "steps = 0"), "total_steps must be >= 1"),
         (TINY.replace("train_scenes = 20", "train_scenes = 0"), "train_scenes must be >= 1"),
@@ -588,41 +602,47 @@ class TestCli:
         (TINY + "[train]\nlearning_rate = nan\n", "learning rate must be positive and finite"),
         (TINY + "[train]\nlearning_rate = inf\n", "learning rate must be positive and finite"),
         (TINY + "[train]\ndecay_points = nan\n",
-         "line 19: unknown key 'decay_points' in section [train]"),
+         "line 16: unknown key 'decay_points' in section [train]"),
         (TINY + "[train]\ndecay_points = 0.5, inf\n",
-         "line 19: unknown key 'decay_points' in section [train]"),
+         "line 16: unknown key 'decay_points' in section [train]"),
         (TINY + "[train]\ndecay_points = 8, 11\n",
-         "line 19: unknown key 'decay_points' in section [train]"),
+         "line 16: unknown key 'decay_points' in section [train]"),
         (TINY + "[train]\ncls_weight = nan\n",
-         "line 19: unknown key 'cls_weight' in section [train]"),
+         "line 16: unknown key 'cls_weight' in section [train]"),
         (TINY + "[train]\ncls_weight = inf\n",
-         "line 19: unknown key 'cls_weight' in section [train]"),
+         "line 16: unknown key 'cls_weight' in section [train]"),
         (TINY + "[train]\nreg_weight = -1\n",
-         "line 19: unknown key 'reg_weight' in section [train]"),
-        (TINY + "[eval]\nnms_threshold = 0\n", "nms_threshold must lie in (0, 1)"),
-        (TINY + "[eval]\nnms_threshold = 1.0\n", "nms_threshold must lie in (0, 1)"),
-        (TINY + "[features]\nnoise_sigma = -0.1\n", "noise_sigma must be finite and >= 0"),
-        (TINY + "[features]\nnoise_dims = -1\n", "noise_dims must be >= 0"),
+         "line 16: unknown key 'reg_weight' in section [train]"),
+        (TINY + "[eval]\nnms_threshold = 0\n",
+         "line 16: unknown key 'nms_threshold' in section [eval]"),
+        (TINY + "[eval]\nnms_threshold = 1.0\n",
+         "line 16: unknown key 'nms_threshold' in section [eval]"),
+        (TINY + "[features]\nnoise_sigma = -0.1\n", "line 15: unknown section [features]"),
+        (TINY + "[features]\nnoise_dims = -1\n", "line 15: unknown section [features]"),
         (TINY.replace("hidden = 8", "hidden = 0"), "hidden must be >= 1"),
-        (TINY + "[eval]\nmax_detections = 0\n", "max_detections must be >= 1"),
-        (TINY + "[eval]\nscore_floor = nan\n", "score_floor must lie in [0, 1)"),
-        (TINY + "[eval]\nscore_floor = 1.0\n", "score_floor must lie in [0, 1)"),
-        (TINY + "[eval]\nscore_floor = -0.1\n", "score_floor must lie in [0, 1)"),
+        (TINY + "[eval]\nmax_detections = 0\n",
+         "line 16: unknown key 'max_detections' in section [eval]"),
+        (TINY + "[eval]\nscore_floor = nan\n",
+         "line 16: unknown key 'score_floor' in section [eval]"),
+        (TINY + "[eval]\nscore_floor = 1.0\n",
+         "line 16: unknown key 'score_floor' in section [eval]"),
+        (TINY + "[eval]\nscore_floor = -0.1\n",
+         "line 16: unknown key 'score_floor' in section [eval]"),
         (TINY.replace("batch_size = 32", "batch_size = 65"),
          "batch_size 65 exceeds the smallest proposal pool, 64 proposals"),
         (TINY.replace("batch_size = 32", "batch_size = 25")  # no weight on 0 objects
          + "[scene]\ngt_count_weights = 0:0, 2:0.5, 3:0.5\n[rpn]\nbg_per_scene = 16\n"
          "fg_per_gt = 4\n",
-         "batch_size 25 exceeds the smallest proposal pool, 24 proposals"),
-        (TINY + "[scene]\ngt_count_weights = 1: nan, 2: 1.0\n",
-         "gt_count_weights must be finite and >= 0"),
+         "line 15: unknown section [scene]"),
+        (TINY + "[scene]\ngt_count_weights = 1: nan, 2: 1.0\n", "line 15: unknown section [scene]"),
         (TINY + "[scene]\ngt_count_weights = 1: -0.5, 2: 1.5\n",
-         "gt_count_weights must be finite and >= 0"),
+         "line 15: unknown section [scene]"),
         (TINY + "[scene]\ngt_count_weights = 1:0.3, 2:0.7, 1:0.3\n",
-         "line 19: bad value for 'gt_count_weights': count 1 is given twice"),
-        (TINY + "[scene]\nextent_w = nan\n", "scene extent_w and extent_h must be finite and > 0"),
-        (TINY + "[scene]\nextent_h = inf\n", "scene extent_w and extent_h must be finite and > 0"),
-        (TINY + "[rpn]\njitter_start = inf\n", "jitter_start must be finite, got inf"),
+         "line 15: unknown section [scene]"),
+        (TINY + "[scene]\nextent_w = nan\n", "line 15: unknown section [scene]"),
+        (TINY + "[scene]\nextent_h = inf\n", "line 15: unknown section [scene]"),
+        (TINY + "[rpn]\njitter_start = inf\n",
+         "line 16: unknown key 'jitter_start' in section [rpn]"),
     ], ids=["num_classes", "jitter", "learning_rate", "decay_factor", "lambda0",
             "steps", "train_scenes", "eval_scenes", "lambda0-nan", "lambda0-inf",
             "learning_rate-nan", "learning_rate-inf", "decay_points-nan", "decay_points-inf",
@@ -641,6 +661,20 @@ class TestCli:
             assert cli_main([command, "--config", str(bad), "--out", str(out)]) == 1
             assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section,key", REMOVED_KEYS, ids=[f"{s}-{k}" for s, k in REMOVED_KEYS])
+    def test_removed_key_exits_1_before_any_work(self, tmp_path, capsys, section, key):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY + f"[{section}]\n{key} = {REMOVED_KEYS[section, key]}\n")
+        # [rpn] keeps jitter_end and [eval] scenes; [scene] and [features] are gone
+        message = (f"line 16: unknown key {key!r} in section [{section}]"
+                   if section in SCHEMA else f"line 15: unknown section [{section}]")
+        out = tmp_path / "run"
+        for argv in (["gen-data"], ["train"], ["eval"], ["report"],
+                     ["sweep", "--axis", "mode", "--values", "rga", "--seeds", "3"]):
+            assert cli_main([*argv, "--config", str(bad), "--out", str(out)]) == 1
+            assert f"config error: {message}\n" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
     def test_runtime_error_exit_code(self, tmp_path):
         cfg_path = self.write_cfg(tmp_path)
@@ -870,17 +904,19 @@ class TestCli:
         assert cli_main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert f"error: {message.format(checkpoint)}" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sweep_exit_code_names_failed_runs(self, tmp_path, capsys):
-        cfg_path = self.write_cfg(tmp_path)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY + "[train]\nlearning_rate = 1e200\n")
         out = tmp_path / "sweep"
-        # the second cell asks for an impossible batch; the first still runs
+        # the one-head run diverges and fails; the two-head run collapses and completes
         code = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
-                         "--axis", "ratio-pair", "--values", "1:1+1:9,1:39+1:9",
-                         "--seeds", "3"])
+                         "--axis", "mode", "--values", "rga+prm,baseline", "--seeds", "3"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "sweep cell 1:39+1:9: 1 of 1 runs failed: seed 3: ValueError" in err
-        assert "1:1+1:9" not in err
+        assert ("sweep cell baseline: 1 of 1 runs failed: seed 3: FloatingPointError: "
+                "training diverged") in err
+        assert "rga+prm" not in err
         with open(out / "sweep.csv", newline="") as fh:
             assert [r["n_failed"] for r in csv.DictReader(fh)] == ["0", "1"]
 
@@ -898,8 +934,12 @@ class TestCli:
          "repeated sweep values ['7.0']: each value runs once"),
         (["--axis", "mode", "--values", "prm,baseline,prm", "--seeds", "1"],
          "repeated sweep values ['prm']: each value runs once"),
+        (["--axis", "sampling-mode", "--values", "soft,sfot", "--seeds", "3"],
+         "sweep cell sfot: unknown sampling mode 'sfot'"),
+        (["--axis", "ratio-pair", "--values", "1:1+1:9,1:39+1:9", "--seeds", "3"],
+         "sweep cell 1:39+1:9: batch size smaller than one ratio unit"),
     ], ids=["lambda0", "ratio-pair", "seeds", "mode", "seeds-repeated", "lambda0-repeated",
-            "mode-repeated"])
+            "mode-repeated", "sampling-mode", "ratio-pair-batch"])
     def test_sweep_flag_typo_exits_1_before_any_work(self, tmp_path, capsys, flags, message):
         out = tmp_path / "sweep"
         assert cli_main(["sweep", "--config", str(self.write_cfg(tmp_path)),
@@ -910,20 +950,24 @@ class TestCli:
     def test_sweep_checks_each_cell_before_any_work(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "sweep"
+        # the valid first cell does not run either
         code = cli_main(["sweep", "--config", str(cfg_path), "--out", str(out),
-                         "--axis", "lambda0", "--values", "0.5", "--seeds", "3"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "sweep cell 0.5: 1 of 1 runs failed: seed 3: ValueError: " \
-               "initial magnification must be >= 1" in err
-        assert (out / "sweep.csv").exists() and not (out / "0.5").exists()
+                         "--axis", "lambda0", "--values", "2,0.5", "--seeds", "3"])
+        assert code == 1
+        assert ("config error: sweep cell 0.5: initial magnification must be >= 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sampling_ablation_exit_code(self, tmp_path, capsys):
         script = load_sampling_ablation()
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(TINY + "[train]\nlearning_rate = 1e200\n")
         out = tmp_path / "ablation"
-        assert script.main(["--config", str(self.write_cfg(tmp_path)), "--out", str(out),
-                            "--ratios", "1:39", "--seeds", "3"]) == 2
-        assert "sweep cell hard_1:39: 1 of 1 runs failed" in capsys.readouterr().err
+        # at this learning rate the soft run diverges and fails
+        assert script.main(["--config", str(cfg_path), "--out", str(out),
+                            "--ratios", "1:3", "--seeds", "3"]) == 2
+        assert "sweep cell soft_1:3: 1 of 1 runs failed" in capsys.readouterr().err
         assert (out / "sampling_ablation.csv").exists()
 
     @pytest.mark.parametrize("flags,message", [
@@ -931,7 +975,9 @@ class TestCli:
         (["--seeds", "3", "x"], "bad --seeds 'x': invalid literal for int() with base 10: 'x'"),
         (["--seeds", "11", "11"], "repeated sweep seeds [11]: each seed runs once per cell"),
         (["--ratios", "1:1", "1:3,1:1"], "repeated sweep ratios ['1:1']: each ratio runs once"),
-    ], ids=["ratios", "seeds", "seeds-repeated", "ratios-repeated"])
+        (["--ratios", "1:1", "1:39"],
+         "sweep cell hard_1:39: batch size smaller than one ratio unit"),
+    ], ids=["ratios", "seeds", "seeds-repeated", "ratios-repeated", "ratios-batch"])
     def test_sampling_ablation_typo_exits_1_before_any_work(self, tmp_path, capsys, flags,
                                                              message):
         out = tmp_path / "ablation"
@@ -956,23 +1002,30 @@ class TestCli:
         assert cli_main(["eval", "--config", str(cfg_path), "--out", out,
                          "--mode", "prm"]) == 0
 
-    @pytest.mark.parametrize("change,config_layout", [
-        (("hidden = 8", "hidden = 16"), "(11 features, hidden 16, 3 classes) has 11x16 16 16x16"),
-        (("num_classes = 3", "num_classes = 4"), "(12 features, hidden 8, 4 classes) has 12x8 8"),
+    @pytest.mark.parametrize("classes,change,stored,config_layout", [
+        (3, ("hidden = 8", "hidden = 16"), "11x8 8 8x8 8 8x4 4 8x4 4 8x8 8 8x4 4 8x4 4",
+         "(11 features, hidden 16, 3 classes) has 11x16 16 16x16"),
+        (4, None, "12x8 8 8x8 8 8x5 5 8x4 4 8x8 8 8x5 5 8x4 4",
+         "(11 features, hidden 8, 3 classes) has 11x8 8 8x8 8 8x4 4"),
     ], ids=["hidden", "num_classes"])
-    def test_eval_rejects_other_network_shapes(self, tmp_path, capsys, change,
+    def test_eval_rejects_other_network_shapes(self, tmp_path, capsys, classes, change, stored,
                                                config_layout):
         cfg_path = self.write_cfg(tmp_path)
-        out = str(tmp_path / "run")
-        assert cli_main(["train", "--config", str(cfg_path), "--out", out,
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out),
                          "--mode", "rga+prm"]) == 0
+        if classes != SCENE.num_classes:  # no config sets the class count, so build the model
+            policies = load_config(cfg_path, mode="rga+prm").policies
+            model = prm_mod.init_model(FEATURES.dim(classes), 8, classes, policies, 3)
+            save_params(out / "checkpoint.npz", model.backbone, model.heads,
+                        MODES["rga+prm"]["ratios"])
         other = tmp_path / "other.cfg"
-        other.write_text(TINY.replace(*change))
+        other.write_text(TINY.replace(*change) if change else TINY)
         capsys.readouterr()
-        assert cli_main(["eval", "--config", str(other), "--out", out,
+        assert cli_main(["eval", "--config", str(other), "--out", str(out),
                          "--mode", "rga+prm"]) == 1
         err = capsys.readouterr().err
-        assert "has parameter shapes 11x8 8 8x8 8 8x4 4 8x4 4 8x8 8 8x4 4 8x4 4, " in err
+        assert f"has parameter shapes {stored}, " in err
         assert config_layout in err
 
     @pytest.mark.parametrize("kind", ["heads of different shapes", "no heads"])

@@ -1,14 +1,13 @@
 import csv
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detlab import metrics
-from detlab.config import parse_config
+from detlab import harness, metrics
+from detlab.config import SCENE
 from detlab.harness import _block_detections
 from detlab.metrics import (
     DEFAULT_BUCKETS,
@@ -502,12 +501,14 @@ class TestMatchesOracle:
             scenes, detections = random_case(np.random.default_rng(seed))
             self.assert_equals_oracle(detections, scenes, ((0.5,), (0.75,), (0.3,))[seed % 3])
 
-    def test_detection_extraction_and_ap_match(self):
+    def test_detection_extraction_and_ap_match(self, monkeypatch):
         # an ensemble and two heads in blocks of 1, 2 and 5 scenes share one
         # NMS call per block; each output must equal the old extraction run on
         # that output alone, scene by scene
-        cfg = replace(parse_config("", seed=1), max_detections=6)
-        uncapped = replace(cfg, max_detections=10**6)
+        cap = 6
+        monkeypatch.setattr(harness, "MAX_DETECTIONS", cap)
+        protocol = dict(num_classes=SCENE.num_classes, score_floor=harness.SCORE_FLOOR,
+                        nms_threshold=harness.NMS_THRESHOLD)
         segments = {"empty": 0, "under the cap": 0, "over the cap": 0}
         for seed in range(30):
             rng = np.random.default_rng(seed)
@@ -523,10 +524,12 @@ class TestMatchesOracle:
                 scores[rng.random(3) < 0.2] = [0.97, 0.01, 0.01, 0.01]  # below the floor
                 outputs.append((scores, boxes))
                 for expected, o_scores, o_boxes in zip(theirs, scores, boxes):
-                    expected.extend(ap_oracle.detections_for(cfg, s, o_scores, o_boxes))
-                    n_kept = len(ap_oracle.detections_for(uncapped, s, o_scores, o_boxes))
+                    expected.extend(ap_oracle.detections_for(
+                        s, o_scores, o_boxes, **protocol, max_detections=cap))
+                    n_kept = len(ap_oracle.detections_for(
+                        s, o_scores, o_boxes, **protocol, max_detections=10**6))
                     segments["empty" if n_kept == 0 else "over the cap"
-                             if n_kept > cfg.max_detections else "under the cap"] += 1
+                             if n_kept > cap else "under the cap"] += 1
             for size in (1, 2, 5):
                 found = []
                 for start in range(0, len(scenes), size):
@@ -538,8 +541,7 @@ class TestMatchesOracle:
                                         np.zeros((sum(n), 4)), np.zeros((sum(n), 1)),
                                         np.cumsum([0] + n))
                     # the model is read only to name a diverged output
-                    found.append(_block_detections(cfg, None, block, index, scenes,
-                                                   scores, boxes))
+                    found.append(_block_detections(None, block, index, scenes, scores, boxes))
                 for ours, expected in zip(zip(*found), theirs, strict=True):
                     ours = Detections(*map(np.concatenate, zip(*ours)))
                     assert as_tuples(ours) == as_tuples(expected), (seed, size)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from detlab.config import load_config
+from detlab.config import SCENE
 from detlab.files import write_arrays
 from detlab.geometry import iou_matrix, label_arrays
 from detlab.seeding import derive_seed, generators
@@ -27,7 +27,6 @@ from detlab.synthdata import (
 import proposal_oracle
 import scene_oracle
 from scene_oracle import scene_table, scenes_of
-from test_harness import DESK_CFG
 
 
 class TestSceneGeneration:
@@ -287,9 +286,8 @@ class TestSerialization:
         # the dataset_<tag>_*.npz file that `detlab train --config configs/desk.cfg
         # --seed 7` writes; zip entries carry a fixed timestamp, so the bytes are
         # those of the arrays alone
-        scene_cfg = load_config(DESK_CFG, seed=7).scene
         path = tmp_path / "data.npz"
-        scenes = generate_dataset(scene_cfg, n, 7, tag=tag)
+        scenes = generate_dataset(SCENE, n, 7, tag=tag)
         save_dataset(scenes, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
         assert_same_scenes(load_dataset(path), scenes)
