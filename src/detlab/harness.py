@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import platform
 import statistics
 import sys
 import time
@@ -27,7 +28,7 @@ from .metrics import (
     nms,
     score_gap_stats,
 )
-from . import net
+from . import __version__, net
 from .prm import (BlockArrays, PrmModel, batch_generators, block_inputs, draw_batches,
                   init_model, prm_predict, prm_train_step, summarize_block)
 from .seeding import derive_seed, generators
@@ -218,6 +219,18 @@ def write_eval_summary(result: EvalResult, cfg: ExperimentConfig, path) -> dict:
     return summary
 
 
+def _versions() -> dict[str, str]:
+    """The versions of what a run's numbers rest on: detlab, Python, numpy and
+    the BLAS numpy was built with."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.25 only prints its build config
+        blas = "unknown"
+    return {"detlab": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "blas": blas}
+
+
 def _write_json(path, data: dict) -> None:
     with atomic_write(path) as fh:
         fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
@@ -319,7 +332,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     # manifest.json is byte-identical on reruns; what varies goes to timings.json
     digest = cfg.config_hash()  # `detlab eval` rewrites eval_config_hash
     _write_json(out_dir / "manifest.json", {"config_hash": digest, "eval_config_hash": digest,
-                                            "seed": cfg.seed, "mode": cfg.mode})
+                                            "seed": cfg.seed, "mode": cfg.mode,
+                                            "versions": _versions()})
     _write_json(out_dir / "timings.json", {
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "stages": {name: round(seconds, 6) for name, seconds in stages.items()},

@@ -10,13 +10,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .files import atomic_write
-from .geometry import check_boxes, iou, iou_matrix  # iou_matrix: perfbench patches it here
+from .geometry import box_columns, check_boxes, column_iou
+from .geometry import iou_matrix  # noqa: F401 -- perfbench patches it here
 from .synthdata import SceneTable
 
 DEFAULT_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 DEFAULT_BUCKETS = (("1_3", 1, 3), ("8_inf", 8, None))
 RECALL_POINTS = np.linspace(0.0, 1.0, 101)
-PAIR_CHUNK = 1 << 14  # about as many pairs as nms builds and tests at once: bounds its memory
+PAIR_CHUNK = 1 << 13  # about as many window pairs as nms builds and tests at once: bounds its memory
+# Relative widening of the NMS window, far above the few roundings by which a
+# computed IoU can exceed the exact one
+WINDOW_SLACK = 1e-9
 
 
 class Detections:
@@ -26,7 +30,7 @@ class Detections:
     def __init__(self, scenes, classes, scores, boxes):
         self.scenes = np.asarray(scenes, dtype=np.int64)
         self.classes = np.asarray(classes, dtype=np.int64)
-        self.scores = np.asarray(scores, dtype=np.float64)
+        self.scores = check_scores(scores, "detection scores")
         self.boxes = check_boxes(boxes, "detection boxes")
         if not len(self.scenes) == len(self.classes) == len(self.scores) == len(self.boxes):
             raise ValueError("mismatched detection array lengths")
@@ -72,38 +76,89 @@ def proposal_accuracy(logits: np.ndarray, targets: np.ndarray):
     return fraction(targets > 0), fraction(targets == 0)
 
 
+def check_scores(scores, what: str) -> np.ndarray:
+    """`scores` as a float array. Raises ValueError naming `what`, the first
+    non-finite score and its row."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if len(bad := np.flatnonzero(~np.isfinite(scores))):
+        raise ValueError(f"{what} must be finite, got {scores[bad[0]]} at row {bad[0]}")
+    return scores
+
+
+def _complex(real, imag) -> np.ndarray:
+    """real + 1j * imag, built exactly (1j * inf would give a NaN real part).
+    numpy sorts and searches complex numbers by real, then imaginary part."""
+    out = np.empty(len(real), dtype=np.complex128)
+    out.real, out.imag = real, imag
+    return out
+
+
+def _float_keys(keys: np.ndarray) -> np.ndarray:
+    """Integer keys as floats that order and tie as they do: the keys, or
+    their dense ranks where a key is too large (|key| >= 2**53) to be exact."""
+    if len(keys) and not (-2**53 < keys.min() and keys.max() < 2**53):
+        return np.unique(keys, return_inverse=True)[1].reshape(-1)
+    return keys
+
+
+def key_score_order(keys, scores) -> np.ndarray:
+    """The rows by ascending integer key, then descending score, ties in row
+    order: the permutation of ``np.lexsort((-scores, keys))``, from one stable
+    sort of ``keys - 1j * scores``, which timsort runs fast on keys that
+    arrive in runs."""
+    keys, scores = np.asarray(keys), np.asarray(scores, dtype=np.float64)
+    return np.argsort(_complex(_float_keys(keys), -scores), kind="stable")
+
+
 def nms(boxes: np.ndarray, scores: np.ndarray, groups: np.ndarray,
         iou_threshold: float) -> np.ndarray:
     """Greedy suppression within each integer group (say, a (scene, class)
     pair) of candidates. Returns the kept row indices, groups ascending, then
     descending score; equal scores keep row order."""
     if not (0.0 < iou_threshold < 1.0):
-        raise ValueError("NMS threshold must lie in (0, 1)")
-    order = np.lexsort((-np.asarray(scores, dtype=np.float64), groups))  # stable
-    boxes = check_boxes(boxes, "detection boxes").take(order, axis=0)
-    groups = np.asarray(groups)[order]
-    # every pair (i, j) of sorted rows i < j in one group, j-major, built and
-    # tested a chunk of rows at a time; a chunk starts at the first row whose
+        raise ValueError(f"NMS threshold must lie in (0, 1), got {iou_threshold}")
+    scores = check_scores(scores, "detection scores")
+    boxes = check_boxes(boxes, "detection boxes")
+    groups = np.asarray(groups)
+    if not len(boxes) == len(scores) == len(groups):
+        raise ValueError(f"mismatched NMS array lengths: {len(boxes)} boxes, "
+                         f"{len(scores)} scores, {len(groups)} groups")
+    # IoU >= t needs an x-overlap of t times either box's width, so of two boxes
+    # the one that starts later in x starts within (1 - t) w of the other's x1,
+    # w that other box's width: each box's candidates are the window after it
+    # in (group, x1) order, widened by WINDOW_SLACK against rounding
+    x1, width = boxes[:, 0], boxes[:, 2] - boxes[:, 0]
+    start_key = _complex(_float_keys(groups), x1)
+    by_x = np.argsort(start_key, kind="stable")  # rows in (group, x1) order
+    reach = _complex(start_key.real, x1 + width * (1.0 - iou_threshold + WINDOW_SLACK))
+    n_pairs = np.searchsorted(start_key[by_x], reach[by_x], side="right")
+    n_pairs -= np.arange(1, len(by_x) + 1)
+    cols = box_columns(np.asfortranarray(boxes.take(by_x, axis=0)))
+    # every window pair (p, q), p < q in (group, x1) order, built and tested a
+    # chunk of positions at a time; a chunk starts at the first position whose
     # pairs begin at or past a multiple of PAIR_CHUNK, and only its hits are kept
-    first = np.searchsorted(groups, groups)
-    n_before = np.arange(len(order)) - first
-    start = np.cumsum(n_before) - n_before
-    cuts = np.unique(np.append(np.searchsorted(start, np.arange(0, n_before.sum(), PAIR_CHUNK)),
-                               len(order)))
+    start = np.cumsum(n_pairs) - n_pairs
+    cuts = np.unique(np.append(np.searchsorted(start, np.arange(0, n_pairs.sum(), PAIR_CHUNK)),
+                               len(by_x)))
     hits = [np.zeros((2, 0), dtype=np.int64)]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        n = n_before[a:b]
-        j = np.repeat(np.arange(a, b), n)
-        i = np.repeat(first[a:b] - start[a:b], n) + np.arange(start[a], start[a] + len(j))
-        pairs = np.stack([i, j])
-        hits.append(pairs[:, iou(*boxes.take(pairs, axis=0)) >= iou_threshold])
-    i, j = np.concatenate(hits, axis=1)
-    # greedy NMS is the one fixed point of "j is kept iff no kept i < j suppresses it"
-    keep, kept = None, np.ones(len(order), dtype=bool)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        n = n_pairs[lo:hi]
+        q = np.repeat(np.arange(lo + 1, hi + 1) - start[lo:hi], n)
+        q += np.arange(start[lo], start[lo] + len(q))
+        hit = np.flatnonzero(column_iou([np.repeat(c[lo:hi], n) for c in cols],
+                                        [c.take(q) for c in cols]) >= iou_threshold)
+        hits.append(by_x.take(np.stack([np.repeat(np.arange(lo, hi), n).take(hit), q.take(hit)])))
+    a, b = np.concatenate(hits, axis=1)
+    a_first = (scores[a] > scores[b]) | ((scores[a] == scores[b]) & (a < b))
+    i, j = np.where(a_first, a, b), np.where(a_first, b, a)  # row i outranks row j
+    # greedy NMS is the one fixed point of "j is kept iff no kept i that
+    # outranks it suppresses it"; only the kept rows need ranking
+    keep, kept = None, np.ones(len(scores), dtype=bool)
     while not np.array_equal(keep, kept):
         keep, kept = kept, np.ones_like(kept)
         kept[j[keep[i]]] = False
-    return order[keep]
+    rows = np.flatnonzero(keep)
+    return rows[key_score_order(groups[rows], scores[rows])]
 
 
 def _ap(is_tp: np.ndarray, n_gt: int) -> float:
@@ -131,24 +186,29 @@ def _match(dets: Detections, inst_scene: np.ndarray, inst_class: np.ndarray,
     the highest IoU at or above the threshold; ties go to the lowest instance."""
     n_keys = int(max(dets.classes.max(initial=0), inst_class.max(initial=0))) + 1
     keys = dets.scenes * n_keys + dets.classes
-    ranked = np.lexsort((-dets.scores, keys))
+    ranked = key_score_order(keys, dets.scores)
     keys = keys[ranked]
     # ground truths grouped by (scene, class), in instance order within each
     gt_keys = inst_scene * n_keys + inst_class
     gt_order = np.argsort(gt_keys, kind="stable")
     first = np.searchsorted(gt_keys[gt_order], keys)
     n_gts = np.searchsorted(gt_keys[gt_order], keys, side="right") - first
-    # rows in ranked order, column k the k-th ground truth of the row's
-    # (scene, class); -1 pads the rest and can never match
-    ious = np.full((len(keys), max(1, n_gts.max(initial=0))), -1.0)
+    # the ranked rows with ground truths of their (scene, class), column k the
+    # k-th of those; -1 pads the rest and can never match
+    has_gt = np.flatnonzero(n_gts)
+    first, n_gts = first[has_gt], n_gts[has_gt]
+    ious = np.full((len(has_gt), max(1, n_gts.max(initial=0))), -1.0)
+    det_cols, gt_cols = box_columns(dets.boxes), box_columns(inst_boxes)
     for k in range(ious.shape[1]):
         rows = np.flatnonzero(n_gts > k)
-        ious[rows, k] = iou(dets.boxes.take(ranked[rows], axis=0),
-                            inst_boxes.take(gt_order[first[rows] + k], axis=0))
+        dets_k, gts_k = ranked[has_gt[rows]], gt_order[first[rows] + k]
+        ious[rows, k] = column_iou([c.take(dets_k) for c in det_cols],
+                                   [c.take(gts_k) for c in gt_cols])
     # a row whose best IoU is below every threshold is a false positive at each and takes
     # nothing, so only the live rest is matched: the k-th ranked of every group at once
-    live = np.flatnonzero(ious.max(axis=1) >= thresholds.min())
-    ious, keys = ious.take(live, axis=0), keys[live]
+    alive = np.flatnonzero(ious.max(axis=1) >= thresholds.min())
+    ious, live = ious.take(alive, axis=0), has_gt[alive]
+    keys = keys[live]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     lengths = np.diff(starts, append=len(keys))
     n_thr = len(thresholds)
@@ -178,11 +238,16 @@ def compute_ap(
     threshold and a bucket's AP reuses those matches for its scenes' rows."""
     if len(dets) and not (dets.scenes.min() >= 0 and dets.scenes.max() < len(scenes)):
         raise ValueError("detection scene index out of range")
+    thresholds = np.asarray(iou_thresholds, dtype=np.float64).reshape(-1)
+    if not len(thresholds):
+        raise ValueError("AP needs at least one IoU threshold, got none")
+    if len(bad := thresholds[~((thresholds > 0.0) & (thresholds <= 1.0))]):  # NaN included
+        raise ValueError(f"AP IoU thresholds must lie in (0, 1], got {bad[0]}")
     # one entry per ground-truth instance: its scene, class and box
     n_inst = scenes.counts
     inst_scene = np.repeat(np.arange(len(scenes)), n_inst)
     inst_class, inst_boxes = scenes.classes, scenes.boxes
-    is_tp = _match(dets, inst_scene, inst_class, inst_boxes, np.asarray(iou_thresholds))
+    is_tp = _match(dets, inst_scene, inst_class, inst_boxes, thresholds)
     # ranking for AP: descending score, ties by scene, then row order
     ranked = np.lexsort((dets.scenes, -dets.scores))
     is_tp, classes, det_scene = is_tp[ranked], dets.classes[ranked], dets.scenes[ranked]

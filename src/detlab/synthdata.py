@@ -131,14 +131,18 @@ class SceneTable:
         return np.diff(self.offsets)
 
     def take(self, index) -> "SceneTable":
-        """The scenes at positions `index`, in that order."""
+        """The scenes at positions `index`, in that order. Rows gathered from
+        this valid table are valid, so they are not checked again."""
         index = np.asarray(index, dtype=np.int64)
         starts = self.offsets[index]
         counts = self.offsets[index + 1] - starts
         offsets = np.concatenate([[0], np.cumsum(counts)])
         rows = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
-        return SceneTable(self.ids[index], self.extents.take(index, axis=0), offsets,
-                          self.boxes.take(rows, axis=0), self.classes[rows])
+        table = object.__new__(SceneTable)
+        table.ids, table.extents = self.ids[index], self.extents.take(index, axis=0)
+        table.offsets = offsets
+        table.boxes, table.classes = self.boxes.take(rows, axis=0), self.classes[rows]
+        return table
 
 
 class ProposalSet:

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import platform
 import re
 import sys
 import time
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import detlab
 import detlab.prm as prm_mod
 from detlab import cli, harness, seeding
 from detlab.cli import main as cli_main
@@ -230,6 +232,17 @@ class TestRunExperiment:
         assert m1 == m2
         for r in (r1, r2):  # the time of the run is kept beside it
             assert "created" in json.loads((r.out_dir / "timings.json").read_text())
+
+    def test_manifest_records_the_versions(self, tmp_path):
+        manifests = [json.loads((run_experiment(tiny_cfg(tmp_path / d)).out_dir
+                                 / "manifest.json").read_text()) for d in "ab"]
+        versions = manifests[0]["versions"]
+        assert manifests[1]["versions"] == versions  # a rerun on one host records the same
+        assert {k: v for k, v in versions.items() if k != "blas"} == {
+            "detlab": detlab.__version__, "python": platform.python_version(),
+            "numpy": np.__version__}
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert versions["blas"] == f"{blas['name']} {blas['version']}"
 
     def test_timings_record_stage_seconds(self, tmp_path):
         result = run_experiment(tiny_cfg(tmp_path))
@@ -1088,9 +1101,9 @@ def test_perfbench_tracer_installs(monkeypatch):
     assert detlab.synthdata.iou_matrix is original
 
 
-# Traced names that no run calls, so they record no span (ROADMAP item 6):
-# labeling and the training step stopped using them. Moving them out of the
-# tracer is a change to the benchmark.
+# Traced names that no run calls, so they record no span: labeling and the
+# training step stopped using them. Moving them out of the tracer is a change
+# to the benchmark (ROADMAP item 2, "Fix the tracer").
 DEAD_TRACE_NAMES = {"geometry.iou_matrix", "net.total_loss"}
 
 

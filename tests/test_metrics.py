@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from detlab import harness, metrics
 from detlab.config import SCENE
+from detlab.geometry import iou_matrix
 from detlab.harness import _block_detections
 from detlab.metrics import (
     DEFAULT_BUCKETS,
@@ -18,6 +19,7 @@ from detlab.metrics import (
     MetricsLog,
     _ap,
     compute_ap,
+    key_score_order,
     nms,
     proposal_accuracy,
     score_gap_stats,
@@ -111,6 +113,69 @@ def brute_force_nms(boxes, scores, classes, thr):
     return out
 
 
+def window_pairs(boxes, thr):
+    """The pairs of one group's boxes whose later-starting box begins within
+    (1 - thr) w of the other's x1, w that other box's width: the pairs that
+    can reach IoU thr, counted over every pair."""
+    x1, width = np.asarray(boxes)[:, 0], np.asarray(boxes)[:, 2] - np.asarray(boxes)[:, 0]
+    later = x1[None, :] - x1[:, None]  # [i, j]: how much later box j starts than box i
+    reach = (1 - thr) * width
+    return int(np.triu(np.where(later >= 0, later <= reach[:, None], -later <= reach[None, :]),
+                       1).sum())
+
+
+@st.composite
+def window_cases(draw):
+    """(t, boxes, groups, scores) with boxes at the NMS window's edge: each
+    box after the first is free, or starts exactly at, one ulp inside or one
+    ulp outside x1 + (1 - t) w of an earlier box (so ending with it gives IoU
+    about t), touches it, or duplicates it. Scores tie; half the time t is the
+    IoU of two drawn boxes, which then sit exactly at the threshold."""
+    thr = draw(st.floats(0.01, 0.99))
+    quarter = st.integers(0, 80).map(lambda v: v / 4)
+    boxes, groups = [], []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(["free", "at", "inside", "outside", "touching",
+                                     "duplicate"])) if boxes else "free"
+        if kind == "free":
+            x, y, w, h = draw(quarter), draw(quarter), 1 + draw(quarter), 1 + draw(quarter)
+            boxes.append([x, y, x + w, y + h])
+            groups.append(draw(st.integers(0, 2)))
+            continue
+        k = draw(st.integers(0, len(boxes) - 1))
+        x1, y1, x2, y2 = boxes[k]
+        edge = x1 + (1 - thr) * (x2 - x1)
+        start = {"at": edge, "inside": np.nextafter(edge, -np.inf),
+                 "outside": np.nextafter(edge, np.inf), "touching": x2, "duplicate": x1}[kind]
+        end = x2 if kind != "touching" and draw(st.booleans()) else start + x2 - x1
+        assume(end > start)
+        boxes.append([float(start), y1, float(end), y2])
+        groups.append(groups[k])
+    if draw(st.booleans()):
+        a, b = draw(st.integers(0, len(boxes) - 1)), draw(st.integers(0, len(boxes) - 1))
+        pair_iou = float(iou_matrix(boxes[a], boxes[b])[0, 0])
+        if 0 < pair_iou < 1:
+            thr = pair_iou
+    scores = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]) | st.floats(0, 1),
+                           min_size=len(boxes), max_size=len(boxes)))
+    return thr, boxes, groups, scores
+
+
+class TestKeyScoreOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0, 7, 2**53 - 9, 2**53 - 2, 2**53, -2**53 + 8, -2**53 + 1,
+                            -2**53 - 2, 2**62]),
+           st.lists(st.tuples(st.integers(-8, 8),
+                              st.sampled_from([0.0, -0.0, 0.5, -0.5, np.inf, -np.inf, 5e-324])
+                              | st.floats(allow_nan=False)), max_size=40))
+    @example(2**53, [(1, 0.1), (0, 0.2), (1, 0.3), (0, 0.4)])  # 2**53 + 1 rounds to 2**53
+    def test_equals_lexsort(self, base, rows):
+        # keys at and around +-2**53, where a float stops holding every integer
+        keys = np.array([base + k for k, _ in rows], dtype=np.int64)
+        values = np.array([v for _, v in rows], dtype=np.float64)
+        assert key_score_order(keys, values).tolist() == np.lexsort((-values, keys)).tolist()
+
+
 class TestNms:
     def test_single_detection(self):
         assert nms([[0, 0, 5, 5]], [0.9], [1], 0.5).tolist() == [0]
@@ -169,9 +234,11 @@ class TestNms:
                         for offset, (b, p) in zip(offsets, parts)]
             assert kept.tolist() == np.concatenate(expected).tolist()
 
-    def test_groups_spanning_pair_chunks_match_the_oracle(self):
-        # (scene, class) groups of 150-250 rows: their pairs run over several
-        # PAIR_CHUNKs, with tied scores and IoUs exactly at the threshold
+    def test_groups_spanning_pair_chunks_match_the_oracle(self, monkeypatch):
+        # (scene, class) groups of 150-250 rows: their window pairs run over
+        # several chunks, with tied scores and IoUs exactly at the threshold
+        chunk = 1 << 8
+        monkeypatch.setattr(metrics, "PAIR_CHUNK", chunk)
         rng = np.random.default_rng(6)
         for trial in range(4):
             rows = []
@@ -185,9 +252,10 @@ class TestNms:
                           else rng.uniform(0.0, 1.0, size=n))
                 rows += [(sid, Box(*b), c, float(s)) for b, s in zip(boxes.tolist(), scores)]
             detections = take(dets(*rows), rng.permutation(len(rows)))
-            n_pairs = sum(n * (n - 1) // 2 for n in (150, 250, 200, 1))
-            assert n_pairs > 3 * PAIR_CHUNK
             thr = (0.5, 0.7)[trial // 2]
+            groups = detections.scenes * 4 + detections.classes
+            assert min(window_pairs(detections.boxes[groups == g], thr)
+                       for g in (1, 2, 5)) > 3 * chunk  # so chunks cut every large group
             kept = nms(detections.boxes, detections.scores,
                        detections.scenes * 4 + detections.classes, thr)
             expected = ap_oracle.nms(oracle_rows(detections), thr)
@@ -195,12 +263,13 @@ class TestNms:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_any_pair_chunk_keeps_the_same_rows(self, monkeypatch, chunk):
-        # chunks that cut groups apart, and a group of 12 rows whose last row
-        # alone has 11 pairs, more than any of these chunks
+        # chunks that cut groups apart, and a group of 12 rows at one x1, whose
+        # first row alone has 11 window pairs, more than any of these chunks
         rng = np.random.default_rng(8)
         cases = [dets(),
                  dets(*[(s, Box(0, 0, 5, 5), 1 + s % 4, 0.5) for s in range(6)]),  # one-row groups
-                 dets(*[(0, Box(k, 0, k + 10, 10), 2, 1 - k / 16) for k in range(12)])]
+                 dets(*[(0, Box(0, k, 10, k + 10), 2, 1 - k / 16) for k in range(12)])]
+        assert window_pairs(cases[2].boxes, 0.5) == 66
         cases += [random_case(rng, n_scenes=3)[1] for _ in range(40)]
         default = [nms(d.boxes, d.scores, d.scenes * 5 + d.classes, 0.5) for d in cases]
         monkeypatch.setattr(metrics, "PAIR_CHUNK", chunk)
@@ -210,13 +279,13 @@ class TestNms:
             assert as_tuples(take(d, kept)) == as_tuples(ap_oracle.nms(oracle_rows(d), 0.5))
 
     def test_peak_memory_is_bounded_by_the_chunk(self):
-        # 1,000 disjoint boxes in one group have 499,500 pairs, ~30 PAIR_CHUNKs:
-        # built at once, their two int64 indices alone would take 8 MB, about
-        # twice the bound
+        # 1,000 disjoint boxes in one group, stacked in y at one x1, have
+        # 499,500 window pairs, ~61 PAIR_CHUNKs: built at once, their two int64
+        # indices alone would take 8 MB, four times the bound
         n = 1000
-        xy = np.stack(np.divmod(np.arange(n), 50), axis=1) * 2.0
+        xy = np.stack([np.zeros(n), 2.0 * np.arange(n)], axis=1)
         args = np.concatenate([xy, xy + 1.0], axis=1), np.linspace(1, 0, n), np.zeros(n, int), 0.5
-        assert n * (n - 1) // 2 > 3 * PAIR_CHUNK
+        assert window_pairs(args[0], 0.5) == n * (n - 1) // 2 > 3 * PAIR_CHUNK
         nms(*args)  # allocations made once per process are not the bound's
         tracemalloc.start()
         try:
@@ -226,6 +295,41 @@ class TestNms:
             tracemalloc.stop()
         assert kept.tolist() == list(range(n))
         assert peak < 256 * PAIR_CHUNK
+
+    def test_window_edge_hand_case(self):
+        # the second box starts at x1 + (1 - t) w of the first and ends with it:
+        # IoU exactly t = 0.5, so it is suppressed; one ulp later it is not
+        edge = 0 + (1 - 0.5) * 10
+        for x, kept in ((np.nextafter(edge, 0), [0]), (edge, [0]),
+                        (np.nextafter(edge, 10), [0, 1])):
+            assert nms([[0, 0, 10, 10], [x, 0, 10, 10]], [0.9, 0.8], [1, 1], 0.5).tolist() == kept
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_window_edges_match_both_oracles(self, data):
+        thr, boxes, groups, scores = data.draw(window_cases())
+        kept = nms(boxes, scores, groups, thr)
+        assert kept.tolist() == brute_force_nms(boxes, scores, groups, thr)
+        rows = [ap_oracle.Detection(0, Box(*b), g + 1, s) for b, g, s in zip(boxes, groups, scores)]
+        assert [rows[k] for k in kept.tolist()] == ap_oracle.nms(rows, thr)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_scores(self, bad):
+        with pytest.raises(ValueError, match=f"detection scores must be finite, got {bad} at row 1"):
+            nms([[0, 0, 5, 5], [1, 1, 6, 6]], [0.9, bad], [1, 1], 0.5)
+        with pytest.raises(ValueError, match=f"detection scores must be finite, got {bad} at row 1"):
+            dets((0, Box(0, 0, 5, 5), 1, 0.9), (0, Box(1, 1, 6, 6), 1, bad))
+
+    @pytest.mark.parametrize("n_boxes, n_scores, n_groups", [(2, 3, 2), (2, 2, 1), (3, 2, 2)])
+    def test_rejects_mismatched_lengths(self, n_boxes, n_scores, n_groups):
+        with pytest.raises(ValueError, match=f"mismatched NMS array lengths: {n_boxes} boxes, "
+                                             f"{n_scores} scores, {n_groups} groups"):
+            nms([[0, 0, 5, 5]] * n_boxes, [0.9] * n_scores, [1] * n_groups, 0.5)
+
+    @pytest.mark.parametrize("thr", [0.0, 1.0, float("nan"), -0.5])
+    def test_rejects_threshold_outside_the_open_interval(self, thr):
+        with pytest.raises(ValueError, match=rf"NMS threshold must lie in \(0, 1\), got {thr}"):
+            nms([[0, 0, 5, 5]], [0.9], [1], thr)
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
@@ -336,6 +440,22 @@ class TestComputeAp:
                 sub = Detections(remap[sub.scenes], sub.classes, sub.scores, sub.boxes)
                 alone = compute_ap(sub, scenes.take(idx), buckets=())
                 assert result.per_bucket[name] == alone.mean_ap
+
+    @pytest.mark.parametrize("thresholds, message", [
+        ((), "AP needs at least one IoU threshold, got none"),
+        ((float("nan"),), r"AP IoU thresholds must lie in \(0, 1\], got nan"),
+        ((0.5, 0.0), r"AP IoU thresholds must lie in \(0, 1\], got 0.0"),
+        ((1.5,), r"AP IoU thresholds must lie in \(0, 1\], got 1.5"),
+        ((-0.25, 0.5), r"AP IoU thresholds must lie in \(0, 1\], got -0.25"),
+    ], ids=["empty", "nan", "zero", "above-one", "negative"])
+    def test_rejects_bad_thresholds(self, thresholds, message):
+        detections, scenes = self.perfect_case()
+        with pytest.raises(ValueError, match=message):
+            compute_ap(detections, scenes, iou_thresholds=thresholds)
+
+    def test_threshold_one_takes_only_exact_boxes(self):
+        detections, scenes = self.perfect_case()
+        assert compute_ap(detections, scenes, iou_thresholds=(1.0,), buckets=()).mean_ap == 1.0
 
     def test_rejects_unknown_scene_index(self):
         _, scenes = self.perfect_case()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from detlab import synthdata
 from detlab.config import SCENE
 from detlab.files import write_arrays
 from detlab.geometry import iou_matrix, label_arrays
@@ -16,6 +17,7 @@ from detlab.synthdata import (
     FeatureModel,
     RpnQualityModel,
     SceneConfig,
+    SceneTable,
     generate_dataset,
     generate_proposals,
     generate_scenes,
@@ -71,6 +73,53 @@ class TestSceneGeneration:
         assert_same_scenes(table, expected)
         drawn = set(table.counts.tolist())
         assert drawn == {c for c, w in config.gt_count_weights.items() if w > 0}
+
+
+class TestSceneTable:
+    """A table is checked once, where it is made; `take` gathers from a checked one."""
+
+    def test_take_does_not_check_rows_again(self, monkeypatch):
+        scenes = generate_dataset(SceneConfig(), 6, 3)
+        index = [4, 0, 4, 5, 2]
+        per_scene = scenes_of(scenes)
+        expected = scene_table([(per_scene[i].gt_boxes, per_scene[i].gt_classes) for i in index],
+                               ids=index, extent=SceneConfig().extent)
+        empty = scene_table([])
+
+        def refuse(boxes):
+            raise AssertionError("take checked its rows again")
+
+        monkeypatch.setattr(synthdata, "valid_boxes", refuse)
+        assert_same_scenes(scenes.take(index), expected)
+        assert_same_scenes(scenes.take([]), empty)
+        with pytest.raises(AssertionError, match="checked its rows again"):
+            SceneTable(scenes.ids, scenes.extents, scenes.offsets, scenes.boxes, scenes.classes)
+
+    @pytest.mark.parametrize("row, column, value, message", [
+        (3, 2, float("nan"), "ground-truth boxes must be finite and non-degenerate"),
+        (3, 2, None, "ground-truth boxes must be finite and non-degenerate"),  # x2 = x1
+        (3, None, 0, "ground-truth class ids must be >= 1"),
+    ], ids=["nan", "degenerate", "background"])
+    def test_construction_refuses_a_corrupt_row(self, row, column, value, message):
+        scenes = generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 2, 9)
+        boxes, classes = scenes.boxes.copy(), scenes.classes.copy()
+        if column is None:
+            classes[row] = value
+        else:
+            boxes[row, column] = boxes[row, 0] if value is None else value
+        with pytest.raises(ValueError, match=f"scene 1: {message}"):  # row 3 is in scene 1
+            SceneTable(scenes.ids, scenes.extents, scenes.offsets, boxes, classes)
+
+    def test_load_dataset_refuses_a_corrupt_row(self, tmp_path):
+        path = tmp_path / "data.npz"
+        scenes = generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 2, 9)
+        arrays = {n: getattr(scenes, n) for n in SCENE_ARRAYS}
+        arrays["boxes"] = arrays["boxes"].copy()
+        arrays["boxes"][4, 1] = np.inf
+        write_arrays(path, arrays)
+        with pytest.raises(ValueError, match=f"corrupt scene cache {re.escape(str(path))}: "
+                                             f"scene 1: ground-truth boxes must be finite"):
+            load_dataset(path)
 
 
 class TestQuality:
