@@ -39,6 +39,17 @@ def _load(args):
                        sampling=args.sampling, out=args.out)
 
 
+def _read_manifest(path: Path) -> dict:
+    """The JSON object in `path`; anything else raises ValueError naming the file."""
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:  # invalid JSON or text
+        raise ValueError(f"unreadable manifest {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {path} holds a JSON {type(manifest).__name__}, not an object")
+    return manifest
+
+
 def cmd_gen_data(args) -> int:
     cfg = _load(args)
     out_dir = Path(cfg.out)
@@ -65,14 +76,14 @@ def cmd_eval(args) -> int:
     # a missing file raises FileNotFoundError naming it, and a damaged one ValueError
     backbone, heads, ratios = net.load_params(checkpoint)
     check_head_layout(checkpoint, backbone, heads, ratios, cfg)
+    manifest_path = out_dir / "manifest.json"
+    manifest = _read_manifest(manifest_path) if manifest_path.exists() else {}
     out_dir.mkdir(parents=True, exist_ok=True)
     model = PrmModel(backbone=backbone, heads=heads, policies=cfg.policies)
     scenes = _dataset(cfg, out_dir, "eval", cfg.eval_scenes)
     for name in ("eval_report.txt", "eval_summary.json"):  # a failed eval leaves neither
         (out_dir / name).unlink(missing_ok=True)
     # manifest.json names this evaluation's config before its outputs exist
-    manifest_path = out_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
     _write_json(manifest_path, {**manifest, "eval_config_hash": cfg.config_hash()})
     result = evaluate_model(model, scenes, cfg)
     write_eval_report(result, out_dir / "eval_report.txt")
@@ -122,7 +133,7 @@ def cmd_report(args) -> int:
     if not manifest_path.exists():
         raise ConfigError(f"{out_dir} has no manifest.json to show that its results are of the "
                           f"config's run ({wanted})")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _read_manifest(manifest_path)
     if manifest.get("config_hash") != cfg.config_hash():
         ran = "records no training run" if "config_hash" not in manifest else (
             f"holds the run of mode {manifest.get('mode')}, seed {manifest.get('seed')}, "

@@ -33,6 +33,7 @@ from .prm import (BlockArrays, PrmModel, batch_generators, block_inputs, draw_ba
                   init_model, prm_predict, prm_train_step, summarize_block)
 from .seeding import derive_seed, generators
 from .synthdata import (
+    SCENE_STREAM,
     ProposalSet,
     SceneTable,
     generate_dataset,
@@ -263,8 +264,8 @@ def check_head_layout(checkpoint: Path, backbone: net.BackboneParams, heads: net
 
 
 def _dataset(cfg: ExperimentConfig, out_dir: Path, tag: str, n: int) -> SceneTable:
-    """Generate or reuse the cached scene file for this config."""
-    key = derive_seed(SCENE.__repr__(), cfg.seed, tag, n) % 10**10
+    """Generate or reuse the cached scene file for this config and `SCENE_STREAM`."""
+    key = derive_seed(SCENE.__repr__(), cfg.seed, tag, n, SCENE_STREAM) % 10**10
     path = out_dir / f"dataset_{tag}_{key}.npz"
     if not path.exists():
         scenes = generate_dataset(SCENE, n, cfg.seed, tag=tag)

@@ -161,22 +161,26 @@ def nms(boxes: np.ndarray, scores: np.ndarray, groups: np.ndarray,
     return rows[key_score_order(groups[rows], scores[rows])]
 
 
-def _ap(is_tp: np.ndarray, n_gt: int) -> float:
-    """101-point interpolated AP from true-positive flags in ranking order."""
+def _ap(is_tp: np.ndarray, n_gt: int) -> list[float]:
+    """101-point interpolated AP per column of (N, T) true-positive flags in
+    ranking order, one column per IoU threshold."""
     # recall rises, and the precision envelope can change, only at a true
     # positive, and every recall point is first reached at one; the envelope
     # at rank 0 is its value at the first true positive, so both are read there
-    ranks = np.flatnonzero(is_tp)
-    if n_gt == 0 or len(ranks) == 0:
-        return 0.0
-    tp = np.arange(1, len(ranks) + 1)
-    recall = tp / n_gt
-    precision = tp / (ranks + 1)
-    # precision envelope, then sample at the fixed recall grid
-    precision = np.maximum.accumulate(precision[::-1])[::-1]
-    idx = np.searchsorted(recall, RECALL_POINTS, side="left")
-    sampled = np.where(idx < len(precision), precision[np.minimum(idx, len(precision) - 1)], 0.0)
-    return float(sampled.mean())
+    if n_gt == 0 or not is_tp.any():
+        return [0.0] * is_tp.shape[1]
+    # the true positives column by column, in ranking order
+    cols, ranks = np.divmod(np.flatnonzero(is_tp.T), len(is_tp))
+    n_tp = np.bincount(cols, minlength=is_tp.shape[1])
+    k = np.arange(len(ranks)) - (n_tp.cumsum() - n_tp)[cols]  # k + 1 true positives so far
+    # row t: column t's precision at each true positive, then zeros (at least one)
+    precision = np.zeros((len(n_tp), n_tp.max() + 1))
+    precision[cols, k] = (k + 1) / (ranks + 1)
+    # precision envelope, then sample at the fixed recall grid; the k-th true
+    # positive reaches recall k / n_gt, and a recall a column never reaches reads 0
+    precision = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    idx = np.searchsorted(np.arange(1, n_tp.max() + 1) / n_gt, RECALL_POINTS, side="left")
+    return precision.take(idx, axis=1).mean(axis=1).tolist()  # C order: each row sums as 1-D
 
 
 def _match(dets: Detections, inst_scene: np.ndarray, inst_class: np.ndarray,
@@ -255,9 +259,9 @@ def compute_ap(
     def ap_over(scene_mask: np.ndarray) -> dict[float, float]:
         gts = inst_class[scene_mask[inst_scene]]
         in_scenes = scene_mask[det_scene]
-        per_class = [(is_tp[in_scenes & (classes == c)], int(np.count_nonzero(gts == c)))
-                     for c in np.unique(gts)]
-        return {thr: float(np.mean([_ap(tp[:, t], n) for tp, n in per_class]))
+        per_class = [_ap(is_tp[in_scenes & (classes == c)], int(np.count_nonzero(gts == c)))
+                     for c in np.unique(gts)]  # each class's AP per threshold
+        return {thr: float(np.mean([aps[t] for aps in per_class]))
                 if per_class else 0.0 for t, thr in enumerate(iou_thresholds)}
 
     per_threshold = ap_over(np.ones(len(scenes), dtype=bool))

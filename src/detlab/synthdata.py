@@ -18,6 +18,7 @@ from .geometry import iou, iou_matrix, label_arrays, valid_boxes  # iou_matrix: 
 from .seeding import derive_seed, generators
 
 POS_IOU_THRESHOLD = 0.5
+SCENE_STREAM = 1  # how generate_dataset draws; a new way takes the next number
 
 DEFAULT_GT_COUNT_WEIGHTS = {
     1: 0.12, 2: 0.12, 3: 0.12,

@@ -224,6 +224,14 @@ class TestRunExperiment:
             run_experiment(cfg)
             assert passes == [40 * len(cfg.ratios), 40, 20], f"POOL_BLOCK = {block}"
 
+    def test_scene_stream_names_the_cache(self, tmp_path, monkeypatch):
+        # scenes drawn another way never load an old cache as their own
+        cfg = tiny_cfg(tmp_path)
+        for stream in (harness.SCENE_STREAM, harness.SCENE_STREAM + 1):
+            monkeypatch.setattr(harness, "SCENE_STREAM", stream)
+            harness._dataset(cfg, tmp_path, "eval", 3)
+        assert len(list(tmp_path.glob("dataset_eval_*.npz"))) == 2
+
     def test_reruns_write_identical_manifests(self, tmp_path):
         r1 = run_experiment(tiny_cfg(tmp_path / "a"))
         time.sleep(1.01)  # the second rerun starts at another wall-clock second
@@ -538,6 +546,25 @@ class TestCli:
         assert captured.out == ""
         assert (f"config error: {message.format(out)}; the config has mode baseline, "
                 f"seed 3, config hash {recorded['config_hash']}\n") in captured.err
+
+    @pytest.mark.parametrize("command", ["report", "eval"])
+    @pytest.mark.parametrize("spoil, fault", [
+        (lambda data: data[:16], "unreadable manifest {}: "),
+        (lambda data: b"[]", "manifest {} holds a JSON list, not an object"),
+    ], ids=["truncated", "list"])
+    def test_unreadable_manifest_is_named(self, tmp_path, capsys, command, spoil, fault):
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = out / "manifest.json"
+        manifest.write_bytes(spoil(manifest.read_bytes()))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {fault.format(manifest)}" in captured.err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # nothing deleted
 
     def test_report_refuses_a_run_without_manifest(self, tmp_path, capsys):
         cfg_path = self.write_cfg(tmp_path)

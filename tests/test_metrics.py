@@ -539,7 +539,8 @@ class TestMatchesOracle:
                 cases.append((rng.permutation(flags), n_gt))
         for flags, n_gt in cases:
             scored = [(-float(k), k, bool(f)) for k, f in enumerate(flags)]  # already ranked
-            assert repr(_ap(flags, n_gt)) == repr(ap_oracle._ap_from_matches(scored, n_gt))
+            assert (repr(_ap(flags[:, None], n_gt)[0])  # one threshold's column
+                    == repr(ap_oracle._ap_from_matches(scored, n_gt)))
 
     def test_compute_ap_is_equal_in_every_field(self):
         most = 0  # ground truths of one (scene, class)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from detlab import seeding
 from detlab.cli import main as cli_main
@@ -32,21 +34,32 @@ class TestGenerators:
     def test_no_seeds_yield_nothing(self):
         assert list(generators([])) == []
 
-    def test_every_yield_is_one_generator_valid_until_the_next(self):
-        it = generators([11, 12])
-        first = next(it)
-        kept = first.bit_generator.state
-        second = next(it)
-        assert second is first
-        assert first.bit_generator.state != kept  # re-seeded in place for seed 12
-        assert first.bit_generator.state == np.random.default_rng(12).bit_generator.state
+    def test_every_yield_stays_its_own_stream(self):
+        seeds = EDGE_SEEDS + [11, 12]
+        kept = list(generators(seeds))
+        for seed, rng in reversed([*zip(seeds, kept, strict=True)]):
+            for got, expected in zip(draws(rng), draws(np.random.default_rng(seed)), strict=True):
+                assert got.tobytes() == expected.tobytes(), seed
+
+    @given(st.integers(0, 2**64 - 1))
+    def test_any_seed_equals_default_rng(self, seed):
+        (rng,) = generators([seed])
+        want = np.random.default_rng(seed)
+        assert rng.bit_generator.state == want.bit_generator.state
+        for got, expected in zip(draws(rng), draws(want), strict=True):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_words_are_handed_only_to_pcg64(self):
+        words = seeding._Words(seeding._state_words([5])[0])
+        with pytest.raises(ValueError, match="PCG64's 4 uint64 words"):
+            np.random.SFC64(words)
 
 
 class TestKernelCheck:
     """The first call in a process compares the kernel with numpy's seeding."""
 
     def broken(self, monkeypatch):
-        monkeypatch.setattr(seeding, "PCG64_MULT", seeding.PCG64_MULT + 2)
+        monkeypatch.setattr(seeding, "MIX_MULT_L", seeding.MIX_MULT_L + 2)
         monkeypatch.setattr(seeding, "_checked", False)
 
     def test_mismatch_names_numpy_version(self, monkeypatch):
@@ -59,8 +72,15 @@ class TestKernelCheck:
         monkeypatch.setattr(seeding, "_checked", False)
         list(generators([1]))
         assert seeding._checked
-        monkeypatch.setattr(seeding, "PCG64_MULT", seeding.PCG64_MULT + 2)
+        monkeypatch.setattr(seeding, "MIX_MULT_L", seeding.MIX_MULT_L + 2)
         list(generators([1]))  # no second comparison, so no error
+
+    def test_words_must_reach_pcg64_contiguous(self, monkeypatch):
+        words = seeding._state_words
+        monkeypatch.setattr(seeding, "_state_words", lambda seeds: words(seeds).T.copy().T)
+        monkeypatch.setattr(seeding, "_checked", False)
+        with pytest.raises(RuntimeError, match="seeds default_rng differently"):
+            next(generators([1]))
 
     def test_gen_data_exits_2(self, monkeypatch, tmp_path, capsys):
         self.broken(monkeypatch)
