@@ -148,8 +148,14 @@ def class_max(a: np.ndarray, start: int = 0) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
+    """The softmax over the last axis. Below 8 columns numpy's row sum adds
+    them one after another from the first (pairwise summation starts at 8),
+    so the chain of adds gives the bits of `.sum(axis=-1)` in less time."""
     e = np.exp(logits - class_max(logits)[..., None])
-    e /= e.sum(axis=-1, keepdims=True)
+    total = e[..., 0]
+    for j in range(1, e.shape[-1]):
+        total = total + e[..., j]
+    e /= total[..., None]
     return e
 
 
@@ -297,6 +303,15 @@ def load_params(path) -> tuple[BackboneParams, HeadParams, np.ndarray]:
         raise ValueError(f"checkpoint {path}: array 'num_heads' is not an integer scalar")
     if ratios.shape != (int(num_heads), 2) or not np.issubdtype(ratios.dtype, np.integer):
         raise ValueError(f"checkpoint {path}: array 'ratios' is not a (num_heads, 2) integer array")
+    names = ["backbone/w", "backbone/b",
+             *(f"head{i}/{name}" for i in range(int(num_heads)) for name in HEAD_KEYS)]
+    for name in names:  # a model with a NaN or inf weight would score as collapsed
+        a = data[name]
+        if not np.issubdtype(a.dtype, np.number):
+            raise ValueError(f"checkpoint {path}: array {name!r} is {a.dtype}, not numbers")
+        if not (finite := np.isfinite(a)).all():
+            at = tuple(int(i) for i in np.unravel_index(np.argmin(finite), a.shape))
+            raise ValueError(f"checkpoint {path}: array {name!r} holds {a[at]} at index {at}")
     backbone = BackboneParams(w=data["backbone/w"], b=data["backbone/b"])
     heads = [HeadParams(*[data[f"head{i}/{name}"] for name in HEAD_KEYS])
              for i in range(int(num_heads))]

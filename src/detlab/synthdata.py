@@ -282,20 +282,22 @@ def generate_proposals(
     size = lo + (np.minimum(hi, extents) - lo) * u[:, :2]
     corner = u[:, 2:] * (extents - size)
     bg = np.concatenate([corner, corner + size], axis=1).transpose(0, 2, 1).reshape(-1, 4)
-    fg_starts = np.cumsum([0, *fg_counts]).tolist()
-    boxes = np.concatenate([part for i in range(len(scenes)) for part in (  # pool by pool,
-        fg[fg_starts[i]:fg_starts[i + 1]], bg[i * n_bg:(i + 1) * n_bg])])  # fg then bg
+    # pool by pool, fg then bg: one gather of the 2S (pool, part) runs of rows
+    # from where each starts in the stacked (fg, bg) table
+    runs = np.stack([fg_counts, np.full(len(scenes), n_bg)], axis=1).ravel()
+    run_from = np.stack([np.cumsum(fg_counts) - fg_counts,
+                         len(fg) + n_bg * np.arange(len(scenes))], axis=1).ravel()
+    rows = np.repeat(run_from - (np.cumsum(runs) - runs), runs) + np.arange(runs.sum())
+    boxes = np.concatenate([fg, bg]).take(rows, axis=0)
 
-    # One IoU pass per ground-truth column, each row against its own scene.
-    # A scene with fewer instances gets all-zero boxes in the later columns:
-    # a degenerate box at the origin has IoU exactly 0 with every valid box.
+    # One IoU pass over the block, each row against every column of its own
+    # scene. A scene with fewer instances gets all-zero boxes in the later
+    # columns: a degenerate box at the origin has IoU exactly 0 with every valid box.
     first_gt = scenes.offsets[:-1]
     padded = np.zeros((len(scenes), gt_counts.max(), 4))
     inst_scene = np.repeat(np.arange(len(scenes)), gt_counts)
     padded[inst_scene, np.arange(len(gt_classes)) - first_gt[inst_scene]] = gt_boxes
-    ious = np.empty((len(boxes), padded.shape[1]))
-    for k in range(padded.shape[1]):
-        ious[:, k] = iou(boxes, np.repeat(padded[:, k], sizes, axis=0))
+    ious = iou(boxes[:, None], np.repeat(padded, sizes, axis=0))
     classes, max_ious, nearest, reg = label_arrays(
         ious, boxes, gt_boxes, gt_classes, pos_threshold, np.repeat(first_gt, sizes))
     # the feature signal follows the nearest instance, below the threshold too
@@ -333,6 +335,19 @@ def load_dataset(path) -> SceneTable:
         raise ValueError(f"corrupt scene cache {path}: array {bad[0]!r} is "
                          f"{arrays[bad[0]].dtype}, which does not cast safely to int64")
     try:
-        return SceneTable(*columns)
+        scenes = SceneTable(*columns)
     except ValueError as exc:
         raise ValueError(f"corrupt scene cache {path}: {exc}") from exc
+    # what generate_dataset guarantees, and a SceneTable of taken rows need not hold
+    box_extents = np.repeat(scenes.extents, scenes.counts, axis=0)
+    inside = (scenes.boxes[:, :2] >= 0.0) & (scenes.boxes[:, 2:] <= box_extents)
+    for name, bad, rule in (
+            ("ids", scenes.ids != np.arange(len(scenes)), "the ids must be 0, 1, ... in order"),
+            ("extents", ~((scenes.extents > 0.0) & (scenes.extents < np.inf)).all(axis=1),
+             "extents must be finite and positive"),
+            ("boxes", ~inside.all(axis=1), "boxes must lie inside their scene's extent")):
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"corrupt scene cache {path}: array {name!r} row {row} is "
+                             f"{getattr(scenes, name)[row]}, but {rule}")
+    return scenes

@@ -199,8 +199,8 @@ class TestRunExperiment:
             return {name: (out / name).read_bytes() for name in
                     ("metrics.csv", "gradnorm.csv", "eval_report.txt", "checkpoint.npz")}
 
-        want = artifacts(32)
-        for block in (1, 7, 64):
+        want = artifacts(harness.POOL_BLOCK)
+        for block in (1, 7, 32, harness.POOL_BLOCK + 1):
             assert artifacts(block) == want, f"POOL_BLOCK = {block}"
 
     @pytest.mark.parametrize("mode", ["baseline", "rga+prm"])
@@ -913,6 +913,24 @@ class TestCli:
         with np.load(cache, allow_pickle=True) as data:  # the payload works when unpickled
             assert data["ids"].tolist() == [None] and marker.exists()
 
+    @pytest.mark.parametrize("array, spoil, row, rule", [
+        ("ids", np.zeros_like, 1, "the ids must be 0, 1, ... in order"),
+        ("ids", lambda ids: ids[::-1], 0, "the ids must be 0, 1, ... in order"),
+        ("extents", np.zeros_like, 0, "extents must be finite and positive"),
+        ("boxes", lambda boxes: boxes + 1000.0, 0, "boxes must lie inside their scene's extent"),
+        ("boxes", lambda boxes: boxes - 1000.0, 0, "boxes must lie inside their scene's extent"),
+    ], ids=["ids-all-0", "ids-reversed", "extents-all-0", "boxes-moved-out", "boxes-moved-below"])
+    def test_cache_breaking_generation_guarantees_named(self, tmp_path, capsys, array, spoil,
+                                                        row, rule):
+        # such a cache is a valid table, and used to load and evaluate as `health: ok`
+        out, cache = self.cached(tmp_path, "eval")
+        with np.load(cache) as data:
+            spoiled = spoil(data[array])
+        rewrite_arrays(cache, {array: spoiled})
+        err = self.rerun_fails(tmp_path, out, capsys)
+        assert (f"error: corrupt scene cache {cache}: array {array!r} row {row} is "
+                f"{spoiled[row]}, but {rule}\n") in err
+
     @pytest.mark.parametrize("spoil, message", [
         (lambda path: path.write_bytes(path.read_bytes()[:500]),
          "unreadable array file {}: File is not a zip file"),
@@ -931,9 +949,11 @@ class TestCli:
            "checkpoint {}: array 'ratios' is not a (num_heads, 2) integer array")
           for ratios in (np.array([1, 3]), np.array([[1, 3, 5]]), np.array("1:3"),
                          np.array([[1.0, 3.0]]), np.array([[1, 3], [1, 3]]))),
+        (lambda path: rewrite_arrays(path, {"head0/b_cls": np.array(["0.1", "0.2"])}),
+         "checkpoint {}: array 'head0/b_cls' is <U3, not numbers"),
     ], ids=["truncated", "empty", "text", "missing-array", "object-array", "num-heads-vector",
             "num-heads-float", "ratios-vector", "ratios-3-columns", "ratios-text",
-            "ratios-float", "ratios-2-rows"])
+            "ratios-float", "ratios-2-rows", "weights-text"])
     def test_eval_names_damaged_checkpoint(self, tmp_path, capsys, spoil, message):
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "run"
@@ -943,6 +963,25 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert f"error: {message.format(checkpoint)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("array, value", [("backbone/w", np.nan), ("head0/w_cls", np.inf)],
+                             ids=["nan-backbone", "inf-head"])
+    def test_eval_refuses_non_finite_checkpoint(self, tmp_path, capsys, array, value):
+        # scored, such a checkpoint gives every AP 0.0 and `health: collapsed`
+        cfg_path = self.write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        checkpoint = out / "checkpoint.npz"
+        report = (out / "eval_report.txt").read_bytes()
+        with np.load(checkpoint) as data:
+            spoiled = data[array].copy()
+        spoiled[1, 2] = spoiled[-1, -1] = value  # the first is named
+        rewrite_arrays(checkpoint, {array: spoiled})
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert (f"error: checkpoint {checkpoint}: array {array!r} holds {value} at index (1, 2)\n"
+                in capsys.readouterr().err)
+        assert (out / "eval_report.txt").read_bytes() == report  # nothing was scored
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sweep_exit_code_names_failed_runs(self, tmp_path, capsys):
@@ -1141,8 +1180,9 @@ def test_every_traced_name_records_a_span(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     from tracer import TRACE_METHODS, TRACE_POINTS, Tracer
 
+    n_eval = harness.POOL_BLOCK * 5 // 4
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(TINY.replace("[eval]\nscenes = 20", "[eval]\nscenes = 40"))
+    cfg_path.write_text(TINY.replace("[eval]\nscenes = 20", f"[eval]\nscenes = {n_eval}"))
     tracer = Tracer()
     tracer.install()
     try:
@@ -1157,7 +1197,7 @@ def test_every_traced_name_records_a_span(tmp_path, monkeypatch):
     silent = {name for name, *_ in TRACE_POINTS + TRACE_METHODS
               if not any(r == name or r.startswith(name + ".") for r in recorded)}
     assert silent == DEAD_TRACE_NAMES
-    blocks = -(-40 // harness.POOL_BLOCK)
+    blocks = -(-n_eval // harness.POOL_BLOCK)
     assert blocks == 2  # a full block and a partial one
     for name in ("prm.prm_predict", "metrics.nms"):
         assert sum(span[0] == name for span in tracer.spans[eval_from:]) == blocks

@@ -338,6 +338,9 @@ def logit_cases():
         "zeros-and-ties": rng.choice([0.0, -0.0, 1.0, -1.0], size=(2, 40, 4)),
         "large": rng.normal(size=(3, 50, 4)) * 1e300,
         "one-class": rng.normal(size=(4, 2)),
+        # prm_predict's (O, N, C+1) scores of one block of pools
+        "prediction": rng.normal(size=(3, 7000, 4)) * 3,
+        "non-finite": rng.choice([np.nan, np.inf, -np.inf, 0.0, 1.0, -1.0], size=(3, 50, 4)),
     }
 
 
@@ -345,6 +348,7 @@ class TestClassMaxima:
     """The class-axis maxima are chains of np.maximum; they must give the
     bits of the `.max(axis=-1)` formulas they replace."""
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
     @pytest.mark.parametrize("case", logit_cases())
     def test_softmax_equals_the_max_formula(self, case):
         logits = logit_cases()[case]
@@ -357,7 +361,8 @@ class TestClassMaxima:
             assert (class_max(logits, start).tobytes()
                     == logits[..., start:].max(axis=-1).tobytes())
 
-    @pytest.mark.parametrize("case", logit_cases())
+    # summarize_block refuses a non-finite mean, so the sign of its NaN never shows
+    @pytest.mark.parametrize("case", [case for case in logit_cases() if case != "non-finite"])
     def test_mean_foreground_scores_equal_the_max_formula(self, case):
         for a in (logit_cases()[case], reference_softmax(logit_cases()[case])):
             # one pool of every row, and two pools split at row 3

@@ -9,6 +9,7 @@ from detlab import synthdata
 from detlab.config import SCENE
 from detlab.files import write_arrays
 from detlab.geometry import iou_matrix, label_arrays
+from detlab.harness import POOL_BLOCK
 from detlab.seeding import derive_seed, generators
 from detlab.synthdata import (
     DEFAULT_GT_COUNT_WEIGHTS,
@@ -247,7 +248,7 @@ class TestMatchesOracle:
 
     @pytest.mark.parametrize("noise_sigma", [0.25, 0.0], ids=["noise", "noise-free"])
     @pytest.mark.parametrize("kind", range(4))
-    @pytest.mark.parametrize("n", [1, 2, 32, 33])
+    @pytest.mark.parametrize("n", [1, 2, 32, 33, POOL_BLOCK, POOL_BLOCK + 1])
     def test_block_equals_pools_built_alone(self, n, kind, noise_sigma):
         scenes = oracle_scenes(n, kind)
         qualities = [(0.0, 0.5, 1.0)[(kind + i) % 3] for i in range(n)]
@@ -322,7 +323,7 @@ class TestSerialization:
     def test_empty_record_between_two_round_trips(self, tmp_path):
         drawn = scenes_of(generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 2, 9))
         scenes = scene_table([(drawn[0].gt_boxes, drawn[0].gt_classes), ([], []),
-                              (drawn[1].gt_boxes, drawn[1].gt_classes)], ids=[4, 0, 7])
+                              (drawn[1].gt_boxes, drawn[1].gt_classes)])
         path = tmp_path / "data.npz"
         save_dataset(scenes, path)
         assert_same_scenes(load_dataset(path), scenes)
