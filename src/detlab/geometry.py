@@ -61,6 +61,33 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
                np.asarray(boxes_b, dtype=np.float64).reshape(1, -1, 4))
 
 
+def pool_max_iou(boxes: np.ndarray, offsets: np.ndarray, gt_boxes: np.ndarray,
+                 gt_offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's largest IoU against its own pool's ground truths and the
+    first column with it, the bits np.argmax gives over :func:`iou_matrix` of
+    that pool alone (0 and 0 without any). Pool i is the `boxes` rows
+    `offsets[i]:offsets[i + 1]` and the `gt_boxes` rows of `gt_offsets` alike.
+    Only real pairs are computed: with the pools stably sorted by descending
+    instance count, pass k takes the prefix of the reordered rows whose pool
+    has more than k instances, against instance k of that pool. The best is
+    replaced only where strictly greater: argmax's first-index tie rule."""
+    order = np.argsort(-np.diff(gt_offsets), kind="stable")
+    sizes, counts = np.diff(offsets)[order], np.diff(gt_offsets)[order]
+    ends = np.cumsum(sizes)
+    rows = np.repeat(offsets[:-1][order] - (ends - sizes), sizes) + np.arange(len(boxes))
+    a = box_columns(boxes.T.take(rows, axis=1).T)  # the reordered rows' columns
+    gts, first = np.stack(box_columns(gt_boxes)), np.repeat(gt_offsets[:-1][order], sizes)
+    best, column = np.zeros(len(rows)), np.zeros(len(rows), dtype=np.int64)
+    for k in range(counts.max(initial=0)):
+        m = ends[np.count_nonzero(counts > k) - 1]
+        ious = column_iou(tuple(c[:m] for c in a), tuple(gts.take(first[:m] + k, axis=1)))
+        np.copyto(column[:m], k, where=ious > best[:m])
+        np.maximum(best[:m], ious, out=best[:m])
+    out_best, out_column = np.empty_like(best), np.empty_like(column)
+    out_best[rows], out_column[rows] = best, column
+    return out_best, out_column
+
+
 def encode_deltas_array(proposals: np.ndarray, gts: np.ndarray) -> np.ndarray:
     """Center/size log-space regression targets for row-aligned (N,4) box arrays."""
     proposals = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
@@ -105,10 +132,11 @@ def label_arrays(
     `pos_threshold`, given the (N, M) proposal-by-ground-truth `ious`.
 
     Column k of row r is ground truth `first_gt + k` (`first_gt` may be one
-    value per row), so a block of scenes is labeled at once: their ground
-    truths concatenated, each row's IoUs against its own scene's, and 0 in the
-    columns past that scene's last instance. The first column with the largest
-    IoU wins (np.argmax's tie rule), so such padding never wins.
+    value per row), so a block of scenes is labeled at once: as one column,
+    each row's best IoU from :func:`pool_max_iou` with the instance that has
+    it as `first_gt`, or each row's IoUs against its own scene's, 0 past its
+    last instance. The first column with the largest IoU wins (np.argmax's
+    tie rule), so such padding never wins.
 
     Returns (classes, max_ious, nearest, reg_targets): `nearest` indexes the
     max-IoU ground truth, -1 where a proposal overlaps none; `classes` and

@@ -67,9 +67,9 @@ NMS_THRESHOLD, SCORE_FLOOR, MAX_DETECTIONS = 0.5, 0.05, 100  # the paper's evalu
 # Proposal pools are built this many at a time: each generate_proposals call
 # labels and featurizes a block of pools in one pass over their rows, and each
 # block's batches, steps and statistics are a pass too. On 2 vCPUs (2 MB L2 per
-# core), a desk rga+prm run took 2.7% longer at 48 and 3.4% and 5.4% less at 96
-# and 128, but each 64 more pools added 8-12 MB to the peak memory.
-POOL_BLOCK = 64
+# core), 128 against 64 read perfbench run_s 7.8%, 5.0% and 7.3% lower on
+# desk-baseline, desk-rga-prm and eval-rga-prm, for 1.8-4.8 MB more peak memory.
+POOL_BLOCK = 128
 
 
 @contextlib.contextmanager
@@ -87,7 +87,7 @@ def _pool_blocks(cfg: ExperimentConfig, scenes: SceneTable, qualities: Sequence[
     """Yields (index, block) per POOL_BLOCK of positions: pool i of the block
     holds scene index[i]'s proposals at its quality, seeded by its tag, all
     tags in one seeding pass. The caller's loop variable and this generator
-    hold a block until the next one is built, so at most two (~1.05 MB each
+    hold a block until the next one is built, so at most two (~2.1 MB each
     at desk scale) are alive at once."""
     with _timed(stages, "proposals"):
         rngs = generators([derive_seed(cfg.seed, *tag) for tag in seed_tags])
@@ -147,6 +147,7 @@ def evaluate_model(model: PrmModel, scenes: SceneTable, cfg: ExperimentConfig,
             scores, boxes = prm_predict(model, block)  # the ensemble, then each head
             found.append(_block_detections(model, block, index, scenes, scores, boxes))
             fg_scores.append(net.class_max(scores, 1))
+            del scores, boxes  # freed before the next block is built, and before AP
     with _timed(stages, "evaluation"):
         ensemble_ap, *heads_ap = [compute_ap(Detections(*map(np.concatenate, zip(*d))), scenes)
                                   for d in zip(*found)]

@@ -292,7 +292,8 @@ def prm_predict(model: PrmModel, proposals: ProposalSet) -> tuple[np.ndarray, np
     (O, N, C+1) scores and (O, N, 4) boxes: the ensemble first (softmax of the
     mean logits, the selected head's boxes), then each head if there are several."""
     net.check_features(model.backbone, proposals.features)
-    logits, deltas, _ = net.forward(model.backbone, model.heads, proposals.features)
+    # only the outputs: the (hidden, shared) layers are freed before decoding
+    logits, deltas = net.forward(model.backbone, model.heads, proposals.features)[:2]
     boxes = np.stack([decode_deltas_array(proposals.boxes, d) for d in deltas])
     if len(model.policies) > 1:
         logits = np.concatenate([ensemble_scores(logits)[None], logits])

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .files import read_arrays, write_arrays
-from .geometry import iou, iou_matrix, label_arrays, valid_boxes  # iou_matrix: perfbench patches it here
+from .geometry import iou_matrix, label_arrays, pool_max_iou, valid_boxes  # iou_matrix: perfbench patches it here
 from .seeding import derive_seed, generators
 
 POS_IOU_THRESHOLD = 0.5
@@ -290,22 +290,17 @@ def generate_proposals(
     rows = np.repeat(run_from - (np.cumsum(runs) - runs), runs) + np.arange(runs.sum())
     boxes = np.concatenate([fg, bg]).take(rows, axis=0)
 
-    # One IoU pass over the block, each row against every column of its own
-    # scene. A scene with fewer instances gets all-zero boxes in the later
-    # columns: a degenerate box at the origin has IoU exactly 0 with every valid box.
-    first_gt = scenes.offsets[:-1]
-    padded = np.zeros((len(scenes), gt_counts.max(), 4))
-    inst_scene = np.repeat(np.arange(len(scenes)), gt_counts)
-    padded[inst_scene, np.arange(len(gt_classes)) - first_gt[inst_scene]] = gt_boxes
-    ious = iou(boxes[:, None], np.repeat(padded, sizes, axis=0))
-    classes, max_ious, nearest, reg = label_arrays(
-        ious, boxes, gt_boxes, gt_classes, pos_threshold, np.repeat(first_gt, sizes))
+    offsets = np.cumsum([0, *sizes])
+    best, column = pool_max_iou(boxes, offsets, gt_boxes, scenes.offsets)
+    classes, max_ious, nearest, reg = label_arrays(  # best as one column, its instance first
+        best[:, None], boxes, gt_boxes, gt_classes, pos_threshold,
+        np.repeat(scenes.offsets[:-1], sizes) + column)
     # the feature signal follows the nearest instance, below the threshold too
     signal_classes = np.zeros(len(boxes), dtype=np.int64)
     overlaps = np.flatnonzero(nearest >= 0)
     signal_classes[overlaps] = gt_classes[nearest[overlaps]]
     features = proposal_features(signal_classes, max_ious, np.concatenate(noise))
-    return ProposalSet(boxes, classes, reg, features, np.cumsum([0, *sizes]))
+    return ProposalSet(boxes, classes, reg, features, offsets)
 
 
 def generate_dataset(config: SceneConfig, n_scenes: int, base_seed: int,

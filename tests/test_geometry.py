@@ -12,6 +12,7 @@ from detlab.geometry import (
     encode_deltas_array,
     iou_matrix,
     label_arrays,
+    pool_max_iou,
     valid_boxes,
 )
 from scene_oracle import scene_table
@@ -233,3 +234,38 @@ class TestLabeling:
         low = label(props, gts, thr)[0]
         high = label(props, gts, min(thr + bump, 0.99))[0]
         assert not (high[low == 0] > 0).any()
+
+
+@st.composite
+def pool_blocks(draw):
+    """A block of pools: each pool 0-12 instances, repeats among them so that
+    IoUs tie, and proposals that may equal one of them or overlap nothing."""
+    pools = []
+    for _ in range(draw(st.integers(1, 6))):
+        shapes = draw(st.lists(boxes(), min_size=1, max_size=3))
+        gts = draw(st.lists(st.sampled_from(shapes), max_size=12))
+        far = st.builds(lambda x, y: Box(x, y, x + 5, y + 5), st.floats(200, 300), st.floats(200, 300))
+        props = draw(st.lists(st.one_of(boxes(), far, st.sampled_from(shapes)),
+                              min_size=1, max_size=8))
+        pools.append((gts, props))
+    return pools
+
+
+class TestPoolMaxIou:
+    @given(pool_blocks())
+    @settings(max_examples=100)
+    def test_equals_argmax_of_each_pool_alone(self, pools):
+        def as_array(bs):
+            return np.array([b.as_array() for b in bs]).reshape(-1, 4)
+
+        offsets = np.cumsum([0, *(len(props) for _, props in pools)])
+        gt_offsets = np.cumsum([0, *(len(gts) for gts, _ in pools)])
+        best, column = pool_max_iou(as_array(p for _, ps in pools for p in ps), offsets,
+                                    as_array(g for gs, _ in pools for g in gs), gt_offsets)
+        for i, (gts, props) in enumerate(pools):
+            rows = slice(offsets[i], offsets[i + 1])
+            ious = iou_matrix(as_array(props), as_array(gts))
+            want = np.argmax(ious, axis=1) if gts else np.zeros(len(props), dtype=np.int64)
+            want_best = ious[np.arange(len(props)), want] if gts else np.zeros(len(props))
+            assert best[rows].tobytes() == want_best.tobytes(), f"pool {i}"
+            np.testing.assert_array_equal(column[rows], want, strict=True, err_msg=f"pool {i}")

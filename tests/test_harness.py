@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import detlab
 import detlab.prm as prm_mod
@@ -17,11 +19,12 @@ from detlab import cli, harness, seeding
 from detlab.cli import main as cli_main
 from detlab.config import (FEATURES, MODES, SCENE, SCHEMA, ConfigError, load_config,
                            parse_config)
-from detlab.files import atomic_write, write_arrays
+from detlab.files import atomic_write, read_arrays, write_arrays
 from detlab.harness import axis_cells, run_experiment, sweep
 from detlab.metrics import MetricsLog
-from detlab.net import init_backbone, init_head, save_params, stack_heads
-from detlab.synthdata import SCENE_ARRAYS, load_dataset, save_dataset
+from detlab.net import (HEAD_KEYS, init_backbone, init_head, load_params, save_params,
+                        stack_heads)
+from detlab.synthdata import SCENE_ARRAYS, generate_dataset, load_dataset, save_dataset
 
 TINY = """
 [sampling]
@@ -170,6 +173,27 @@ class TestParseConfig:
         assert {name: b[name] for name in a if a[name] != b[name]} == {target: value}
         assert (cfg.config_hash() == base.config_hash()) == (key == "out")
 
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_a_garbled_line_is_named(self, data):
+        # one key line of TINY loses its '=', repeats, gets an unknown key or a non-number
+        lines = TINY.splitlines()
+        at = data.draw(st.sampled_from([i for i, line in enumerate(lines) if "=" in line]))
+        key, value = (part.strip() for part in lines[at].split("="))
+        garble = data.draw(st.sampled_from(["no =", "repeat", "unknown", "non-number"]))
+        named = at + 1
+        if garble == "no =":
+            lines[at] = f"{key} {value}"
+        elif garble == "repeat":
+            lines.insert(at + 1, lines[at])
+            named += 1
+        elif garble == "unknown":
+            lines[at] = f"{key}_{data.draw(st.sampled_from(['x', '2', 'rate']))} = {value}"
+        else:
+            lines[at] = f"{key} = {data.draw(st.sampled_from(['', 'x', '1.5', '1e3', '0x10']))}"
+        with pytest.raises(ConfigError, match=f"^line {named}: "):
+            parse_config("\n".join(lines))
+
     @pytest.mark.parametrize("mode", MODES)
     def test_desk_config_hashes_are_pinned(self, mode):
         hashes = tuple(load_config(DESK_CFG, seed=7, mode=mode, sampling=s).config_hash()
@@ -200,7 +224,7 @@ class TestRunExperiment:
                     ("metrics.csv", "gradnorm.csv", "eval_report.txt", "checkpoint.npz")}
 
         want = artifacts(harness.POOL_BLOCK)
-        for block in (1, 7, 32, harness.POOL_BLOCK + 1):
+        for block in (1, 7, 32, 64, harness.POOL_BLOCK + 1):
             assert artifacts(block) == want, f"POOL_BLOCK = {block}"
 
     @pytest.mark.parametrize("mode", ["baseline", "rga+prm"])
@@ -434,6 +458,53 @@ def rewrite_arrays(path, changes: dict):
     with np.load(path) as data:
         arrays = {key: data[key] for key in data.files} | changes
     np.savez(path, **{key: a for key, a in arrays.items() if a is not None})
+
+
+@pytest.fixture(scope="module")
+def saved_inputs(tmp_path_factory):
+    """A saved tiny scene cache and a two-head checkpoint, by array name."""
+    cfg = tiny_cfg(tmp_path_factory.mktemp("inputs"), **MODES["rga+prm"])
+    scenes = generate_dataset(SCENE, cfg.eval_scenes, cfg.seed, tag="eval")
+    model = prm_mod.init_model(FEATURES.dim(SCENE.num_classes), cfg.hidden, SCENE.num_classes,
+                               cfg.policies, cfg.seed)
+    out = Path(cfg.out)
+    out.mkdir()
+    save_dataset(scenes, out / "cache.npz")
+    save_params(out / "checkpoint.npz", model.backbone, model.heads, cfg.ratios)
+    return {name: dict(read_arrays(out / name)) for name in ("cache.npz", "checkpoint.npz")}, out
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_loaders_name_the_file_and_the_array(saved_inputs, data):
+    # one value of a valid file made invalid: the loader names both where it lies
+    arrays, out = saved_inputs
+    name = data.draw(st.sampled_from(["ids", "extents", "boxes", "backbone/w", "backbone/b",
+                                      *(f"head{i}/{key}" for i in (0, 1) for key in HEAD_KEYS)]))
+    file = "cache.npz" if name in SCENE_ARRAYS else "checkpoint.npz"
+    a = arrays[file][name].copy()
+    row = data.draw(st.integers(0, len(a) - 1))
+    bad = st.sampled_from([np.nan, np.inf, -np.inf])
+    if name == "ids":  # a repeat of the one before, or two swapped
+        other = (row + data.draw(st.sampled_from([-1, 1]))) % len(a)
+        if data.draw(st.booleans()):
+            a[row] = a[other]
+        else:
+            a[[row, other]] = a[[other, row]]
+    elif name == "extents":
+        a[row, data.draw(st.integers(0, 1))] = data.draw(bad | st.sampled_from([0.0, -1.0, -100.0]))
+    elif name == "boxes" and data.draw(st.booleans()):  # moved past an edge of its scene
+        axis, sign = data.draw(st.integers(0, 1)), data.draw(st.sampled_from([-1, 1]))
+        a[row, [axis, axis + 2]] += sign * (SCENE.extent[axis] + 1.0)
+    else:
+        a.reshape(len(a), -1)[row, data.draw(st.integers(0, a[row].size - 1))] = data.draw(bad)
+    path = out / f"bad-{file}"
+    write_arrays(path, arrays[file] | {name: a})
+    load = load_dataset if file == "cache.npz" else load_params
+    with pytest.raises(ValueError) as raised:
+        load(path)
+    assert str(path) in str(raised.value)
+    assert re.search(rf"\b{name}\b", str(raised.value)), str(raised.value)
 
 
 class Tripwire:

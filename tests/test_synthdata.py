@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,23 @@ class TestMatchesOracle:
         copies = np.all(pool.boxes == scene.boxes[0], axis=1)
         assert copies.any() and (pool.classes[copies] == scene.classes[0]).all()
         assert scene.classes[1] != scene.classes[0]
+
+
+def test_block_memory_stays_near_its_output():
+    # the labeling passes allocate columns of the block's rows, never a
+    # (rows, K) table against every instance slot of the largest scene
+    scenes = generate_dataset(SCENE, POOL_BLOCK, 7, tag="eval")
+    rngs = generators([derive_seed(7, "evalprop", i) for i in range(POOL_BLOCK)])
+    tracemalloc.start()
+    try:
+        block = generate_proposals(scenes, [1.0] * POOL_BLOCK, RpnQualityModel(jitter_end=0.15),
+                                   rngs, num_classes=SCENE.num_classes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in (block.boxes, block.classes, block.reg_targets,
+                                  block.features, block.offsets))
+    assert peak < 4 * size, f"peak {peak / 1e6:.2f} MB for a {size / 1e6:.2f} MB block"
 
 
 class TestFeatures:
