@@ -249,7 +249,7 @@ class TestMatchesOracle:
 
     @pytest.mark.parametrize("noise_sigma", [0.25, 0.0], ids=["noise", "noise-free"])
     @pytest.mark.parametrize("kind", range(4))
-    @pytest.mark.parametrize("n", [1, 2, 32, 33, POOL_BLOCK, POOL_BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, 2, 32, 33, 64, 65, POOL_BLOCK, POOL_BLOCK + 1])
     def test_block_equals_pools_built_alone(self, n, kind, noise_sigma):
         scenes = oracle_scenes(n, kind)
         qualities = [(0.0, 0.5, 1.0)[(kind + i) % 3] for i in range(n)]
