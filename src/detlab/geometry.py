@@ -34,7 +34,7 @@ def box_columns(boxes: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def column_iou(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> np.ndarray:
     """IoU of boxes given as :func:`box_columns` tuples, broadcasting: the one
-    IoU formula, which :func:`iou` and :func:`iou_matrix` use too."""
+    IoU formula, which :func:`iou_matrix` uses too."""
     ax1, ay1, ax2, ay2, a_area = a
     bx1, by1, bx2, by2, b_area = b
     # in place where it can be: fewer temporaries, the same operations
@@ -49,23 +49,18 @@ def column_iou(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> np.ndarr
     return np.where(inter > 0.0, np.divide(inter, union, out=union), 0.0)
 
 
-def iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of corner-format boxes along the last axis, broadcasting the rest:
-    row-aligned (N,4) arrays give (N,) IoUs."""
-    return column_iou(box_columns(a), box_columns(b))
-
-
 def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between (N,4) and (M,4) corner-format box arrays."""
-    return iou(np.asarray(boxes_a, dtype=np.float64).reshape(-1, 1, 4),
-               np.asarray(boxes_b, dtype=np.float64).reshape(1, -1, 4))
+    return column_iou(box_columns(np.asarray(boxes_a, dtype=np.float64).reshape(-1, 1, 4)),
+                      box_columns(np.asarray(boxes_b, dtype=np.float64).reshape(1, -1, 4)))
 
 
 def pool_max_iou(boxes: np.ndarray, offsets: np.ndarray, gt_boxes: np.ndarray,
                  gt_offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's largest IoU against its own pool's ground truths and the
-    first column with it, the bits np.argmax gives over :func:`iou_matrix` of
-    that pool alone (0 and 0 without any). Pool i is the `boxes` rows
+    `gt_boxes` row of the first instance with it, to the bit the pool's first
+    row plus np.argmax over :func:`iou_matrix` of that pool alone give (0 and
+    that first row without any). Pool i is the `boxes` rows
     `offsets[i]:offsets[i + 1]` and the `gt_boxes` rows of `gt_offsets` alike.
     Only real pairs are computed: with the pools stably sorted by descending
     instance count, pass k takes the prefix of the reordered rows whose pool
@@ -83,9 +78,9 @@ def pool_max_iou(boxes: np.ndarray, offsets: np.ndarray, gt_boxes: np.ndarray,
         ious = column_iou(tuple(c[:m] for c in a), tuple(gts.take(first[:m] + k, axis=1)))
         np.copyto(column[:m], k, where=ious > best[:m])
         np.maximum(best[:m], ious, out=best[:m])
-    out_best, out_column = np.empty_like(best), np.empty_like(column)
-    out_best[rows], out_column[rows] = best, column
-    return out_best, out_column
+    out_best, instance = np.empty_like(best), np.empty_like(column)
+    out_best[rows], instance[rows] = best, first + column
+    return out_best, instance
 
 
 def encode_deltas_array(proposals: np.ndarray, gts: np.ndarray) -> np.ndarray:
@@ -120,43 +115,26 @@ def decode_deltas_array(proposals: np.ndarray, deltas: np.ndarray) -> np.ndarray
     return np.stack([cx - 0.5 * w, cy - 0.5 * h, cx + 0.5 * w, cy + 0.5 * h], axis=1)
 
 
-def label_arrays(
-    ious: np.ndarray,
-    proposal_boxes: np.ndarray,
-    gt_boxes: np.ndarray,
-    gt_classes: np.ndarray,
-    pos_threshold: float,
-    first_gt=0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Assign each proposal its max-IoU ground truth, or background below
-    `pos_threshold`, given the (N, M) proposal-by-ground-truth `ious`.
+def label_arrays(best: np.ndarray, instance: np.ndarray, proposal_boxes: np.ndarray,
+                 gt_boxes: np.ndarray, gt_classes: np.ndarray,
+                 pos_threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label each proposal from its best IoU `best` and the `gt_boxes` row
+    `instance` of the ground truth that has it, as :func:`pool_max_iou` gives
+    them: that instance's class at IoU >= `pos_threshold`, else background.
 
-    Column k of row r is ground truth `first_gt + k` (`first_gt` may be one
-    value per row), so a block of scenes is labeled at once: as one column,
-    each row's best IoU from :func:`pool_max_iou` with the instance that has
-    it as `first_gt`, or each row's IoUs against its own scene's, 0 past its
-    last instance. The first column with the largest IoU wins (np.argmax's
-    tie rule), so such padding never wins.
-
-    Returns (classes, max_ious, nearest, reg_targets): `nearest` indexes the
-    max-IoU ground truth, -1 where a proposal overlaps none; `classes` and
-    `reg_targets` rows are zero for background.
+    Returns (classes, signal, reg_targets): `signal` is the instance's class
+    wherever the IoU is above 0, below the threshold too, and 0 elsewhere, so
+    `instance` is read only there; `classes` and `reg_targets` rows are zero
+    for background.
     """
     if not (0.0 < pos_threshold < 1.0):
         raise ValueError("pos_threshold must lie in (0, 1)")
-    proposal_boxes = np.asarray(proposal_boxes, dtype=np.float64).reshape(-1, 4)
-    n = proposal_boxes.shape[0]
-    max_ious = np.zeros(n)
-    nearest = np.full(n, -1, dtype=np.int64)
-    if ious.shape[1]:
-        column = np.argmax(ious, axis=1)
-        max_ious = ious[np.arange(n), column]
-        nearest = np.where(max_ious > 0.0, first_gt + column, -1)
-    positive = np.flatnonzero(max_ious >= pos_threshold)
-    matched = nearest[positive]
-    classes = np.zeros(n, dtype=np.int64)
-    classes[positive] = np.asarray(gt_classes, dtype=np.int64)[matched]
-    reg = np.zeros((n, 4), dtype=np.float64)
+    signal = np.zeros(len(best), dtype=np.int64)
+    overlaps = np.flatnonzero(best > 0.0)
+    signal[overlaps] = gt_classes[instance[overlaps]]
+    positive = np.flatnonzero(best >= pos_threshold)
+    classes = np.where(best >= pos_threshold, signal, 0)
+    reg = np.zeros((len(best), 4))
     reg[positive] = encode_deltas_array(proposal_boxes.take(positive, axis=0),
-                                        np.take(gt_boxes, matched, axis=0))
-    return classes, max_ious, nearest, reg
+                                        gt_boxes.take(instance[positive], axis=0))
+    return classes, signal, reg

@@ -122,10 +122,15 @@ def forward(backbone: BackboneParams, heads: HeadParams, features: np.ndarray):
     own forward. Features of another width make the first matmul raise
     ValueError; `check_features` names the shapes, once per block of pools.
     """
-    h = np.tanh(features @ backbone.w + backbone.b)
-    s = np.tanh(h @ heads.w_shared + heads.b_shared[..., None, :])
-    logits = s @ heads.w_cls + heads.b_cls[..., None, :]
-    deltas = s @ heads.w_reg + heads.b_reg[..., None, :]
+    # biases and tanh in place: the same bits, and fewer fresh pages per call
+    h = features @ backbone.w
+    np.tanh(np.add(h, backbone.b, out=h), out=h)
+    s = h @ heads.w_shared
+    np.tanh(np.add(s, heads.b_shared[..., None, :], out=s), out=s)
+    logits = s @ heads.w_cls
+    logits += heads.b_cls[..., None, :]
+    deltas = s @ heads.w_reg
+    deltas += heads.b_reg[..., None, :]
     return logits, deltas, (h, s)
 
 

@@ -291,15 +291,10 @@ def generate_proposals(
     boxes = np.concatenate([fg, bg]).take(rows, axis=0)
 
     offsets = np.cumsum([0, *sizes])
-    best, column = pool_max_iou(boxes, offsets, gt_boxes, scenes.offsets)
-    classes, max_ious, nearest, reg = label_arrays(  # best as one column, its instance first
-        best[:, None], boxes, gt_boxes, gt_classes, pos_threshold,
-        np.repeat(scenes.offsets[:-1], sizes) + column)
-    # the feature signal follows the nearest instance, below the threshold too
-    signal_classes = np.zeros(len(boxes), dtype=np.int64)
-    overlaps = np.flatnonzero(nearest >= 0)
-    signal_classes[overlaps] = gt_classes[nearest[overlaps]]
-    features = proposal_features(signal_classes, max_ious, np.concatenate(noise))
+    best, instance = pool_max_iou(boxes, offsets, gt_boxes, scenes.offsets)
+    classes, signal, reg = label_arrays(best, instance, boxes, gt_boxes, gt_classes,
+                                        pos_threshold)
+    features = proposal_features(signal, best, np.concatenate(noise))
     return ProposalSet(boxes, classes, reg, features, offsets)
 
 
@@ -329,6 +324,11 @@ def load_dataset(path) -> SceneTable:
                if not np.can_cast(arrays[name].dtype, np.int64)]:
         raise ValueError(f"corrupt scene cache {path}: array {bad[0]!r} is "
                          f"{arrays[bad[0]].dtype}, which does not cast safely to int64")
+    # SceneTable reshapes what it gets, so (50, 1) ids or flat boxes would load
+    for name, tail in zip(SCENE_ARRAYS, [(), (2,), (), (4,), ()]):
+        if (a := arrays[name]).ndim != 1 + len(tail) or a.shape[1:] != tail:
+            raise ValueError(f"corrupt scene cache {path}: array {name!r} has shape {a.shape}, "
+                             f"not (rows{''.join(f', {d}' for d in tail) or ','})")
     try:
         scenes = SceneTable(*columns)
     except ValueError as exc:

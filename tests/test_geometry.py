@@ -166,12 +166,26 @@ class TestDeltas:
         np.testing.assert_allclose(out.as_array(), g.as_array(), atol=1e-9)
 
 
+def as_array(bs):
+    """Boxes as one (N, 4) array."""
+    return np.array([b.as_array() for b in bs]).reshape(-1, 4)
+
+
+def label_block(pools, thr):
+    """pool_max_iou, then label_arrays, on a block of (Box proposals, (Box,
+    class) ground truths) pools: (classes, best, instance, signal, reg)."""
+    props = as_array(p for ps, _ in pools for p in ps)
+    gt_boxes = as_array(b for _, gts in pools for b, _ in gts)
+    gt_classes = np.array([c for _, gts in pools for _, c in gts], dtype=np.int64)
+    best, instance = pool_max_iou(props, np.cumsum([0, *(len(ps) for ps, _ in pools)]),
+                                  gt_boxes, np.cumsum([0, *(len(gts) for _, gts in pools)]))
+    classes, signal, reg = label_arrays(best, instance, props, gt_boxes, gt_classes, thr)
+    return classes, best, instance, signal, reg
+
+
 def label(proposals, gts, thr):
-    """label_arrays on Box proposals and (Box, class) ground truths."""
-    props = np.array([p.as_array() for p in proposals]).reshape(-1, 4)
-    gt_boxes = np.array([b.as_array() for b, _ in gts]).reshape(-1, 4)
-    gt_classes = np.array([c for _, c in gts], dtype=np.int64)
-    return label_arrays(iou_matrix(props, gt_boxes), props, gt_boxes, gt_classes, thr)
+    """label_block of the one pool (`proposals`, `gts`)."""
+    return label_block([(proposals, gts)], thr)
 
 
 class TestLabeling:
@@ -179,51 +193,48 @@ class TestLabeling:
         return [(Box(0, 0, 10, 10), 3), (Box(20, 20, 30, 30), 1)]
 
     def test_exact_match(self):
-        classes, max_ious, matched, reg = label([Box(0, 0, 10, 10)], self.gts(), 0.5)
+        classes, max_ious, matched, _, reg = label([Box(0, 0, 10, 10)], self.gts(), 0.5)
         assert classes[0] == 3
         assert max_ious[0] == 1.0
         assert matched[0] == 0
         np.testing.assert_allclose(reg[0], np.zeros(4))
 
     def test_below_threshold_is_background(self):
-        # IoU 3/17 < 0.5: background, though its nearest instance is still named
-        classes, _, nearest, reg = label([Box(7, 7, 12, 12), Box(50, 50, 60, 60)],
-                                         self.gts(), 0.5)
-        assert classes.tolist() == [0, 0] and nearest.tolist() == [0, -1]
+        # IoU 9/116 < 0.5: background, though its nearest instance still signals
+        # its class; the second proposal overlaps nothing and signals none
+        classes, max_ious, nearest, signal, reg = label(
+            [Box(7, 7, 12, 12), Box(50, 50, 60, 60)], self.gts(), 0.5)
+        assert classes.tolist() == [0, 0] and nearest[0] == 0
+        assert signal.tolist() == [3, 0] and max_ious.tolist() == [9 / 116, 0.0]
         np.testing.assert_array_equal(reg, np.zeros((2, 4)))
 
     def test_empty_gts(self):
-        classes, max_ious, _, _ = label([Box(0, 0, 5, 5), Box(1, 1, 2, 2)], [], 0.5)
-        assert (classes == 0).all() and (max_ious == 0.0).all()
+        classes, max_ious, _, signal, _ = label([Box(0, 0, 5, 5), Box(1, 1, 2, 2)], [], 0.5)
+        assert (classes == 0).all() and (max_ious == 0.0).all() and (signal == 0).all()
 
     def test_block_of_scenes_equals_each_alone(self):
-        # two scenes labeled in one call: the second's ground truths follow the
-        # first's, and its missing second column holds IoU 0
+        # two scenes labeled in one block: the second's instance rows follow
+        # the first's, and a proposal that overlaps nothing signals no class
         props = [Box(0, 0, 10, 10), Box(7, 7, 12, 12), Box(21, 21, 30, 30)]
         other_props = [Box(0, 0, 10, 10), Box(50, 50, 60, 60)]
         other_gts = [(Box(1, 1, 10, 10), 2)]
         alone = [label(props, self.gts(), 0.5), label(other_props, other_gts, 0.5)]
-        boxes = np.array([b.as_array() for b in props + other_props])
-        gts = self.gts() + other_gts
-        ious = np.zeros((5, 2))
-        ious[:3] = iou_matrix(boxes[:3], np.array([b.as_array() for b, _ in gts[:2]]))
-        ious[3:, :1] = iou_matrix(boxes[3:], gts[2][0].as_array())
-        block = label_arrays(ious, boxes, np.array([b.as_array() for b, _ in gts]),
-                             np.array([c for _, c in gts]), 0.5, np.array([0, 0, 0, 2, 2]))
-        np.testing.assert_array_equal(block[1], np.concatenate([alone[0][1], alone[1][1]]))
-        np.testing.assert_array_equal(block[2], [0, 0, 1, 2, -1])
-        for got, a, b in zip((block[0], block[3]), (alone[0][0], alone[0][3]),
-                             (alone[1][0], alone[1][3])):
-            np.testing.assert_array_equal(got, np.concatenate([a, b]), strict=True)
+        block = label_block([(props, self.gts()), (other_props, other_gts)], 0.5)
+        np.testing.assert_array_equal(block[2], [0, 0, 1, 2, 2], strict=True)
+        np.testing.assert_array_equal(block[2], np.concatenate([alone[0][2], alone[1][2] + 2]))
+        np.testing.assert_array_equal(block[3], [3, 3, 1, 2, 0])
+        for i in (0, 1, 3, 4):
+            np.testing.assert_array_equal(block[i], np.concatenate([alone[0][i], alone[1][i]]),
+                                          strict=True)
 
     def test_iou_at_threshold_is_positive(self):
         # the lower half of the first instance: IoU exactly 50/100
-        classes, max_ious, _, _ = label([Box(0, 0, 10, 5)], self.gts(), 0.5)
+        classes, max_ious, _, _, _ = label([Box(0, 0, 10, 5)], self.gts(), 0.5)
         assert max_ious[0] == 0.5 and classes[0] == 3
 
     def test_tie_breaks_to_lowest_gt_index(self):
         gts = [(Box(0, 0, 10, 10), 2), (Box(0, 0, 10, 10), 3)]
-        classes, _, matched, _ = label([Box(0, 0, 10, 10)], gts, 0.5)
+        classes, _, matched, _, _ = label([Box(0, 0, 10, 10)], gts, 0.5)
         assert matched[0] == 0 and classes[0] == 2
 
     @given(st.lists(boxes(), min_size=1, max_size=8),
@@ -255,17 +266,15 @@ class TestPoolMaxIou:
     @given(pool_blocks())
     @settings(max_examples=100)
     def test_equals_argmax_of_each_pool_alone(self, pools):
-        def as_array(bs):
-            return np.array([b.as_array() for b in bs]).reshape(-1, 4)
-
         offsets = np.cumsum([0, *(len(props) for _, props in pools)])
         gt_offsets = np.cumsum([0, *(len(gts) for gts, _ in pools)])
-        best, column = pool_max_iou(as_array(p for _, ps in pools for p in ps), offsets,
-                                    as_array(g for gs, _ in pools for g in gs), gt_offsets)
+        best, instance = pool_max_iou(as_array(p for _, ps in pools for p in ps), offsets,
+                                      as_array(g for gs, _ in pools for g in gs), gt_offsets)
         for i, (gts, props) in enumerate(pools):
             rows = slice(offsets[i], offsets[i + 1])
             ious = iou_matrix(as_array(props), as_array(gts))
             want = np.argmax(ious, axis=1) if gts else np.zeros(len(props), dtype=np.int64)
             want_best = ious[np.arange(len(props)), want] if gts else np.zeros(len(props))
             assert best[rows].tobytes() == want_best.tobytes(), f"pool {i}"
-            np.testing.assert_array_equal(column[rows], want, strict=True, err_msg=f"pool {i}")
+            np.testing.assert_array_equal(instance[rows], gt_offsets[i] + want, strict=True,
+                                          err_msg=f"pool {i}")

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import platform
 import re
@@ -474,14 +476,14 @@ def saved_inputs(tmp_path_factory):
     return {name: dict(read_arrays(out / name)) for name in ("cache.npz", "checkpoint.npz")}, out
 
 
-@given(st.data())
-@settings(max_examples=300)
-def test_loaders_name_the_file_and_the_array(saved_inputs, data):
-    # one value of a valid file made invalid: the loader names both where it lies
-    arrays, out = saved_inputs
+def draw_spoiled(data, arrays):
+    """One value of a valid scene cache or checkpoint made invalid: NaN or
+    +-inf, a non-positive extent, a repeated or swapped id, or a box moved
+    outside its scene. `arrays` holds each file's arrays by file name;
+    returns the file name, the array name and the spoiled array."""
     name = data.draw(st.sampled_from(["ids", "extents", "boxes", "backbone/w", "backbone/b",
                                       *(f"head{i}/{key}" for i in (0, 1) for key in HEAD_KEYS)]))
-    file = "cache.npz" if name in SCENE_ARRAYS else "checkpoint.npz"
+    file = next(file for file, held in arrays.items() if name in held)
     a = arrays[file][name].copy()
     row = data.draw(st.integers(0, len(a) - 1))
     bad = st.sampled_from([np.nan, np.inf, -np.inf])
@@ -498,6 +500,15 @@ def test_loaders_name_the_file_and_the_array(saved_inputs, data):
         a[row, [axis, axis + 2]] += sign * (SCENE.extent[axis] + 1.0)
     else:
         a.reshape(len(a), -1)[row, data.draw(st.integers(0, a[row].size - 1))] = data.draw(bad)
+    return file, name, a
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_loaders_name_the_file_and_the_array(saved_inputs, data):
+    # one value of a valid file made invalid: the loader names both where it lies
+    arrays, out = saved_inputs
+    file, name, a = draw_spoiled(data, arrays)
     path = out / f"bad-{file}"
     write_arrays(path, arrays[file] | {name: a})
     load = load_dataset if file == "cache.npz" else load_params
@@ -505,6 +516,33 @@ def test_loaders_name_the_file_and_the_array(saved_inputs, data):
         load(path)
     assert str(path) in str(raised.value)
     assert re.search(rf"\b{name}\b", str(raised.value)), str(raised.value)
+
+
+@pytest.fixture(scope="module")
+def saved_run(tmp_path_factory):
+    """A trained tiny rga+prm run: its config file, its directory and the
+    arrays of its checkpoint and evaluation scene cache by file name."""
+    tmp = tmp_path_factory.mktemp("run")
+    (cfg_path := tmp / "exp.cfg").write_text(TINY)
+    args = ["--config", str(cfg_path), "--mode", "rga+prm", "--out", str(tmp / "run")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["train", *args]) == 0
+    (cache,) = (tmp / "run").glob("dataset_eval_*.npz")
+    return args, tmp / "run", {path.name: dict(read_arrays(path))
+                               for path in (cache, tmp / "run" / "checkpoint.npz")}
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_eval_of_a_spoiled_input_exits_2_naming_the_file(saved_run, data):
+    # as test_loaders_name_the_file_and_the_array, through `detlab eval`
+    args, out, arrays = saved_run
+    file, name, a = draw_spoiled(data, arrays)
+    for held_by, held in arrays.items():
+        write_arrays(out / held_by, held | ({name: a} if held_by == file else {}))
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli_main(["eval", *args]) == 2
+    assert str(out / file) in err.getvalue() and re.search(rf"\b{name}\b", err.getvalue())
 
 
 class Tripwire:
@@ -1001,6 +1039,25 @@ class TestCli:
         err = self.rerun_fails(tmp_path, out, capsys)
         assert (f"error: corrupt scene cache {cache}: array {array!r} row {row} is "
                 f"{spoiled[row]}, but {rule}\n") in err
+
+    @pytest.mark.parametrize("array, reshape, want", [
+        ("ids", lambda a: a[:, None], "(rows,)"),
+        ("extents", np.ravel, "(rows, 2)"),
+        ("offsets", lambda a: a[:, None], "(rows,)"),
+        ("boxes", np.ravel, "(rows, 4)"),
+        ("boxes", lambda a: a.reshape(-1, 2, 2), "(rows, 4)"),
+        ("classes", lambda a: a[None], "(rows,)"),
+    ], ids=["ids-column", "extents-flat", "offsets-column", "boxes-flat", "boxes-2x2",
+            "classes-row"])
+    def test_cache_of_another_shape_named(self, tmp_path, capsys, array, reshape, want):
+        # each holds the same values, which SceneTable's reshape alone loads as a valid table
+        out, cache = self.cached(tmp_path, "eval")
+        with np.load(cache) as data:
+            spoiled = reshape(data[array])
+        rewrite_arrays(cache, {array: spoiled})
+        err = self.rerun_fails(tmp_path, out, capsys)
+        assert (f"error: corrupt scene cache {cache}: array {array!r} has shape "
+                f"{spoiled.shape}, not {want}\n") in err
 
     @pytest.mark.parametrize("spoil, message", [
         (lambda path: path.write_bytes(path.read_bytes()[:500]),

@@ -9,7 +9,7 @@ from scipy import stats
 from detlab import synthdata
 from detlab.config import SCENE
 from detlab.files import write_arrays
-from detlab.geometry import iou_matrix, label_arrays
+from detlab.geometry import label_arrays, pool_max_iou
 from detlab.harness import POOL_BLOCK
 from detlab.seeding import derive_seed, generators
 from detlab.synthdata import (
@@ -143,13 +143,15 @@ def assert_same_scenes(a, b):
 
 
 def best_matches(scene, pool):
-    """`label_arrays`' best IoU and matched instance (-1 for background) of
-    each proposal in `pool`, as `generate_proposals` labeled it, for one
+    """The best IoU and matched instance (-1 for background) of each proposal
+    in `pool`, labeled as a one-pool block by `pool_max_iou` and
+    `label_arrays` as `generate_proposals` labeled it, for one
     `scene_oracle.Scene`."""
-    classes, max_ious, nearest, _ = label_arrays(
-        iou_matrix(pool.boxes, scene.gt_boxes), pool.boxes, scene.gt_boxes, scene.gt_classes,
-        POS_IOU_THRESHOLD)
-    return max_ious, np.where(classes > 0, nearest, -1)
+    best, instance = pool_max_iou(pool.boxes, np.array([0, len(pool)]), scene.gt_boxes,
+                                  np.array([0, len(scene.gt_boxes)]))
+    classes, _, _ = label_arrays(best, instance, pool.boxes, scene.gt_boxes,
+                                 scene.gt_classes, POS_IOU_THRESHOLD)
+    return best, np.where(classes > 0, instance, -1)
 
 
 def _scene(n=2, cls=2):
