@@ -160,6 +160,8 @@ def _parse_fields(text: str) -> dict[str, object]:
         name = RENAMED.get((current, key), key)
         if name in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        if not value:  # an empty `out` would run in, and first clear, the working directory
+            raise ConfigError(f"line {lineno}: no value for {key!r}")
         try:
             values[name] = SCHEMA[current][key](value)
         except ValueError as exc:

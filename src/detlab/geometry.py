@@ -83,18 +83,16 @@ def pool_max_iou(boxes: np.ndarray, offsets: np.ndarray, gt_boxes: np.ndarray,
     return out_best, instance
 
 
+def _size_center(boxes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Width, height and center x, y of (N, 4) corner boxes."""
+    return (boxes[:, 2] - boxes[:, 0], boxes[:, 3] - boxes[:, 1],
+            0.5 * (boxes[:, 0] + boxes[:, 2]), 0.5 * (boxes[:, 1] + boxes[:, 3]))
+
+
 def encode_deltas_array(proposals: np.ndarray, gts: np.ndarray) -> np.ndarray:
-    """Center/size log-space regression targets for row-aligned (N,4) box arrays."""
-    proposals = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
-    gts = np.asarray(gts, dtype=np.float64).reshape(-1, 4)
-    pw = proposals[:, 2] - proposals[:, 0]
-    ph = proposals[:, 3] - proposals[:, 1]
-    pcx = 0.5 * (proposals[:, 0] + proposals[:, 2])
-    pcy = 0.5 * (proposals[:, 1] + proposals[:, 3])
-    gw = gts[:, 2] - gts[:, 0]
-    gh = gts[:, 3] - gts[:, 1]
-    gcx = 0.5 * (gts[:, 0] + gts[:, 2])
-    gcy = 0.5 * (gts[:, 1] + gts[:, 3])
+    """Center/size log-space regression targets for row-aligned (N,4) float box arrays."""
+    pw, ph, pcx, pcy = _size_center(proposals)
+    gw, gh, gcx, gcy = _size_center(gts)
     return np.stack(
         [(gcx - pcx) / pw, (gcy - pcy) / ph, np.log(gw / pw), np.log(gh / ph)], axis=1
     )
@@ -102,12 +100,7 @@ def encode_deltas_array(proposals: np.ndarray, gts: np.ndarray) -> np.ndarray:
 
 def decode_deltas_array(proposals: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Inverse of :func:`encode_deltas_array`; size deltas clamped to LOG_SIZE_CLAMP."""
-    proposals = np.asarray(proposals, dtype=np.float64).reshape(-1, 4)
-    deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 4)
-    pw = proposals[:, 2] - proposals[:, 0]
-    ph = proposals[:, 3] - proposals[:, 1]
-    pcx = 0.5 * (proposals[:, 0] + proposals[:, 2])
-    pcy = 0.5 * (proposals[:, 1] + proposals[:, 3])
+    pw, ph, pcx, pcy = _size_center(proposals)
     cx = pcx + deltas[:, 0] * pw
     cy = pcy + deltas[:, 1] * ph
     w = pw * np.exp(np.minimum(deltas[:, 2], LOG_SIZE_CLAMP))

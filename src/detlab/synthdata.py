@@ -99,6 +99,11 @@ class FeatureModel:
         return rng.normal(0.0, self.noise_sigma, size=(rows, self.dim(num_classes)))
 
 
+# Each column of a SceneTable, in argument order: its dtype and its shape after the row axis
+SCENE_ARRAYS = {"ids": (np.int64, ()), "extents": (np.float64, (2,)), "offsets": (np.int64, ()),
+                "boxes": (np.float64, (4,)), "classes": (np.int64, ())}
+
+
 class SceneTable:
     """Struct-of-arrays ground truth of a sequence of scenes: scene i has id
     `ids[i]`, extent `extents[i]` (w, h) and the instances at rows
@@ -106,11 +111,15 @@ class SceneTable:
     `classes`, (K,) class ids from 1 (0 is background)."""
 
     def __init__(self, ids, extents, offsets, boxes, classes):
-        self.ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        self.extents = np.asarray(extents, dtype=np.float64).reshape(-1, 2)
-        self.offsets = np.asarray(offsets, dtype=np.int64).reshape(-1)
-        self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-        self.classes = np.asarray(classes, dtype=np.int64).reshape(-1)
+        columns = ids, extents, offsets, boxes, classes
+        for (name, (dtype, tail)), a in zip(SCENE_ARRAYS.items(), map(np.asarray, columns)):
+            if not np.can_cast(a.dtype, dtype):  # an unsafe cast turns 1.7 into 1, 2**63 negative
+                raise ValueError(f"array {name!r} is {a.dtype}, which does not cast safely "
+                                 f"to {np.dtype(dtype)}")
+            if a.ndim != 1 + len(tail) or a.shape[1:] != tail:
+                raise ValueError(f"array {name!r} has shape {a.shape}, "
+                                 f"not (rows{''.join(f', {d}' for d in tail) or ','})")
+            setattr(self, name, a.astype(dtype, copy=False))
         if not len(self.ids) == len(self.extents) == len(self.offsets) - 1 or not (
                 self.offsets[0] == 0 and self.offsets[-1] == len(self.boxes) == len(self.classes)
                 and (np.diff(self.offsets) >= 0).all()):
@@ -151,14 +160,12 @@ class ProposalSet:
     pool order: pool i holds rows `offsets[i]:offsets[i + 1]`."""
 
     def __init__(self, boxes, classes, reg_targets, features, offsets=None):
-        self.boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-        self.classes = np.asarray(classes, dtype=np.int64)
-        self.reg_targets = np.asarray(reg_targets, dtype=np.float64).reshape(-1, 4)
-        self.features = np.asarray(features, dtype=np.float64)
-        n = len(self.classes)
-        if not len(self.boxes) == len(self.reg_targets) == len(self.features) == n:
+        self.boxes, self.classes, self.reg_targets, self.features = (
+            boxes, classes, reg_targets, features)
+        n = len(classes)
+        if not len(boxes) == len(reg_targets) == len(features) == n:
             raise ValueError("mismatched proposal array lengths")
-        self.offsets = np.asarray((0, n) if offsets is None else offsets)
+        self.offsets = np.array([0, n]) if offsets is None else offsets
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -307,9 +314,6 @@ def generate_dataset(config: SceneConfig, n_scenes: int, base_seed: int,
 
 # --- scene cache -------------------------------------------------------------
 
-SCENE_ARRAYS = ("ids", "extents", "offsets", "boxes", "classes")  # SceneTable's arguments
-
-
 def save_dataset(scenes: SceneTable, path) -> None:
     """Writes the table's five arrays as one `.npz` file (`files.write_arrays`)."""
     write_arrays(path, {name: getattr(scenes, name) for name in SCENE_ARRAYS})
@@ -319,16 +323,6 @@ def load_dataset(path) -> SceneTable:
     """Inverse of :func:`save_dataset`; every fault raises ValueError naming the file."""
     arrays = read_arrays(path)
     columns = [arrays[name] for name in SCENE_ARRAYS]
-    # SceneTable casts unsafely, so float classes would load truncated, uint64 ids wrapped
-    if bad := [name for name in ("ids", "offsets", "classes")
-               if not np.can_cast(arrays[name].dtype, np.int64)]:
-        raise ValueError(f"corrupt scene cache {path}: array {bad[0]!r} is "
-                         f"{arrays[bad[0]].dtype}, which does not cast safely to int64")
-    # SceneTable reshapes what it gets, so (50, 1) ids or flat boxes would load
-    for name, tail in zip(SCENE_ARRAYS, [(), (2,), (), (4,), ()]):
-        if (a := arrays[name]).ndim != 1 + len(tail) or a.shape[1:] != tail:
-            raise ValueError(f"corrupt scene cache {path}: array {name!r} has shape {a.shape}, "
-                             f"not (rows{''.join(f', {d}' for d in tail) or ','})")
     try:
         scenes = SceneTable(*columns)
     except ValueError as exc:

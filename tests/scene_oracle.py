@@ -30,7 +30,8 @@ def scene_table(scenes: Sequence[tuple], ids: Optional[Sequence[int]] = None,
     ids `ids` (positions by default) and one extent."""
     boxes = [np.asarray(b, dtype=np.float64).reshape(-1, 4) for b, _ in scenes]
     classes = [np.asarray(c, dtype=np.int64) for _, c in scenes]
-    return SceneTable(range(len(scenes)) if ids is None else ids, [extent] * len(scenes),
+    return SceneTable(np.arange(len(scenes)) if ids is None else ids,
+                      np.full((len(scenes), 2), extent),
                       np.cumsum([0] + [len(b) for b in boxes]),
                       np.concatenate(boxes + [np.zeros((0, 4))]),
                       np.concatenate(classes + [np.zeros(0, dtype=np.int64)]))

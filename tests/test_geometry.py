@@ -128,11 +128,12 @@ class TestIou:
 
 
 def encode(p: Box, g: Box) -> np.ndarray:
-    return encode_deltas_array(p.as_array(), g.as_array())[0]
+    return encode_deltas_array(p.as_array()[None], g.as_array()[None])[0]
 
 
 def decode(p: Box, deltas) -> Box:
-    return Box(*map(float, decode_deltas_array(p.as_array(), deltas)[0]))
+    return Box(*map(float, decode_deltas_array(p.as_array()[None],
+                                               np.array([deltas], dtype=np.float64))[0]))
 
 
 class TestDeltas:

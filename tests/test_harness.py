@@ -105,6 +105,27 @@ def tiny_cfg(tmp_path, **overrides):
     return replace(cfg, **overrides)
 
 
+def draw_garbled(data) -> tuple[str, int]:
+    """TINY with one key line garbled: its '=' dropped, the line repeated, its
+    key unknown or its value not a number; returns the text and the number of
+    the line that an error must name."""
+    lines = TINY.splitlines()
+    at = data.draw(st.sampled_from([i for i, line in enumerate(lines) if "=" in line]))
+    key, value = (part.strip() for part in lines[at].split("="))
+    garble = data.draw(st.sampled_from(["no =", "repeat", "unknown", "non-number"]))
+    named = at + 1
+    if garble == "no =":
+        lines[at] = f"{key} {value}"
+    elif garble == "repeat":
+        lines.insert(at + 1, lines[at])
+        named += 1
+    elif garble == "unknown":
+        lines[at] = f"{key}_{data.draw(st.sampled_from(['x', '2', 'rate']))} = {value}"
+    else:
+        lines[at] = f"{key} = {data.draw(st.sampled_from(['', 'x', '1.5', '1e3', '0x10']))}"
+    return "\n".join(lines), named
+
+
 class TestParseConfig:
     def test_empty_document_gives_stock_defaults(self):
         cfg = parse_config("", seed=1)
@@ -178,23 +199,9 @@ class TestParseConfig:
     @given(st.data())
     @settings(max_examples=200)
     def test_a_garbled_line_is_named(self, data):
-        # one key line of TINY loses its '=', repeats, gets an unknown key or a non-number
-        lines = TINY.splitlines()
-        at = data.draw(st.sampled_from([i for i, line in enumerate(lines) if "=" in line]))
-        key, value = (part.strip() for part in lines[at].split("="))
-        garble = data.draw(st.sampled_from(["no =", "repeat", "unknown", "non-number"]))
-        named = at + 1
-        if garble == "no =":
-            lines[at] = f"{key} {value}"
-        elif garble == "repeat":
-            lines.insert(at + 1, lines[at])
-            named += 1
-        elif garble == "unknown":
-            lines[at] = f"{key}_{data.draw(st.sampled_from(['x', '2', 'rate']))} = {value}"
-        else:
-            lines[at] = f"{key} = {data.draw(st.sampled_from(['', 'x', '1.5', '1e3', '0x10']))}"
-        with pytest.raises(ConfigError, match=f"^line {named}: "):
-            parse_config("\n".join(lines))
+        text, line = draw_garbled(data)
+        with pytest.raises(ConfigError, match=f"^line {line}: "):
+            parse_config(text)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_desk_config_hashes_are_pinned(self, mode):
@@ -477,14 +484,19 @@ def saved_inputs(tmp_path_factory):
 
 
 def draw_spoiled(data, arrays):
-    """One value of a valid scene cache or checkpoint made invalid: NaN or
+    """One array of a valid scene cache or checkpoint made invalid: a float
+    array stored as text or as complex numbers, or one value made NaN or
     +-inf, a non-positive extent, a repeated or swapped id, or a box moved
     outside its scene. `arrays` holds each file's arrays by file name;
     returns the file name, the array name and the spoiled array."""
-    name = data.draw(st.sampled_from(["ids", "extents", "boxes", "backbone/w", "backbone/b",
-                                      *(f"head{i}/{key}" for i in (0, 1) for key in HEAD_KEYS)]))
+    name = data.draw(st.sampled_from([
+        n for n in ["ids", "extents", "boxes", "backbone/w", "backbone/b",
+                    *(f"head{i}/{key}" for i in (0, 1) for key in HEAD_KEYS)]
+        if any(n in held for held in arrays.values())]))
     file = next(file for file, held in arrays.items() if name in held)
     a = arrays[file][name].copy()
+    if a.dtype.kind == "f" and (stored := data.draw(st.sampled_from([None, str, complex]))):
+        return file, name, a.astype(stored)
     row = data.draw(st.integers(0, len(a) - 1))
     bad = st.sampled_from([np.nan, np.inf, -np.inf])
     if name == "ids":  # a repeat of the one before, or two swapped
@@ -543,6 +555,52 @@ def test_eval_of_a_spoiled_input_exits_2_naming_the_file(saved_run, data):
     with contextlib.redirect_stderr(io.StringIO()) as err:
         assert cli_main(["eval", *args]) == 2
     assert str(out / file) in err.getvalue() and re.search(rf"\b{name}\b", err.getvalue())
+
+
+@pytest.fixture(scope="module")
+def cached_run(tmp_path_factory):
+    """A tiny config's `train` arguments, its run directory, which holds only
+    the two scene caches, and the arrays of its training cache by file name."""
+    tmp = tmp_path_factory.mktemp("cached")
+    (cfg_path := tmp / "exp.cfg").write_text(TINY)
+    args = ["--config", str(cfg_path), "--out", str(tmp / "run")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["gen-data", *args]) == 0
+    (cache,) = (tmp / "run").glob("dataset_train_*.npz")
+    return args, tmp / "run", {cache.name: dict(read_arrays(cache))}
+
+
+RESULT_FILES = ("eval_report.txt", "eval_summary.json", "metrics.csv", "gradnorm.csv",
+                "checkpoint.npz", "manifest.json", "timings.json")
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_train_on_a_spoiled_training_cache_exits_2_leaving_no_result(cached_run, data):
+    # as test_eval_of_a_spoiled_input_exits_2_naming_the_file, through `detlab
+    # train`, where an earlier run's results are there to be removed
+    args, out, arrays = cached_run
+    file, name, a = draw_spoiled(data, arrays)
+    write_arrays(out / file, arrays[file] | {name: a})
+    for result in RESULT_FILES:
+        (out / result).write_text("an earlier run's\n")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli_main(["train", *args]) == 2
+    assert str(out / file) in err.getvalue() and re.search(rf"\b{name}\b", err.getvalue())
+    assert [result for result in RESULT_FILES if (out / result).exists()] == []
+
+
+@given(st.data())
+@settings(max_examples=50)
+def test_train_on_a_garbled_config_exits_1_creating_nothing(tmp_path_factory, data):
+    # as TestParseConfig.test_a_garbled_line_is_named, through `detlab train`
+    text, line = draw_garbled(data)
+    tmp = tmp_path_factory.mktemp("garbled")
+    (cfg_path := tmp / "exp.cfg").write_text(text)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp / "run")]) == 1
+    assert err.getvalue().startswith(f"config error: line {line}: ")
+    assert [p.name for p in tmp.iterdir()] == ["exp.cfg"]
 
 
 class Tripwire:
@@ -792,6 +850,8 @@ class TestCli:
         (TINY + "[scene]\nextent_h = inf\n", "line 15: unknown section [scene]"),
         (TINY + "[rpn]\njitter_start = inf\n",
          "line 16: unknown key 'jitter_start' in section [rpn]"),
+        (TINY + "[run]\nout =\n",  # a run there would first delete its results
+         "line 16: no value for 'out'"),
     ], ids=["num_classes", "jitter", "learning_rate", "decay_factor", "lambda0",
             "steps", "train_scenes", "eval_scenes", "lambda0-nan", "lambda0-inf",
             "learning_rate-nan", "learning_rate-inf", "decay_points-nan", "decay_points-inf",
@@ -801,7 +861,7 @@ class TestCli:
             "score_floor-1", "score_floor-negative", "batch_size", "batch_size-gt-counts",
             "gt_count_weights-nan", "gt_count_weights-negative", "gt_count_weights-repeated",
             "extent-nan", "extent-inf",
-            "jitter_start-inf"])
+            "jitter_start-inf", "out-empty"])
     def test_invalid_value_exits_1_before_any_work(self, tmp_path, capsys, doc, message):
         bad = tmp_path / "bad.cfg"
         bad.write_text(doc)
@@ -1078,10 +1138,12 @@ class TestCli:
           for ratios in (np.array([1, 3]), np.array([[1, 3, 5]]), np.array("1:3"),
                          np.array([[1.0, 3.0]]), np.array([[1, 3], [1, 3]]))),
         (lambda path: rewrite_arrays(path, {"head0/b_cls": np.array(["0.1", "0.2"])}),
-         "checkpoint {}: array 'head0/b_cls' is <U3, not numbers"),
+         "checkpoint {}: array 'head0/b_cls' is <U3, not real numbers"),
+        (lambda path: rewrite_arrays(path, {"backbone/w": read_arrays(path)["backbone/w"] + 0.5j}),
+         "checkpoint {}: array 'backbone/w' is complex128, not real numbers"),
     ], ids=["truncated", "empty", "text", "missing-array", "object-array", "num-heads-vector",
             "num-heads-float", "ratios-vector", "ratios-3-columns", "ratios-text",
-            "ratios-float", "ratios-2-rows", "weights-text"])
+            "ratios-float", "ratios-2-rows", "weights-text", "weights-complex"])
     def test_eval_names_damaged_checkpoint(self, tmp_path, capsys, spoil, message):
         cfg_path = self.write_cfg(tmp_path)
         out = tmp_path / "run"

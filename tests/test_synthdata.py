@@ -112,6 +112,31 @@ class TestSceneTable:
         with pytest.raises(ValueError, match=f"scene 1: {message}"):  # row 3 is in scene 1
             SceneTable(scenes.ids, scenes.extents, scenes.offsets, boxes, classes)
 
+    @pytest.mark.parametrize("name", SCENE_ARRAYS)
+    def test_a_column_that_does_not_cast_safely_is_named(self, name):
+        dtype = np.dtype(SCENE_ARRAYS[name][0])
+        scenes = generate_dataset(SceneConfig(), 2, 9)
+        columns = {n: getattr(scenes, n) for n in SCENE_ARRAYS}
+        unsafe = ["complex128", "<U32", *(["float64", "uint64"] if dtype.kind == "i" else [])]
+        for stored in unsafe:
+            with pytest.raises(ValueError, match=f"^array '{name}' is {stored}, which does not "
+                                                 f"cast safely to {dtype}$"):
+                SceneTable(**columns | {name: columns[name].astype(stored)})
+        narrow = columns[name].astype("int32" if dtype.kind == "i" else "float32")
+        held = getattr(SceneTable(**columns | {name: narrow}), name)
+        assert held.dtype == dtype and (held == narrow).all()
+
+    @pytest.mark.parametrize("name", SCENE_ARRAYS)
+    def test_a_column_of_another_shape_is_named(self, name):
+        want = f"(rows{''.join(f', {d}' for d in SCENE_ARRAYS[name][1]) or ','})"
+        scenes = generate_dataset(SceneConfig(), 2, 9)
+        columns = {n: getattr(scenes, n) for n in SCENE_ARRAYS}
+        a = columns[name]
+        for shaped in (a[:, None], a[None] if a.ndim == 1 else a.ravel(), a[0]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"array '{name}' has shape {shaped.shape}, not {want}")):
+                SceneTable(**columns | {name: shaped})
+
     def test_load_dataset_refuses_a_corrupt_row(self, tmp_path):
         path = tmp_path / "data.npz"
         scenes = generate_dataset(SceneConfig(gt_count_weights={3: 1.0}), 2, 9)
